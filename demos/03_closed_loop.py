@@ -2,12 +2,13 @@
 
 Equivalent to `plume run scenarios/case1.json --out out/demo` followed
 by the two plot commands, but driving the library directly.  Run from
-the repo root:
+the repo root; the outputs go to the directory given, out/demo if none:
 
-    python demos/03_closed_loop.py
+    python demos/03_closed_loop.py [out_dir]
 """
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from plumetrack import simulator
 from plumetrack.plotting import timeseries_svg, trajectory_svg, read_log
 from plumetrack.scenario_io import load_scenario
 
-out = Path("out/demo")
+out = Path(sys.argv[1] if len(sys.argv) > 1 else "out/demo")
 out.mkdir(parents=True, exist_ok=True)
 
 scenario = load_scenario("scenarios/case1.json")
@@ -32,8 +33,7 @@ print(f"winding: {m.winding_angle / (2 * math.pi):+.2f} turns "
 
 (out / "log.csv").write_text(log.to_csv())
 parsed = read_log(out / "log.csv")
-src = np.stack([simulator.field_centroid(scenario.field0, float(t))
-                for t in parsed["t"]])
+src = np.stack([scenario.field0.centroid(float(t)) for t in parsed["t"]])
 (out / "trajectory.svg").write_text(trajectory_svg(parsed, src))
 (out / "timeseries.svg").write_text(timeseries_svg(parsed, scenario.gains.c0))
 print(f"wrote {out}/log.csv, trajectory.svg, timeseries.svg")

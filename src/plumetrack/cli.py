@@ -14,6 +14,7 @@ verbosity), data never does.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import logging
@@ -27,6 +28,7 @@ import numpy as np
 from . import plotting, simulator, validate as validation
 from .scenario_io import (ScenarioError, copy_doc, load_raw, load_scenario,
                           parse_sweep_value, scenario_from_dict, set_path)
+from .guidance import NonFiniteError
 from .sensing import DegenerateStencilError
 
 EXIT_OK = 0
@@ -51,7 +53,7 @@ def _json_value(v):
 
 
 def _metrics_json(m: simulator.RunMetrics, seed: int) -> str:
-    d = {k: _json_value(v) for k, v in m.as_dict().items()}
+    d = {k: _json_value(v) for k, v in dataclasses.asdict(m).items()}
     d["seed"] = seed
     return json.dumps(d, indent=2) + "\n"
 
@@ -63,8 +65,11 @@ def _execute_run(doc: dict, out_dir: Path, origin: str) -> int:
              scenario.name, scenario.seed, scenario.duration,
              scenario.control_period)
     try:
-        runlog = simulator.run(scenario)
-    except DegenerateStencilError as exc:
+        # a diverging observer overflows on its way to a non-finite
+        # control, which guidance reports as one error; numpy stays quiet
+        with np.errstate(over="ignore", invalid="ignore"):
+            runlog = simulator.run(scenario)
+    except (DegenerateStencilError, NonFiniteError) as exc:
         print(f"error: numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     log.info("run complete: %d records%s", len(runlog),
@@ -136,10 +141,7 @@ def cmd_sweep(args) -> int:
             for index, code, m in pool.map(_sweep_worker, jobs):
                 results[index] = (code, m)
 
-    metric_keys = ["rms_conc_error", "mean_patrol_speed", "std_patrol_speed",
-                   "winding_sign", "winding_angle", "winding_backtrack",
-                   "mean_level_set_error", "saturation_fraction",
-                   "tracking_reached_at", "truncated", "seed"]
+    metric_keys = [f.name for f in dataclasses.fields(simulator.RunMetrics)]
     header = ["run"] + [key for key, _ in axes] + metric_keys + ["exit_code"]
     lines = [",".join(header)]
     for index, combo in enumerate(combos):
@@ -176,9 +178,8 @@ def cmd_plot(args) -> int:
         source_path = None
         if args.scenario is not None:
             scenario = load_scenario(args.scenario)
-            source_path = np.stack(
-                [simulator.field_centroid(scenario.field0, float(t))
-                 for t in logdata["t"]])
+            source_path = np.stack([scenario.field0.centroid(float(t))
+                                    for t in logdata["t"]])
         svg = plotting.trajectory_svg(logdata, source_path)
     _atomic_write(Path(args.out), svg)
     return EXIT_OK

@@ -16,6 +16,12 @@ scalar turbulent diffusion coefficient k.  Three field models are provided:
 * ``GridField`` - an explicit finite-difference solver (first-order upwind
   advection, 5-point central diffusion) validated against the puff oracle.
 
+All three share one protocol: ``eval``/``eval_many`` give (c, grad, lap),
+``advance(t, max_substep)`` returns the field at time t (the analytic
+fields return themselves), ``centroid(t)`` is the plume centre, and
+``level_set_radius(c0, t)`` is the radius of a circular c = c0 curve or
+raises ``ValueError`` where there is no closed form.
+
 Concentration is in ppb, lengths in m, times in s.
 """
 
@@ -108,11 +114,6 @@ class FlowField:
                 f"flow changes inside [{t0:g}, {t1:g}]; "
                 "closed-form puff transport is invalid there")
         return self.velocities[i0].copy()
-
-
-def flow_at(flow: FlowField, x, t: float) -> np.ndarray:
-    """Module-level alias for :meth:`FlowField.at`."""
-    return flow.at(x, t)
 
 
 # ---------------------------------------------------------------------------
@@ -302,16 +303,21 @@ class PuffPlume:
         v = self.flow.constant_over(float(t0s[i]), t)
         return origins[i] + v * (t - t0s[i])
 
-    def single_puff(self) -> GaussianPuff | None:
-        """The sole puff if this plume is a single seeded release."""
-        if self.emission_rate == 0 and len(self.seed_puffs) == 1:
-            return self.seed_puffs[0]
-        return None
+    def advance(self, t: float, max_substep: float = math.inf) -> "PuffPlume":
+        """Closed form: the plume at any time is this same object."""
+        return self
 
-
-def plume_eval(plume: PuffPlume, x, t: float):
-    """Module-level alias for :meth:`PuffPlume.eval`."""
-    return plume.eval(x, t)
+    def level_set_radius(self, c0: float, t: float) -> float | None:
+        """Radius of the circular c = c0 level curve of a single seeded
+        release; None when the peak is below c0 (empty level set)."""
+        if self.emission_rate != 0 or len(self.seed_puffs) != 1:
+            raise ValueError("level-set radius needs a single-puff plume")
+        puff = self.seed_puffs[0]
+        peak = puff.peak(t)
+        if peak < c0:
+            return None
+        tau = t - puff.release_time
+        return math.sqrt(4.0 * puff.diffusion * tau * math.log(peak / c0))
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +356,17 @@ class FrozenGaussian:
         for a, bnd in zip(edges[:-1], edges[1:]):
             disp += self.flow.at(None, 0.5 * (a + bnd)) * (bnd - a)
         return self.center + (disp if t >= 0 else -disp)
+
+    def advance(self, t: float, max_substep: float = math.inf) -> "FrozenGaussian":
+        """Closed form: the field at any time is this same object."""
+        return self
+
+    def level_set_radius(self, c0: float, t: float) -> float | None:
+        """Radius of the circular c = c0 level curve; None when the peak is
+        below c0 (empty level set)."""
+        if self.peak < c0:
+            return None
+        return self.sigma * math.sqrt(2.0 * math.log(self.peak / c0))
 
     def eval_many(self, points, t: float):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -424,6 +441,23 @@ class GridField:
 
     def mass(self) -> float:
         return float(self.conc.sum() * self.cell_size * self.cell_size)
+
+    def centroid(self, t: float) -> np.ndarray:
+        """Mass centroid of the cells, advected by the flow from
+        ``self.time`` to t."""
+        nx, ny = self.shape
+        xs = self.origin[0] + (np.arange(nx) + 0.5) * self.cell_size
+        ys = self.origin[1] + (np.arange(ny) + 0.5) * self.cell_size
+        m = self.conc.sum()
+        if m <= 0:
+            return self.origin.copy()
+        cx = float((self.conc.sum(axis=1) @ xs) / m)
+        cy = float((self.conc.sum(axis=0) @ ys) / m)
+        disp = self.flow.at(None, t) * (t - self.time)
+        return np.array([cx, cy]) + disp
+
+    def level_set_radius(self, c0: float, t: float) -> float | None:
+        raise ValueError("no closed-form level set for GridField")
 
     def max_stable_dt(self) -> float:
         """Positivity-preserving bound for one explicit step, including the
@@ -518,12 +552,3 @@ class GridField:
     def eval(self, x, t: float):
         return self.sample(x)
 
-
-def grid_step(grid: GridField, dt: float) -> GridField:
-    """Module-level alias for :meth:`GridField.step`."""
-    return grid.step(dt)
-
-
-def grid_sample(grid: GridField, x):
-    """Module-level alias for :meth:`GridField.sample`."""
-    return grid.sample(x)

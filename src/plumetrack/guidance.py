@@ -9,8 +9,8 @@ and is integrated by explicit Euler at the control period:
 
 with g the gradient estimate at the vessel, A = [[0, -1], [1, 0]] (a +90
 degree rotation), and n_ff the normal feedforward for the moving curve.
-The planar control adds a proportional pull of the driven point z onto
-x_hat:
+The planar control re-evaluates those terms at the updated x_hat and adds
+a proportional pull of the driven point z onto it:
 
     u = x_hat' terms - k2 * (z - x_hat)
 
@@ -58,6 +58,10 @@ class DegenerateGradientError(ValueError):
     """Gradient magnitude below the configured floor."""
 
 
+class NonFiniteError(ValueError):
+    """A guidance input, or the control computed from it, is not finite."""
+
+
 @dataclass(frozen=True)
 class GuidanceGains:
     """Controller constants; c0 is the tracked concentration.
@@ -92,7 +96,6 @@ class GuidanceState:
     """Observer estimate plus diagnostic tracking status."""
 
     xhat: np.ndarray
-    last_u: np.ndarray
     status: str = STATUS_SEEKING
     window_start: float | None = None    # start of the current in-band window
     converged: bool = False              # sticky once promoted to tracking
@@ -101,18 +104,14 @@ class GuidanceState:
 def init(x_r) -> GuidanceState:
     """Fresh observer state anchored at the vessel position."""
     x = np.asarray(x_r, dtype=float).reshape(2).copy()
-    return GuidanceState(xhat=x, last_u=np.zeros(2))
-
-
-def _check_mode(mode: str):
-    if mode not in SIGN_MODES:
-        raise ValueError(f"unknown sign convention {mode!r}; "
-                         f"expected one of {SIGN_MODES}")
+    return GuidanceState(xhat=x)
 
 
 def normal_feedforward(grad, lap: float, v, k: float, mode: str) -> np.ndarray:
     """Feedforward normal velocity of the moving level curve."""
-    _check_mode(mode)
+    if mode not in SIGN_MODES:
+        raise ValueError(f"unknown sign convention {mode!r}; "
+                         f"expected one of {SIGN_MODES}")
     g = np.asarray(grad, dtype=float).reshape(2)
     v = np.asarray(v, dtype=float).reshape(2)
     gg = float(g @ g)
@@ -140,74 +139,56 @@ def _correction(gains: GuidanceGains, xhat, x_r, c_hat: float, grad) -> np.ndarr
     return -gains.k1 * residual * grad
 
 
-def observer_update(state: GuidanceState, gains: GuidanceGains, mode: str,
-                    x_r, c_hat: float, grad, lap: float, v_r,
-                    dt: float) -> GuidanceState:
-    """One explicit Euler step of the level-curve observer.
+def step(state: GuidanceState, gains: GuidanceGains, mode: str, x_r, z,
+         driven, c_hat: float, grad, lap: float, v_r, dt: float,
+         t: float) -> tuple[GuidanceState, np.ndarray]:
+    """One control period: observer update, planar control, status.
 
-    When the gradient magnitude is below the floor the estimate is held
-    and the status flags the degeneracy.
+    The observer takes an explicit Euler step first, and the control's
+    correction and pull use the updated x_hat.  ``driven`` is the point
+    the control moves (the head point or the hull centre); the status
+    always measures the head point ``z`` against x_hat.
+
+    When the gradient magnitude is below the floor the estimate is held,
+    only the -k2 (driven - x_hat) pull remains (hold-and-pure-tracking
+    fallback), and the status flags the degeneracy.  Otherwise promotion
+    to tracking is sticky and requires the concentration band and the
+    z-to-estimate distance to hold for TRACK_HOLD seconds.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
     x_r = np.asarray(x_r, dtype=float).reshape(2)
+    z = np.asarray(z, dtype=float).reshape(2)
+    driven = np.asarray(driven, dtype=float).reshape(2)
     grad = np.asarray(grad, dtype=float).reshape(2)
     v_r = np.asarray(v_r, dtype=float).reshape(2)
     for name, val in (("x_r", x_r), ("grad", grad), ("v_r", v_r),
                       ("c_hat", c_hat), ("lap", lap)):
         if not np.all(np.isfinite(val)):
-            raise ValueError(f"non-finite observer input {name}")
+            raise NonFiniteError(
+                f"non-finite observer input {name} at t={t:g} s")
     if float(np.hypot(grad[0], grad[1])) < gains.grad_floor:
-        return replace(state, status=STATUS_DEGENERATE, window_start=None)
-    rate = (normal_feedforward(grad, lap, v_r, gains.k, mode)
-            + tangential(grad, gains.v_d)
-            + _correction(gains, state.xhat, x_r, c_hat, grad))
-    return replace(state, xhat=state.xhat + dt * rate)
+        u = -gains.k2 * (driven - state.xhat)
+        return replace(state, status=STATUS_DEGENERATE, window_start=None), u
 
+    drift = (normal_feedforward(grad, lap, v_r, gains.k, mode)
+             + tangential(grad, gains.v_d))
+    xhat = state.xhat + dt * (drift + _correction(gains, state.xhat, x_r,
+                                                  c_hat, grad))
+    u = (drift + _correction(gains, xhat, x_r, c_hat, grad)
+         - gains.k2 * (driven - xhat))
+    if not np.all(np.isfinite(u)):
+        raise NonFiniteError(
+            f"non-finite planar control {u.tolist()} at t={t:g} s")
 
-def control(state: GuidanceState, gains: GuidanceGains, mode: str,
-            x_r, z, c_hat: float, grad, lap: float, v_r) -> np.ndarray:
-    """Planar control u for the driven point z.
-
-    Full law when the gradient is usable; with a degenerate gradient only
-    the -k2 (z - x_hat) pull remains (hold-and-pure-tracking fallback).
-    """
-    x_r = np.asarray(x_r, dtype=float).reshape(2)
-    z = np.asarray(z, dtype=float).reshape(2)
-    grad = np.asarray(grad, dtype=float).reshape(2)
-    pull = -gains.k2 * (z - state.xhat)
-    if float(np.hypot(grad[0], grad[1])) < gains.grad_floor:
-        return pull
-    return (normal_feedforward(grad, lap, v_r, gains.k, mode)
-            + tangential(grad, gains.v_d)
-            + _correction(gains, state.xhat, x_r, c_hat, grad)
-            + pull)
-
-
-def update_status(state: GuidanceState, gains: GuidanceGains, c_hat: float,
-                  grad, z, u, t: float) -> GuidanceState:
-    """Refresh the diagnostic status and remember the applied control.
-
-    Promotion to tracking is sticky and requires the concentration band
-    and the z-to-estimate distance to hold for TRACK_HOLD seconds; a
-    degenerate gradient resets the window and reports itself regardless.
-    """
-    grad = np.asarray(grad, dtype=float).reshape(2)
-    z = np.asarray(z, dtype=float).reshape(2)
-    u = np.asarray(u, dtype=float).reshape(2)
-    if float(np.hypot(grad[0], grad[1])) < gains.grad_floor:
-        return replace(state, status=STATUS_DEGENERATE,
-                       window_start=None, last_u=u)
     converged = state.converged
     window = state.window_start
-    in_band = (abs(c_hat - gains.c0) < TRACK_BAND * gains.c0
-               and float(np.hypot(*(z - state.xhat))) < TRACK_DIST)
-    if in_band:
+    if (abs(c_hat - gains.c0) < TRACK_BAND * gains.c0
+            and float(np.hypot(*(z - xhat))) < TRACK_DIST):
         window = t if window is None else window
-        if t - window >= TRACK_HOLD:
-            converged = True
+        converged = converged or t - window >= TRACK_HOLD
     else:
         window = None
     status = STATUS_TRACKING if converged else STATUS_SEEKING
-    return replace(state, status=status, window_start=window,
-                   converged=converged, last_u=u)
+    return replace(state, xhat=xhat, status=status, window_start=window,
+                   converged=converged), u

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import copy
 import json
+import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +55,17 @@ def _fail(path: str, msg: str):
     raise ScenarioError(f"{path}: {msg}")
 
 
+@contextmanager
+def _at(path: str):
+    """Report a model's ValueError as a ScenarioError at ``path``."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        _fail(path, str(exc))
+
+
 def _check_keys(d: dict, path: str, required, optional):
     if not isinstance(d, dict):
         _fail(path, "expected an object")
@@ -64,12 +77,23 @@ def _check_keys(d: dict, path: str, required, optional):
             _fail(path, f"missing required field '{key}'")
 
 
+def _is_num(v) -> bool:
+    """A JSON number that is finite as a float (NaN, Infinity and ints
+    beyond the float range are not; neither are booleans)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _num(d: dict, key: str, path: str, default=None) -> float:
     if key not in d:
         return default
     v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(f"{path}.{key}", f"expected a number, got {v!r}")
+    if not _is_num(v):
+        _fail(f"{path}.{key}", f"expected a finite number, got {v!r}")
     return float(v)
 
 
@@ -96,16 +120,15 @@ def _str(d: dict, key: str, path: str, default=None, choices=None) -> str:
 def _vec2(d: dict, key: str, path: str):
     v = d.get(key)
     if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                   for x in v)):
-        _fail(f"{path}.{key}", "expected a 2-vector of numbers")
+            or not all(map(_is_num, v))):
+        _fail(f"{path}.{key}", "expected a 2-vector of finite numbers")
     return [float(v[0]), float(v[1])]
 
 
 def _flow(d: dict, path: str) -> FlowField:
     _check_keys(d, path, ["type"], ["velocity", "boundaries", "velocities"])
     kind = _str(d, "type", path, choices=("uniform", "piecewise"))
-    try:
+    with _at(path):
         if kind == "uniform":
             _check_keys(d, path, ["type", "velocity"], [])
             return FlowField.uniform(_vec2(d, "velocity", path))
@@ -115,21 +138,15 @@ def _flow(d: dict, path: str) -> FlowField:
         if not isinstance(bounds, list) or not isinstance(vels, list):
             _fail(path, "piecewise flow needs 'boundaries' and 'velocities' lists")
         return FlowField.piecewise(bounds, vels)
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        _fail(path, str(exc))
 
 
 def _seed_puff(d: dict, path: str, diffusion: float) -> GaussianPuff:
     _check_keys(d, path, ["release_time", "point", "strength"], [])
-    try:
+    with _at(path):
         return GaussianPuff(release_time=_num(d, "release_time", path),
                             point=_vec2(d, "point", path),
                             strength=_num(d, "strength", path),
                             diffusion=diffusion)
-    except ValueError as exc:
-        _fail(path, str(exc))
 
 
 def _field(d: dict, path: str):
@@ -145,28 +162,20 @@ def _field(d: dict, path: str):
             _fail(f"{path}.seed_puffs", "expected a list")
         puffs = tuple(_seed_puff(p, f"{path}.seed_puffs[{i}]", k)
                       for i, p in enumerate(seeds))
-        try:
+        with _at(path):
             return PuffPlume(source=_vec2(d, "source", path),
                              emission_rate=_num(d, "emission_rate", path, 0.0),
                              puff_interval=_num(d, "puff_interval", path, 0.5),
                              flow=flow, diffusion=k,
                              start_time=_num(d, "start_time", path, 0.0),
                              seed_puffs=puffs)
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            _fail(path, str(exc))
     if kind == "frozen-gaussian":
         _check_keys(d, path, ["type", "peak", "sigma", "center", "flow"], [])
-        try:
+        with _at(path):
             return FrozenGaussian(peak=_num(d, "peak", path),
                                   sigma=_num(d, "sigma", path),
                                   center=_vec2(d, "center", path),
                                   flow=_flow(d["flow"], f"{path}.flow"))
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            _fail(path, str(exc))
     if kind == "grid":
         _check_keys(d, path,
                     ["type", "origin", "cell_size", "shape", "diffusion",
@@ -182,16 +191,12 @@ def _field(d: dict, path: str):
         if puff.release_time >= 0:
             _fail(f"{path}.init_puff.release_time",
                   "must be < 0 so the grid is defined at t = 0")
-        try:
+        with _at(path):
             return GridField.from_puff(
                 puff, flow, t=0.0, origin=_vec2(d, "origin", path),
                 cell_size=_num(d, "cell_size", path), shape=shape,
                 boundary=_str(d, "boundary", path, "outflow",
                               choices=("outflow", "periodic")))
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            _fail(path, str(exc))
     _fail(f"{path}.type",
           "expected 'puffs', 'frozen-gaussian', or 'grid'")
 
@@ -212,10 +217,8 @@ def scenario_from_dict(doc: dict, origin: str = "<scenario>") -> Scenario:
 
     if "rig" in doc:
         _check_keys(doc["rig"], f"{origin}.rig", ["offsets"], [])
-        try:
+        with _at(f"{origin}.rig"):
             rig = SensorRig(np.asarray(doc["rig"]["offsets"], dtype=float))
-        except ValueError as exc:
-            _fail(f"{origin}.rig", str(exc))
     else:
         rig = SensorRig.cross()
 
@@ -228,23 +231,19 @@ def scenario_from_dict(doc: dict, origin: str = "<scenario>") -> Scenario:
                 ["offset", "nu_max", "omega_max"])
     pose = vp.get("start_pose")
     if (not isinstance(pose, list) or len(pose) != 3
-            or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                   for x in pose)):
-        _fail(f"{origin}.vessel.start_pose", "expected [x, y, theta]")
-    try:
+            or not all(map(_is_num, pose))):
+        _fail(f"{origin}.vessel.start_pose",
+              "expected [x, y, theta] of finite numbers")
+    with _at(f"{origin}.vessel"):
         params = VesselParams(offset=_num(vp, "offset", f"{origin}.vessel", 0.5),
                               nu_max=_num(vp, "nu_max", f"{origin}.vessel", 2.0),
                               omega_max=_num(vp, "omega_max",
                                              f"{origin}.vessel", 1.5))
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        _fail(f"{origin}.vessel", str(exc))
 
     gd = doc["gains"]
     _check_keys(gd, f"{origin}.gains", ["c0", "k", "k1", "k2", "v_d"],
                 ["grad_floor"])
-    try:
+    with _at(f"{origin}.gains"):
         gains = GuidanceGains(c0=_num(gd, "c0", f"{origin}.gains"),
                               k=_num(gd, "k", f"{origin}.gains"),
                               k1=_num(gd, "k1", f"{origin}.gains"),
@@ -252,12 +251,8 @@ def scenario_from_dict(doc: dict, origin: str = "<scenario>") -> Scenario:
                               v_d=_num(gd, "v_d", f"{origin}.gains"),
                               grad_floor=_num(gd, "grad_floor",
                                               f"{origin}.gains", 0.05))
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        _fail(f"{origin}.gains", str(exc))
 
-    try:
+    with _at(origin):
         return Scenario(
             name=_str(doc, "name", origin, "scenario"),
             seed=_int(doc, "seed", origin, 0),
@@ -280,10 +275,6 @@ def scenario_from_dict(doc: dict, origin: str = "<scenario>") -> Scenario:
             start_pose=(float(pose[0]), float(pose[1]), float(pose[2])),
             gains=gains,
         )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        _fail(origin, str(exc))
 
 
 def load_raw(path) -> dict:

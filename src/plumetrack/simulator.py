@@ -10,7 +10,8 @@ bit-reproducible for a given seed.
 
 A vessel that leaves a grid field's sampling domain truncates the run
 (flagged on the log); a degenerate sensor stencil aborts it by raising
-:class:`~plumetrack.sensing.DegenerateStencilError`.
+:class:`~plumetrack.sensing.DegenerateStencilError`, and a diverged
+observer by raising :class:`~plumetrack.guidance.NonFiniteError`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import guidance, sensing, vessel
-from .field import DomainError, FrozenGaussian, GridField, PuffPlume
+from .field import DomainError
 from .guidance import GuidanceGains
 from .sensing import NoiseModel, SensorRig
 from .vessel import VesselParams, VesselState
@@ -146,8 +147,7 @@ def run(scenario: Scenario) -> RunLog:
 
     for i in range(n_steps + 1):
         t = i * dt
-        if isinstance(fieldmodel, GridField):
-            fieldmodel = fieldmodel.advance(t, sc.physics_substep)
+        fieldmodel = fieldmodel.advance(t, sc.physics_substep)
         positions = sensing.world_positions(sc.rig, state)
         try:
             samp = sensing.sample(fieldmodel, positions, t, noise)
@@ -158,15 +158,12 @@ def run(scenario: Scenario) -> RunLog:
         v_r = fieldmodel.flow.at(state.position, t)
         if sc.flow_noise_sigma > 0:
             v_r = v_r + sc.flow_noise_sigma * flow_rng.standard_normal(2)
-        g = guidance.observer_update(g, sc.gains, sc.sign_convention,
-                                     state.position, est.c_hat, est.grad,
-                                     est.lap, v_r, dt)
         z = vessel.head_point(state, sc.params.offset)
         driven = z if sc.tracked_point == "head" else state.position
-        u = guidance.control(g, sc.gains, sc.sign_convention, state.position,
-                             driven, est.c_hat, est.grad, est.lap, v_r)
+        g, u = guidance.step(g, sc.gains, sc.sign_convention, state.position,
+                             z, driven, est.c_hat, est.grad, est.lap, v_r,
+                             dt, t)
         cmd, saturated = vessel.to_actuators(u, state.heading, sc.params)
-        g = guidance.update_status(g, sc.gains, est.c_hat, est.grad, z, u, t)
         if fieldmodel.has_analytic_truth:
             ctrue = fieldmodel.eval(z, t)[0]
         else:
@@ -210,48 +207,8 @@ def run(scenario: Scenario) -> RunLog:
 
 
 # ---------------------------------------------------------------------------
-# level-set oracle and run metrics
+# run metrics
 # ---------------------------------------------------------------------------
-
-def level_set_radius(fieldmodel, c0: float, t: float) -> float | None:
-    """Radius of the circular c = c0 level curve of a single-mound field.
-
-    Defined for a single-seed PuffPlume and for FrozenGaussian; returns
-    None when the peak is below c0 (empty level set).
-    """
-    if isinstance(fieldmodel, FrozenGaussian):
-        if fieldmodel.peak < c0:
-            return None
-        return fieldmodel.sigma * math.sqrt(2.0 * math.log(fieldmodel.peak / c0))
-    if isinstance(fieldmodel, PuffPlume):
-        puff = fieldmodel.single_puff()
-        if puff is None:
-            raise ValueError("level-set radius needs a single-puff plume")
-        peak = puff.peak(t)
-        if peak < c0:
-            return None
-        tau = t - puff.release_time
-        return math.sqrt(4.0 * puff.diffusion * tau * math.log(peak / c0))
-    raise ValueError(
-        f"no closed-form level set for {type(fieldmodel).__name__}")
-
-
-def field_centroid(fieldmodel, t: float) -> np.ndarray:
-    """Plume centroid used as the winding center."""
-    if isinstance(fieldmodel, GridField):
-        # mass centroid of the initial cells, advected by the flow
-        nx, ny = fieldmodel.shape
-        xs = fieldmodel.origin[0] + (np.arange(nx) + 0.5) * fieldmodel.cell_size
-        ys = fieldmodel.origin[1] + (np.arange(ny) + 0.5) * fieldmodel.cell_size
-        m = fieldmodel.conc.sum()
-        if m <= 0:
-            return fieldmodel.origin.copy()
-        cx = float((fieldmodel.conc.sum(axis=1) @ xs) / m)
-        cy = float((fieldmodel.conc.sum(axis=0) @ ys) / m)
-        disp = fieldmodel.flow.at(None, t) * (t - fieldmodel.time)
-        return np.array([cx, cy]) + disp
-    return fieldmodel.centroid(t)
-
 
 @dataclass(frozen=True)
 class RunMetrics:
@@ -273,21 +230,6 @@ class RunMetrics:
     tracking_reached_at: float | None
     truncated: bool
     seed: int
-
-    def as_dict(self) -> dict:
-        return {
-            "rms_conc_error": self.rms_conc_error,
-            "mean_patrol_speed": self.mean_patrol_speed,
-            "std_patrol_speed": self.std_patrol_speed,
-            "winding_sign": self.winding_sign,
-            "winding_angle": self.winding_angle,
-            "winding_backtrack": self.winding_backtrack,
-            "mean_level_set_error": self.mean_level_set_error,
-            "saturation_fraction": self.saturation_fraction,
-            "tracking_reached_at": self.tracking_reached_at,
-            "truncated": self.truncated,
-            "seed": self.seed,
-        }
 
 
 def _winding(points: np.ndarray, center: np.ndarray):
@@ -334,19 +276,18 @@ def metrics(log: RunLog, scenario: Scenario) -> RunMetrics:
 
     start = int(np.argmax(half)) if tracking_at is None else \
         int(np.argmax(t >= tracking_at))
-    center = field_centroid(scenario.field0, float(t[-1]) / 2.0)
+    field0 = scenario.field0
+    center = field0.centroid(float(t[-1]) / 2.0)
     total, adverse = _winding(log.z[start:], center)
     sign = 0 if abs(total) < 1e-6 else (1 if total > 0 else -1)
 
     ls_err = None
     try:
-        radii = [level_set_radius(scenario.field0, c0, float(ti))
-                 for ti in t[half]]
+        radii = [field0.level_set_radius(c0, float(ti)) for ti in t[half]]
     except ValueError:
         radii = None
     if radii is not None and all(r is not None for r in radii):
-        dists = [float(np.hypot(*(log.z[j] - field_centroid(scenario.field0,
-                                                            float(t[j])))))
+        dists = [float(np.hypot(*(log.z[j] - field0.centroid(float(t[j])))))
                  for j in np.nonzero(half)[0]]
         ls_err = float(np.mean(np.abs(np.asarray(dists) - np.asarray(radii))))
 

@@ -1,10 +1,16 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
+
+# tests that start `python -m plumetrack.cli` or a demo import the package
+# from src/, so the suite runs without an install
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,10 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from plumetrack.cli import main
 from plumetrack.simulator import expected_records
@@ -114,6 +117,27 @@ class TestRunCommand:
         proc = cli("run", str(sc), "--out", str(tmp_path / "o"))
         assert proc.returncode == 4
         assert "stencil" in proc.stderr.lower()
+
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "duration", math.nan),
+        (None, "control_period", math.inf),
+        ("gains", "c0", math.nan)])
+    def test_nonfinite_number_exits_2(self, tmp_path, section, key, value):
+        doc = json.loads(json.dumps(SHORT_SCENARIO))
+        (doc[section] if section else doc)[key] = value
+        sc = write_scenario(tmp_path, doc)      # json writes NaN / Infinity
+        proc = cli("run", str(sc), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1 and key in proc.stderr
+
+    def test_diverging_observer_exits_4(self, tmp_path):
+        doc = json.loads(json.dumps(SHORT_SCENARIO))
+        doc["gains"]["k1"] = 1e6
+        sc = write_scenario(tmp_path, doc)
+        proc = cli("run", str(sc), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 4
+        assert proc.stderr.count("\n") == 1
+        assert "non-finite planar control" in proc.stderr
 
     def test_determinism_bytes(self, tmp_path):
         sc = write_scenario(tmp_path, dict(SHORT_SCENARIO, noise={"sigma": 2.0}))

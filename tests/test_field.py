@@ -5,9 +5,8 @@ import pytest
 
 from plumetrack.field import (
     DomainError, FlowField, FlowUniformityError, FrozenGaussian, GaussianPuff,
-    GridField, PuffPlume, PuffTimeError, StepSizeError, flow_at,
-    grid_sample, grid_step, plume_eval, puff_concentration, puff_gradient,
-    puff_laplacian)
+    GridField, PuffPlume, PuffTimeError, StepSizeError, puff_concentration,
+    puff_gradient, puff_laplacian)
 
 STILL = FlowField.uniform((0.0, 0.0))
 
@@ -85,14 +84,14 @@ class TestPuff:
 class TestPlume:
     def test_before_first_release_is_zero(self):
         plume = PuffPlume((0, 0), 1.0, 0.5, STILL, 1.0, start_time=2.0)
-        c, g, lap = plume_eval(plume, (1, 1), 2.0)
+        c, g, lap = plume.eval((1, 1), 2.0)
         assert c == 0.0 and lap == 0.0
         assert np.all(g == 0.0)
 
     def test_single_puff_matches_components(self):
         p = unit_puff()
         plume = PuffPlume((0, 0), 0.0, 0.5, STILL, 1.0, seed_puffs=(p,))
-        c, g, lap = plume_eval(plume, (0.7, -0.3), 1.5)
+        c, g, lap = plume.eval((0.7, -0.3), 1.5)
         assert c == pytest.approx(puff_concentration(p, STILL, (0.7, -0.3), 1.5), rel=1e-14)
         assert np.allclose(g, puff_gradient(p, STILL, (0.7, -0.3), 1.5), rtol=1e-14)
         assert lap == pytest.approx(puff_laplacian(p, STILL, (0.7, -0.3), 1.5), rel=1e-14)
@@ -101,8 +100,8 @@ class TestPlume:
         p = unit_puff()
         one = PuffPlume((0, 0), 0.0, 0.5, STILL, 1.0, seed_puffs=(p,))
         two = PuffPlume((0, 0), 0.0, 0.5, STILL, 1.0, seed_puffs=(p, p))
-        c1, g1, l1 = plume_eval(one, (0.5, 0.5), 2.0)
-        c2, g2, l2 = plume_eval(two, (0.5, 0.5), 2.0)
+        c1, g1, l1 = one.eval((0.5, 0.5), 2.0)
+        c2, g2, l2 = two.eval((0.5, 0.5), 2.0)
         assert c2 == pytest.approx(2 * c1, rel=1e-13)
         assert np.allclose(g2, 2 * g1, rtol=1e-13)
         assert l2 == pytest.approx(2 * l1, rel=1e-13)
@@ -121,9 +120,9 @@ class TestPlume:
             return PuffPlume((0, 0), 0.0, 0.5, flow, k, seed_puffs=subset)
 
         x, t = (0.8, -0.4), 1.7
-        ca, ga, la = plume_eval(plume(puffs[:3]), x, t)
-        cb, gb, lb = plume_eval(plume(puffs[3:]), x, t)
-        cu, gu, lu = plume_eval(plume(puffs), x, t)
+        ca, ga, la = plume(puffs[:3]).eval(x, t)
+        cb, gb, lb = plume(puffs[3:]).eval(x, t)
+        cu, gu, lu = plume(puffs).eval(x, t)
         assert cu == pytest.approx(ca + cb, rel=1e-12)
         assert np.allclose(gu, ga + gb, rtol=1e-12, atol=1e-15)
         assert lu == pytest.approx(la + lb, rel=1e-12)
@@ -148,8 +147,8 @@ class TestPlume:
                           seed_puffs=(weak, strong))
         only_strong = PuffPlume((0, 0), 0.0, 0.5, STILL, 1.0,
                                 seed_puffs=(strong,))
-        c, g, lap = plume_eval(plume, (0.3, 0.1), 1.0)
-        c_ref, g_ref, lap_ref = plume_eval(only_strong, (0.3, 0.1), 1.0)
+        c, g, lap = plume.eval((0.3, 0.1), 1.0)
+        c_ref, g_ref, lap_ref = only_strong.eval((0.3, 0.1), 1.0)
         assert c == c_ref and lap == lap_ref
         assert np.array_equal(g, g_ref)
 
@@ -157,17 +156,17 @@ class TestPlume:
 class TestFlow:
     def test_uniform(self):
         f = FlowField.uniform((0.1, 0.0))
-        assert np.all(flow_at(f, (3, 4), 2.0) == [0.1, 0.0])
-        assert np.all(flow_at(f, (-50, 2), 900.0) == [0.1, 0.0])
+        assert np.all(f.at((3, 4), 2.0) == [0.1, 0.0])
+        assert np.all(f.at((-50, 2), 900.0) == [0.1, 0.0])
 
     def test_piecewise_lookup(self):
         f = FlowField.piecewise([30.0], [[0.1, 0.0], [0.0, 0.1]])
-        assert np.all(flow_at(f, (0, 0), 40.0) == [0.0, 0.1])
-        assert np.all(flow_at(f, (0, 0), 10.0) == [0.1, 0.0])
+        assert np.all(f.at((0, 0), 40.0) == [0.0, 0.1])
+        assert np.all(f.at((0, 0), 10.0) == [0.1, 0.0])
 
     def test_boundary_belongs_to_later_segment(self):
         f = FlowField.piecewise([30.0], [[0.1, 0.0], [0.0, 0.1]])
-        assert np.all(flow_at(f, (0, 0), 30.0) == [0.0, 0.1])
+        assert np.all(f.at((0, 0), 30.0) == [0.0, 0.1])
 
     def test_boundaries_must_increase(self):
         with pytest.raises(ValueError):
@@ -185,7 +184,7 @@ class TestGrid:
 
     def test_uniform_field_unchanged(self):
         g = self.make_grid(np.full((8, 8), 3.0), v=(0.4, -0.2))
-        g2 = grid_step(g, g.max_stable_dt())
+        g2 = g.step(g.max_stable_dt())
         assert np.array_equal(g2.conc, g.conc)
 
     def test_spike_mass_conserved(self):
@@ -194,7 +193,7 @@ class TestGrid:
         g = self.make_grid(conc)
         m0 = g.mass()
         for _ in range(20):
-            g = grid_step(g, g.max_stable_dt())
+            g = g.step(g.max_stable_dt())
         assert abs(g.mass() - m0) / m0 < 1e-12
 
     def test_mass_conserved_with_uniform_flow(self):
@@ -202,7 +201,7 @@ class TestGrid:
         g = self.make_grid(rng.uniform(0, 5, (20, 24)), v=(0.7, 0.3))
         m_prev = g.mass()
         for _ in range(30):
-            g = grid_step(g, g.max_stable_dt())
+            g = g.step(g.max_stable_dt())
             m = g.mass()
             assert abs(m - m_prev) / m_prev < 1e-10
             m_prev = m
@@ -213,13 +212,13 @@ class TestGrid:
         conc[rng.uniform(size=(20, 20)) < 0.5] = 0.0
         g = self.make_grid(conc, v=(0.9, -0.6), k=0.8)
         for _ in range(40):
-            g = grid_step(g, g.max_stable_dt())
+            g = g.step(g.max_stable_dt())
             assert g.conc.min() >= 0.0
 
     def test_step_size_error(self):
         g = self.make_grid(np.ones((8, 8)))
         with pytest.raises(StepSizeError):
-            grid_step(g, g.max_stable_dt() * 1.5)
+            g.step(g.max_stable_dt() * 1.5)
 
     def test_stability_bound_formula(self):
         g = self.make_grid(np.ones((8, 8)), v=(0.4, -0.2), k=0.5, h=0.5)
@@ -236,12 +235,12 @@ class TestGrid:
         conc = rng.uniform(0, 10, (12, 12))
         g = self.make_grid(conc, h=0.5)
         # cell (4, 6) center: origin + (4.5, 6.5) * h
-        c, _, _ = grid_sample(g, (4.5 * 0.5, 6.5 * 0.5))
+        c, _, _ = g.sample((4.5 * 0.5, 6.5 * 0.5))
         assert c == pytest.approx(conc[4, 6], rel=1e-14)
 
     def test_sample_uniform_field(self):
         g = self.make_grid(np.full((10, 10), 7.0))
-        c, grad, lap = grid_sample(g, (4.3, 5.1))
+        c, grad, lap = g.sample((4.3, 5.1))
         assert c == pytest.approx(7.0)
         assert np.allclose(grad, 0.0, atol=1e-14)
         assert lap == pytest.approx(0.0, abs=1e-14)
@@ -254,7 +253,7 @@ class TestGrid:
         conc = np.tile(a * xs[:, None], (1, ny))
         g = self.make_grid(conc, h=h)
         for pt in ((3.1, 3.3), (2.0, 2.0), (4.7, 2.9)):
-            c, grad, lap = grid_sample(g, pt)
+            c, grad, lap = g.sample(pt)
             assert abs(grad[0] - a) < 1e-10
             assert abs(grad[1]) < 1e-10
             assert c == pytest.approx(a * pt[0], rel=1e-12)
@@ -263,23 +262,44 @@ class TestGrid:
         rng = np.random.default_rng(6)
         g = self.make_grid(rng.uniform(0, 10, (12, 12)), h=0.5)
         # approaching an interior point from two sides changes nothing abruptly
-        c1, g1, l1 = grid_sample(g, (3.0001, 3.2))
-        c2, g2, l2 = grid_sample(g, (3.0002, 3.2))
+        c1, g1, l1 = g.sample((3.0001, 3.2))
+        c2, g2, l2 = g.sample((3.0002, 3.2))
         assert abs(c1 - c2) < 1e-2
         assert np.abs(g1 - g2).max() < 1e-2
 
     def test_domain_error_near_boundary(self):
         g = self.make_grid(np.ones((10, 10)))
         with pytest.raises(DomainError):
-            grid_sample(g, (0.6, 5.0))      # within the outer cell ring
+            g.sample((0.6, 5.0))      # within the outer cell ring
         with pytest.raises(DomainError):
-            grid_sample(g, (5.0, 9.9))
+            g.sample((5.0, 9.9))
         with pytest.raises(DomainError):
-            grid_sample(g, (-3.0, 5.0))
+            g.sample((-3.0, 5.0))
+
+    def test_centroid_is_advected_mass_centroid(self):
+        rng = np.random.default_rng(8)
+        conc = rng.uniform(0, 5, (9, 12))
+        v = np.array([0.3, -0.2])
+        g = GridField((1.0, -2.0), 0.5, conc, 0.5, FlowField.uniform(v),
+                      time=1.5)
+        xs = 1.0 + (np.arange(9) + 0.5) * 0.5
+        ys = -2.0 + (np.arange(12) + 0.5) * 0.5
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        expected = np.array([np.sum(conc * X), np.sum(conc * Y)]) / conc.sum()
+        assert np.allclose(g.centroid(4.0), expected + v * (4.0 - 1.5),
+                           rtol=1e-13, atol=1e-13)
+        empty = GridField((1.0, -2.0), 0.5, np.zeros((9, 12)), 0.5, STILL)
+        assert np.array_equal(empty.centroid(3.0), [1.0, -2.0])
+
+    def test_analytic_fields_advance_to_themselves(self):
+        blob = FrozenGaussian(10.0, 2.0, (0.0, 0.0), STILL)
+        plume = PuffPlume((0, 0), 1.0, 0.5, STILL, 1.0)
+        assert blob.advance(7.0, 0.05) is blob
+        assert plume.advance(7.0, 0.05) is plume
 
     def test_from_puff_matches_analytic_at_cells(self):
         p = GaussianPuff(-2.0, (5.0, 5.0), 40.0, 1.0)
         g = GridField.from_puff(p, STILL, 0.0, (0, 0), 0.5, (20, 20))
-        c_grid, _, _ = grid_sample(g, (5.25, 5.25))  # a cell center
+        c_grid, _, _ = g.sample((5.25, 5.25))  # a cell center
         assert c_grid == pytest.approx(
             puff_concentration(p, STILL, (5.25, 5.25), 0.0), rel=1e-12)

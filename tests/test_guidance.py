@@ -7,13 +7,27 @@ from plumetrack import guidance as G
 from plumetrack import simulator as SIM
 from plumetrack.field import FlowField, FrozenGaussian
 from plumetrack.guidance import (
-    DegenerateGradientError, GuidanceGains, SIGN_OPPOSED, SIGN_PDE, control,
-    init, normal_feedforward, observer_update, tangential, update_status)
+    DegenerateGradientError, GuidanceGains, NonFiniteError,
+    SIGN_OPPOSED, SIGN_PDE, init, normal_feedforward, step, tangential)
 from plumetrack.scenario_io import copy_doc, scenario_from_dict
 from plumetrack.sensing import SensorRig
 from plumetrack.vessel import VesselParams
 
 GAINS = GuidanceGains(c0=50.0, k=1.2, k1=5.0, k2=11.0, v_d=1.5)
+# no patrol: with x_r on the linearised level curve through x_hat and a
+# still fluid the observer rate is zero, so a step exercises the status alone
+QUIET = GuidanceGains(c0=50.0, k=1.2, k1=5.0, k2=11.0, v_d=0.0)
+
+
+def status_step(g, c_hat, grad, z, t):
+    """One guidance step that leaves x_hat where it is."""
+    grad = np.asarray(grad, dtype=float)
+    gg = float(grad @ grad)
+    x_r = g.xhat + (c_hat - QUIET.c0) / gg * grad if gg else g.xhat
+    g2, _ = step(g, QUIET, SIGN_PDE, x_r, z, z, c_hat, grad, 0.0, (0, 0),
+                 0.05, t)
+    assert np.array_equal(g2.xhat, g.xhat)
+    return g2
 
 
 def static_scenario(pose, duration=30.0, peak=60.0, sigma=18.0, c0=50.0):
@@ -66,21 +80,21 @@ class TestObserver:
     def test_tangential_only(self):
         g = init((0, 0))
         gains = GuidanceGains(c0=50, k=0.0, k1=5, k2=11, v_d=1.5)
-        g2 = observer_update(g, gains, SIGN_PDE, (0, 0), 50.0, (1, 0), 0.0,
-                             (0, 0), 0.1)
+        g2, _ = step(g, gains, SIGN_PDE, (0, 0), (0, 0), (0, 0), 50.0, (1, 0),
+                     0.0, (0, 0), 0.1, 0.0)
         assert np.allclose(g2.xhat, [0.0, 0.15], atol=1e-15)
 
     def test_measurement_correction(self):
         g = init((0, 0))
         gains = GuidanceGains(c0=50, k=0.0, k1=5, k2=11, v_d=0.0)
-        g2 = observer_update(g, gains, SIGN_PDE, (0, 0), 51.0, (1, 0), 0.0,
-                             (0, 0), 0.1)
+        g2, _ = step(g, gains, SIGN_PDE, (0, 0), (0, 0), (0, 0), 51.0, (1, 0),
+                     0.0, (0, 0), 0.1, 0.0)
         assert np.allclose(g2.xhat, [-0.5, 0.0], atol=1e-15)
 
     def test_degenerate_gradient_holds_estimate(self):
         g = init((3, -2))
-        g2 = observer_update(g, GAINS, SIGN_PDE, (3, -2), 50.0, (0, 0), 0.0,
-                             (0, 0), 0.1)
+        g2, _ = step(g, GAINS, SIGN_PDE, (3, -2), (3, -2), (3, -2), 50.0,
+                     (0, 0), 0.0, (0, 0), 0.1, 0.0)
         assert np.array_equal(g2.xhat, g.xhat)
         assert g2.status == G.STATUS_DEGENERATE
 
@@ -88,11 +102,9 @@ class TestObserver:
         # on-curve, still fluid, no patrol: observer is the identity
         gains = GuidanceGains(c0=50, k=0.0, k1=5, k2=11, v_d=0.0)
         g = init((1.0, 2.0))
-        g2 = observer_update(g, gains, SIGN_PDE, (1.0, 2.0), 50.0, (0.7, 0.2),
-                             0.0, (0, 0), 0.05)
+        g2, u = step(g, gains, SIGN_PDE, (1.0, 2.0), (1.5, 2.0), (1.5, 2.0),
+                     50.0, (0.7, 0.2), 0.0, (0, 0), 0.05, 0.0)
         assert np.allclose(g2.xhat, g.xhat, atol=1e-15)
-        u = control(g2, gains, SIGN_PDE, (1.0, 2.0), (1.5, 2.0), 50.0,
-                    (0.7, 0.2), 0.0, (0, 0))
         assert np.allclose(u, -11.0 * np.array([0.5, 0.0]), atol=1e-12)
 
     def test_init_examples(self):
@@ -102,32 +114,61 @@ class TestObserver:
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            observer_update(init((0, 0)), GAINS, SIGN_PDE, (0, 0), math.nan,
-                            (1, 0), 0.0, (0, 0), 0.1)
+            step(init((0, 0)), GAINS, SIGN_PDE, (0, 0), (0, 0), (0, 0),
+                 math.nan, (1, 0), 0.0, (0, 0), 0.1, 0.0)
         with pytest.raises(ValueError):
-            observer_update(init((0, 0)), GAINS, SIGN_PDE, (0, 0), 50.0,
-                            (1, 0), 0.0, (math.nan, 0.0), 0.1)
+            step(init((0, 0)), GAINS, SIGN_PDE, (0, 0), (0, 0), (0, 0), 50.0,
+                 (1, 0), 0.0, (math.nan, 0.0), 0.1, 0.0)
+
+    def test_nonfinite_control_raises(self):
+        # an observer that has already diverged yields no finite command
+        g = init((1e308, 0.0))
+        with pytest.raises(NonFiniteError, match="control"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            step(g, GAINS, SIGN_PDE, (0, 0), (0, 0), (0, 0), 50.0, (1, 0),
+                 0.0, (0, 0), 0.1, 0.0)
+
+    def test_control_uses_updated_estimate(self):
+        # x_hat moves to (-0.5, 0) first; the correction and the pull then
+        # act on it: u = -5 * 0.5 * (1, 0) - 11 * (0.5, 0) = (-8, 0).  The
+        # pre-update x_hat would give (-5, 0).
+        gains = GuidanceGains(c0=50, k=0.0, k1=5, k2=11, v_d=0.0)
+        g2, u = step(init((0, 0)), gains, SIGN_PDE, (0, 0), (0, 0), (0, 0),
+                     51.0, (1, 0), 0.0, (0, 0), 0.1, 0.0)
+        assert np.allclose(g2.xhat, [-0.5, 0.0], atol=1e-15)
+        assert np.allclose(u, [-8.0, 0.0], atol=1e-12)
+
+    def test_status_measures_head_point_not_driven_point(self):
+        # the control drives the hull centre, the status watches the head
+        g = init((0, 0))
+        far, near = (5.0, 0.0), (0.0, 0.0)
+        for t in (0.0, 2.0):
+            g, u = step(g, QUIET, SIGN_PDE, (0, 0), far, near, 50.0, (1, 0),
+                        0.0, (0, 0), 0.05, t)
+        assert np.allclose(u, 0.0)
+        assert g.status == G.STATUS_SEEKING
 
 
 class TestControl:
     def test_patrol_only(self):
         gains = GuidanceGains(c0=50, k=0.0, k1=5, k2=11, v_d=1.5)
-        g = init((0, 0))
-        u = control(g, gains, SIGN_PDE, (0, 0), (0, 0), 50.0, (1, 0), 0.0,
-                    (0, 0))
+        # x_hat starts one patrol step behind z, so the update lands on z
+        g = init((0, -0.15))
+        _, u = step(g, gains, SIGN_PDE, (0, 0), (0, 0), (0, 0), 50.0, (1, 0),
+                    0.0, (0, 0), 0.1, 0.0)
         assert np.allclose(u, [0.0, 1.5], atol=1e-15)
 
     def test_pure_tracking_term(self):
         gains = GuidanceGains(c0=50, k=0.0, k1=5, k2=11, v_d=0.0)
         g = init((0, 0))
-        u = control(g, gains, SIGN_PDE, (0, 0), (1.0, 0.0), 50.0, (1, 0), 0.0,
-                    (0, 0))
+        _, u = step(g, gains, SIGN_PDE, (0, 0), (1.0, 0.0), (1.0, 0.0), 50.0,
+                    (1, 0), 0.0, (0, 0), 0.1, 0.0)
         assert np.allclose(u, [-11.0, 0.0], atol=1e-12)
 
     def test_degenerate_fallback_is_pure_tracking(self):
         g = init((0, 0))
-        u = control(g, GAINS, SIGN_PDE, (0, 0), (2.0, -1.0), 50.0, (0, 0),
-                    0.0, (0, 0))
+        _, u = step(g, GAINS, SIGN_PDE, (0, 0), (2.0, -1.0), (2.0, -1.0),
+                    50.0, (0, 0), 0.0, (0, 0), 0.1, 0.0)
         assert np.allclose(u, [-22.0, 11.0])
 
     def test_rotation_preserves_norm(self):
@@ -151,32 +192,32 @@ class TestControl:
 class TestStatus:
     def test_promotion_needs_sustained_band(self):
         g = init((0, 0))
-        z, u = (0.1, 0.0), (0.0, 0.0)
+        z = (0.1, 0.0)
         for i, t in enumerate(np.arange(0, 2.0, 0.05)):
-            g = update_status(g, GAINS, 50.0, (1, 0), z, u, float(t))
+            g = status_step(g, 50.0, (1, 0), z, float(t))
             if t < 2.0:
                 assert g.status == G.STATUS_SEEKING
-        g = update_status(g, GAINS, 50.0, (1, 0), z, u, 2.0)
+        g = status_step(g, 50.0, (1, 0), z, 2.0)
         assert g.status == G.STATUS_TRACKING
 
     def test_band_break_resets_window(self):
         g = init((0, 0))
-        g = update_status(g, GAINS, 50.0, (1, 0), (0.1, 0), (0, 0), 0.0)
-        g = update_status(g, GAINS, 50.0, (1, 0), (0.1, 0), (0, 0), 1.0)
-        g = update_status(g, GAINS, 80.0, (1, 0), (0.1, 0), (0, 0), 1.5)
-        g = update_status(g, GAINS, 50.0, (1, 0), (0.1, 0), (0, 0), 2.5)
+        g = status_step(g, 50.0, (1, 0), (0.1, 0), 0.0)
+        g = status_step(g, 50.0, (1, 0), (0.1, 0), 1.0)
+        g = status_step(g, 80.0, (1, 0), (0.1, 0), 1.5)
+        g = status_step(g, 50.0, (1, 0), (0.1, 0), 2.5)
         assert g.status == G.STATUS_SEEKING
-        g = update_status(g, GAINS, 50.0, (1, 0), (0.1, 0), (0, 0), 4.5)
+        g = status_step(g, 50.0, (1, 0), (0.1, 0), 4.5)
         assert g.status == G.STATUS_TRACKING
 
     def test_tracking_is_sticky_and_degeneracy_reports(self):
         g = init((0, 0))
-        g = update_status(g, GAINS, 50.0, (1, 0), (0.1, 0), (0, 0), 0.0)
-        g = update_status(g, GAINS, 50.0, (1, 0), (0.1, 0), (0, 0), 2.0)
+        g = status_step(g, 50.0, (1, 0), (0.1, 0), 0.0)
+        g = status_step(g, 50.0, (1, 0), (0.1, 0), 2.0)
         assert g.status == G.STATUS_TRACKING
-        g = update_status(g, GAINS, 50.0, (0, 0), (0.1, 0), (0, 0), 2.05)
+        g = status_step(g, 50.0, (0, 0), (0.1, 0), 2.05)
         assert g.status == G.STATUS_DEGENERATE
-        g = update_status(g, GAINS, 50.0, (1, 0), (0.1, 0), (0, 0), 2.10)
+        g = status_step(g, 50.0, (1, 0), (0.1, 0), 2.10)
         assert g.status == G.STATUS_TRACKING
 
 

@@ -5,13 +5,11 @@ import pytest
 
 from plumetrack import guidance as G
 from plumetrack.field import (FlowField, FrozenGaussian, GaussianPuff,
-                              PuffPlume, puff_concentration)
+                              GridField, PuffPlume, puff_concentration)
 from plumetrack.guidance import GuidanceGains
 from plumetrack.scenario_io import copy_doc, scenario_from_dict
 from plumetrack.sensing import SensorRig
-from plumetrack.simulator import (RunLog, Scenario, expected_records,
-                                  field_centroid, level_set_radius, metrics,
-                                  run)
+from plumetrack.simulator import RunLog, Scenario, expected_records, metrics, run
 from plumetrack.vessel import VesselParams
 
 STILL = FlowField.uniform((0.0, 0.0))
@@ -103,7 +101,7 @@ class TestLevelSetRadius:
         q = 100.0 * 4.0 * math.pi
         puff = GaussianPuff(0.0, (0.0, 0.0), q, 1.0)
         plume = PuffPlume((0, 0), 0.0, 0.5, STILL, 1.0, seed_puffs=(puff,))
-        r = level_set_radius(plume, 50.0, 1.0)
+        r = plume.level_set_radius(50.0, 1.0)
         assert r == pytest.approx(math.sqrt(4.0 * math.log(2.0)), rel=1e-12)
         assert r == pytest.approx(1.66511, abs=1e-5)
         # oracle: the concentration at that radius is exactly c0
@@ -114,23 +112,28 @@ class TestLevelSetRadius:
         q = 40.0 * 4.0 * math.pi
         plume = PuffPlume((0, 0), 0.0, 0.5, STILL, 1.0,
                           seed_puffs=(GaussianPuff(0.0, (0, 0), q, 1.0),))
-        assert level_set_radius(plume, 50.0, 1.0) is None
+        assert plume.level_set_radius(50.0, 1.0) is None
 
     def test_peak_equals_level(self):
         q = 50.0 * 4.0 * math.pi
         plume = PuffPlume((0, 0), 0.0, 0.5, STILL, 1.0,
                           seed_puffs=(GaussianPuff(0.0, (0, 0), q, 1.0),))
-        assert level_set_radius(plume, 50.0, 1.0) == pytest.approx(0.0, abs=1e-9)
+        assert plume.level_set_radius(50.0, 1.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_frozen_gaussian(self):
         blob = FrozenGaussian(60.0, 18.0, (0.0, 0.0), STILL)
-        r = level_set_radius(blob, 50.0, 12.3)
+        r = blob.level_set_radius(50.0, 12.3)
         assert blob.eval((r, 0.0), 12.3)[0] == pytest.approx(50.0, abs=1e-9)
 
     def test_multi_puff_plume_rejected(self):
         plume = PuffPlume((0, 0), 1.0, 0.5, STILL, 1.0, start_time=0.0)
         with pytest.raises(ValueError):
-            level_set_radius(plume, 50.0, 1.0)
+            plume.level_set_radius(50.0, 1.0)
+
+    def test_grid_has_no_closed_form(self):
+        grid = GridField((0.0, 0.0), 1.0, np.ones((8, 8)), 0.5, STILL)
+        with pytest.raises(ValueError):
+            grid.level_set_radius(50.0, 1.0)
 
 
 def synthetic_log(z, dt=0.05, c0=50.0, status="tracking"):
@@ -209,8 +212,8 @@ class TestMetrics:
         c0 = sc.gains.c0
         conc_err = np.abs(log.ctrue - c0)
         dist_err = np.array([
-            abs(np.hypot(*(log.z[i] - field_centroid(sc.field0, t)))
-                - level_set_radius(sc.field0, c0, t))
+            abs(np.hypot(*(log.z[i] - sc.field0.centroid(t)))
+                - sc.field0.level_set_radius(c0, t))
             for i, t in enumerate(log.t)])
         w = 40                                   # 2 s windows
         rms = lambda a: float(np.sqrt(np.mean(a ** 2)))
@@ -223,11 +226,11 @@ class TestMetrics:
 class TestCentroid:
     def test_puff_plume_centroid_advects(self, case1_doc):
         sc = scenario_from_dict(copy_doc(case1_doc))
-        c0 = field_centroid(sc.field0, 0.0)
-        c1 = field_centroid(sc.field0, 10.0)
+        c0 = sc.field0.centroid(0.0)
+        c1 = sc.field0.centroid(10.0)
         assert np.allclose(c1 - c0, np.array([0.03, 0.015]) * 10.0)
 
     def test_frozen_gaussian_centroid(self):
         blob = FrozenGaussian(60.0, 18.0, (2.0, 3.0),
                               FlowField.uniform((0.1, 0.0)))
-        assert np.allclose(field_centroid(blob, 5.0), [2.5, 3.0])
+        assert np.allclose(blob.centroid(5.0), [2.5, 3.0])
