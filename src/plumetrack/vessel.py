@@ -105,29 +105,20 @@ def to_actuators(u, theta: float, params: VesselParams):
     return ActuatorCommand(float(nu), float(omega)), saturated
 
 
-def _deriv(state_vec: np.ndarray, nu: float, omega: float) -> np.ndarray:
-    return np.array([nu * math.cos(state_vec[2]),
-                     nu * math.sin(state_vec[2]),
-                     omega])
+def step(state: VesselState, cmd: ActuatorCommand, dt: float) -> VesselState:
+    """Move the unicycle over dt with (nu, omega) held constant.
 
-
-def step(state: VesselState, cmd: ActuatorCommand, dt: float,
-         max_substep: float = 0.05) -> VesselState:
-    """Integrate the unicycle over dt with (nu, omega) held constant.
-
-    Classic RK4 with internal substeps no longer than ``max_substep`` so a
-    long dt (e.g. a full 2 pi turn) still closes to ~1e-7.  Heading is
+    The path is exactly a circular arc (a segment when omega = 0): its
+    chord nu dt sinc(omega dt / 2) points along the mid-arc heading
+    theta + omega dt / 2.  This form has no cancellation as omega -> 0,
+    unlike nu / omega (sin(theta + omega dt) - sin theta).  Heading is
     renormalized afterwards.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    n = max(1, int(math.ceil(dt / max_substep - 1e-12)))
-    h = dt / n
-    s = np.array([state.x, state.y, state.heading])
-    for _ in range(n):
-        k1 = _deriv(s, cmd.nu, cmd.omega)
-        k2 = _deriv(s + 0.5 * h * k1, cmd.nu, cmd.omega)
-        k3 = _deriv(s + 0.5 * h * k2, cmd.nu, cmd.omega)
-        k4 = _deriv(s + h * k3, cmd.nu, cmd.omega)
-        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return VesselState(float(s[0]), float(s[1]), normalize_heading(float(s[2])))
+    half = 0.5 * cmd.omega * dt
+    chord = cmd.nu * dt * (math.sin(half) / half if half != 0.0 else 1.0)
+    mid = state.heading + half
+    return VesselState(state.x + chord * math.cos(mid),
+                       state.y + chord * math.sin(mid),
+                       normalize_heading(state.heading + cmd.omega * dt))

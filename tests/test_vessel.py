@@ -133,6 +133,33 @@ class TestStep:
         expected = input_matrix(s1.heading, l0) @ [cmd.nu, cmd.omega]
         assert np.abs(z_dot - expected).max() < 5e-6  # O(dt^2)
 
+    def test_arc_continuous_at_zero_turn_rate(self):
+        # the sinc form has no cancellation: omega = 1e-12 lands within
+        # 1e-9 m of the straight segment (nu/omega (sin - sin) is 6e-5 off)
+        start = VesselState(0.3, -0.2, 0.8)
+        a = step(start, ActuatorCommand(1.0, 1e-12), 1.0)
+        b = step(start, ActuatorCommand(1.0, 0.0), 1.0)
+        assert math.hypot(a.x - b.x, a.y - b.y) < 1e-9
+
+    def test_arc_ends_on_turning_circle(self):
+        # closed form: centre at p + (nu/omega) n, end at angle theta + omega dt
+        theta, nu, omega, dt = 0.8, 1.3, 0.7, 2.0
+        s = step(VesselState(0.3, -0.2, theta), ActuatorCommand(nu, omega), dt)
+        r = nu / omega
+        cx, cy = 0.3 - r * math.sin(theta), -0.2 + r * math.cos(theta)
+        end = theta + omega * dt
+        assert s.x == pytest.approx(cx + r * math.sin(end), abs=1e-12)
+        assert s.y == pytest.approx(cy - r * math.cos(end), abs=1e-12)
+
+    def test_substeps_compose_to_one_step(self):
+        cmd = ActuatorCommand(0.9, -1.1)
+        one = step(VesselState(1.0, 2.0, -0.4), cmd, 1.0)
+        many = VesselState(1.0, 2.0, -0.4)
+        for _ in range(20):
+            many = step(many, cmd, 0.05)
+        assert math.hypot(one.x - many.x, one.y - many.y) < 1e-12
+        assert angle_diff(one.heading, many.heading) < 1e-12
+
     def test_zero_omega_preserves_heading_exactly(self):
         s = step(VesselState(1, 2, 0.7), ActuatorCommand(1.4, 0.0), 0.37)
         assert s.heading == pytest.approx(0.7, abs=0.0)
