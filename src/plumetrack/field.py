@@ -79,6 +79,8 @@ class FlowField:
         b = np.asarray(self.boundaries, dtype=float).ravel()
         if v.shape != (b.size + 1, 2):
             raise ValueError("need len(boundaries) + 1 velocity vectors")
+        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(b))):
+            raise ValueError("flow velocities and boundaries must be finite")
         if b.size and not np.all(np.diff(b) > 0):
             raise ValueError("segment boundaries must be strictly increasing")
         object.__setattr__(self, "velocities", v)

@@ -47,6 +47,8 @@ class SensorRig:
         o = np.asarray(self.offsets, dtype=float)
         if o.shape != (4, 2):
             raise ValueError("rig needs exactly 4 sensor offsets")
+        if not np.all(np.isfinite(o)):
+            raise ValueError("sensor offsets must be finite")
         scale = max(1.0, float(np.abs(o).max()))
         if np.abs(o.mean(axis=0)).max() > 1e-9 * scale:
             raise ValueError("sensor offsets must average to (0, 0)")

@@ -152,6 +152,12 @@ class TestPlume:
         assert c == c_ref and lap == lap_ref
         assert np.array_equal(g, g_ref)
 
+    def test_analytic_fields_advance_to_themselves(self):
+        blob = FrozenGaussian(10.0, 2.0, (0.0, 0.0), STILL)
+        plume = PuffPlume((0, 0), 1.0, 0.5, STILL, 1.0)
+        assert blob.advance(7.0, 0.05) is blob
+        assert plume.advance(7.0, 0.05) is plume
+
 
 class TestFlow:
     def test_uniform(self):
@@ -290,12 +296,6 @@ class TestGrid:
                            rtol=1e-13, atol=1e-13)
         empty = GridField((1.0, -2.0), 0.5, np.zeros((9, 12)), 0.5, STILL)
         assert np.array_equal(empty.centroid(3.0), [1.0, -2.0])
-
-    def test_analytic_fields_advance_to_themselves(self):
-        blob = FrozenGaussian(10.0, 2.0, (0.0, 0.0), STILL)
-        plume = PuffPlume((0, 0), 1.0, 0.5, STILL, 1.0)
-        assert blob.advance(7.0, 0.05) is blob
-        assert plume.advance(7.0, 0.05) is plume
 
     def test_from_puff_matches_analytic_at_cells(self):
         p = GaussianPuff(-2.0, (5.0, 5.0), 40.0, 1.0)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -81,6 +82,11 @@ class TestSchema:
         with pytest.raises(ScenarioError, match="rig"):
             scenario_from_dict(d)
 
+    def test_nonfinite_rig_rejected(self):
+        d = doc(rig={"offsets": [[math.nan, 0], [-1, 0], [0, 1], [0, -1]]})
+        with pytest.raises(ScenarioError, match="rig"):
+            scenario_from_dict(d)
+
     def test_gain_invariant_violation(self):
         d = doc()
         d["gains"]["k1"] = -1.0
@@ -129,6 +135,15 @@ class TestSchema:
                               "velocities": [[0.1, 0.0], [0.0, 0.1]]}
         sc = scenario_from_dict(d)
         assert np.allclose(sc.field0.flow.at(None, 6.0), [0.0, 0.1])
+
+    def test_nonfinite_piecewise_flow_rejected(self):
+        for bounds, vels in (([math.nan], [[0.1, 0.0], [0.0, 0.1]]),
+                             ([5.0], [[math.inf, 0.0], [0.0, 0.1]])):
+            d = doc()
+            d["field"]["flow"] = {"type": "piecewise", "boundaries": bounds,
+                                  "velocities": vels}
+            with pytest.raises(ScenarioError, match="flow"):
+                scenario_from_dict(d)
 
     def test_bundled_scenarios_load(self, scenarios_dir):
         for name in ("case1.json", "case2.json", "pure_advection.json",

@@ -151,15 +151,6 @@ class TestStep:
         assert s.x == pytest.approx(cx + r * math.sin(end), abs=1e-12)
         assert s.y == pytest.approx(cy - r * math.cos(end), abs=1e-12)
 
-    def test_substeps_compose_to_one_step(self):
-        cmd = ActuatorCommand(0.9, -1.1)
-        one = step(VesselState(1.0, 2.0, -0.4), cmd, 1.0)
-        many = VesselState(1.0, 2.0, -0.4)
-        for _ in range(20):
-            many = step(many, cmd, 0.05)
-        assert math.hypot(one.x - many.x, one.y - many.y) < 1e-12
-        assert angle_diff(one.heading, many.heading) < 1e-12
-
     def test_zero_omega_preserves_heading_exactly(self):
         s = step(VesselState(1, 2, 0.7), ActuatorCommand(1.4, 0.0), 0.37)
         assert s.heading == pytest.approx(0.7, abs=0.0)
