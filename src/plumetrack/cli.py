@@ -26,9 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import plotting, simulator, validate as validation
+from .guidance import NonFiniteError
 from .scenario_io import (ScenarioError, copy_doc, load_raw, load_scenario,
                           parse_sweep_value, scenario_from_dict, set_path)
-from .guidance import NonFiniteError
 from .sensing import DegenerateStencilError
 
 EXIT_OK = 0

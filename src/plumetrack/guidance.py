@@ -183,10 +183,12 @@ def step(state: GuidanceState, gains: GuidanceGains, mode: str, x_r, z,
 
     converged = state.converged
     window = state.window_start
-    if (abs(c_hat - gains.c0) < TRACK_BAND * gains.c0
-            and float(np.hypot(*(z - xhat))) < TRACK_DIST):
+    in_band = (abs(c_hat - gains.c0) < TRACK_BAND * gains.c0
+               and float(np.hypot(*(z - xhat))) < TRACK_DIST)
+    if in_band:
         window = t if window is None else window
-        converged = converged or t - window >= TRACK_HOLD
+        if t - window >= TRACK_HOLD:
+            converged = True
     else:
         window = None
     status = STATUS_TRACKING if converged else STATUS_SEEKING
