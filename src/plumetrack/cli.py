@@ -58,6 +58,10 @@ def _metrics_json(m: simulator.RunMetrics, seed: int) -> str:
     return json.dumps(d, indent=2) + "\n"
 
 
+# A diverging observer or a degenerate field value turns non-finite on its
+# way to the control, which guidance reports as one error, and a metric of
+# such a run may overflow; numpy stays quiet.
+@np.errstate(all="ignore")
 def _execute_run(doc: dict, out_dir: Path, origin: str) -> int:
     """Run one validated scenario document and write log/metrics."""
     scenario = scenario_from_dict(doc, origin=origin)
@@ -65,10 +69,7 @@ def _execute_run(doc: dict, out_dir: Path, origin: str) -> int:
              scenario.name, scenario.seed, scenario.duration,
              scenario.control_period)
     try:
-        # a diverging observer overflows on its way to a non-finite
-        # control, which guidance reports as one error; numpy stays quiet
-        with np.errstate(over="ignore", invalid="ignore"):
-            runlog = simulator.run(scenario)
+        runlog = simulator.run(scenario)
     except (DegenerateStencilError, NonFiniteError) as exc:
         print(f"error: numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -40,11 +40,15 @@ import numpy as np
 
 from .field import FlowField, FrozenGaussian, GaussianPuff, GridField, PuffPlume
 from .guidance import GuidanceGains, SIGN_MODES, SIGN_PDE
-from .sensing import SensorRig
+from .sensing import NoiseModel, SensorRig
 from .simulator import Scenario, TRACKED_POINTS
 from .vessel import VesselParams
 
 SCHEMA_VERSION = 1
+
+# The most emission-train puffs a run may release; a longer train would not
+# fit in memory.
+MAX_TRAIN_PUFFS = 1_000_000
 
 
 class ScenarioError(ValueError):
@@ -57,12 +61,13 @@ def _fail(path: str, msg: str):
 
 @contextmanager
 def _at(path: str):
-    """Report a model's ValueError as a ScenarioError at ``path``."""
+    """Report a model's ValueError (or a value numpy cannot convert) as a
+    ScenarioError at ``path``."""
     try:
         yield
     except ScenarioError:
         raise
-    except ValueError as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         _fail(path, str(exc))
 
 
@@ -101,8 +106,8 @@ def _int(d: dict, key: str, path: str, default=None):
     if key not in d:
         return default
     v = d[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        _fail(f"{path}.{key}", f"expected an integer, got {v!r}")
+    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        _fail(f"{path}.{key}", f"expected a non-negative integer, got {v!r}")
     return int(v)
 
 
@@ -149,7 +154,7 @@ def _seed_puff(d: dict, path: str, diffusion: float) -> GaussianPuff:
                             diffusion=diffusion)
 
 
-def _field(d: dict, path: str):
+def _field(d: dict, path: str, duration: float):
     kind = _str(d, "type", path) if isinstance(d, dict) else None
     if kind == "puffs":
         _check_keys(d, path, ["type", "diffusion", "flow", "source"],
@@ -163,12 +168,17 @@ def _field(d: dict, path: str):
         puffs = tuple(_seed_puff(p, f"{path}.seed_puffs[{i}]", k)
                       for i, p in enumerate(seeds))
         with _at(path):
-            return PuffPlume(source=_vec2(d, "source", path),
-                             emission_rate=_num(d, "emission_rate", path, 0.0),
-                             puff_interval=_num(d, "puff_interval", path, 0.5),
-                             flow=flow, diffusion=k,
-                             start_time=_num(d, "start_time", path, 0.0),
-                             seed_puffs=puffs)
+            plume = PuffPlume(source=_vec2(d, "source", path),
+                              emission_rate=_num(d, "emission_rate", path, 0.0),
+                              puff_interval=_num(d, "puff_interval", path, 0.5),
+                              flow=flow, diffusion=k,
+                              start_time=_num(d, "start_time", path, 0.0),
+                              seed_puffs=puffs)
+        n_train = (duration - plume.start_time) / plume.puff_interval
+        if plume.emission_rate > 0 and n_train > MAX_TRAIN_PUFFS:
+            _fail(path, f"the emission train would release {n_train:.3g} puffs "
+                        f"by t = {duration:g} s; at most {MAX_TRAIN_PUFFS:,}")
+        return plume
     if kind == "frozen-gaussian":
         _check_keys(d, path, ["type", "peak", "sigma", "center", "flow"], [])
         with _at(path):
@@ -225,6 +235,11 @@ def scenario_from_dict(doc: dict, origin: str = "<scenario>") -> Scenario:
     noise_doc = doc.get("noise", {})
     _check_keys(noise_doc, f"{origin}.noise", [],
                 ["sigma", "floor", "range_max", "seed"])
+    noise = (_num(noise_doc, "sigma", f"{origin}.noise", 0.0),
+             _num(noise_doc, "floor", f"{origin}.noise", 0.01),
+             _num(noise_doc, "range_max", f"{origin}.noise", 10000.0))
+    with _at(f"{origin}.noise"):
+        NoiseModel(*noise)              # checks the parameters
 
     vp = doc["vessel"]
     _check_keys(vp, f"{origin}.vessel", ["start_pose"],
@@ -252,11 +267,12 @@ def scenario_from_dict(doc: dict, origin: str = "<scenario>") -> Scenario:
                               grad_floor=_num(gd, "grad_floor",
                                               f"{origin}.gains", 0.05))
 
+    duration = _num(doc, "duration", origin)
     with _at(origin):
         return Scenario(
             name=_str(doc, "name", origin, "scenario"),
             seed=_int(doc, "seed", origin, 0),
-            duration=_num(doc, "duration", origin),
+            duration=duration,
             control_period=control_period,
             physics_substep=substep,
             sign_convention=_str(doc, "sign_convention", origin, SIGN_PDE,
@@ -264,12 +280,11 @@ def scenario_from_dict(doc: dict, origin: str = "<scenario>") -> Scenario:
             tracked_point=_str(doc, "tracked_point", origin, "head",
                                choices=TRACKED_POINTS),
             flow_noise_sigma=_num(doc, "flow_noise_sigma", origin, 0.0),
-            field0=_field(doc["field"], f"{origin}.field"),
+            field0=_field(doc["field"], f"{origin}.field", duration),
             rig=rig,
-            noise_sigma=_num(noise_doc, "sigma", f"{origin}.noise", 0.0),
-            noise_floor=_num(noise_doc, "floor", f"{origin}.noise", 0.01),
-            noise_range_max=_num(noise_doc, "range_max",
-                                 f"{origin}.noise", 10000.0),
+            noise_sigma=noise[0],
+            noise_floor=noise[1],
+            noise_range_max=noise[2],
             noise_seed=_int(noise_doc, "seed", f"{origin}.noise", None),
             params=params,
             start_pose=(float(pose[0]), float(pose[1]), float(pose[2])),

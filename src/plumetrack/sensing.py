@@ -18,6 +18,13 @@ observe the trace at all: the estimate is identically zero for arbitrary
 readings.  An unequal-arm cross gives a nonzero but biased trace; four
 mean-referenced samples leave 3 observations for 5 unknowns, so the trace
 is never faithfully determined.  The tests pin both behaviors down.
+
+``estimate`` solves this for any positions and is the reference.  A run
+uses ``RigEstimator`` instead: the rig's world-frame design matrix is the
+body-frame one times an orthogonal rotation factor, so pinv(B_body) and
+the condition number of B B^T are computed once, when the run starts (a
+degenerate rig raises ``DegenerateStencilError`` there), and each step is
+one 6 x 4 product and a rotation of the gradient.
 """
 
 from __future__ import annotations
@@ -77,7 +84,7 @@ class NoiseModel:
     """Fluorometer noise: Gaussian sigma, detection floor, range clamp.
 
     The generator is owned by a single run; draws are consumed in sensor
-    order, one per sensor per sample, so runs are bit-reproducible.
+    order, one per sensor per reading, so runs are bit-reproducible.
     """
 
     sigma: float = 0.0
@@ -90,6 +97,18 @@ class NoiseModel:
         if self.sigma < 0 or self.floor < 0 or self.range_max <= self.floor:
             raise ValueError("need sigma >= 0 and 0 <= floor < range_max")
         self.rng = np.random.default_rng(self.seed)
+
+    def read(self, c) -> np.ndarray:
+        """Readings of the true concentrations ``c``, one per sensor.
+
+        reading_i = clamp(c_i + sigma * g_i, 0, range_max), then zeroed
+        when below the detection floor.  One draw per sensor per call, in
+        sensor order, even when sigma is zero (keeps the stream aligned).
+        """
+        g = self.rng.standard_normal(len(c))
+        readings = np.clip(c + self.sigma * g, 0.0, self.range_max)
+        readings[readings < self.floor] = 0.0
+        return readings
 
 
 @dataclass(frozen=True)
@@ -119,19 +138,14 @@ def world_positions(rig: SensorRig, state: VesselState) -> np.ndarray:
     return state.position[None, :] + rig.offsets @ rot.T
 
 
-def sample(fieldmodel, positions, t: float, noise: NoiseModel) -> SensorSample:
-    """Read the field at the sensor positions through the noise model.
-
-    reading_i = clamp(c(x_Si, t) + sigma * g_i, 0, range_max), then zeroed
-    when below the detection floor.  One draw per sensor per call, in
-    sensor order, even when sigma is zero (keeps the stream aligned).
-    """
-    pts = np.asarray(positions, dtype=float)
-    c, _, _ = fieldmodel.eval_many(pts, t)
-    g = noise.rng.standard_normal(len(pts))
-    readings = np.clip(c + noise.sigma * g, 0.0, noise.range_max)
-    readings[readings < noise.floor] = 0.0
-    return SensorSample(pts.copy(), readings, t)
+def _condition(B: np.ndarray) -> float:
+    """cond(B B^T); raises DegenerateStencilError beyond CONDITION_LIMIT."""
+    condition = float(np.linalg.cond(B @ B.T))
+    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
+        raise DegenerateStencilError(
+            f"stencil condition {condition:.3e} exceeds {CONDITION_LIMIT:.0e} "
+            "(collinear or coincident sensors)")
+    return condition
 
 
 def design_matrix(positions) -> tuple[np.ndarray, np.ndarray]:
@@ -151,12 +165,7 @@ def estimate(samp: SensorSample) -> StencilEstimate:
     rigs (tested) and the SVD route stays stable near degeneracy.
     """
     B, _ = design_matrix(samp.positions)
-    gram = B @ B.T
-    condition = float(np.linalg.cond(gram))
-    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
-        raise DegenerateStencilError(
-            f"stencil condition {condition:.3e} exceeds {CONDITION_LIMIT:.0e} "
-            "(collinear or coincident sensors)")
+    condition = _condition(B)
     c_hat = float(samp.readings.mean())
     y = samp.readings - c_hat
     gamma, *_ = np.linalg.lstsq(B, y, rcond=None)
@@ -167,3 +176,38 @@ def estimate(samp: SensorSample) -> StencilEstimate:
         hessian_vec=gamma[2:].copy(),
         condition=condition,
     )
+
+
+@dataclass(frozen=True)
+class RigEstimator:
+    """The estimator of one rig at any heading, solved once.
+
+    With R the heading rotation, the world-frame design matrix is
+    B = B_body diag(R^T, (R (x) R)^T) and the middle factor is orthogonal,
+    so pinv(B) = diag(R, R (x) R) pinv(B_body) and cond(B B^T) equals
+    cond(B_body B_body^T).  A step then costs one 6 x 4 product.
+    """
+
+    pinv: np.ndarray                 # (6, 4), pinv(B_body)
+    condition: float                 # cond(B B^T), heading-independent
+
+    @classmethod
+    def for_rig(cls, rig: SensorRig) -> "RigEstimator":
+        """Raises DegenerateStencilError for an ill-conditioned rig."""
+        B, _ = design_matrix(rig.offsets)
+        return cls(np.linalg.pinv(B), _condition(B))
+
+    def estimate(self, readings, heading: float) -> StencilEstimate:
+        """The estimate of ``estimate`` for the rig at ``heading``."""
+        c_hat = float(readings.mean())
+        gamma = self.pinv @ (readings - c_hat)
+        c, s = math.cos(heading), math.sin(heading)
+        rot = np.array([[c, -s], [s, c]])
+        hess = rot @ gamma[2:].reshape(2, 2) @ rot.T
+        return StencilEstimate(
+            c_hat=c_hat,
+            grad=rot @ gamma[:2],
+            lap=float(gamma[2] + gamma[5]),
+            hessian_vec=hess.ravel(),
+            condition=self.condition,
+        )

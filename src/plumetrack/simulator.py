@@ -1,17 +1,20 @@
 """Closed-loop simulation runs, their logs, and derived metrics.
 
 One run steps a scenario at the control period dt_c: advance the field
-(grid fields substep for stability), read the four sensors, reconstruct
-the local field, update the level-curve observer, compute the planar
-control, convert it to actuator commands, and integrate the vessel.  A
-record is appended at every control step, so a completed run holds
+(grid fields substep for stability), evaluate it once at the four sensors
+and the head point (the head point gives the ``ctrue`` oracle; a grid
+field has none and is sampled at the sensors only), read the sensors
+through the noise model, reconstruct the local field with the rig's
+estimator, update the level-curve observer, compute the planar control,
+convert it to actuator commands, and integrate the vessel.  A record is
+appended at every control step, so a completed run holds
 floor(duration / dt_c) + 1 records at t = 0, dt_c, ..., and runs are
 bit-reproducible for a given seed.
 
 A vessel that leaves a grid field's sampling domain truncates the run
-(flagged on the log); a degenerate sensor stencil aborts it by raising
-:class:`~plumetrack.sensing.DegenerateStencilError`, and a diverged
-observer by raising :class:`~plumetrack.guidance.NonFiniteError`.
+(flagged on the log); a degenerate sensor stencil aborts it at the start
+by raising :class:`~plumetrack.sensing.DegenerateStencilError`, and a
+diverged observer by raising :class:`~plumetrack.guidance.NonFiniteError`.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ CSV_COLUMNS = ("t", "x", "y", "theta", "zx", "zy", "xhat", "yhat",
                "ux", "uy", "nu", "omega", "sat", "status", "ctrue")
 
 TRACKED_POINTS = ("head", "center")
+
+# The most control steps a run may take; a longer log would not fit in memory.
+MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,10 @@ class Scenario:
             raise ValueError("duration must be > 0")
         if self.control_period <= 0:
             raise ValueError("control period must be > 0")
+        if self.duration / self.control_period > MAX_STEPS:
+            raise ValueError(
+                f"duration / control period is {self.duration / self.control_period:.3g} "
+                f"steps; at most {MAX_STEPS:,}")
         if not 0 < self.physics_substep <= self.control_period + 1e-12:
             raise ValueError("physics substep must be in (0, control period]")
         if self.sign_convention not in guidance.SIGN_MODES:
@@ -137,6 +147,7 @@ def run(scenario: Scenario) -> RunLog:
                         vessel.normalize_heading(sc.start_pose[2]))
     g = guidance.init(state.position)
     fieldmodel = sc.field0
+    estimator = sensing.RigEstimator.for_rig(sc.rig)
     n_steps = expected_records(sc.duration, sc.control_period) - 1
     dt = sc.control_period
 
@@ -149,31 +160,33 @@ def run(scenario: Scenario) -> RunLog:
         t = i * dt
         fieldmodel = fieldmodel.advance(t, sc.physics_substep)
         positions = sensing.world_positions(sc.rig, state)
-        try:
-            samp = sensing.sample(fieldmodel, positions, t, noise)
-        except DomainError:
-            truncated = True
-            break
-        est = sensing.estimate(samp)
+        z = vessel.head_point(state, sc.params.offset)
+        if fieldmodel.has_analytic_truth:
+            c, _, _ = fieldmodel.eval_many(np.vstack((positions, z)), t)
+            ctrue = float(c[4])
+        else:
+            try:
+                c, _, _ = fieldmodel.eval_many(positions, t)
+            except DomainError:
+                truncated = True
+                break
+            ctrue = math.nan
+        readings = noise.read(c[:4])
+        est = estimator.estimate(readings, state.heading)
         v_r = fieldmodel.flow.at(state.position, t)
         if sc.flow_noise_sigma > 0:
             v_r = v_r + sc.flow_noise_sigma * flow_rng.standard_normal(2)
-        z = vessel.head_point(state, sc.params.offset)
         driven = z if sc.tracked_point == "head" else state.position
         g, u = guidance.step(g, sc.gains, sc.sign_convention, state.position,
                              z, driven, est.c_hat, est.grad, est.lap, v_r,
                              dt, t)
         cmd, saturated = vessel.to_actuators(u, state.heading, sc.params)
-        if fieldmodel.has_analytic_truth:
-            ctrue = fieldmodel.eval(z, t)[0]
-        else:
-            ctrue = math.nan
 
         cols["t"].append(t)
         cols["pose"].append((state.x, state.y, state.heading))
         cols["z"].append(z)
         cols["xhat"].append(g.xhat.copy())
-        cols["readings"].append(samp.readings.copy())
+        cols["readings"].append(readings)
         cols["chat"].append(est.c_hat)
         cols["grad"].append(est.grad.copy())
         cols["lap"].append(est.lap)

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import sensing, vessel
 from .field import FlowField, GaussianPuff, GridField, puff_concentration
-from .sensing import SensorRig, SensorSample, design_matrix, estimate
+from .sensing import (RigEstimator, SensorRig, SensorSample, design_matrix,
+                      estimate)
 
 
 def _rel_steps(puff: GaussianPuff, t: float):
@@ -93,11 +94,11 @@ def check_puff_derivatives(n: int = 300, seed: int = 12):
     return worst <= 1e-6, f"max derivative mismatch {worst:.3e} (limit 1e-6)"
 
 
-def check_grid_vs_puff(shape=(120, 120), advance: float = 0.25):
+def check_grid_vs_puff(shape=(120, 120), advance: float = 0.25,
+                       flow: FlowField = FlowField.uniform((0.3, 0.15))):
     """Explicit upwind/diffusion grid against the analytic puff."""
     k, tau0 = 1.0, 2.0
     puff = GaussianPuff(-tau0, (0.0, 0.0), 4.0 * math.pi * k * tau0 * 30.0, k)
-    flow = FlowField.uniform((0.3, 0.15))
     h = 0.35
     origin = (-0.5 * shape[0] * h + puff.center(flow, 0.0)[0],
               -0.5 * shape[1] * h + puff.center(flow, 0.0)[1])
@@ -233,19 +234,25 @@ def check_degenerate_stencil():
 
 
 def check_pseudoinverse_agreement(seed: int = 10):
-    """SVD least-squares route vs the explicit B^T (B B^T)^-1 product."""
+    """SVD least-squares route, the explicit B^T (B B^T)^-1 product and
+    the per-rig estimator, at random poses."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for rig in _rigs_for_checks():
-        B, _ = design_matrix(rig.offsets)
+        per_rig = RigEstimator.for_rig(rig)
         for _ in range(50):
+            state = vessel.VesselState(*rng.uniform(-50, 50, size=2),
+                                       rng.uniform(-math.pi, math.pi))
+            positions = sensing.world_positions(rig, state)
+            B, _ = design_matrix(positions)
             readings = rng.uniform(0, 100, size=4)
             y = readings - readings.mean()
             explicit = B.T @ np.linalg.solve(B @ B.T, y)
-            est = estimate(SensorSample(rig.offsets, readings, 0.0))
-            gamma = np.concatenate([est.grad, est.hessian_vec])
-            worst = max(worst, float(np.abs(gamma - explicit).max())
-                        / max(1.0, float(np.abs(explicit).max())))
+            scale = max(1.0, float(np.abs(explicit).max()))
+            for est in (estimate(SensorSample(positions, readings, 0.0)),
+                        per_rig.estimate(readings, state.heading)):
+                gamma = np.concatenate([est.grad, est.hessian_vec])
+                worst = max(worst, float(np.abs(gamma - explicit).max()) / scale)
     return worst <= 1e-10, f"max route disagreement {worst:.3e} (limit 1e-10)"
 
 

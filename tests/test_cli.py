@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from plumetrack.cli import main
@@ -108,6 +109,20 @@ class TestRunCommand:
         assert proc.returncode == 3
         m = json.loads((out / "metrics.json").read_text())
         assert m["truncated"] is True
+
+    def test_puffs_under_piecewise_flow_run(self, tmp_path, case1_doc):
+        doc = json.loads(json.dumps(case1_doc))
+        doc["duration"] = 3.0
+        doc["field"]["flow"] = {"type": "piecewise", "boundaries": [1.0],
+                                "velocities": [[0.03, 0.015], [-0.02, 0.03]]}
+        sc = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        proc = cli("run", str(sc), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        rows = (out / "log.csv").read_text().splitlines()
+        assert len(rows) == expected_records(3.0, 0.05) + 1
+        assert all(float(r.split(",")[-1]) > 0 for r in rows[1:])
 
     def test_degenerate_stencil_exits_4(self, tmp_path):
         doc = json.loads(json.dumps(SHORT_SCENARIO))
@@ -294,6 +309,57 @@ class TestMainInProcess:
         p = tmp_path / "bad.json"
         p.write_text("{}")
         assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+
+
+class TestExitCodeContract:
+    """Mutated bundled documents end in exit 0, 2, 3 or 4 with at most one
+    stderr line: keys dropped, values retyped, non-finite or extreme."""
+
+    RETYPED = ("x", None, True, [], {}, [1.0])
+    EXTREME = (math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300,
+               0, -1, 10 ** 400)
+
+    @staticmethod
+    def paths(node, prefix=()):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield prefix + (key,)
+            if isinstance(value, (dict, list)):
+                yield from TestExitCodeContract.paths(value, prefix + (key,))
+
+    def test_mutated_documents(self, tmp_path, scenarios_dir, capsys):
+        import warnings
+        bases = [json.loads(p.read_text())
+                 for p in sorted(scenarios_dir.glob("*.json"))]
+        rng = np.random.default_rng(2024)
+        sc = tmp_path / "sc.json"
+        codes = set()
+        for trial in range(600):
+            doc = json.loads(json.dumps(bases[trial % len(bases)]))
+            doc["duration"] = 0.5
+            paths = list(self.paths(doc))
+            path = paths[rng.integers(len(paths))]
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            kind = rng.integers(3)
+            if kind == 0:
+                del node[path[-1]]
+            else:
+                pool = self.RETYPED if kind == 1 else self.EXTREME
+                node[path[-1]] = pool[rng.integers(len(pool))]
+            sc.write_text(json.dumps(doc))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["run", str(sc), "--out", str(tmp_path / "o")])
+            err = capsys.readouterr().err
+            where = (path, node.get(path[-1]) if isinstance(node, dict)
+                     else None, err)
+            assert code in (0, 2, 3, 4), where
+            assert err.count("\n") == (code != 0), where
+            assert "Traceback" not in err, where
+            codes.add(code)
+        assert {0, 2, 4} <= codes
 
 
 class TestLoggingContract:

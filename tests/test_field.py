@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plumetrack.field import (
-    DomainError, FlowField, FlowUniformityError, FrozenGaussian, GaussianPuff,
+    CULL_BOUND, DomainError, FlowField, FrozenGaussian, GaussianPuff,
     GridField, PuffPlume, PuffTimeError, StepSizeError, puff_concentration,
     puff_gradient, puff_laplacian)
 
@@ -35,10 +35,24 @@ class TestPuff:
         with pytest.raises(PuffTimeError):
             puff_concentration(unit_puff(), STILL, (0, 0), -1.0)
 
-    def test_nonuniform_flow_rejected(self):
+    def test_pde_residual_on_both_sides_of_a_flow_switch(self):
+        from plumetrack.validate import pde_residual
         flow = FlowField.piecewise([0.5], [[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(FlowUniformityError):
-            puff_concentration(unit_puff(), flow, (0, 0), 1.0)
+        p = unit_puff()
+        # the centre moves with the integral of v: (0.5, 0) then up
+        assert np.allclose(p.center(flow, 1.0), [0.5, 0.5], atol=1e-15)
+        for t in (0.3, 0.45, 0.55, 1.0, 2.0):
+            for dx in ((0.0, 0.0), (0.6, -0.4), (-1.1, 0.9)):
+                x = p.center(flow, t) + np.asarray(dx) * math.sqrt(2 * t)
+                assert pde_residual(p, flow, x, t) <= 1e-4, (t, dx)
+
+    def test_grid_matches_puff_under_piecewise_flow(self):
+        # the flow turns halfway through the grid's advance
+        from plumetrack.validate import check_grid_vs_puff
+        flow = FlowField.piecewise([0.125], [[0.3, 0.15], [-0.2, 0.3]])
+        ok, detail = check_grid_vs_puff(shape=(120, 120), advance=0.25,
+                                        flow=flow)
+        assert ok, detail
 
     def test_gradient_at_center_zero(self):
         g = puff_gradient(unit_puff(), STILL, (0, 0), 1.0)
@@ -138,6 +152,76 @@ class TestPlume:
         plume = PuffPlume((0, 0), 2.0, 0.5, STILL, 1.0, start_time=0.0)
         t0s, _, _ = plume._released(1.5)
         assert t0s.tolist() == [0.0, 0.5, 1.0]
+
+    def test_release_table_growth_matches_fresh_build(self):
+        # a seed puff released mid-train joins the seeds, in document order
+        seeds = (GaussianPuff(-5.0, (1.0, 2.0), 30.0, 1.0),
+                 GaussianPuff(3.2, (-1.0, 0.5), 20.0, 1.0))
+
+        def plume():
+            return PuffPlume((0, 0), 2.0, 0.5, STILL, 1.0, seed_puffs=seeds)
+
+        grown = plume()
+        for t in (0.7, 3.0, 3.3, 12.0, 40.0):
+            grown._released(t)                # the table grows on the way
+            for got, want in zip(grown._released(t), plume()._released(t)):
+                assert np.array_equal(got, want)
+        t0s, pts, qs = grown._released(3.3)
+        assert t0s[:2].tolist() == [-5.0, 3.2]
+        assert t0s[2:].tolist() == [0.5 * i for i in range(7)]
+        assert np.array_equal(pts[:, 1], [-1.0, 0.5]) and qs[1] == 20.0
+        assert 3.2 not in grown._released(3.2)[0]
+        x = np.array([[0.4, 0.2], [2.0, -1.0]])
+        for got, want in zip(grown.eval_many(x, 9.9), plume().eval_many(x, 9.9)):
+            assert np.array_equal(got, want)
+
+    def test_cull_matches_unculled_sum_on_case1(self, case1_doc):
+        from plumetrack import sensing, simulator, vessel
+        from plumetrack.scenario_io import scenario_from_dict
+        sc = scenario_from_dict(case1_doc)
+        plume = sc.field0
+        log = simulator.run(sc)
+        k = plume.diffusion
+        v = plume.flow.at(None, 0.0)
+        for i in range(0, len(log), 40):
+            t = float(log.t[i])
+            state = vessel.VesselState(*log.pose[i])
+            pts = np.vstack((sensing.world_positions(sc.rig, state),
+                             vessel.head_point(state, sc.params.offset)))
+            t0s, origins, qs = plume._released(t)
+            kt = k * (t - t0s)
+            d = pts[:, None, :] - (origins.T + v * (t - t0s)[:, None])[None]
+            r2 = (d * d).sum(axis=2)
+            terms = qs / (4 * math.pi * kt) * np.exp(-r2 / (4 * kt))
+            c_ref = terms.sum(axis=1)
+            g_ref = (-terms[:, :, None] * d / (2 * kt)[:, None]).sum(axis=1)
+            l_ref = (terms * (r2 / (4 * kt * kt) - 1 / kt)).sum(axis=1)
+            c, g, lap = plume.eval_many(pts, t)
+            assert np.allclose(c, c_ref, rtol=1e-14, atol=0)
+            assert np.allclose(g, g_ref, rtol=1e-14, atol=0)
+            assert np.allclose(lap, l_ref, rtol=1e-14, atol=0)
+            assert np.array_equal(log.readings[i], c[:4])
+            assert log.ctrue[i] == c[4]
+
+    @pytest.mark.parametrize("factor, kept", [(1 + 1e-9, True),
+                                              (1 - 1e-9, False)])
+    def test_far_puff_cull_threshold(self, factor, kept):
+        # query disc: centre (0, 0), radius 1; puff centre 30 m away
+        k, tau, d, rho = 1.0, 1.0, 30.0, 1.0
+        a = (d + rho) / (2 * k * tau)
+        peak = CULL_BOUND / ((1 + a + a * a + 1 / (k * tau))
+                             * math.exp(-(d - rho) ** 2 / (4 * k * tau)))
+        q = factor * peak * 4 * math.pi * k * tau      # about 3e69
+        far = GaussianPuff(0.0, (d, 0.0), q, k)
+        plume = PuffPlume((0, 0), 0.0, 0.5, STILL, k, seed_puffs=(far,))
+        x = np.array([[0.0, rho], [0.0, -rho]])
+        c, g, lap = plume.eval_many(x, tau)
+        if kept:
+            assert c[0] == pytest.approx(
+                puff_concentration(far, STILL, x[0], tau), rel=1e-12)
+            assert c[0] > 0 and np.all(g[:, 0] > 0) and np.all(lap > 0)
+        else:
+            assert np.all(c == 0) and np.all(g == 0) and np.all(lap == 0)
 
     def test_faded_puffs_pruned(self):
         # peak Q/(4 pi k tau) below 1e-6 ppb drops out of the superposition

@@ -4,20 +4,9 @@ import numpy as np
 import pytest
 
 from plumetrack.sensing import (
-    DegenerateStencilError, NoiseModel, SensorRig, SensorSample, design_matrix,
-    estimate, sample, world_positions)
+    DegenerateStencilError, NoiseModel, RigEstimator, SensorRig, SensorSample,
+    design_matrix, estimate, world_positions)
 from plumetrack.vessel import VesselState
-
-
-class ConstField:
-    """Uniform test field."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def eval_many(self, points, t):
-        n = len(np.atleast_2d(points))
-        return (np.full(n, self.value), np.zeros((n, 2)), np.zeros(n))
 
 
 def quad_field(g, H, c0):
@@ -83,36 +72,30 @@ class TestRigValidation:
 
 class TestNoise:
     def test_noiseless_passthrough(self):
-        rig = SensorRig.cross()
-        pos = world_positions(rig, VesselState(0, 0, 0))
-        s = sample(ConstField(5.0), pos, 0.0, NoiseModel(sigma=0.0))
-        assert np.all(s.readings == 5.0)
+        readings = NoiseModel(sigma=0.0).read(np.full(4, 5.0))
+        assert np.all(readings == 5.0)
 
     def test_detection_floor(self):
-        pos = SensorRig.cross().offsets
-        s = sample(ConstField(0.005), pos, 0.0, NoiseModel(sigma=0.0))
-        assert np.all(s.readings == 0.0)
+        readings = NoiseModel(sigma=0.0).read(np.full(4, 0.005))
+        assert np.all(readings == 0.0)
 
     def test_range_clamp(self):
-        pos = SensorRig.cross().offsets
-        s = sample(ConstField(2e4), pos, 0.0, NoiseModel(sigma=0.0))
-        assert np.all(s.readings == 10000.0)
+        readings = NoiseModel(sigma=0.0).read(np.full(4, 2e4))
+        assert np.all(readings == 10000.0)
 
     def test_seeded_reproducibility_and_draw_order(self):
-        pos = SensorRig.cross().offsets
-        s1 = sample(ConstField(50.0), pos, 0.0, NoiseModel(sigma=2.0, seed=9))
-        s2 = sample(ConstField(50.0), pos, 0.0, NoiseModel(sigma=2.0, seed=9))
-        assert np.array_equal(s1.readings, s2.readings)
+        r1 = NoiseModel(sigma=2.0, seed=9).read(np.full(4, 50.0))
+        r2 = NoiseModel(sigma=2.0, seed=9).read(np.full(4, 50.0))
+        assert np.array_equal(r1, r2)
         # one draw per sensor per call, in sensor order
         expected = np.clip(
             50.0 + 2.0 * np.random.default_rng(9).standard_normal(4),
             0.0, 10000.0)
-        assert np.array_equal(s1.readings, expected)
+        assert np.array_equal(r1, expected)
 
     def test_stream_advances_even_at_zero_sigma(self):
         noise = NoiseModel(sigma=0.0, seed=9)
-        pos = SensorRig.cross().offsets
-        sample(ConstField(5.0), pos, 0.0, noise)
+        noise.read(np.full(4, 5.0))
         follow = noise.rng.standard_normal(4)
         fresh = np.random.default_rng(9).standard_normal(8)[4:]
         assert np.array_equal(follow, fresh)
@@ -238,3 +221,29 @@ class TestEstimator:
         pos = np.array([[1.0, 0], [-1.0, 0], [0.0, 1e-8], [0.0, -1e-8]])
         with pytest.raises(DegenerateStencilError):
             estimate(SensorSample(pos, np.array([1.0, 2.0, 3.0, 4.0]), 0.0))
+
+
+class TestRigEstimator:
+    def test_matches_general_estimator_at_any_heading(self):
+        from plumetrack.validate import _rigs_for_checks
+        rng = np.random.default_rng(15)
+        for rig in _rigs_for_checks():
+            per_rig = RigEstimator.for_rig(rig)
+            for theta in rng.uniform(-math.pi, math.pi, 2000):
+                state = VesselState(*rng.uniform(-50, 50, 2), theta)
+                readings = rng.uniform(0, 100, 4)
+                ref = estimate(SensorSample(world_positions(rig, state),
+                                            readings, 0.0))
+                est = per_rig.estimate(readings, theta)
+                want = np.concatenate([ref.grad, [ref.lap], ref.hessian_vec])
+                got = np.concatenate([est.grad, [est.lap], est.hessian_vec])
+                scale = max(1.0, float(np.abs(want).max()))
+                assert np.abs(got - want).max() / scale < 1e-12
+                assert est.c_hat == ref.c_hat
+                assert est.condition == pytest.approx(ref.condition, rel=1e-9)
+
+    def test_degenerate_rig_rejected_once(self):
+        rig = SensorRig(np.array([[1.0, 0], [-1.0, 0], [0.0, 1e-8],
+                                  [0.0, -1e-8]]))
+        with pytest.raises(DegenerateStencilError):
+            RigEstimator.for_rig(rig)
