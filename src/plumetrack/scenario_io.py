@@ -46,8 +46,8 @@ from .vessel import VesselParams
 
 SCHEMA_VERSION = 1
 
-# The most emission-train puffs a run may release; a longer train would not
-# fit in memory.
+# The most emission-train puffs a run may release; every evaluation visits
+# each of them.
 MAX_TRAIN_PUFFS = 1_000_000
 
 
@@ -235,11 +235,11 @@ def scenario_from_dict(doc: dict, origin: str = "<scenario>") -> Scenario:
     noise_doc = doc.get("noise", {})
     _check_keys(noise_doc, f"{origin}.noise", [],
                 ["sigma", "floor", "range_max", "seed"])
-    noise = (_num(noise_doc, "sigma", f"{origin}.noise", 0.0),
-             _num(noise_doc, "floor", f"{origin}.noise", 0.01),
-             _num(noise_doc, "range_max", f"{origin}.noise", 10000.0))
+    sigma = _num(noise_doc, "sigma", f"{origin}.noise", 0.0)
+    floor = _num(noise_doc, "floor", f"{origin}.noise", 0.01)
+    range_max = _num(noise_doc, "range_max", f"{origin}.noise", 10000.0)
     with _at(f"{origin}.noise"):
-        NoiseModel(*noise)              # checks the parameters
+        NoiseModel.check(sigma, floor, range_max)
 
     vp = doc["vessel"]
     _check_keys(vp, f"{origin}.vessel", ["start_pose"],
@@ -282,9 +282,9 @@ def scenario_from_dict(doc: dict, origin: str = "<scenario>") -> Scenario:
             flow_noise_sigma=_num(doc, "flow_noise_sigma", origin, 0.0),
             field0=_field(doc["field"], f"{origin}.field", duration),
             rig=rig,
-            noise_sigma=noise[0],
-            noise_floor=noise[1],
-            noise_range_max=noise[2],
+            noise_sigma=sigma,
+            noise_floor=floor,
+            noise_range_max=range_max,
             noise_seed=_int(noise_doc, "seed", f"{origin}.noise", None),
             params=params,
             start_pose=(float(pose[0]), float(pose[1]), float(pose[2])),

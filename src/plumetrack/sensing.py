@@ -94,9 +94,14 @@ class NoiseModel:
     rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.sigma < 0 or self.floor < 0 or self.range_max <= self.floor:
-            raise ValueError("need sigma >= 0 and 0 <= floor < range_max")
+        self.check(self.sigma, self.floor, self.range_max)
         self.rng = np.random.default_rng(self.seed)
+
+    @staticmethod
+    def check(sigma: float, floor: float, range_max: float):
+        """Raise ValueError unless sigma >= 0 and 0 <= floor < range_max."""
+        if sigma < 0 or floor < 0 or range_max <= floor:
+            raise ValueError("need sigma >= 0 and 0 <= floor < range_max")
 
     def read(self, c) -> np.ndarray:
         """Readings of the true concentrations ``c``, one per sensor.

@@ -36,7 +36,7 @@ CSV_COLUMNS = ("t", "x", "y", "theta", "zx", "zy", "xhat", "yhat",
 
 TRACKED_POINTS = ("head", "center")
 
-# The most control steps a run may take; a longer log would not fit in memory.
+# The most control steps a run may take; its log is held in memory.
 MAX_STEPS = 1_000_000
 
 
@@ -69,10 +69,10 @@ class Scenario:
             raise ValueError("duration must be > 0")
         if self.control_period <= 0:
             raise ValueError("control period must be > 0")
-        if self.duration / self.control_period > MAX_STEPS:
-            raise ValueError(
-                f"duration / control period is {self.duration / self.control_period:.3g} "
-                f"steps; at most {MAX_STEPS:,}")
+        steps = self.duration / self.control_period
+        if steps > MAX_STEPS:
+            raise ValueError(f"duration / control period is {steps:.3g} "
+                             f"steps; at most {MAX_STEPS:,}")
         if not 0 < self.physics_substep <= self.control_period + 1e-12:
             raise ValueError("physics substep must be in (0, control period]")
         if self.sign_convention not in guidance.SIGN_MODES:

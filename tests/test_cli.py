@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -312,8 +313,8 @@ class TestMainInProcess:
 
 
 class TestExitCodeContract:
-    """Mutated bundled documents end in exit 0, 2, 3 or 4 with at most one
-    stderr line: keys dropped, values retyped, non-finite or extreme."""
+    """Documents the schema accepts end in exit 0, 2, 3 or 4 with at most
+    one stderr line and no traceback; numpy warnings would print more."""
 
     RETYPED = ("x", None, True, [], {}, [1.0])
     EXTREME = (math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300,
@@ -327,12 +328,23 @@ class TestExitCodeContract:
             if isinstance(value, (dict, list)):
                 yield from TestExitCodeContract.paths(value, prefix + (key,))
 
+    @staticmethod
+    def run_doc(tmp_path, capsys, doc):
+        sc = write_scenario(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", str(sc), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), err
+        assert err.count("\n") == (code != 0), err
+        assert "Traceback" not in err
+        return code
+
     def test_mutated_documents(self, tmp_path, scenarios_dir, capsys):
-        import warnings
+        # keys dropped, values retyped, non-finite or extreme
         bases = [json.loads(p.read_text())
                  for p in sorted(scenarios_dir.glob("*.json"))]
         rng = np.random.default_rng(2024)
-        sc = tmp_path / "sc.json"
         codes = set()
         for trial in range(600):
             doc = json.loads(json.dumps(bases[trial % len(bases)]))
@@ -348,18 +360,32 @@ class TestExitCodeContract:
             else:
                 pool = self.RETYPED if kind == 1 else self.EXTREME
                 node[path[-1]] = pool[rng.integers(len(pool))]
-            sc.write_text(json.dumps(doc))
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                code = main(["run", str(sc), "--out", str(tmp_path / "o")])
-            err = capsys.readouterr().err
-            where = (path, node.get(path[-1]) if isinstance(node, dict)
-                     else None, err)
-            assert code in (0, 2, 3, 4), where
-            assert err.count("\n") == (code != 0), where
-            assert "Traceback" not in err, where
-            codes.add(code)
+            codes.add(self.run_doc(tmp_path, capsys, doc))
         assert {0, 2, 4} <= codes
+
+    @pytest.mark.parametrize("name, path, value, code", [
+        ("case1", ("seed",), -1, 2),
+        ("case1", ("noise", "floor"), -1.0, 2),
+        ("case1", ("rig", "offsets", 0), [0.75, {}], 2),
+        ("case1", ("rig", "offsets", 0, 0), 10 ** 400, 2),
+        ("case1", ("field", "flow"), {"type": "piecewise", "boundaries": [{}],
+                                      "velocities": [[0, 0], [1, 1]]}, 2),
+        ("pure_advection", ("duration",), 1e300, 2),
+        ("case1", ("field", "puff_interval"), 1e-300, 2),
+        ("case1", ("field", "start_time"), -1e300, 2),
+        ("pure_advection", ("field", "sigma"), 1e-300, 2),
+        ("case1", ("field", "start_time"), 0.2, 0),       # train starts late
+        ("case1", ("field", "start_time"), -1e-300, 0),   # 1e-300 s old puff
+    ])
+    def test_edge_documents(self, tmp_path, scenarios_dir, capsys, name,
+                            path, value, code):
+        doc = json.loads((scenarios_dir / f"{name}.json").read_text())
+        doc["duration"] = 0.5
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        assert self.run_doc(tmp_path, capsys, doc) == code
 
 
 class TestLoggingContract:

@@ -175,33 +175,54 @@ class TestPlume:
         for got, want in zip(grown.eval_many(x, 9.9), plume().eval_many(x, 9.9)):
             assert np.array_equal(got, want)
 
+    @staticmethod
+    def unculled(plume, pts, t):
+        """Every released puff summed: (c, grad, lap) and the sum of the
+        terms' magnitudes, the scale of their rounding."""
+        t0s, origins, qs = plume._released(t)
+        kt = plume.diffusion * (t - t0s)
+        centres = origins.T + plume.flow.at(None, t) * (t - t0s)[:, None]
+        d = pts[:, None, :] - centres[None]
+        r2 = (d * d).sum(axis=2)
+        c_terms = qs / (4 * math.pi * kt) * np.exp(-r2 / (4 * kt))
+        g_terms = -c_terms[:, :, None] * d / (2 * kt)[:, None]
+        l_terms = c_terms * (r2 / (4 * kt * kt) - 1 / kt)
+        scale = c_terms.sum(axis=1) + np.abs(g_terms).sum(axis=(1, 2)) \
+            + np.abs(l_terms).sum(axis=1)
+        return (c_terms.sum(axis=1), g_terms.sum(axis=1), l_terms.sum(axis=1),
+                scale)
+
     def test_cull_matches_unculled_sum_on_case1(self, case1_doc):
         from plumetrack import sensing, simulator, vessel
         from plumetrack.scenario_io import scenario_from_dict
         sc = scenario_from_dict(case1_doc)
         plume = sc.field0
         log = simulator.run(sc)
-        k = plume.diffusion
-        v = plume.flow.at(None, 0.0)
         for i in range(0, len(log), 40):
             t = float(log.t[i])
             state = vessel.VesselState(*log.pose[i])
             pts = np.vstack((sensing.world_positions(sc.rig, state),
                              vessel.head_point(state, sc.params.offset)))
-            t0s, origins, qs = plume._released(t)
-            kt = k * (t - t0s)
-            d = pts[:, None, :] - (origins.T + v * (t - t0s)[:, None])[None]
-            r2 = (d * d).sum(axis=2)
-            terms = qs / (4 * math.pi * kt) * np.exp(-r2 / (4 * kt))
-            c_ref = terms.sum(axis=1)
-            g_ref = (-terms[:, :, None] * d / (2 * kt)[:, None]).sum(axis=1)
-            l_ref = (terms * (r2 / (4 * kt * kt) - 1 / kt)).sum(axis=1)
+            c_ref, g_ref, l_ref, _ = self.unculled(plume, pts, t)
             c, g, lap = plume.eval_many(pts, t)
             assert np.allclose(c, c_ref, rtol=1e-14, atol=0)
             assert np.allclose(g, g_ref, rtol=1e-14, atol=0)
             assert np.allclose(lap, l_ref, rtol=1e-14, atol=0)
             assert np.array_equal(log.readings[i], c[:4])
             assert log.ctrue[i] == c[4]
+        # along the emission train many puffs matter and the cull is tight
+        v = plume.flow.at(None, 0.0)
+        for t in (0.0, 30.0, 60.0):
+            for age in (0.3, 2.0, 20.0, 200.0):
+                ctr = plume.source + v * age + [0.0, 0.5 * math.sqrt(age)]
+                pts = ctr + np.array([[0.75, 0], [-0.75, 0], [0, 0.75],
+                                      [0, -0.75], [0.5, 0]])
+                c_ref, g_ref, l_ref, scale = self.unculled(plume, pts, t)
+                c, g, lap = plume.eval_many(pts, t)
+                tol = 1e-14 * scale
+                assert np.all(np.abs(c - c_ref) <= tol)
+                assert np.all(np.abs(g - g_ref).max(axis=1) <= tol)
+                assert np.all(np.abs(lap - l_ref) <= tol)
 
     @pytest.mark.parametrize("factor, kept", [(1 + 1e-9, True),
                                               (1 - 1e-9, False)])
