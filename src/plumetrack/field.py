@@ -290,11 +290,11 @@ class PuffPlume:
     def eval_many(self, points, t: float):
         """Concentration, gradient, Laplacian at several points.
 
-        Returns (c (m,), grad (m, 2), lap (m,)).  Puffs below PRUNE_PEAK, and puffs whose terms are below CULL_BOUND
-        everywhere on the disc around the points (centre q, radius rho),
-        are left out.  With d the distance from a puff centre to q,
-        d- = max(d - rho, 0) and d+ = d + rho, every term of such a puff
-        is at most
+        Returns (c (m,), grad (m, 2), lap (m,)).  Puffs below PRUNE_PEAK,
+        and puffs whose terms are below CULL_BOUND everywhere on the disc
+        around the points (centre q, radius rho), are left out.  With d
+        the distance from a puff centre to q, d- = max(d - rho, 0) and
+        d+ = d + rho, every term of such a puff is at most
 
             peak (1 + d+/(2kt) + d+^2/(4k^2t^2) + 1/(kt)) exp(-d-^2/(4kt))
 
@@ -312,7 +312,8 @@ class PuffPlume:
         dist = np.hypot(cx - q[0], cy - q[1])
         near = np.maximum(dist - rho, 0.0)
         a = (dist + rho) / (2.0 * kt)
-        bound = peak * (1.0 + a + a * a + 1.0 / kt) * np.exp(-near * near / (4.0 * kt))
+        bound = (peak * (1.0 + a + a * a + 1.0 / kt)
+                 * np.exp(-near * near / (4.0 * kt)))
         keep = np.flatnonzero((peak >= PRUNE_PEAK) & ~(bound < CULL_BOUND))
         kt, peak = kt[keep], peak[keep]
         centers = np.stack((cx[keep], cy[keep]), axis=1)  # (n, 2)
