@@ -52,9 +52,8 @@ def _json_value(v):
     return float(v)
 
 
-def _metrics_json(m: simulator.RunMetrics, seed: int) -> str:
+def _metrics_json(m: simulator.RunMetrics) -> str:
     d = {k: _json_value(v) for k, v in dataclasses.asdict(m).items()}
-    d["seed"] = seed
     return json.dumps(d, indent=2) + "\n"
 
 
@@ -78,8 +77,7 @@ def _execute_run(doc: dict, out_dir: Path, origin: str) -> int:
     _atomic_write(out_dir / "log.csv", runlog.to_csv())
     if len(runlog) >= 2:
         m = simulator.metrics(runlog, scenario)
-        _atomic_write(out_dir / "metrics.json",
-                      _metrics_json(m, scenario.seed))
+        _atomic_write(out_dir / "metrics.json", _metrics_json(m))
     else:
         stub = {"truncated": True, "seed": scenario.seed}
         _atomic_write(out_dir / "metrics.json",

@@ -488,7 +488,10 @@ class GridField:
             return self.origin.copy()
         cx = float((self.conc.sum(axis=1) @ xs) / m)
         cy = float((self.conc.sum(axis=0) @ ys) / m)
-        disp = self.flow.at(None, t) * (t - self.time)
+        if t >= self.time:
+            disp = self.flow.displacement(self.time, t)
+        else:
+            disp = -self.flow.displacement(t, self.time)
         return np.array([cx, cy]) + disp
 
     def level_set_radius(self, c0: float, t: float) -> float | None:

@@ -26,6 +26,11 @@ pure-advection scenario.
 With the stock cross rig the Laplacian estimate is identically zero (see
 sensing), so the k lap term is inert there regardless of convention.
 
+Degenerate fallback: when |g| is below ``grad_floor`` the gradient gives
+no usable direction, so the step holds x_hat, keeps only the pull
+u = -k2 (z - x_hat), and reports the "degenerate-gradient" status.  A
+zero gradient therefore never reaches the 1/|g| terms above.
+
 Sign note: for a radially decreasing field the gradient points inward and
 A g then points clockwise around the maximum, so the patrol circulates
 clockwise (negative winding).  The tests assert this geometric fact.
@@ -33,7 +38,7 @@ clockwise (negative winding).  The tests assert this geometric fact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,10 +57,6 @@ STATUS_DEGENERATE = "degenerate-gradient"
 TRACK_BAND = 0.10
 TRACK_DIST = 1.0
 TRACK_HOLD = 2.0
-
-
-class DegenerateGradientError(ValueError):
-    """Gradient magnitude below the configured floor."""
 
 
 class NonFiniteError(ValueError):
@@ -107,38 +108,6 @@ def init(x_r) -> GuidanceState:
     return GuidanceState(xhat=x)
 
 
-def normal_feedforward(grad, lap: float, v, k: float, mode: str) -> np.ndarray:
-    """Feedforward normal velocity of the moving level curve."""
-    if mode not in SIGN_MODES:
-        raise ValueError(f"unknown sign convention {mode!r}; "
-                         f"expected one of {SIGN_MODES}")
-    g = np.asarray(grad, dtype=float).reshape(2)
-    v = np.asarray(v, dtype=float).reshape(2)
-    gg = float(g @ g)
-    if gg == 0.0:
-        raise DegenerateGradientError("zero gradient in normal feedforward")
-    if mode == SIGN_PDE:
-        speed = (float(v @ g) - k * lap) / gg
-    else:
-        speed = -(float(v @ g) + k * lap) / gg
-    return speed * g
-
-
-def tangential(grad, v_d: float) -> np.ndarray:
-    """Patrol term v_d * A g / |A g| (note |A g| = |g|; A is orthogonal)."""
-    g = np.asarray(grad, dtype=float).reshape(2)
-    ag = ROT90 @ g
-    n = float(np.hypot(ag[0], ag[1]))
-    if n == 0.0:
-        raise DegenerateGradientError("zero gradient in tangential term")
-    return v_d * ag / n
-
-
-def _correction(gains: GuidanceGains, xhat, x_r, c_hat: float, grad) -> np.ndarray:
-    residual = float(grad @ (xhat - x_r)) + (c_hat - gains.c0)
-    return -gains.k1 * residual * grad
-
-
 def step(state: GuidanceState, gains: GuidanceGains, mode: str, x_r, z,
          driven, c_hat: float, grad, lap: float, v_r, dt: float,
          t: float) -> tuple[GuidanceState, np.ndarray]:
@@ -147,43 +116,49 @@ def step(state: GuidanceState, gains: GuidanceGains, mode: str, x_r, z,
     The observer takes an explicit Euler step first, and the control's
     correction and pull use the updated x_hat.  ``driven`` is the point
     the control moves (the head point or the hull centre); the status
-    always measures the head point ``z`` against x_hat.
-
-    When the gradient magnitude is below the floor the estimate is held,
-    only the -k2 (driven - x_hat) pull remains (hold-and-pure-tracking
-    fallback), and the status flags the degeneracy.  Otherwise promotion
-    to tracking is sticky and requires the concentration band and the
+    always measures the head point ``z`` against x_hat.  Promotion to
+    tracking is sticky and requires the concentration band and the
     z-to-estimate distance to hold for TRACK_HOLD seconds.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
+    if mode not in SIGN_MODES:
+        raise ValueError(f"unknown sign convention {mode!r}; "
+                         f"expected one of {SIGN_MODES}")
     x_r = np.asarray(x_r, dtype=float).reshape(2)
     z = np.asarray(z, dtype=float).reshape(2)
     driven = np.asarray(driven, dtype=float).reshape(2)
-    grad = np.asarray(grad, dtype=float).reshape(2)
-    v_r = np.asarray(v_r, dtype=float).reshape(2)
-    for name, val in (("x_r", x_r), ("grad", grad), ("v_r", v_r),
-                      ("c_hat", c_hat), ("lap", lap)):
-        if not np.all(np.isfinite(val)):
-            raise NonFiniteError(
-                f"non-finite observer input {name} at t={t:g} s")
-    if float(np.hypot(grad[0], grad[1])) < gains.grad_floor:
+    g = np.asarray(grad, dtype=float).reshape(2)
+    v = np.asarray(v_r, dtype=float).reshape(2)
+    finite = np.isfinite(np.concatenate((x_r, g, v, (c_hat, lap))))
+    if not finite.all():
+        name = ("x_r", "x_r", "grad", "grad", "v_r", "v_r", "c_hat",
+                "lap")[int(np.argmin(finite))]
+        raise NonFiniteError(f"non-finite observer input {name} at t={t:g} s")
+    norm = float(np.hypot(g[0], g[1]))
+    if norm < gains.grad_floor:
         u = -gains.k2 * (driven - state.xhat)
-        return replace(state, status=STATUS_DEGENERATE, window_start=None), u
+        return GuidanceState(state.xhat, STATUS_DEGENERATE, None,
+                             state.converged), u
 
-    drift = (normal_feedforward(grad, lap, v_r, gains.k, mode)
-             + tangential(grad, gains.v_d))
-    xhat = state.xhat + dt * (drift + _correction(gains, state.xhat, x_r,
-                                                  c_hat, grad))
-    u = (drift + _correction(gains, xhat, x_r, c_hat, grad)
+    gg = float(g @ g)
+    if mode == SIGN_PDE:
+        speed = (float(v @ g) - gains.k * lap) / gg
+    else:
+        speed = -(float(v @ g) + gains.k * lap) / gg
+    drift = speed * g + gains.v_d * (ROT90 @ g) / norm
+    c_err = c_hat - gains.c0
+    xhat = state.xhat + dt * (
+        drift - gains.k1 * (float(g @ (state.xhat - x_r)) + c_err) * g)
+    u = (drift - gains.k1 * (float(g @ (xhat - x_r)) + c_err) * g
          - gains.k2 * (driven - xhat))
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise NonFiniteError(
             f"non-finite planar control {u.tolist()} at t={t:g} s")
 
     converged = state.converged
     window = state.window_start
-    in_band = (abs(c_hat - gains.c0) < TRACK_BAND * gains.c0
+    in_band = (abs(c_err) < TRACK_BAND * gains.c0
                and float(np.hypot(*(z - xhat))) < TRACK_DIST)
     if in_band:
         window = t if window is None else window
@@ -192,5 +167,4 @@ def step(state: GuidanceState, gains: GuidanceGains, mode: str, x_r, z,
     else:
         window = None
     status = STATUS_TRACKING if converged else STATUS_SEEKING
-    return replace(state, xhat=xhat, status=status, window_start=window,
-                   converged=converged), u
+    return GuidanceState(xhat, status, window, converged), u

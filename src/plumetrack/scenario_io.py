@@ -34,6 +34,7 @@ import copy
 import json
 import math
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,8 @@ import numpy as np
 from .field import FlowField, FrozenGaussian, GaussianPuff, GridField, PuffPlume
 from .guidance import GuidanceGains, SIGN_MODES, SIGN_PDE
 from .sensing import NoiseModel, SensorRig
-from .simulator import Scenario, TRACKED_POINTS
+from .simulator import (MAX_STEPS, Scenario, TRACKED_POINTS,
+                        expected_records)
 from .vessel import VesselParams
 
 SCHEMA_VERSION = 1
@@ -211,6 +213,25 @@ def _field(d: dict, path: str, duration: float):
           "expected 'puffs', 'frozen-gaussian', or 'grid'")
 
 
+def _check_grid_substeps(sc: Scenario, path: str):
+    """Refuse a grid run that needs more than MAX_STEPS explicit substeps:
+    ceil(dt_c / min(physics_substep, stable dt)) per control step, at the
+    stable dt of the fastest flow segment."""
+    grid = sc.field0
+    fastest = max(grid.flow.velocities.tolist(),
+                  key=lambda v: abs(v[0]) + abs(v[1]))
+    try:
+        dt = min(sc.physics_substep, replace(
+            grid, flow=FlowField.uniform(fastest)).max_stable_dt())
+        per_step = sc.control_period / dt
+    except ZeroDivisionError:           # the stable dt underflows to 0
+        dt, per_step = 0.0, math.inf
+    steps = expected_records(sc.duration, sc.control_period) - 1
+    if steps * math.ceil(min(per_step, MAX_STEPS + 1)) > MAX_STEPS:
+        _fail(path, f"{steps:,} control steps need more than {MAX_STEPS:,} "
+                    f"explicit grid substeps (stable dt {dt:.3g} s)")
+
+
 def scenario_from_dict(doc: dict, origin: str = "<scenario>") -> Scenario:
     """Validate a raw scenario document and build the Scenario."""
     top_req = ["schema", "duration", "field", "vessel", "gains"]
@@ -269,7 +290,7 @@ def scenario_from_dict(doc: dict, origin: str = "<scenario>") -> Scenario:
 
     duration = _num(doc, "duration", origin)
     with _at(origin):
-        return Scenario(
+        scenario = Scenario(
             name=_str(doc, "name", origin, "scenario"),
             seed=_int(doc, "seed", origin, 0),
             duration=duration,
@@ -290,6 +311,9 @@ def scenario_from_dict(doc: dict, origin: str = "<scenario>") -> Scenario:
             start_pose=(float(pose[0]), float(pose[1]), float(pose[2])),
             gains=gains,
         )
+    if isinstance(scenario.field0, GridField):
+        _check_grid_substeps(scenario, f"{origin}.field")
+    return scenario
 
 
 def load_raw(path) -> dict:

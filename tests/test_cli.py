@@ -376,10 +376,15 @@ class TestExitCodeContract:
         ("pure_advection", ("field", "sigma"), 1e-300, 2),
         ("case1", ("field", "start_time"), 0.2, 0),       # train starts late
         ("case1", ("field", "start_time"), -1e-300, 0),   # 1e-300 s old puff
+        ("grid_escape", ("field", "diffusion"), 1e300, 2),  # ~1e300 substeps
+        ("grid_escape", ("field", "cell_size"), 1e-300, 2),  # stable dt 0
     ])
     def test_edge_documents(self, tmp_path, scenarios_dir, capsys, name,
                             path, value, code):
-        doc = json.loads((scenarios_dir / f"{name}.json").read_text())
+        if name == "grid_escape":
+            doc = json.loads(json.dumps(GRID_ESCAPE))
+        else:
+            doc = json.loads((scenarios_dir / f"{name}.json").read_text())
         doc["duration"] = 0.5
         node = doc
         for key in path[:-1]:

@@ -391,14 +391,21 @@ class TestGrid:
         rng = np.random.default_rng(8)
         conc = rng.uniform(0, 5, (9, 12))
         v = np.array([0.3, -0.2])
-        g = GridField((1.0, -2.0), 0.5, conc, 0.5, FlowField.uniform(v),
-                      time=1.5)
         xs = 1.0 + (np.arange(9) + 0.5) * 0.5
         ys = -2.0 + (np.arange(12) + 0.5) * 0.5
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         expected = np.array([np.sum(conc * X), np.sum(conc * Y)]) / conc.sum()
-        assert np.allclose(g.centroid(4.0), expected + v * (4.0 - 1.5),
-                           rtol=1e-13, atol=1e-13)
+        # (flow, t, displacement from the grid's time 1.5 to t); the
+        # piecewise flow is (1, 0), then (0, 1) from t = 1, then (1, 0)
+        # again from t = 2.5
+        switching = FlowField.piecewise([1.0, 2.5],
+                                        [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        for flow, t, disp in ((FlowField.uniform(v), 4.0, v * (4.0 - 1.5)),
+                              (switching, 4.0, [1.5, 1.0]),
+                              (switching, 0.5, [-0.5, -0.5])):
+            g = GridField((1.0, -2.0), 0.5, conc, 0.5, flow, time=1.5)
+            assert np.allclose(g.centroid(t), expected + disp,
+                               rtol=1e-13, atol=1e-13)
         empty = GridField((1.0, -2.0), 0.5, np.zeros((9, 12)), 0.5, STILL)
         assert np.array_equal(empty.centroid(3.0), [1.0, -2.0])
 

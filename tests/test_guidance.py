@@ -7,8 +7,7 @@ from plumetrack import guidance as G
 from plumetrack import simulator as SIM
 from plumetrack.field import FlowField, FrozenGaussian
 from plumetrack.guidance import (
-    DegenerateGradientError, GuidanceGains, NonFiniteError,
-    SIGN_OPPOSED, SIGN_PDE, init, normal_feedforward, step, tangential)
+    GuidanceGains, NonFiniteError, SIGN_OPPOSED, SIGN_PDE, init, step)
 from plumetrack.scenario_io import copy_doc, scenario_from_dict
 from plumetrack.sensing import SensorRig
 from plumetrack.vessel import VesselParams
@@ -42,17 +41,79 @@ def static_scenario(pose, duration=30.0, peak=60.0, sigma=18.0, c0=50.0):
         gains=GuidanceGains(c0=c0, k=1.2, k1=5.0, k2=11.0, v_d=1.5))
 
 
+def observer_rate(gains, mode, grad, lap, v):
+    """x_hat' of one step from an on-curve x_r (x_r = x_hat, c_hat = c0):
+    with the correction zero, dt = 1 makes the update the rate itself."""
+    g, _ = step(init((0, 0)), gains, mode, (0, 0), (0, 0), (0, 0), gains.c0,
+                grad, lap, v, 1.0, 0.0)
+    return g.xhat
+
+
+def folded_law(gains, mode, xhat, x_r, driven, c_hat, grad, lap, v, dt):
+    """The module docstring's observer and control, term by term, with
+    the largest term's size for a relative tolerance."""
+    gx, gy = grad
+    gg = gx * gx + gy * gy
+    norm = math.hypot(gx, gy)
+    vg = v[0] * gx + v[1] * gy
+    if mode == SIGN_PDE:
+        n_ff = (vg - gains.k * lap) / gg * np.array([gx, gy])
+    else:
+        n_ff = -(vg + gains.k * lap) / gg * np.array([gx, gy])
+    patrol = gains.v_d / norm * np.array([-gy, gx])
+
+    def correction(p):
+        residual = gx * (p[0] - x_r[0]) + gy * (p[1] - x_r[1]) \
+            + c_hat - gains.c0
+        return -gains.k1 * residual * np.array([gx, gy])
+
+    rate = n_ff + patrol + correction(xhat)
+    xhat_new = xhat + dt * rate
+    pull = -gains.k2 * (driven - xhat_new)
+    u = n_ff + patrol + correction(xhat_new) + pull
+    terms = (xhat, n_ff, patrol, correction(xhat), correction(xhat_new), pull)
+    return xhat_new, u, max(float(np.abs(a).max()) for a in terms)
+
+
+class TestFoldedLaw:
+    def test_step_matches_docstring_formulas(self):
+        rng = np.random.default_rng(11)
+        checked = 0
+        for _ in range(400):
+            gains = GuidanceGains(c0=rng.uniform(10, 100),
+                                  k=rng.uniform(0, 2), k1=rng.uniform(0.1, 10),
+                                  k2=rng.uniform(1, 20), v_d=rng.uniform(0, 2))
+            grad = rng.uniform(-3, 3, 2)
+            if np.hypot(*grad) < gains.grad_floor:
+                continue
+            xhat, x_r, z, driven = rng.uniform(-10, 10, (4, 2))
+            c_hat, lap = rng.uniform(0, 100), rng.uniform(-2, 2)
+            v, dt = rng.uniform(-1, 1, 2), rng.uniform(0.01, 0.2)
+            for mode in (SIGN_PDE, SIGN_OPPOSED):
+                g2, u = step(init(xhat), gains, mode, x_r, z, driven, c_hat,
+                             grad, lap, v, dt, 0.0)
+                want_xhat, want_u, scale = folded_law(
+                    gains, mode, xhat, x_r, driven, c_hat, grad, lap, v, dt)
+                assert np.abs(g2.xhat - want_xhat).max() <= 1e-12 * scale
+                assert np.abs(u - want_u).max() <= 1e-12 * scale
+                checked += 1
+        assert checked > 700
+
+
 class TestNormalFeedforward:
+    # no patrol and an on-curve x_r leave the feedforward as the whole rate
+    STILL = GuidanceGains(c0=50.0, k=0.0, k1=5.0, k2=11.0, v_d=0.0)
+
     def test_still_fluid_no_curvature(self):
         for mode in (SIGN_PDE, SIGN_OPPOSED):
-            nf = normal_feedforward((2, 1), 0.0, (0, 0), 0.0, mode)
+            nf = observer_rate(self.STILL, mode, (2, 1), 0.0, (0, 0))
             assert np.allclose(nf, 0.0)
 
     def test_pure_advection_modes(self):
         # a translating level set moves with the flow under the derived sign
-        nf = normal_feedforward((2, 0), 0.0, (1, 0), 0.0, SIGN_PDE)
+        nf = observer_rate(self.STILL, SIGN_PDE, (2, 0), 0.0, (1, 0))
         assert np.allclose(nf, [1.0, 0.0])
-        nf = normal_feedforward((2, 0), 0.0, (1, 0), 0.0, SIGN_OPPOSED)
+        nf = observer_rate(self.STILL, SIGN_OPPOSED, (2, 0), 0.0, (1, 0))
         assert np.allclose(nf, [-1.0, 0.0])
 
     def test_modes_differ_only_in_advection_sign(self):
@@ -61,19 +122,16 @@ class TestNormalFeedforward:
             g = rng.uniform(-3, 3, 2)
             if np.hypot(*g) < 0.1:
                 continue
-            lap, v, k = rng.uniform(-2, 2), rng.uniform(-1, 1, 2), 1.2
-            a = normal_feedforward(g, lap, v, k, SIGN_PDE)
-            b = normal_feedforward(g, lap, v, k, SIGN_OPPOSED)
+            lap, v = rng.uniform(-2, 2), rng.uniform(-1, 1, 2)
+            a = observer_rate(QUIET, SIGN_PDE, g, lap, v)
+            b = observer_rate(QUIET, SIGN_OPPOSED, g, lap, v)
             adv = float(v @ g) / float(g @ g) * g
             assert np.allclose(a - b, 2 * adv, atol=1e-12)
 
-    def test_zero_gradient_raises(self):
-        with pytest.raises(DegenerateGradientError):
-            normal_feedforward((0, 0), 1.0, (1, 0), 1.2, SIGN_PDE)
-
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            normal_feedforward((1, 0), 0.0, (0, 0), 0.0, "bogus")
+        with pytest.raises(ValueError, match="sign convention"):
+            step(init((0, 0)), GAINS, "bogus", (0, 0), (0, 0), (0, 0), 50.0,
+                 (1, 0), 0.0, (0, 0), 0.1, 0.0)
 
 
 class TestObserver:
@@ -113,12 +171,24 @@ class TestObserver:
         assert init((0, 0)).status == G.STATUS_SEEKING
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            step(init((0, 0)), GAINS, SIGN_PDE, (0, 0), (0, 0), (0, 0),
-                 math.nan, (1, 0), 0.0, (0, 0), 0.1, 0.0)
-        with pytest.raises(ValueError):
-            step(init((0, 0)), GAINS, SIGN_PDE, (0, 0), (0, 0), (0, 0), 50.0,
-                 (1, 0), 0.0, (math.nan, 0.0), 0.1, 0.0)
+        ok = dict(x_r=(0.0, 0.0), grad=(1.0, 0.0), v_r=(0.0, 0.0),
+                  c_hat=50.0, lap=0.0)
+
+        def run(**inputs):
+            a = dict(ok, **inputs)
+            step(init((0, 0)), GAINS, SIGN_PDE, a["x_r"], (0, 0), (0, 0),
+                 a["c_hat"], a["grad"], a["lap"], a["v_r"], 0.1, 0.0)
+
+        for name in ok:
+            for bad in (math.nan, math.inf, -math.inf):
+                value = bad if name in ("c_hat", "lap") else (0.0, bad)
+                with pytest.raises(
+                        NonFiniteError,
+                        match=rf"^non-finite observer input {name} at t=0 s$"):
+                    run(**{name: value})
+        # the first bad input in the order x_r, grad, v_r, c_hat, lap
+        with pytest.raises(NonFiniteError, match=" input grad "):
+            run(grad=(math.inf, 0.0), v_r=(math.nan, 0.0), lap=math.nan)
 
     def test_nonfinite_control_raises(self):
         # an observer that has already diverged yields no finite command
@@ -179,12 +249,13 @@ class TestControl:
                                                              rel=1e-15)
 
     def test_tangential_orthogonal_and_normed(self):
+        # on-curve x_r and a still fluid: the patrol is the whole rate
         rng = np.random.default_rng(2)
         for _ in range(200):
             g = rng.uniform(-5, 5, 2)
             if np.hypot(*g) < GAINS.grad_floor:
                 continue
-            tan = tangential(g, 1.5)
+            tan = observer_rate(GAINS, SIGN_PDE, g, 0.0, (0, 0))
             assert abs(float(tan @ g)) < 1e-12 * np.hypot(*g)
             assert np.hypot(*tan) == pytest.approx(1.5, abs=1e-12)
 
