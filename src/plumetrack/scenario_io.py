@@ -229,7 +229,7 @@ def _check_grid_substeps(sc: Scenario, path: str):
     steps = expected_records(sc.duration, sc.control_period) - 1
     if steps * math.ceil(min(per_step, MAX_STEPS + 1)) > MAX_STEPS:
         _fail(path, f"{steps:,} control steps need more than {MAX_STEPS:,} "
-                    f"explicit grid substeps (stable dt {dt:.3g} s)")
+                    f"explicit grid substeps of {dt:.3g} s")
 
 
 def scenario_from_dict(doc: dict, origin: str = "<scenario>") -> Scenario:
