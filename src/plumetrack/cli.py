@@ -83,8 +83,11 @@ def _execute_run(doc: dict, out_dir: Path, origin: str) -> int:
         _atomic_write(out_dir / "metrics.json",
                       json.dumps(stub, indent=2) + "\n")
     if runlog.truncated:
-        log.warning("run left the field domain at t=%.3f; log truncated",
-                    runlog.t[-1] if len(runlog) else 0.0)
+        # printed, like the exit-2 and exit-4 messages, so that it reaches
+        # stderr whatever logging the host has set up
+        t_end = runlog.t[-1] if len(runlog) else 0.0
+        print(f"run left the field domain at t={t_end:.3f}; log truncated",
+              file=sys.stderr)
         return EXIT_TRUNCATED
     return EXIT_OK
 

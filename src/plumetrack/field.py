@@ -17,6 +17,11 @@ scalar turbulent diffusion coefficient k.  Three field models are provided:
   the exact zero-diffusion (k = 0) solution.
 * ``GridField`` - an explicit finite-difference solver (first-order upwind
   advection, 5-point central diffusion) validated against the puff oracle.
+  A step is c + sum_i a_i (c_i - c) over the four neighbours, with scalar
+  weights a_i >= 0 that sum to at most 0.9 within the stable dt, so each
+  new cell is a convex combination of its neighbourhood and stays >= 0.
+  It is computed from neighbour differences without padded copies; a
+  sample gathers every point's 4 x 4 node block at once.
 
 All three share one protocol: ``eval``/``eval_many`` give (c, grad, lap),
 ``advance(t, max_substep)`` returns the field at time t (the analytic
@@ -442,7 +447,7 @@ class GridField:
     def __post_init__(self):
         object.__setattr__(self, "origin",
                            np.asarray(self.origin, dtype=float).reshape(2))
-        c = np.asarray(self.conc, dtype=float)
+        c = np.ascontiguousarray(self.conc, dtype=float)  # step's flat views
         if c.ndim != 2 or min(c.shape) < 3:
             raise ValueError("grid must be 2-D with nx, ny >= 3")
         if self.cell_size <= 0:
@@ -499,22 +504,31 @@ class GridField:
 
     def max_stable_dt(self) -> float:
         """Positivity-preserving bound for one explicit step, including the
-        0.9 safety factor: dt <= 0.9 / ((|vx|+|vy|)/h + 4 k / h^2)."""
+        0.9 safety factor: dt <= 0.9 / ((|vx|+|vy|)/h + 4 k / h^2).  It is
+        0.0 where the bound underflows (h^2 does for h below ~1e-162)."""
         v = self.flow.at(None, self.time)
         h = self.cell_size
-        rate = (abs(v[0]) + abs(v[1])) / h + 4.0 * self.diffusion / (h * h)
+        rate = (abs(v[0]) + abs(v[1])) / h
+        if self.diffusion > 0:
+            rate += 4.0 * self.diffusion / (h * h) if h * h > 0 else math.inf
         if rate == 0.0:
             return math.inf
         return 0.9 / rate
 
-    def _padded(self) -> np.ndarray:
-        mode = "wrap" if self.boundary == "periodic" else "edge"
-        return np.pad(self.conc, 1, mode=mode)
-
     def step(self, dt: float) -> "GridField":
-        """One explicit Euler step: first-order upwind advection plus
-        5-point central diffusion.  Raises StepSizeError beyond the
-        stability bound; the caller is expected to subdivide."""
+        """One explicit Euler step of first-order upwind advection and
+        5-point central diffusion, in difference form:
+
+            new = c + a_w (c_w - c) + a_e (c_e - c) + a_s (c_s - c) + a_n (c_n - c)
+
+        a_w = dt (k/h^2 + max(vx, 0)/h) and a_e = dt (k/h^2 + max(-vx, 0)/h),
+        a_s and a_n likewise with vy.  Every a_i >= 0 and their sum is
+        dt ((|vx| + |vy|)/h + 4 k/h^2) <= 0.9 within ``max_stable_dt``, so a
+        new cell is a convex combination of its 5-cell neighbourhood and
+        never leaves that neighbourhood's range: no negative values.  An
+        outflow ghost's difference is 0; a periodic one is the wrapped row or
+        column.  Raises StepSizeError beyond the stability bound; the caller
+        is expected to subdivide."""
         if dt <= 0:
             raise ValueError("dt must be > 0")
         if dt > self.max_stable_dt() * (1.0 + 1e-12):
@@ -522,14 +536,32 @@ class GridField:
                 f"dt={dt:g} exceeds stable bound {self.max_stable_dt():g}")
         v = self.flow.at(None, self.time)
         h = self.cell_size
-        p = self._padded()
+        kh = self.diffusion / (h * h) if self.diffusion > 0 else 0.0
         c = self.conc
-        west, east = p[:-2, 1:-1], p[2:, 1:-1]
-        south, north = p[1:-1, :-2], p[1:-1, 2:]
-        adv_x = v[0] * ((c - west) if v[0] >= 0 else (east - c)) / h
-        adv_y = v[1] * ((c - south) if v[1] >= 0 else (north - c)) / h
-        lap = (east + west + north + south - 4.0 * c) / (h * h)
-        new = c + dt * (self.diffusion * lap - adv_x - adv_y)
+        new = np.empty_like(c)
+        diff = np.empty_like(c)
+        flat_c, flat_d = c.ravel(), diff.ravel()
+        n, ny = c.size, c.shape[1]
+        col = slice(None)
+        acc = c
+        # weight, neighbour offset in the flat array, the ghost row or
+        # column and the one a periodic ghost wraps to
+        for a, s, edge, wrap in (
+                (dt * (kh + max(v[0], 0.0) / h), -ny, 0, -1),
+                (dt * (kh + max(-v[0], 0.0) / h), ny, -1, 0),
+                (dt * (kh + max(v[1], 0.0) / h), -1, (col, 0), (col, -1)),
+                (dt * (kh + max(-v[1], 0.0) / h), 1, (col, -1), (col, 0))):
+            # flat neighbour differences; the ghost row or column, which
+            # also holds every wrong flat neighbour, is set after
+            lo, hi = max(0, -s), n - max(0, s)
+            np.subtract(flat_c[lo + s:hi + s], flat_c[lo:hi], out=flat_d[lo:hi])
+            if self.boundary == "periodic":
+                np.subtract(c[wrap], c[edge], out=diff[edge])
+            else:
+                diff[edge] = 0.0
+            np.multiply(diff, a, out=diff)
+            np.add(acc, diff, out=new)
+            acc = new
         return replace(self, conc=new, time=self.time + dt)
 
     def advance(self, t_target: float, max_substep: float = math.inf) -> "GridField":
@@ -539,53 +571,50 @@ class GridField:
         while g.time < t_target - 1e-12:
             span = t_target - g.time
             dt_cap = min(g.max_stable_dt(), max_substep)
+            if dt_cap <= 0.0:
+                raise StepSizeError(f"no step fits the bound {dt_cap:g}")
             n = max(1, int(math.ceil(span / dt_cap - 1e-12)))
             g = g.step(span / n)
         return g
 
-    def _node_index(self, x) -> tuple[int, int, float, float]:
-        pt = np.asarray(x, dtype=float).reshape(2)
-        u = (pt - self.origin) / self.cell_size - 0.5
-        i0, j0 = int(math.floor(u[0])), int(math.floor(u[1]))
-        nx, ny = self.conc.shape
-        # bilinear cell plus the central-difference ring must stay inside
-        if i0 < 1 or j0 < 1 or i0 + 1 > nx - 2 or j0 + 1 > ny - 2:
-            raise DomainError(
-                f"sample at {pt.tolist()} too close to the grid boundary")
-        return i0, j0, u[0] - i0, u[1] - j0
-
     def sample(self, x):
-        """(c, grad, lap) at x: bilinear interpolation of the cell values
-        and of nodal central-difference derivative estimates.  Continuous
-        in x within each cell."""
-        i0, j0, fx, fy = self._node_index(x)
-        h = self.cell_size
-        c = self.conc
-        # bilinear weights for nodes (i0, j0), (i0+1, j0), (i0, j0+1), (i0+1, j0+1)
-        w = np.array([(1 - fx) * (1 - fy), fx * (1 - fy),
-                      (1 - fx) * fy, fx * fy])
-        blk = c[i0 - 1:i0 + 3, j0 - 1:j0 + 3]                  # (4, 4) nodes
-        gx = (blk[2:, 1:-1] - blk[:-2, 1:-1]) / (2 * h)        # (2, 2)
-        gy = (blk[1:-1, 2:] - blk[1:-1, :-2]) / (2 * h)
-        lp = (blk[2:, 1:-1] + blk[:-2, 1:-1] + blk[1:-1, 2:]
-              + blk[1:-1, :-2] - 4.0 * blk[1:-1, 1:-1]) / (h * h)
-        corners = np.array([c[i0, j0], c[i0 + 1, j0],
-                            c[i0, j0 + 1], c[i0 + 1, j0 + 1]])
-        val = float(w @ corners)
-        grad = np.array([float(w @ gx.ravel(order="F")),
-                         float(w @ gy.ravel(order="F"))])
-        lap = float(w @ lp.ravel(order="F"))
-        return val, grad, lap
+        """(c, grad, lap) at x; the one-point case of ``eval_many``."""
+        c, g, l = self.eval_many(x, self.time)
+        return float(c[0]), g[0], float(l[0])
 
     def eval_many(self, points, t: float):
+        """(c, grad, lap) at each point: bilinear interpolation of the cell
+        values and of nodal central-difference derivative estimates,
+        continuous in x within each cell.  The points' 4 x 4 node blocks are
+        gathered at once and each bilinear sum is one batched dot product.
+        Raises DomainError for the first point whose cell or difference ring
+        leaves the grid."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        cs, gs, ls = [], [], []
-        for p in pts:
-            c, g, l = self.sample(p)
-            cs.append(c)
-            gs.append(g)
-            ls.append(l)
-        return np.asarray(cs), np.asarray(gs), np.asarray(ls)
+        u = (pts - self.origin) / self.cell_size - 0.5
+        node = np.floor(u)
+        inside = (node >= 1) & (node <= np.array(self.conc.shape) - 3)
+        if not inside.all():
+            pt = pts[np.argmin(inside.all(axis=1))]
+            raise DomainError(
+                f"sample at {pt.tolist()} too close to the grid boundary")
+        fx, fy = (u - node).T
+        # bilinear weights for nodes (i0, j0), (i0+1, j0), (i0, j0+1), (i0+1, j0+1)
+        w = np.stack(((1 - fx) * (1 - fy), fx * (1 - fy),
+                      (1 - fx) * fy, fx * fy), axis=1)
+        ring = np.arange(-1, 3)
+        i = node[:, 0].astype(np.intp)[:, None] + ring
+        j = node[:, 1].astype(np.intp)[:, None] + ring
+        b = self.conc[i[:, None, :], j[:, :, None]]    # b[p, j, i]: (m, 4, 4)
+        h = self.cell_size
+        mid = b[:, 1:-1, 1:-1]
+        east, west = b[:, 1:-1, 2:], b[:, 1:-1, :-2]
+        north, south = b[:, 2:, 1:-1], b[:, :-2, 1:-1]
+        nodal = np.stack((mid, (east - west) / (2 * h),
+                          (north - south) / (2 * h),
+                          (east + west + north + south - 4.0 * mid) / (h * h)),
+                         axis=1).reshape(len(pts), 4, 4, 1)
+        out = (w[:, None, None, :] @ nodal)[:, :, 0, 0]  # (m, c gx gy lap)
+        return out[:, 0], out[:, 1:3], out[:, 3]
 
     def eval(self, x, t: float):
         return self.sample(x)

@@ -216,16 +216,14 @@ def _field(d: dict, path: str, duration: float):
 def _check_grid_substeps(sc: Scenario, path: str):
     """Refuse a grid run that needs more than MAX_STEPS explicit substeps:
     ceil(dt_c / min(physics_substep, stable dt)) per control step, at the
-    stable dt of the fastest flow segment."""
+    stable dt of the fastest flow segment.  A stable dt of 0 (the bound
+    underflowed) is too many."""
     grid = sc.field0
     fastest = max(grid.flow.velocities.tolist(),
                   key=lambda v: abs(v[0]) + abs(v[1]))
-    try:
-        dt = min(sc.physics_substep, replace(
-            grid, flow=FlowField.uniform(fastest)).max_stable_dt())
-        per_step = sc.control_period / dt
-    except ZeroDivisionError:           # the stable dt underflows to 0
-        dt, per_step = 0.0, math.inf
+    dt = min(sc.physics_substep, replace(
+        grid, flow=FlowField.uniform(fastest)).max_stable_dt())
+    per_step = sc.control_period / dt if dt > 0 else math.inf
     steps = expected_records(sc.duration, sc.control_period) - 1
     if steps * math.ceil(min(per_step, MAX_STEPS + 1)) > MAX_STEPS:
         _fail(path, f"{steps:,} control steps need more than {MAX_STEPS:,} "

@@ -343,7 +343,7 @@ class TestExitCodeContract:
     def test_mutated_documents(self, tmp_path, scenarios_dir, capsys):
         # keys dropped, values retyped, non-finite or extreme
         bases = [json.loads(p.read_text())
-                 for p in sorted(scenarios_dir.glob("*.json"))]
+                 for p in sorted(scenarios_dir.glob("*.json"))] + [GRID_ESCAPE]
         rng = np.random.default_rng(2024)
         codes = set()
         for trial in range(600):
@@ -378,6 +378,8 @@ class TestExitCodeContract:
         ("case1", ("field", "start_time"), -1e-300, 0),   # 1e-300 s old puff
         ("grid_escape", ("field", "diffusion"), 1e300, 2),  # ~1e300 substeps
         ("grid_escape", ("field", "cell_size"), 1e-300, 2),  # stable dt 0
+        ("grid_escape", ("vessel", "start_pose", 0), 1e300, 3),  # one line
+        ("grid_escape", ("field", "origin", 1), -1e300, 3),
     ])
     def test_edge_documents(self, tmp_path, scenarios_dir, capsys, name,
                             path, value, code):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,57 @@ STILL = FlowField.uniform((0.0, 0.0))
 def unit_puff():
     # Q = 4 pi, k = 1: peak value exactly 1.0 at age tau = 1
     return GaussianPuff(0.0, (0.0, 0.0), 4.0 * math.pi, 1.0)
+
+
+def padded_step(g, dt):
+    """The grid step as first written: a padded copy, then
+    c + dt (k lap - adv_x - adv_y) with upwind advection."""
+    v = g.flow.at(None, g.time)
+    h = g.cell_size
+    p = np.pad(g.conc, 1, mode="wrap" if g.boundary == "periodic" else "edge")
+    c = g.conc
+    west, east = p[:-2, 1:-1], p[2:, 1:-1]
+    south, north = p[1:-1, :-2], p[1:-1, 2:]
+    adv_x = v[0] * ((c - west) if v[0] >= 0 else (east - c)) / h
+    adv_y = v[1] * ((c - south) if v[1] >= 0 else (north - c)) / h
+    lap = (east + west + north + south - 4.0 * c) / (h * h)
+    return c + dt * (g.diffusion * lap - adv_x - adv_y)
+
+
+def neighbourhoods(conc, boundary):
+    """(5, nx, ny): each cell and its four neighbours, ghosts included."""
+    p = np.pad(conc, 1, mode="wrap" if boundary == "periodic" else "edge")
+    return np.stack((conc, p[:-2, 1:-1], p[2:, 1:-1], p[1:-1, :-2],
+                     p[1:-1, 2:]))
+
+
+def point_sample(g, x):
+    """(c, grad, lap) at one point as first written: the point's 4 x 4
+    node block and 1-D dot products with the bilinear weights."""
+    pt = np.asarray(x, dtype=float).reshape(2)
+    u = (pt - g.origin) / g.cell_size - 0.5
+    i0, j0 = int(math.floor(u[0])), int(math.floor(u[1]))
+    fx, fy = u[0] - i0, u[1] - j0
+    h = g.cell_size
+    c = g.conc
+    w = np.array([(1 - fx) * (1 - fy), fx * (1 - fy),
+                  (1 - fx) * fy, fx * fy])
+    blk = c[i0 - 1:i0 + 3, j0 - 1:j0 + 3]
+    gx = (blk[2:, 1:-1] - blk[:-2, 1:-1]) / (2 * h)
+    gy = (blk[1:-1, 2:] - blk[1:-1, :-2]) / (2 * h)
+    lp = (blk[2:, 1:-1] + blk[:-2, 1:-1] + blk[1:-1, 2:]
+          + blk[1:-1, :-2] - 4.0 * blk[1:-1, 1:-1]) / (h * h)
+    corners = np.array([c[i0, j0], c[i0 + 1, j0],
+                        c[i0, j0 + 1], c[i0 + 1, j0 + 1]])
+    return (float(w @ corners),
+            np.array([float(w @ gx.ravel(order="F")),
+                      float(w @ gy.ravel(order="F"))]),
+            float(w @ lp.ravel(order="F")))
+
+
+# the four flow-sign quadrants, flow along each axis, and still water
+GRID_FLOWS = ((0.6, 0.25), (-0.6, 0.25), (-0.6, -0.25), (0.6, -0.25),
+              (0.7, 0.0), (0.0, -0.7), (0.0, 0.0))
 
 
 class TestPuff:
@@ -340,6 +392,79 @@ class TestGrid:
         from plumetrack.validate import check_grid_vs_puff
         ok, detail = check_grid_vs_puff(shape=(120, 120), advance=0.25)
         assert ok, detail
+
+    @pytest.mark.parametrize("boundary", ["outflow", "periodic"])
+    def test_step_matches_padded_formula(self, boundary):
+        rng = np.random.default_rng(21)
+        for v in GRID_FLOWS:
+            for k in (0.0, 0.4):
+                for shape in ((3, 3), (17, 11), (40, 40)):
+                    conc = rng.uniform(0, 10, shape)
+                    conc[rng.uniform(size=shape) < 0.3] = 0.0
+                    if shape == (17, 11):       # stored column-major
+                        conc = np.asfortranarray(conc)
+                    g = GridField((0.5, -1.0), 0.25, conc, k,
+                                  FlowField.uniform(v), boundary)
+                    dt = min(g.max_stable_dt(), 0.7) * rng.uniform(0.2, 1.0)
+                    err = np.abs(g.step(dt).conc - padded_step(g, dt)).max()
+                    assert err <= 1e-14 * np.abs(conc).max(), (v, k, shape)
+
+    @pytest.mark.parametrize("boundary", ["outflow", "periodic"])
+    def test_step_discrete_maximum_principle(self, boundary):
+        # at the stable bound each new cell is a convex combination of its
+        # 5-cell neighbourhood
+        rng = np.random.default_rng(22)
+        for v in GRID_FLOWS:
+            for k in (0.0, 0.4):
+                conc = rng.uniform(0, 10, (30, 26))
+                conc[rng.uniform(size=conc.shape) < 0.3] = 0.0
+                g = GridField((0.0, 0.0), 0.5, conc, k, FlowField.uniform(v),
+                              boundary)
+                dt = g.max_stable_dt()
+                new = g.step(dt if math.isfinite(dt) else 1.0).conc
+                hood = neighbourhoods(conc, boundary)
+                assert (new >= hood.min(axis=0)).all(), (v, k)
+                assert (new <= hood.max(axis=0)).all(), (v, k)
+
+    def test_stable_dt_underflow_is_zero(self):
+        g = GridField((0, 0), 1e-200, np.ones((4, 4)), 0.1,
+                      FlowField.uniform((0, 0)))
+        assert g.max_stable_dt() == 0.0
+        with pytest.raises(StepSizeError):
+            g.step(1e-300)
+        with pytest.raises(StepSizeError):
+            g.advance(1.0)
+        # without diffusion the bound is the advective one, and finite
+        still = GridField((0, 0), 1e-200, np.ones((4, 4)), 0.0,
+                          FlowField.uniform((0.5, 0.25)))
+        assert still.max_stable_dt() == pytest.approx(1.2e-200, rel=1e-12)
+        idle = GridField((0, 0), 1e-200, np.ones((4, 4)), 0.0, STILL)
+        assert np.array_equal(idle.step(1.0).conc, idle.conc)
+
+    def test_eval_many_bit_equal_to_point_formula(self):
+        rng = np.random.default_rng(23)
+        h, shape = 0.37, np.array([24, 31])
+        g = GridField((-3.0, 2.0), h, rng.uniform(0, 50, shape), 0.2, STILL)
+        # every point whose cell and difference ring lie inside
+        lo = g.origin + 1.5 * h
+        hi = g.origin + (shape - 1.5) * h - 1e-9
+        pts = rng.uniform(lo, hi, (1500, 2))
+        c, grad, lap = g.eval_many(pts, 0.0)
+        ref = [point_sample(g, p) for p in pts]
+        assert np.array_equal(c, [r[0] for r in ref])
+        assert np.array_equal(grad, [r[1] for r in ref])
+        assert np.array_equal(lap, [r[2] for r in ref])
+        for p, r in zip(pts[:20], ref):
+            one = g.sample(p)
+            assert one[0] == r[0] and one[2] == r[2]
+            assert np.array_equal(one[1], r[1])
+
+    def test_eval_many_names_first_point_outside(self):
+        g = self.make_grid(np.ones((10, 10)))
+        pts = [(5.0, 5.0), (4.2, 3.3), (0.6, 5.0), (-3.0, 5.0)]
+        with pytest.raises(DomainError, match=re.escape(
+                "sample at [0.6, 5.0] too close to the grid boundary")):
+            g.eval_many(pts, 0.0)
 
     def test_sample_at_cell_center(self):
         rng = np.random.default_rng(5)

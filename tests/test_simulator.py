@@ -8,11 +8,26 @@ from plumetrack.field import (FlowField, FrozenGaussian, GaussianPuff,
                               GridField, PuffPlume, puff_concentration)
 from plumetrack.guidance import GuidanceGains
 from plumetrack.scenario_io import copy_doc, scenario_from_dict
-from plumetrack.sensing import SensorRig
+from plumetrack.sensing import SensorRig, world_positions
 from plumetrack.simulator import RunLog, Scenario, expected_records, metrics, run
-from plumetrack.vessel import VesselParams
+from plumetrack.vessel import (ActuatorCommand, VesselParams, VesselState,
+                               step as vessel_step)
 
 STILL = FlowField.uniform((0.0, 0.0))
+
+# a blob that advects out of its 16 m grid; the vessel follows it out
+GRID_ESCAPE = {
+    "schema": 1, "name": "grid-escape", "seed": 0, "duration": 30.0,
+    "field": {
+        "type": "grid", "origin": [-8.0, -8.0], "cell_size": 0.5,
+        "shape": [32, 32], "diffusion": 0.05,
+        "boundary": "outflow",
+        "flow": {"type": "uniform", "velocity": [0.5, 0.0]},
+        "init_puff": {"release_time": -40.0, "point": [-20.0, 0.0],
+                      "strength": 1200.0}},
+    "vessel": {"start_pose": [2.0, 0.0, -1.5707963267948966]},
+    "gains": {"c0": 30.0, "k": 0.05, "k1": 5.0, "k2": 11.0, "v_d": 1.0},
+}
 
 
 def short_scenario(duration=5.0, **overrides):
@@ -69,23 +84,28 @@ class TestRun:
         assert np.abs(ref.z[-1] - halved.z[-1]).max() < 1e-3
 
     def test_grid_scenario_runs_and_can_truncate(self):
-        doc = {
-            "schema": 1, "name": "grid-escape", "seed": 0, "duration": 30.0,
-            "field": {
-                "type": "grid", "origin": [-8.0, -8.0], "cell_size": 0.5,
-                "shape": [32, 32], "diffusion": 0.05,
-                "boundary": "outflow",
-                "flow": {"type": "uniform", "velocity": [0.5, 0.0]},
-                "init_puff": {"release_time": -40.0, "point": [-20.0, 0.0],
-                              "strength": 1200.0}},
-            "vessel": {"start_pose": [2.0, 0.0, -1.5707963267948966]},
-            "gains": {"c0": 30.0, "k": 0.05, "k1": 5.0, "k2": 11.0,
-                      "v_d": 1.0},
-        }
-        log = run(scenario_from_dict(doc))
+        log = run(scenario_from_dict(GRID_ESCAPE))
         # the blob advects out of the 16 m box and the vessel follows
         assert log.truncated
         assert len(log) < expected_records(30.0, 0.05)
+
+    def test_grid_truncates_where_a_sensor_first_leaves(self):
+        sc = scenario_from_dict(GRID_ESCAPE)
+        log = run(sc)
+        grid = sc.field0
+
+        def inside(state):
+            # the cell and central-difference ring rule, per sensor
+            u = ((world_positions(sc.rig, state) - grid.origin)
+                 / grid.cell_size - 0.5)
+            node = np.floor(u)
+            return bool(((node >= 1) & (node <= np.array(grid.shape) - 3)).all())
+
+        assert all(inside(VesselState(*pose)) for pose in log.pose)
+        last = VesselState(*log.pose[-1])
+        nxt = vessel_step(last, ActuatorCommand(log.nu[-1], log.omega[-1]),
+                          sc.control_period)
+        assert not inside(nxt)
 
     def test_degenerate_stencil_aborts(self):
         from plumetrack.sensing import DegenerateStencilError
