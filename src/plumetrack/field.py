@@ -604,7 +604,9 @@ class GridField:
         ring = np.arange(-1, 3)
         i = node[:, 0].astype(np.intp)[:, None] + ring
         j = node[:, 1].astype(np.intp)[:, None] + ring
-        b = self.conc[i[:, None, :], j[:, :, None]]    # b[p, j, i]: (m, 4, 4)
+        # b[p, j, i], j first so that a reshape lists each 2 x 2 block in
+        # the weights' node order
+        b = self.conc[i[:, None, :], j[:, :, None]]
         h = self.cell_size
         mid = b[:, 1:-1, 1:-1]
         east, west = b[:, 1:-1, 2:], b[:, 1:-1, :-2]
@@ -613,6 +615,8 @@ class GridField:
                           (north - south) / (2 * h),
                           (east + west + north + south - 4.0 * mid) / (h * h)),
                          axis=1).reshape(len(pts), 4, 4, 1)
+        # a (1, 4) @ (4, 1) product per point and quantity: numpy hands
+        # those to its dot routine, so each sum rounds as a 1-D w @ x does
         out = (w[:, None, None, :] @ nodal)[:, :, 0, 0]  # (m, c gx gy lap)
         return out[:, 0], out[:, 1:3], out[:, 3]
 

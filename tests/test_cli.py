@@ -378,7 +378,7 @@ class TestExitCodeContract:
         ("case1", ("field", "start_time"), -1e-300, 0),   # 1e-300 s old puff
         ("grid_escape", ("field", "diffusion"), 1e300, 2),  # ~1e300 substeps
         ("grid_escape", ("field", "cell_size"), 1e-300, 2),  # stable dt 0
-        ("grid_escape", ("vessel", "start_pose", 0), 1e300, 3),  # one line
+        ("grid_escape", ("vessel", "start_pose", 0), 1e300, 3),  # exits at t=0
         ("grid_escape", ("field", "origin", 1), -1e300, 3),
     ])
     def test_edge_documents(self, tmp_path, scenarios_dir, capsys, name,
