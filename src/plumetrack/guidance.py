@@ -136,25 +136,28 @@ def step(state: GuidanceState, gains: GuidanceGains, mode: str, x_r, z,
                 "lap")[int(np.argmin(finite))]
         raise NonFiniteError(f"non-finite observer input {name} at t={t:g} s")
     norm = float(np.hypot(g[0], g[1]))
-    if norm < gains.grad_floor:
-        u = -gains.k2 * (driven - state.xhat)
-        return GuidanceState(state.xhat, STATUS_DEGENERATE, None,
-                             state.converged), u
-
-    gg = float(g @ g)
-    if mode == SIGN_PDE:
-        speed = (float(v @ g) - gains.k * lap) / gg
+    degenerate = norm < gains.grad_floor
+    if degenerate:
+        xhat = state.xhat
+        u = -gains.k2 * (driven - xhat)
     else:
-        speed = -(float(v @ g) + gains.k * lap) / gg
-    drift = speed * g + gains.v_d * (ROT90 @ g) / norm
-    c_err = c_hat - gains.c0
-    xhat = state.xhat + dt * (
-        drift - gains.k1 * (float(g @ (state.xhat - x_r)) + c_err) * g)
-    u = (drift - gains.k1 * (float(g @ (xhat - x_r)) + c_err) * g
-         - gains.k2 * (driven - xhat))
+        gg = float(g @ g)
+        if mode == SIGN_PDE:
+            speed = (float(v @ g) - gains.k * lap) / gg
+        else:
+            speed = -(float(v @ g) + gains.k * lap) / gg
+        drift = speed * g + gains.v_d * (ROT90 @ g) / norm
+        c_err = c_hat - gains.c0
+        xhat = state.xhat + dt * (
+            drift - gains.k1 * (float(g @ (state.xhat - x_r)) + c_err) * g)
+        u = (drift - gains.k1 * (float(g @ (xhat - x_r)) + c_err) * g
+             - gains.k2 * (driven - xhat))
     if not np.isfinite(u).all():
         raise NonFiniteError(
             f"non-finite planar control {u.tolist()} at t={t:g} s")
+    if degenerate:
+        return GuidanceState(xhat, STATUS_DEGENERATE, None,
+                             state.converged), u
 
     converged = state.converged
     window = state.window_start

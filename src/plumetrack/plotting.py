@@ -37,7 +37,7 @@ def read_log(path) -> dict[str, np.ndarray]:
     """Parse a run-log CSV into column arrays (ctrue NaN where empty)."""
     p = Path(path)
     try:
-        with open(p, newline="") as fh:
+        with open(p, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -48,6 +48,10 @@ def read_log(path) -> dict[str, np.ndarray]:
             rows = list(reader)
     except OSError as exc:
         raise PlotDataError(f"{p}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise PlotDataError(f"{p}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise PlotDataError(f"{p}: {exc}") from None
     if not rows:
         raise PlotDataError(f"{p}: no data rows")
     cols: dict[str, list] = {name: [] for name in CSV_COLUMNS}

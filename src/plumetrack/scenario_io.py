@@ -318,14 +318,18 @@ def load_raw(path) -> dict:
     """Read a scenario JSON document; syntax errors carry line:col."""
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"{p}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise ScenarioError(f"{p}: not UTF-8 text") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{p}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ScenarioError(f"{p}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ScenarioError(f"{p}: top level must be an object")
     return doc

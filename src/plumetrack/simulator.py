@@ -6,10 +6,10 @@ and the head point (the head point gives the ``ctrue`` oracle; a grid
 field has none and is sampled at the sensors only), read the sensors
 through the noise model, reconstruct the local field with the rig's
 estimator, update the level-curve observer, compute the planar control,
-convert it to actuator commands, and integrate the vessel.  A record is
-appended at every control step, so a completed run holds
-floor(duration / dt_c) + 1 records at t = 0, dt_c, ..., and runs are
-bit-reproducible for a given seed.
+convert it to actuator commands, and integrate the vessel.  The log is
+one table preallocated for floor(duration / dt_c) + 1 records at t = 0,
+dt_c, ...; each control step writes one row, a truncated run keeps the
+rows written, and runs are bit-reproducible for a given seed.
 
 A vessel that leaves a grid field's sampling domain truncates the run
 (flagged on the log); a degenerate sensor stencil aborts it at the start
@@ -85,7 +85,8 @@ class Scenario:
 
 @dataclass(frozen=True)
 class RunLog:
-    """Per-control-step time series of one run."""
+    """Per-control-step time series of one run.  A run's arrays are
+    column views of one table in CSV_COLUMNS order (status is a tuple)."""
 
     t: np.ndarray                 # (n,)
     pose: np.ndarray              # (n, 3): x, y, theta
@@ -109,25 +110,15 @@ class RunLog:
     def to_csv(self) -> str:
         """Fixed-column CSV, floats at 9 significant digits, missing
         ctrue as an empty field."""
-        def f(v) -> str:
-            return "%.9g" % v
-
+        floats = np.column_stack((
+            self.t, self.pose, self.z, self.xhat, self.readings, self.chat,
+            self.grad, self.lap, self.u, self.nu, self.omega)).tolist()
+        row = ",".join(["%.9g"] * 20) + ",%s,%s,%s"
         lines = [",".join(CSV_COLUMNS)]
-        for i in range(len(self.t)):
-            row = [f(self.t[i]),
-                   f(self.pose[i, 0]), f(self.pose[i, 1]), f(self.pose[i, 2]),
-                   f(self.z[i, 0]), f(self.z[i, 1]),
-                   f(self.xhat[i, 0]), f(self.xhat[i, 1]),
-                   f(self.readings[i, 0]), f(self.readings[i, 1]),
-                   f(self.readings[i, 2]), f(self.readings[i, 3]),
-                   f(self.chat[i]),
-                   f(self.grad[i, 0]), f(self.grad[i, 1]), f(self.lap[i]),
-                   f(self.u[i, 0]), f(self.u[i, 1]),
-                   f(self.nu[i]), f(self.omega[i]),
-                   "1" if self.sat[i] else "0",
-                   self.status[i],
-                   "" if math.isnan(self.ctrue[i]) else f(self.ctrue[i])]
-            lines.append(",".join(row))
+        for values, sat, status, ctrue in zip(
+                floats, self.sat.tolist(), self.status, self.ctrue.tolist()):
+            lines.append(row % (*values, "1" if sat else "0", status,
+                                "" if math.isnan(ctrue) else "%.9g" % ctrue))
         return "\n".join(lines) + "\n"
 
 
@@ -151,9 +142,9 @@ def run(scenario: Scenario) -> RunLog:
     n_steps = expected_records(sc.duration, sc.control_period) - 1
     dt = sc.control_period
 
-    cols: dict[str, list] = {name: [] for name in (
-        "t", "pose", "z", "xhat", "readings", "chat", "grad", "lap",
-        "u", "nu", "omega", "sat", "status", "ctrue")}
+    # one row per record: the CSV columns but status, in CSV order
+    rows = np.empty((n_steps + 1, len(CSV_COLUMNS) - 1))
+    status = []
     truncated = False
 
     for i in range(n_steps + 1):
@@ -182,41 +173,20 @@ def run(scenario: Scenario) -> RunLog:
                              dt, t)
         cmd, saturated = vessel.to_actuators(u, state.heading, sc.params)
 
-        cols["t"].append(t)
-        cols["pose"].append((state.x, state.y, state.heading))
-        cols["z"].append(z)
-        cols["xhat"].append(g.xhat.copy())
-        cols["readings"].append(readings)
-        cols["chat"].append(est.c_hat)
-        cols["grad"].append(est.grad.copy())
-        cols["lap"].append(est.lap)
-        cols["u"].append(np.asarray(u, dtype=float))
-        cols["nu"].append(cmd.nu)
-        cols["omega"].append(cmd.omega)
-        cols["sat"].append(saturated)
-        cols["status"].append(g.status)
-        cols["ctrue"].append(ctrue)
+        rows[i] = (t, state.x, state.y, state.heading, *z, *g.xhat,
+                   *readings, est.c_hat, *est.grad, est.lap, *u, cmd.nu,
+                   cmd.omega, saturated, ctrue)
+        status.append(g.status)
 
         if i < n_steps:
             state = vessel.step(state, cmd, dt)
 
-    return RunLog(
-        t=np.asarray(cols["t"]),
-        pose=np.asarray(cols["pose"]).reshape(-1, 3),
-        z=np.asarray(cols["z"]).reshape(-1, 2),
-        xhat=np.asarray(cols["xhat"]).reshape(-1, 2),
-        readings=np.asarray(cols["readings"]).reshape(-1, 4),
-        chat=np.asarray(cols["chat"]),
-        grad=np.asarray(cols["grad"]).reshape(-1, 2),
-        lap=np.asarray(cols["lap"]),
-        u=np.asarray(cols["u"]).reshape(-1, 2),
-        nu=np.asarray(cols["nu"]),
-        omega=np.asarray(cols["omega"]),
-        sat=np.asarray(cols["sat"], dtype=bool),
-        status=tuple(cols["status"]),
-        ctrue=np.asarray(cols["ctrue"]),
-        truncated=truncated,
-    )
+    rows = rows[:len(status)]
+    return RunLog(t=rows[:, 0], pose=rows[:, 1:4], z=rows[:, 4:6],
+                  xhat=rows[:, 6:8], readings=rows[:, 8:12], chat=rows[:, 12],
+                  grad=rows[:, 13:15], lap=rows[:, 15], u=rows[:, 16:18],
+                  nu=rows[:, 18], omega=rows[:, 19], sat=rows[:, 20] != 0,
+                  status=tuple(status), ctrue=rows[:, 21], truncated=truncated)
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,55 @@ class TestExitCodeContract:
         node[path[-1]] = value
         assert self.run_doc(tmp_path, capsys, doc) == code
 
+    def test_degenerate_control_overflow_exits_4(self, tmp_path,
+                                                 scenarios_dir, capsys):
+        # every step is degenerate, and the pull -k2 (z - x_hat) on the
+        # 4 m head offset overflows at t = 0
+        doc = json.loads((scenarios_dir / "pure_advection.json").read_text())
+        doc["duration"] = 1.0
+        doc["gains"].update(k2=1e308, grad_floor=1e300)
+        doc["vessel"]["offset"] = 4.0
+        assert self.run_doc(tmp_path, capsys, doc) == 4
+
+
+class TestUndecodableInput:
+    """Files that are not UTF-8 JSON or CSV are input errors: exit 2 with
+    one stderr line naming the file."""
+
+    @staticmethod
+    def run_main(capsys, *argv):
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1, err
+        return code, err
+
+    def test_scenario_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "bom.json"
+        p.write_bytes(b"\xff\xfe{}")
+        code, err = self.run_main(capsys, "run", str(p), "--out",
+                                  str(tmp_path / "o"))
+        assert code == 2
+        assert f"{p}: not UTF-8 text" in err
+
+    def test_scenario_nested_too_deeply(self, tmp_path, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 200_000)
+        code, err = self.run_main(capsys, "run", str(p), "--out",
+                                  str(tmp_path / "o"))
+        assert code == 2
+        assert f"{p}: JSON nested too deeply" in err
+
+    def test_plot_log_not_utf8(self, tmp_path, capsys):
+        from plumetrack.simulator import CSV_COLUMNS
+        p = tmp_path / "log.csv"
+        p.write_bytes(",".join(CSV_COLUMNS).encode() + b"\n\xff\xfe\n")
+        code, err = self.run_main(capsys, "plot", "--kind", "trajectory-xy",
+                                  "--log", str(p), "--out",
+                                  str(tmp_path / "x.svg"))
+        assert code == 2
+        assert f"{p}: not UTF-8 text" in err
+
 
 class TestLoggingContract:
     def test_diagnostics_on_stderr_only(self, tmp_path):

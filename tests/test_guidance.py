@@ -198,6 +198,14 @@ class TestObserver:
             step(g, GAINS, SIGN_PDE, (0, 0), (0, 0), (0, 0), 50.0, (1, 0),
                  0.0, (0, 0), 0.1, 0.0)
 
+    def test_nonfinite_degenerate_control_raises(self):
+        # the degenerate branch's pull -k2 (driven - x_hat) overflows too
+        gains = GuidanceGains(c0=50.0, k=1.2, k1=5.0, k2=1e308, v_d=1.5)
+        with pytest.raises(NonFiniteError, match="control"), \
+                np.errstate(over="ignore"):
+            step(init((0, 0)), gains, SIGN_PDE, (0, 0), (2, 0), (2, 0), 50.0,
+                 (0, 0), 0.0, (0, 0), 0.1, 0.0)
+
     def test_control_uses_updated_estimate(self):
         # x_hat moves to (-0.5, 0) first; the correction and the pull then
         # act on it: u = -5 * 0.5 * (1, 0) - 11 * (0.5, 0) = (-8, 0).  The

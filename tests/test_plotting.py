@@ -52,6 +52,15 @@ def test_read_log_bad_header(tmp_path):
         read_log(p)
 
 
+def test_read_log_oversized_field(tmp_path, logfile):
+    # the csv module refuses a field over its 128 KiB limit
+    p = tmp_path / "huge.csv"
+    lines = logfile.read_text().splitlines()
+    p.write_text("\n".join([lines[0], "1" * 200_000]) + "\n")
+    with pytest.raises(PlotDataError, match="field larger than field limit"):
+        read_log(p)
+
+
 def test_read_log_ragged_row(tmp_path, logfile):
     p = tmp_path / "ragged.csv"
     lines = logfile.read_text().splitlines()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,10 +9,13 @@ from plumetrack.field import (FlowField, FrozenGaussian, GaussianPuff,
                               GridField, PuffPlume, puff_concentration)
 from plumetrack.guidance import GuidanceGains
 from plumetrack.scenario_io import copy_doc, scenario_from_dict
-from plumetrack.sensing import SensorRig, world_positions
-from plumetrack.simulator import RunLog, Scenario, expected_records, metrics, run
+from plumetrack.sensing import (NoiseModel, RigEstimator, SensorRig,
+                                world_positions)
+from plumetrack.simulator import (CSV_COLUMNS, RunLog, Scenario,
+                                  expected_records, metrics, run)
 from plumetrack.vessel import (ActuatorCommand, VesselParams, VesselState,
-                               step as vessel_step)
+                               head_point, step as vessel_step,
+                               to_actuators)
 
 STILL = FlowField.uniform((0.0, 0.0))
 
@@ -88,6 +92,15 @@ class TestRun:
         # the blob advects out of the 16 m box and the vessel follows
         assert log.truncated
         assert len(log) < expected_records(30.0, 0.05)
+        # no unwritten row of the preallocated table leaks into the log
+        n = len(log)
+        for field in dataclasses.fields(RunLog):
+            value = getattr(log, field.name)
+            if field.name != "truncated":
+                assert len(value) == n, field.name
+            if field.name not in ("truncated", "status", "ctrue"):
+                assert np.isfinite(value).all(), field.name
+        assert np.array_equal(log.t, np.arange(n) * 0.05)
 
     def test_grid_truncates_where_a_sensor_first_leaves(self):
         sc = scenario_from_dict(GRID_ESCAPE)
@@ -106,6 +119,42 @@ class TestRun:
         nxt = vessel_step(last, ActuatorCommand(log.nu[-1], log.omega[-1]),
                           sc.control_period)
         assert not inside(nxt)
+
+    def test_log_columns_replay_the_loop(self):
+        # each logged column is recomputed from the others by the layer
+        # that produced it, so a column in the wrong place fails
+        sc = short_scenario(duration=2.0, field0=FrozenGaussian(
+            60.0, 18.0, (0.0, 0.0), FlowField.uniform((0.1, 0.05))))
+        log = run(sc)
+        noise = NoiseModel(sigma=0.0, floor=sc.noise_floor,
+                           range_max=sc.noise_range_max, seed=0)
+        estimator = RigEstimator.for_rig(sc.rig)
+        assert np.array_equal(log.t, np.arange(len(log)) * 0.05)
+        g = G.init(log.pose[0, :2])
+        for i, t in enumerate(log.t):
+            state = VesselState(*log.pose[i])
+            z = head_point(state, sc.params.offset)
+            assert np.array_equal(log.z[i], z)
+            c, _, _ = sc.field0.eval_many(
+                np.vstack((world_positions(sc.rig, state), z)), t)
+            assert np.array_equal(log.readings[i], noise.read(c[:4]))
+            assert log.ctrue[i] == c[4]
+            est = estimator.estimate(log.readings[i], state.heading)
+            assert (log.chat[i], log.lap[i]) == (est.c_hat, est.lap)
+            assert np.array_equal(log.grad[i], est.grad)
+            g, u = G.step(g, sc.gains, sc.sign_convention, state.position, z,
+                          z, est.c_hat, est.grad, est.lap,
+                          sc.field0.flow.at(state.position, t), 0.05, t)
+            assert np.array_equal(log.xhat[i], g.xhat)
+            assert np.array_equal(log.u[i], u)
+            assert log.status[i] == g.status
+            cmd, saturated = to_actuators(u, state.heading, sc.params)
+            assert (log.nu[i], log.omega[i], log.sat[i]) == \
+                (cmd.nu, cmd.omega, saturated)
+            if i + 1 < len(log):
+                nxt = vessel_step(state, cmd, 0.05)
+                assert tuple(log.pose[i + 1]) == (nxt.x, nxt.y, nxt.heading)
+        assert {G.STATUS_SEEKING, G.STATUS_TRACKING} <= set(log.status)
 
     def test_degenerate_stencil_aborts(self):
         from plumetrack.sensing import DegenerateStencilError
@@ -167,6 +216,75 @@ def synthetic_log(z, dt=0.05, c0=50.0, status="tracking"):
         u=np.zeros((n, 2)), nu=zeros, omega=zeros,
         sat=np.zeros(n, dtype=bool), status=tuple([status] * n),
         ctrue=np.full(n, c0))
+
+
+def reference_csv(log: RunLog) -> str:
+    """RunLog.to_csv's format written out cell by cell."""
+    def f(v) -> str:
+        return "%.9g" % v
+
+    lines = [",".join(CSV_COLUMNS)]
+    for i in range(len(log.t)):
+        row = [f(log.t[i]),
+               f(log.pose[i, 0]), f(log.pose[i, 1]), f(log.pose[i, 2]),
+               f(log.z[i, 0]), f(log.z[i, 1]),
+               f(log.xhat[i, 0]), f(log.xhat[i, 1]),
+               f(log.readings[i, 0]), f(log.readings[i, 1]),
+               f(log.readings[i, 2]), f(log.readings[i, 3]),
+               f(log.chat[i]),
+               f(log.grad[i, 0]), f(log.grad[i, 1]), f(log.lap[i]),
+               f(log.u[i, 0]), f(log.u[i, 1]),
+               f(log.nu[i]), f(log.omega[i]),
+               "1" if log.sat[i] else "0",
+               log.status[i],
+               "" if math.isnan(log.ctrue[i]) else f(log.ctrue[i])]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsv:
+    SPECIALS = (-0.0, 0.0, 1e76, -1e76, 1e-300, -1e-300, 1.0 / 3.0,
+                123456789.123, -2.5e-7)
+    STATUSES = (G.STATUS_SEEKING, G.STATUS_TRACKING, G.STATUS_DEGENERATE)
+
+    def test_matches_cell_by_cell_reference(self):
+        rng = np.random.default_rng(11)
+        n = 300
+
+        def draw(*shape):
+            v = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+            special = rng.random(shape) < 0.3
+            v[special] = rng.choice(self.SPECIALS, int(special.sum()))
+            return v
+
+        ctrue = draw(n)
+        ctrue[rng.random(n) < 0.3] = math.nan
+        log = dataclasses.replace(
+            synthetic_log(draw(n, 2)), t=draw(n), pose=draw(n, 3),
+            xhat=draw(n, 2), readings=draw(n, 4), chat=draw(n),
+            grad=draw(n, 2), lap=draw(n), u=draw(n, 2), nu=draw(n),
+            omega=draw(n), sat=rng.random(n) < 0.5,
+            status=tuple(self.STATUSES[j] for j in rng.integers(3, size=n)),
+            ctrue=ctrue)
+        assert set(log.status) == set(self.STATUSES)
+        assert log.sat.any() and not log.sat.all()
+        text = log.to_csv()
+        assert text == reference_csv(log)
+        for cell in (",-0,", "1e+76", "-1e+76", "1e-300", ",\n"):
+            assert cell in text
+
+    def test_run_logs_match_reference(self):
+        logs = (run(short_scenario(duration=2.0, noise_sigma=2.0, seed=3)),
+                run(scenario_from_dict(dict(GRID_ESCAPE, duration=2.0))),
+                run(scenario_from_dict(GRID_ESCAPE)))
+        assert logs[2].truncated
+        for log in logs:
+            assert log.to_csv() == reference_csv(log)
+
+    def test_zero_rows_is_header_only(self):
+        log = synthetic_log(np.zeros((0, 2)))
+        assert log.to_csv() == reference_csv(log) == \
+            ",".join(CSV_COLUMNS) + "\n"
 
 
 class TestMetrics:
