@@ -10,7 +10,7 @@ biased divergence.  Run from the repo root:
 
 import numpy as np
 
-from plumetrack.sensing import SensorRig, SensorSample, estimate
+from plumetrack.sensing import SensorRig, estimate
 
 g_true = np.array([2.0, -1.5])
 H_true = np.array([[3.0, 0.4], [0.4, 1.0]])     # trace 4.0
@@ -23,7 +23,7 @@ def readings_for(rig):
 
 for name, rig in (("cross d=0.75", SensorRig.cross(0.75)),
                   ("uneven cross 0.75/0.45", SensorRig.uneven_cross())):
-    est = estimate(SensorSample(rig.offsets, readings_for(rig), 0.0))
+    est = estimate(rig.offsets, readings_for(rig))
     print(f"{name}:")
     print(f"  gradient estimate {est.grad}  (true {g_true})")
     print(f"  divergence estimate {est.lap:+.3f}  (true {np.trace(H_true):g})")
@@ -31,7 +31,6 @@ for name, rig in (("cross d=0.75", SensorRig.cross(0.75)),
 print("\nnoise does not leak into the cross rig's divergence either:")
 rng = np.random.default_rng(0)
 rig = SensorRig.cross(0.75)
-worst = max(abs(estimate(SensorSample(rig.offsets,
-                                      rng.uniform(0, 100, 4), 0.0)).lap)
+worst = max(abs(estimate(rig.offsets, rng.uniform(0, 100, 4)).lap)
             for _ in range(200))
 print(f"  max |divergence| over 200 random reading vectors: {worst:.2e}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import plotting, simulator, validate as validation
 from .guidance import NonFiniteError
-from .scenario_io import (ScenarioError, copy_doc, load_raw, load_scenario,
+from .scenario_io import (ScenarioError, load_raw, load_scenario,
                           parse_sweep_value, scenario_from_dict, set_path)
 from .sensing import DegenerateStencilError
 
@@ -52,18 +52,15 @@ def _json_value(v):
     return float(v)
 
 
-def _metrics_json(m: simulator.RunMetrics) -> str:
-    d = {k: _json_value(v) for k, v in dataclasses.asdict(m).items()}
-    return json.dumps(d, indent=2) + "\n"
-
-
 # A diverging observer or a degenerate field value turns non-finite on its
 # way to the control, which guidance reports as one error, and a metric of
-# such a run may overflow; numpy stays quiet.
+# such a run may overflow; extreme documents overflow while they are
+# validated.  numpy stays quiet in validation and run alike.
 @np.errstate(all="ignore")
-def _execute_run(doc: dict, out_dir: Path, origin: str) -> int:
-    """Run one validated scenario document and write log/metrics."""
-    scenario = scenario_from_dict(doc, origin=origin)
+def _execute_run(scenario: simulator.Scenario,
+                 out_dir: Path) -> tuple[int, dict]:
+    """Run one scenario and write log/metrics.  Returns the exit code and
+    the dict written to metrics.json ({} when the run aborts)."""
     log.info("running scenario %s (seed %d, %.0f s at dt=%g)",
              scenario.name, scenario.seed, scenario.duration,
              scenario.control_period)
@@ -71,45 +68,38 @@ def _execute_run(doc: dict, out_dir: Path, origin: str) -> int:
         runlog = simulator.run(scenario)
     except (DegenerateStencilError, NonFiniteError) as exc:
         print(f"error: numerical abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_NUMERIC, {}
     log.info("run complete: %d records%s", len(runlog),
              " (truncated)" if runlog.truncated else "")
     _atomic_write(out_dir / "log.csv", runlog.to_csv())
     if len(runlog) >= 2:
-        m = simulator.metrics(runlog, scenario)
-        _atomic_write(out_dir / "metrics.json", _metrics_json(m))
+        m = dataclasses.asdict(simulator.metrics(runlog, scenario))
+        m = {k: _json_value(v) for k, v in m.items()}
     else:
-        stub = {"truncated": True, "seed": scenario.seed}
-        _atomic_write(out_dir / "metrics.json",
-                      json.dumps(stub, indent=2) + "\n")
+        m = {"truncated": True, "seed": scenario.seed}
+    _atomic_write(out_dir / "metrics.json", json.dumps(m, indent=2) + "\n")
     if runlog.truncated:
         # printed, like the exit-2 and exit-4 messages, so that it reaches
         # stderr whatever logging the host has set up
         t_end = runlog.t[-1] if len(runlog) else 0.0
         print(f"run left the field domain at t={t_end:.3f}; log truncated",
               file=sys.stderr)
-        return EXIT_TRUNCATED
-    return EXIT_OK
+        return EXIT_TRUNCATED, m
+    return EXIT_OK, m
 
 
+@np.errstate(all="ignore")
 def cmd_run(args) -> int:
     doc = load_raw(args.scenario)
     if args.seed is not None:
         doc["seed"] = args.seed
-    return _execute_run(doc, Path(args.out), origin=str(args.scenario))
+    scenario = scenario_from_dict(doc, origin=str(args.scenario))
+    return _execute_run(scenario, Path(args.out))[0]
 
 
-def _sweep_worker(payload):
-    """Executed in a worker process; returns (index, exit_code, metrics)."""
-    index, doc, out_dir = payload
-    code = _execute_run(doc, Path(out_dir), origin=f"run{index:03d}")
-    metrics_path = Path(out_dir) / "metrics.json"
-    m = json.loads(metrics_path.read_text()) if metrics_path.exists() else {}
-    return index, code, m
-
-
+@np.errstate(all="ignore")
 def cmd_sweep(args) -> int:
-    base = load_raw(args.scenario)
+    doc = load_raw(args.scenario)
     axes = []
     for setting in args.set or []:
         if "=" not in setting:
@@ -124,30 +114,25 @@ def cmd_sweep(args) -> int:
 
     combos = list(itertools.product(*[vals for _, vals in axes]))
     out_root = Path(args.out)
-    jobs = []
+    scenarios, out_dirs = [], []
     for index, combo in enumerate(combos):
-        doc = copy_doc(base)
+        # every combination sets every key, so nothing carries over
         for (key, _), value in zip(axes, combo):
             set_path(doc, key, value)
         # validate every combination up front so bad paths fail fast
-        scenario_from_dict(doc, origin=f"run{index:03d}")
-        jobs.append((index, doc, str(out_root / f"run{index:03d}")))
+        scenarios.append(scenario_from_dict(doc, origin=f"run{index:03d}"))
+        out_dirs.append(out_root / f"run{index:03d}")
 
-    results: dict[int, tuple[int, dict]] = {}
     if args.jobs <= 1:
-        for payload in jobs:
-            index, code, m = _sweep_worker(payload)
-            results[index] = (code, m)
+        results = list(map(_execute_run, scenarios, out_dirs))
     else:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for index, code, m in pool.map(_sweep_worker, jobs):
-                results[index] = (code, m)
+            results = list(pool.map(_execute_run, scenarios, out_dirs))
 
     metric_keys = [f.name for f in dataclasses.fields(simulator.RunMetrics)]
     header = ["run"] + [key for key, _ in axes] + metric_keys + ["exit_code"]
     lines = [",".join(header)]
-    for index, combo in enumerate(combos):
-        code, m = results[index]
+    for index, (combo, (code, m)) in enumerate(zip(combos, results)):
         cells = [f"run{index:03d}"]
         cells += [str(v) for v in combo]
         for key in metric_keys:
@@ -164,7 +149,7 @@ def cmd_sweep(args) -> int:
         lines.append(",".join(cells))
     _atomic_write(out_root / "sweep_summary.csv", "\n".join(lines) + "\n")
 
-    codes = [results[i][0] for i in range(len(combos))]
+    codes = [code for code, _ in results]
     if EXIT_NUMERIC in codes:
         return EXIT_NUMERIC
     if EXIT_TRUNCATED in codes:

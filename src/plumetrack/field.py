@@ -23,9 +23,11 @@ scalar turbulent diffusion coefficient k.  Three field models are provided:
   It is computed from neighbour differences without padded copies; a
   sample gathers every point's 4 x 4 node block at once.
 
-All three share one protocol: ``eval``/``eval_many`` give (c, grad, lap),
-``advance(t, max_substep)`` returns the field at time t (the analytic
-fields return themselves), ``centroid(t)`` is the plume centre, and
+All three share one protocol: ``eval_many(points, t)`` is the only
+sampling call and gives (c, grad, lap) at every point (a ``GridField``
+samples itself at its own ``time`` and ignores t), ``advance(t,
+max_substep)`` returns the field at time t (the analytic fields return
+themselves), ``centroid(t)`` is the plume centre, and
 ``level_set_radius(c0, t)`` is the radius of a circular c = c0 curve or
 raises ``ValueError`` where there is no closed form.
 
@@ -108,9 +110,9 @@ class FlowField:
         return cls(np.asarray(velocities, dtype=float),
                    np.asarray(boundaries, dtype=float))
 
-    def at(self, x, t: float) -> np.ndarray:
-        """Flow velocity at position x and time t (x is ignored; the flow
-        is spatially uniform by construction)."""
+    def at(self, t: float) -> np.ndarray:
+        """Flow velocity at time t, everywhere: the flow is spatially
+        uniform by construction."""
         i = int(np.searchsorted(self.boundaries, t, side="right"))
         return self.velocities[i].copy()
 
@@ -122,7 +124,7 @@ class FlowField:
         first; under a uniform flow exactly v * (t1 - t0).
         """
         t0 = np.asarray(t0, dtype=float)
-        disp = np.multiply.outer(self.at(None, t1), t1 - t0)
+        disp = np.multiply.outer(self.at(t1), t1 - t0)
         for i, b in enumerate(self.boundaries):
             if b <= t1:
                 jump = self.velocities[i + 1] - self.velocities[i]
@@ -288,10 +290,6 @@ class PuffPlume:
 
     has_analytic_truth = True
 
-    def _released(self, t: float):
-        """(release_times, points (2, n), strengths) of puffs with t0 < t."""
-        return self._table.released(t)
-
     def eval_many(self, points, t: float):
         """Concentration, gradient, Laplacian at several points.
 
@@ -307,7 +305,7 @@ class PuffPlume:
         in table order.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        t0s, origins, qs = self._released(t)
+        t0s, origins, qs = self._table.released(t)
         tau = t - t0s                                     # (n,)
         kt = self.diffusion * tau
         peak = qs / (4.0 * math.pi * kt)
@@ -332,15 +330,10 @@ class PuffPlume:
         lap = lap_terms.sum(axis=1)
         return c, grad, lap
 
-    def eval(self, x, t: float):
-        """(c, grad, lap) at a single point."""
-        c, g, l = self.eval_many(np.asarray(x, dtype=float)[None, :], t)
-        return float(c[0]), g[0], float(l[0])
-
     def centroid(self, t: float) -> np.ndarray:
         """Advected position of the strongest released puff (the mound
         center for seeded plumes, the source trail head otherwise)."""
-        t0s, origins, qs = self._released(t)
+        t0s, origins, qs = self._table.released(t)
         if t0s.size == 0:
             return self.source.copy()
         i = int(np.argmax(qs))
@@ -418,10 +411,6 @@ class FrozenGaussian:
         lap = c * (r2 / (s2 * s2) - 2.0 / s2)
         return c, grad, lap
 
-    def eval(self, x, t: float):
-        c, g, l = self.eval_many(np.asarray(x, dtype=float)[None, :], t)
-        return float(c[0]), g[0], float(l[0])
-
 
 # ---------------------------------------------------------------------------
 # finite-difference grid field
@@ -474,6 +463,9 @@ class GridField:
         ctr = puff.center(flow, t)
         tau = t - puff.release_time
         four_kt = 4.0 * puff.diffusion * tau
+        if four_kt == 0.0:
+            raise ValueError(f"4 k tau underflows to 0 (k={puff.diffusion:g}, "
+                             f"tau={tau:g})")
         r2 = (xs[:, None] - ctr[0]) ** 2 + (ys[None, :] - ctr[1]) ** 2
         conc = puff.strength / (math.pi * four_kt) * np.exp(-r2 / four_kt)
         return cls(np.asarray(origin, float), cell_size, conc,
@@ -506,7 +498,7 @@ class GridField:
         """Positivity-preserving bound for one explicit step, including the
         0.9 safety factor: dt <= 0.9 / ((|vx|+|vy|)/h + 4 k / h^2).  It is
         0.0 where the bound underflows (h^2 does for h below ~1e-162)."""
-        v = self.flow.at(None, self.time)
+        v = self.flow.at(self.time)
         h = self.cell_size
         rate = (abs(v[0]) + abs(v[1])) / h
         if self.diffusion > 0:
@@ -534,7 +526,7 @@ class GridField:
         if dt > self.max_stable_dt() * (1.0 + 1e-12):
             raise StepSizeError(
                 f"dt={dt:g} exceeds stable bound {self.max_stable_dt():g}")
-        v = self.flow.at(None, self.time)
+        v = self.flow.at(self.time)
         h = self.cell_size
         kh = self.diffusion / (h * h) if self.diffusion > 0 else 0.0
         c = self.conc
@@ -577,13 +569,9 @@ class GridField:
             g = g.step(span / n)
         return g
 
-    def sample(self, x):
-        """(c, grad, lap) at x; the one-point case of ``eval_many``."""
-        c, g, l = self.eval_many(x, self.time)
-        return float(c[0]), g[0], float(l[0])
-
     def eval_many(self, points, t: float):
-        """(c, grad, lap) at each point: bilinear interpolation of the cell
+        """(c, grad, lap) at each point at ``self.time``; t is ignored, the
+        caller advances the grid first.  Bilinear interpolation of the cell
         values and of nodal central-difference derivative estimates,
         continuous in x within each cell.  The points' 4 x 4 node blocks are
         gathered at once and each bilinear sum is one batched dot product.
@@ -619,7 +607,3 @@ class GridField:
         # those to its dot routine, so each sum rounds as a 1-D w @ x does
         out = (w[:, None, None, :] @ nodal)[:, :, 0, 0]  # (m, c gx gy lap)
         return out[:, 0], out[:, 1:3], out[:, 3]
-
-    def eval(self, x, t: float):
-        return self.sample(x)
-

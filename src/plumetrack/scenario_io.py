@@ -30,7 +30,6 @@ Top-level layout (see ``scenarios/`` for complete examples)::
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from contextlib import contextmanager
@@ -370,7 +369,3 @@ def parse_sweep_value(text: str):
         return float(text)
     except ValueError:
         return text
-
-
-def copy_doc(doc: dict) -> dict:
-    return copy.deepcopy(doc)

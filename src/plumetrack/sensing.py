@@ -19,12 +19,13 @@ readings.  An unequal-arm cross gives a nonzero but biased trace; four
 mean-referenced samples leave 3 observations for 5 unknowns, so the trace
 is never faithfully determined.  The tests pin both behaviors down.
 
-``estimate`` solves this for any positions and is the reference.  A run
-uses ``RigEstimator`` instead: the rig's world-frame design matrix is the
-body-frame one times an orthogonal rotation factor, so pinv(B_body) and
-the condition number of B B^T are computed once, when the run starts (a
-degenerate rig raises ``DegenerateStencilError`` there), and each step is
-one 6 x 4 product and a rotation of the gradient.
+``estimate(positions, readings)`` solves this for any four sensor
+positions and is the reference.  A run uses ``RigEstimator`` instead: the
+rig's world-frame design matrix is the body-frame one times an orthogonal
+rotation factor, so pinv(B_body) and the condition number of B B^T are
+computed once, when the run starts (a degenerate rig raises
+``DegenerateStencilError`` there), and each step is one 6 x 4 product and
+a rotation of the gradient.
 """
 
 from __future__ import annotations
@@ -117,15 +118,6 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class SensorSample:
-    """World positions and processed readings of one synchronized sample."""
-
-    positions: np.ndarray            # (4, 2)
-    readings: np.ndarray             # (4,)
-    t: float
-
-
-@dataclass(frozen=True)
 class StencilEstimate:
     """Reconstructed local field quantities at the stencil center."""
 
@@ -133,7 +125,6 @@ class StencilEstimate:
     grad: np.ndarray                 # (2,), ppb/m
     lap: float                       # ppb/m^2, Hessian trace estimate
     hessian_vec: np.ndarray          # (4,), [H11, H12, H21, H22]
-    condition: float                 # cond(B B^T) diagnostic
 
 
 def world_positions(rig: SensorRig, state: VesselState) -> np.ndarray:
@@ -162,24 +153,25 @@ def design_matrix(positions) -> tuple[np.ndarray, np.ndarray]:
     return np.hstack([d, quad]), x_r
 
 
-def estimate(samp: SensorSample) -> StencilEstimate:
-    """Minimum-norm Taylor reconstruction of (c, grad, trace H).
+def estimate(positions, readings) -> StencilEstimate:
+    """Minimum-norm Taylor reconstruction of (c, grad, trace H) from the
+    readings (4,) of sensors at world ``positions`` (4, 2).
 
-    Solved with an SVD least squares rather than the explicit
-    B^T (B B^T)^-1 product; the two agree to ~1e-10 on well-conditioned
-    rigs (tested) and the SVD route stays stable near degeneracy.
+    Raises DegenerateStencilError beyond CONDITION_LIMIT.  Solved with an
+    SVD least squares rather than the explicit B^T (B B^T)^-1 product; the
+    two agree to ~1e-10 on well-conditioned rigs (tested) and the SVD route
+    stays stable near degeneracy.
     """
-    B, _ = design_matrix(samp.positions)
-    condition = _condition(B)
-    c_hat = float(samp.readings.mean())
-    y = samp.readings - c_hat
+    B, _ = design_matrix(positions)
+    _condition(B)
+    c_hat = float(readings.mean())
+    y = readings - c_hat
     gamma, *_ = np.linalg.lstsq(B, y, rcond=None)
     return StencilEstimate(
         c_hat=c_hat,
         grad=gamma[:2].copy(),
         lap=float(gamma[2] + gamma[5]),
         hessian_vec=gamma[2:].copy(),
-        condition=condition,
     )
 
 
@@ -214,5 +206,4 @@ class RigEstimator:
             grad=rot @ gamma[:2],
             lap=float(gamma[2] + gamma[5]),
             hessian_vec=hess.ravel(),
-            condition=self.condition,
         )

@@ -164,7 +164,7 @@ def run(scenario: Scenario) -> RunLog:
             ctrue = math.nan
         readings = noise.read(c[:4])
         est = estimator.estimate(readings, state.heading)
-        v_r = fieldmodel.flow.at(state.position, t)
+        v_r = fieldmodel.flow.at(t)
         if sc.flow_noise_sigma > 0:
             v_r = v_r + sc.flow_noise_sigma * flow_rng.standard_normal(2)
         driven = z if sc.tracked_point == "head" else state.position

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from plumetrack.cli import main
-from plumetrack.simulator import expected_records
+from plumetrack.simulator import RunMetrics, expected_records
 
 SHORT_SCENARIO = {
     "schema": 1,
@@ -37,6 +38,11 @@ GRID_ESCAPE = {
     "gains": {"c0": 30.0, "k": 0.05, "k1": 5.0, "k2": 11.0, "v_d": 1.0},
 }
 
+# GRID_ESCAPE with k so small that 4 k tau underflows to 0 for a puff
+# released 1e-300 s before t = 0
+GRID_TINY_K = dict(GRID_ESCAPE, field=dict(GRID_ESCAPE["field"],
+                                           diffusion=1e-300))
+
 
 def write_scenario(tmp_path: Path, doc: dict, name="sc.json") -> Path:
     p = tmp_path / name
@@ -47,6 +53,30 @@ def write_scenario(tmp_path: Path, doc: dict, name="sc.json") -> Path:
 def cli(*args) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "plumetrack.cli", *args],
                           capture_output=True, text=True)
+
+
+def summary_rows(out: Path) -> list[dict]:
+    """The rows of a sweep's summary, each checked against its member's
+    metrics.json: "" for null or a missing file, 1/0 for bools and %.9g
+    for floats."""
+    header, *rows = [r.split(",") for r in
+                     (out / "sweep_summary.csv").read_text().splitlines()]
+    rows = [dict(zip(header, r)) for r in rows]
+    for row in rows:
+        path = out / row["run"] / "metrics.json"
+        m = json.loads(path.read_text()) if path.exists() else {}
+        for f in dataclasses.fields(RunMetrics):
+            v = m.get(f.name)
+            if v is None:
+                want = ""
+            elif isinstance(v, bool):
+                want = "1" if v else "0"
+            elif isinstance(v, float):
+                want = "%.9g" % v
+            else:
+                want = str(v)
+            assert row[f.name] == want, (row["run"], f.name)
+    return rows
 
 
 class TestRunCommand:
@@ -192,6 +222,7 @@ class TestSweepCommand:
         assert a.returncode == 0 and b.returncode == 0
         assert (out1 / "sweep_summary.csv").read_bytes() == \
             (out2 / "sweep_summary.csv").read_bytes()
+        assert len(summary_rows(out1)) == len(summary_rows(out2)) == 2
 
     def test_unknown_path_rejected(self, tmp_path):
         sc = write_scenario(tmp_path, SHORT_SCENARIO)
@@ -218,6 +249,7 @@ class TestSweepCommand:
         assert proc.returncode == 3
         rows = (out / "sweep_summary.csv").read_text().splitlines()
         assert all(r.endswith(",3") for r in rows[1:])
+        assert all(r["truncated"] == "1" for r in summary_rows(out))
 
     def test_aborted_member_propagates_exit_4(self, tmp_path):
         doc = json.loads(json.dumps(SHORT_SCENARIO))
@@ -231,6 +263,10 @@ class TestSweepCommand:
         rows = (out / "sweep_summary.csv").read_text().splitlines()
         # aborted runs leave empty metric cells but keep their exit code
         assert all(r.endswith(",4") for r in rows[1:])
+        for row in summary_rows(out):
+            assert not (out / row["run"] / "metrics.json").exists()
+            assert all(row[f.name] == ""
+                       for f in dataclasses.fields(RunMetrics))
 
 
 class TestPlotCommand:
@@ -300,9 +336,9 @@ class TestValidateCommand:
         assert lines and all(line.startswith("PASS") for line in lines)
 
     def test_misprinted_inverse_fails_identity(self):
-        from plumetrack.validate import check_transform_identity
-        ok, _ = check_transform_identity(n=200, use_misprinted_inverse=True)
-        assert not ok
+        from plumetrack.validate import check_misprint_rejected
+        ok, detail = check_misprint_rejected(n=200)
+        assert ok, detail
 
 
 class TestMainInProcess:
@@ -380,11 +416,13 @@ class TestExitCodeContract:
         ("grid_escape", ("field", "cell_size"), 1e-300, 2),  # stable dt 0
         ("grid_escape", ("vessel", "start_pose", 0), 1e300, 3),  # exits at t=0
         ("grid_escape", ("field", "origin", 1), -1e300, 3),
+        ("grid_tiny_k", ("field", "init_puff", "release_time"), -1e-300, 2),
     ])
     def test_edge_documents(self, tmp_path, scenarios_dir, capsys, name,
                             path, value, code):
-        if name == "grid_escape":
-            doc = json.loads(json.dumps(GRID_ESCAPE))
+        if name.startswith("grid_"):
+            base = GRID_ESCAPE if name == "grid_escape" else GRID_TINY_K
+            doc = json.loads(json.dumps(base))
         else:
             doc = json.loads((scenarios_dir / f"{name}.json").read_text())
         doc["duration"] = 0.5
@@ -403,6 +441,22 @@ class TestExitCodeContract:
         doc["gains"].update(k2=1e308, grad_floor=1e300)
         doc["vessel"]["offset"] = 4.0
         assert self.run_doc(tmp_path, capsys, doc) == 4
+
+    @pytest.mark.parametrize("command",
+                             [["run"], ["sweep", "--set", "seed=1"]])
+    def test_deeply_nested_unknown_field_exits_2(self, tmp_path,
+                                                 scenarios_dir, capsys,
+                                                 command):
+        # json accepts a list this deep, copying it recursively would not
+        doc = json.loads((scenarios_dir / "pure_advection.json").read_text())
+        doc["extra"] = json.loads("[" * 500 + "]" * 500)
+        sc = write_scenario(tmp_path, doc)
+        code = main([command[0], str(sc), *command[1:],
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "extra" in err, err
+        assert "Traceback" not in err
 
 
 class TestUndecodableInput:

@@ -17,10 +17,17 @@ def unit_puff():
     return GaussianPuff(0.0, (0.0, 0.0), 4.0 * math.pi, 1.0)
 
 
+def at_point(f, x, t=0.0):
+    """(c, grad, lap) of a field at one point through ``eval_many``; a
+    grid ignores t."""
+    c, g, lap = f.eval_many(np.asarray(x, dtype=float)[None, :], t)
+    return float(c[0]), g[0], float(lap[0])
+
+
 def padded_step(g, dt):
     """The grid step as first written: a padded copy, then
     c + dt (k lap - adv_x - adv_y) with upwind advection."""
-    v = g.flow.at(None, g.time)
+    v = g.flow.at(g.time)
     h = g.cell_size
     p = np.pad(g.conc, 1, mode="wrap" if g.boundary == "periodic" else "edge")
     c = g.conc
@@ -150,14 +157,14 @@ class TestPuff:
 class TestPlume:
     def test_before_first_release_is_zero(self):
         plume = PuffPlume((0, 0), 1.0, 0.5, STILL, 1.0, start_time=2.0)
-        c, g, lap = plume.eval((1, 1), 2.0)
+        c, g, lap = at_point(plume, (1, 1), 2.0)
         assert c == 0.0 and lap == 0.0
         assert np.all(g == 0.0)
 
     def test_single_puff_matches_components(self):
         p = unit_puff()
         plume = PuffPlume((0, 0), 0.0, 0.5, STILL, 1.0, seed_puffs=(p,))
-        c, g, lap = plume.eval((0.7, -0.3), 1.5)
+        c, g, lap = at_point(plume, (0.7, -0.3), 1.5)
         assert c == pytest.approx(puff_concentration(p, STILL, (0.7, -0.3), 1.5), rel=1e-14)
         assert np.allclose(g, puff_gradient(p, STILL, (0.7, -0.3), 1.5), rtol=1e-14)
         assert lap == pytest.approx(puff_laplacian(p, STILL, (0.7, -0.3), 1.5), rel=1e-14)
@@ -166,8 +173,8 @@ class TestPlume:
         p = unit_puff()
         one = PuffPlume((0, 0), 0.0, 0.5, STILL, 1.0, seed_puffs=(p,))
         two = PuffPlume((0, 0), 0.0, 0.5, STILL, 1.0, seed_puffs=(p, p))
-        c1, g1, l1 = one.eval((0.5, 0.5), 2.0)
-        c2, g2, l2 = two.eval((0.5, 0.5), 2.0)
+        c1, g1, l1 = at_point(one, (0.5, 0.5), 2.0)
+        c2, g2, l2 = at_point(two, (0.5, 0.5), 2.0)
         assert c2 == pytest.approx(2 * c1, rel=1e-13)
         assert np.allclose(g2, 2 * g1, rtol=1e-13)
         assert l2 == pytest.approx(2 * l1, rel=1e-13)
@@ -186,23 +193,23 @@ class TestPlume:
             return PuffPlume((0, 0), 0.0, 0.5, flow, k, seed_puffs=subset)
 
         x, t = (0.8, -0.4), 1.7
-        ca, ga, la = plume(puffs[:3]).eval(x, t)
-        cb, gb, lb = plume(puffs[3:]).eval(x, t)
-        cu, gu, lu = plume(puffs).eval(x, t)
+        ca, ga, la = at_point(plume(puffs[:3]), x, t)
+        cb, gb, lb = at_point(plume(puffs[3:]), x, t)
+        cu, gu, lu = at_point(plume(puffs), x, t)
         assert cu == pytest.approx(ca + cb, rel=1e-12)
         assert np.allclose(gu, ga + gb, rtol=1e-12, atol=1e-15)
         assert lu == pytest.approx(la + lb, rel=1e-12)
 
     def test_emission_train_count_and_strength(self):
         plume = PuffPlume((0, 0), 2.0, 0.5, STILL, 1.0, start_time=0.0)
-        t0s, pts, qs = plume._released(1.6)
+        t0s, pts, qs = plume._table.released(1.6)
         # releases at 0.0, 0.5, 1.0, 1.5 are all strictly before t = 1.6
         assert t0s.tolist() == [0.0, 0.5, 1.0, 1.5]
         assert np.all(qs == 1.0)  # Q = rate * interval
 
     def test_release_at_t_excluded(self):
         plume = PuffPlume((0, 0), 2.0, 0.5, STILL, 1.0, start_time=0.0)
-        t0s, _, _ = plume._released(1.5)
+        t0s, _, _ = plume._table.released(1.5)
         assert t0s.tolist() == [0.0, 0.5, 1.0]
 
     def test_release_table_growth_matches_fresh_build(self):
@@ -215,14 +222,15 @@ class TestPlume:
 
         grown = plume()
         for t in (0.7, 3.0, 3.3, 12.0, 40.0):
-            grown._released(t)                # the table grows on the way
-            for got, want in zip(grown._released(t), plume()._released(t)):
+            grown._table.released(t)          # the table grows on the way
+            for got, want in zip(grown._table.released(t),
+                                 plume()._table.released(t)):
                 assert np.array_equal(got, want)
-        t0s, pts, qs = grown._released(3.3)
+        t0s, pts, qs = grown._table.released(3.3)
         assert t0s[:2].tolist() == [-5.0, 3.2]
         assert t0s[2:].tolist() == [0.5 * i for i in range(7)]
         assert np.array_equal(pts[:, 1], [-1.0, 0.5]) and qs[1] == 20.0
-        assert 3.2 not in grown._released(3.2)[0]
+        assert 3.2 not in grown._table.released(3.2)[0]
         x = np.array([[0.4, 0.2], [2.0, -1.0]])
         for got, want in zip(grown.eval_many(x, 9.9), plume().eval_many(x, 9.9)):
             assert np.array_equal(got, want)
@@ -231,9 +239,9 @@ class TestPlume:
     def unculled(plume, pts, t):
         """Every released puff summed: (c, grad, lap) and the sum of the
         terms' magnitudes, the scale of their rounding."""
-        t0s, origins, qs = plume._released(t)
+        t0s, origins, qs = plume._table.released(t)
         kt = plume.diffusion * (t - t0s)
-        centres = origins.T + plume.flow.at(None, t) * (t - t0s)[:, None]
+        centres = origins.T + plume.flow.at(t) * (t - t0s)[:, None]
         d = pts[:, None, :] - centres[None]
         r2 = (d * d).sum(axis=2)
         c_terms = qs / (4 * math.pi * kt) * np.exp(-r2 / (4 * kt))
@@ -263,7 +271,7 @@ class TestPlume:
             assert np.array_equal(log.readings[i], c[:4])
             assert log.ctrue[i] == c[4]
         # along the emission train many puffs matter and the cull is tight
-        v = plume.flow.at(None, 0.0)
+        v = plume.flow.at(0.0)
         for t in (0.0, 30.0, 60.0):
             for age in (0.3, 2.0, 20.0, 200.0):
                 ctr = plume.source + v * age + [0.0, 0.5 * math.sqrt(age)]
@@ -304,8 +312,8 @@ class TestPlume:
                           seed_puffs=(weak, strong))
         only_strong = PuffPlume((0, 0), 0.0, 0.5, STILL, 1.0,
                                 seed_puffs=(strong,))
-        c, g, lap = plume.eval((0.3, 0.1), 1.0)
-        c_ref, g_ref, lap_ref = only_strong.eval((0.3, 0.1), 1.0)
+        c, g, lap = at_point(plume, (0.3, 0.1), 1.0)
+        c_ref, g_ref, lap_ref = at_point(only_strong, (0.3, 0.1), 1.0)
         assert c == c_ref and lap == lap_ref
         assert np.array_equal(g, g_ref)
 
@@ -319,17 +327,17 @@ class TestPlume:
 class TestFlow:
     def test_uniform(self):
         f = FlowField.uniform((0.1, 0.0))
-        assert np.all(f.at((3, 4), 2.0) == [0.1, 0.0])
-        assert np.all(f.at((-50, 2), 900.0) == [0.1, 0.0])
+        assert np.all(f.at(2.0) == [0.1, 0.0])
+        assert np.all(f.at(900.0) == [0.1, 0.0])
 
     def test_piecewise_lookup(self):
         f = FlowField.piecewise([30.0], [[0.1, 0.0], [0.0, 0.1]])
-        assert np.all(f.at((0, 0), 40.0) == [0.0, 0.1])
-        assert np.all(f.at((0, 0), 10.0) == [0.1, 0.0])
+        assert np.all(f.at(40.0) == [0.0, 0.1])
+        assert np.all(f.at(10.0) == [0.1, 0.0])
 
     def test_boundary_belongs_to_later_segment(self):
         f = FlowField.piecewise([30.0], [[0.1, 0.0], [0.0, 0.1]])
-        assert np.all(f.at((0, 0), 30.0) == [0.0, 0.1])
+        assert np.all(f.at(30.0) == [0.0, 0.1])
 
     def test_boundaries_must_increase(self):
         with pytest.raises(ValueError):
@@ -455,7 +463,7 @@ class TestGrid:
         assert np.array_equal(grad, [r[1] for r in ref])
         assert np.array_equal(lap, [r[2] for r in ref])
         for p, r in zip(pts[:20], ref):
-            one = g.sample(p)
+            one = at_point(g, p)
             assert one[0] == r[0] and one[2] == r[2]
             assert np.array_equal(one[1], r[1])
 
@@ -471,12 +479,12 @@ class TestGrid:
         conc = rng.uniform(0, 10, (12, 12))
         g = self.make_grid(conc, h=0.5)
         # cell (4, 6) center: origin + (4.5, 6.5) * h
-        c, _, _ = g.sample((4.5 * 0.5, 6.5 * 0.5))
+        c, _, _ = at_point(g, (4.5 * 0.5, 6.5 * 0.5))
         assert c == pytest.approx(conc[4, 6], rel=1e-14)
 
     def test_sample_uniform_field(self):
         g = self.make_grid(np.full((10, 10), 7.0))
-        c, grad, lap = g.sample((4.3, 5.1))
+        c, grad, lap = at_point(g, (4.3, 5.1))
         assert c == pytest.approx(7.0)
         assert np.allclose(grad, 0.0, atol=1e-14)
         assert lap == pytest.approx(0.0, abs=1e-14)
@@ -489,7 +497,7 @@ class TestGrid:
         conc = np.tile(a * xs[:, None], (1, ny))
         g = self.make_grid(conc, h=h)
         for pt in ((3.1, 3.3), (2.0, 2.0), (4.7, 2.9)):
-            c, grad, lap = g.sample(pt)
+            c, grad, lap = at_point(g, pt)
             assert abs(grad[0] - a) < 1e-10
             assert abs(grad[1]) < 1e-10
             assert c == pytest.approx(a * pt[0], rel=1e-12)
@@ -498,19 +506,19 @@ class TestGrid:
         rng = np.random.default_rng(6)
         g = self.make_grid(rng.uniform(0, 10, (12, 12)), h=0.5)
         # approaching an interior point from two sides changes nothing abruptly
-        c1, g1, l1 = g.sample((3.0001, 3.2))
-        c2, g2, l2 = g.sample((3.0002, 3.2))
+        c1, g1, l1 = at_point(g, (3.0001, 3.2))
+        c2, g2, l2 = at_point(g, (3.0002, 3.2))
         assert abs(c1 - c2) < 1e-2
         assert np.abs(g1 - g2).max() < 1e-2
 
     def test_domain_error_near_boundary(self):
         g = self.make_grid(np.ones((10, 10)))
         with pytest.raises(DomainError):
-            g.sample((0.6, 5.0))      # within the outer cell ring
+            at_point(g, (0.6, 5.0))      # within the outer cell ring
         with pytest.raises(DomainError):
-            g.sample((5.0, 9.9))
+            at_point(g, (5.0, 9.9))
         with pytest.raises(DomainError):
-            g.sample((-3.0, 5.0))
+            at_point(g, (-3.0, 5.0))
 
     def test_centroid_is_advected_mass_centroid(self):
         rng = np.random.default_rng(8)
@@ -537,6 +545,6 @@ class TestGrid:
     def test_from_puff_matches_analytic_at_cells(self):
         p = GaussianPuff(-2.0, (5.0, 5.0), 40.0, 1.0)
         g = GridField.from_puff(p, STILL, 0.0, (0, 0), 0.5, (20, 20))
-        c_grid, _, _ = g.sample((5.25, 5.25))  # a cell center
+        c_grid, _, _ = at_point(g, (5.25, 5.25))  # a cell center
         assert c_grid == pytest.approx(
             puff_concentration(p, STILL, (5.25, 5.25), 0.0), rel=1e-12)

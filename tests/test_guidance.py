@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from plumetrack import simulator as SIM
 from plumetrack.field import FlowField, FrozenGaussian
 from plumetrack.guidance import (
     GuidanceGains, NonFiniteError, SIGN_OPPOSED, SIGN_PDE, init, step)
-from plumetrack.scenario_io import copy_doc, scenario_from_dict
+from plumetrack.scenario_io import scenario_from_dict
 from plumetrack.sensing import SensorRig
 from plumetrack.vessel import VesselParams
 
@@ -334,9 +335,9 @@ class TestClosedLoop:
     def test_scaling_consistency(self, case1_doc):
         # field * s, c0 * s, k1 / s^2 leaves the trajectory unchanged
         s = 7.5
-        base = copy_doc(case1_doc)
+        base = copy.deepcopy(case1_doc)
         base["duration"] = 10.0
-        scaled = copy_doc(base)
+        scaled = copy.deepcopy(base)
         scaled["field"]["emission_rate"] *= s
         for puff in scaled["field"]["seed_puffs"]:
             puff["strength"] *= s

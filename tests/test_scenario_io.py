@@ -134,7 +134,7 @@ class TestSchema:
         d["field"]["flow"] = {"type": "piecewise", "boundaries": [5.0],
                               "velocities": [[0.1, 0.0], [0.0, 0.1]]}
         sc = scenario_from_dict(d)
-        assert np.allclose(sc.field0.flow.at(None, 6.0), [0.0, 0.1])
+        assert np.allclose(sc.field0.flow.at(6.0), [0.0, 0.1])
 
     def test_nonfinite_piecewise_flow_rejected(self):
         for bounds, vels in (([math.nan], [[0.1, 0.0], [0.0, 0.1]]),

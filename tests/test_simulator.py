@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -8,7 +9,7 @@ from plumetrack import guidance as G
 from plumetrack.field import (FlowField, FrozenGaussian, GaussianPuff,
                               GridField, PuffPlume, puff_concentration)
 from plumetrack.guidance import GuidanceGains
-from plumetrack.scenario_io import copy_doc, scenario_from_dict
+from plumetrack.scenario_io import scenario_from_dict
 from plumetrack.sensing import (NoiseModel, RigEstimator, SensorRig,
                                 world_positions)
 from plumetrack.simulator import (CSV_COLUMNS, RunLog, Scenario,
@@ -80,7 +81,7 @@ class TestRun:
         assert np.abs(a.z - b.z).max() > 1e-6
 
     def test_substep_consistency_analytic(self, case1_doc):
-        doc = copy_doc(case1_doc)
+        doc = copy.deepcopy(case1_doc)
         doc["duration"] = 5.0
         ref = run(scenario_from_dict(doc))
         doc["physics_substep"] = 0.025
@@ -144,7 +145,7 @@ class TestRun:
             assert np.array_equal(log.grad[i], est.grad)
             g, u = G.step(g, sc.gains, sc.sign_convention, state.position, z,
                           z, est.c_hat, est.grad, est.lap,
-                          sc.field0.flow.at(state.position, t), 0.05, t)
+                          sc.field0.flow.at(t), 0.05, t)
             assert np.array_equal(log.xhat[i], g.xhat)
             assert np.array_equal(log.u[i], u)
             assert log.status[i] == g.status
@@ -192,7 +193,8 @@ class TestLevelSetRadius:
     def test_frozen_gaussian(self):
         blob = FrozenGaussian(60.0, 18.0, (0.0, 0.0), STILL)
         r = blob.level_set_radius(50.0, 12.3)
-        assert blob.eval((r, 0.0), 12.3)[0] == pytest.approx(50.0, abs=1e-9)
+        c, _, _ = blob.eval_many([(r, 0.0)], 12.3)
+        assert c[0] == pytest.approx(50.0, abs=1e-9)
 
     def test_multi_puff_plume_rejected(self):
         plume = PuffPlume((0, 0), 1.0, 0.5, STILL, 1.0, start_time=0.0)
@@ -321,7 +323,7 @@ class TestMetrics:
         assert m.winding_backtrack == pytest.approx(40 * alpha, rel=1e-6)
 
     def test_level_set_error_on_analytic_run(self, advection_doc):
-        doc = copy_doc(advection_doc)
+        doc = copy.deepcopy(advection_doc)
         doc["duration"] = 20.0
         sc = scenario_from_dict(doc)
         m = metrics(run(sc), sc)
@@ -342,7 +344,7 @@ class TestMetrics:
     def test_convergence_error_trends_agree(self, advection_doc):
         # |ctrue - c0| and the level-set distance error both shrink
         # window over window while the vessel closes in on the curve
-        doc = copy_doc(advection_doc)
+        doc = copy.deepcopy(advection_doc)
         doc["duration"] = 20.0
         doc["vessel"]["start_pose"] = [16.0, 0.5, -1.5707963267948966]
         sc = scenario_from_dict(doc)
@@ -363,7 +365,7 @@ class TestMetrics:
 
 class TestCentroid:
     def test_puff_plume_centroid_advects(self, case1_doc):
-        sc = scenario_from_dict(copy_doc(case1_doc))
+        sc = scenario_from_dict(copy.deepcopy(case1_doc))
         c0 = sc.field0.centroid(0.0)
         c1 = sc.field0.centroid(10.0)
         assert np.allclose(c1 - c0, np.array([0.03, 0.015]) * 10.0)
