@@ -10,9 +10,10 @@ scalar turbulent diffusion coefficient k.  Three field models are provided:
 * ``GaussianPuff`` / ``PuffPlume`` - the closed-form impulsive-release
   solution and its superposition for a discretized continuous source.  A
   puff's centre moves with the flow's displacement integral, so the puffs
-  stay exact under piecewise-constant flow.  Concentration, gradient, and
-  Laplacian are exact, which makes the puff plume the reference oracle
-  for everything else.
+  stay exact under piecewise-constant flow.  The plume's concentration is
+  exact, and the point functions ``puff_gradient`` and ``puff_laplacian``
+  give a puff's exact derivatives, which makes the puffs the reference
+  oracle for everything else.
 * ``FrozenGaussian`` - a rigid Gaussian shape translating with the flow;
   the exact zero-diffusion (k = 0) solution.
 * ``GridField`` - an explicit finite-difference solver (first-order upwind
@@ -21,21 +22,23 @@ scalar turbulent diffusion coefficient k.  Three field models are provided:
   weights a_i >= 0 that sum to at most 0.9 within the stable dt, so each
   new cell is a convex combination of its neighbourhood and stays >= 0.
   It is computed from neighbour differences without padded copies; a
-  sample gathers every point's 4 x 4 node block at once.
+  sample gathers every point's 2 x 2 cell block at once.
 
 All three share one protocol: ``eval_many(points, t)`` is the only
-sampling call and gives (c, grad, lap) at every point (a ``GridField``
-samples itself at its own ``time`` and ignores t), ``advance(t,
-max_substep)`` returns the field at time t (the analytic fields return
-themselves), ``centroid(t)`` is the plume centre, and
-``level_set_radius(c0, t)`` is the radius of a circular c = c0 curve or
-raises ``ValueError`` where there is no closed form.
+sampling call and gives the concentration c at every point (a
+``GridField`` samples itself at its own ``time`` and ignores t); the
+gradient and divergence the control law needs come from the sensor
+stencil, not from the field.  ``advance(t, max_substep)`` returns the
+field at time t (the analytic fields return themselves), ``centroid(t)``
+is the plume centre, and ``level_set_radius(c0, t)`` is the radius of a
+circular c = c0 curve or raises ``ValueError`` where there is no closed
+form.
 
 The puff plume keeps its puffs in a release table (seed puffs, then the
 emission train) that grows by doubling and hands out prefix slices.  An
-evaluation leaves out every puff whose c, |grad c| and |lap c| are all
-below ``CULL_BOUND`` on the disc around the query points; on case1 that
-is all but one of about 1,300 puffs.
+evaluation leaves out every puff whose c is below ``CULL_BOUND`` on the
+disc around the query points; on case1 that is all but one of about
+1,300 puffs.
 
 Concentration is in ppb, lengths in m, times in s.
 """
@@ -47,12 +50,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# Puffs whose peak concentration falls below this are dropped from
-# superpositions; well under the 0.01 ppb sensor floor.
-PRUNE_PEAK = 1e-6
-
-# A puff whose c, |grad c| and |lap c| are all bounded by this (ppb, per m,
-# per m^2) over every query point is left out of the sum.
+# A puff whose c is bounded by this (ppb) over every query point is left
+# out of the sum.
 CULL_BOUND = 1e-30
 
 
@@ -262,8 +261,10 @@ class PuffPlume:
     Every ``puff_interval`` seconds from ``start_time`` a puff of strength
     Q = emission_rate * puff_interval is released at ``source``.  Optional
     ``seed_puffs`` (e.g. one old, strong release that forms the main mound)
-    are superposed on top.  Evaluation sums the closed-form puffs; the PDE
-    is linear, so the sum is itself an exact solution.
+    are superposed on top.  Evaluation sums the closed-form puffs'
+    concentrations; the PDE is linear, so the sum is itself an exact
+    solution.  A puff's exact gradient and Laplacian are the point
+    functions ``puff_gradient`` and ``puff_laplacian``.
     """
 
     source: np.ndarray
@@ -291,44 +292,32 @@ class PuffPlume:
     has_analytic_truth = True
 
     def eval_many(self, points, t: float):
-        """Concentration, gradient, Laplacian at several points.
+        """Concentration (m,) at several points.
 
-        Returns (c (m,), grad (m, 2), lap (m,)).  Puffs below PRUNE_PEAK,
-        and puffs whose terms are below CULL_BOUND everywhere on the disc
-        around the points (centre q, radius rho), are left out.  With d
-        the distance from a puff centre to q, d- = max(d - rho, 0) and
-        d+ = d + rho, every term of such a puff is at most
+        Puffs whose c is below CULL_BOUND everywhere on the disc around
+        the points (centre q, radius rho) are left out.  With d the
+        distance from a puff centre to q and d- = max(d - rho, 0), such a
+        puff's c on the disc is at most
 
-            peak (1 + d+/(2kt) + d+^2/(4k^2t^2) + 1/(kt)) exp(-d-^2/(4kt))
+            peak exp(-d-^2/(4kt))
 
         so the result is exact for any caller.  The kept terms are summed
         in table order.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         t0s, origins, qs = self._table.released(t)
-        tau = t - t0s                                     # (n,)
-        kt = self.diffusion * tau
+        kt = self.diffusion * (t - t0s)                   # (n,)
         peak = qs / (4.0 * math.pi * kt)
         cx, cy = origins + self.flow.displacement(t0s, t)
         q = pts.mean(axis=0)
         rho = max(math.hypot(*p) for p in (pts - q).tolist())
-        dist = np.hypot(cx - q[0], cy - q[1])
-        near = np.maximum(dist - rho, 0.0)
-        a = (dist + rho) / (2.0 * kt)
-        bound = (peak * (1.0 + a + a * a + 1.0 / kt)
-                 * np.exp(-near * near / (4.0 * kt)))
-        keep = np.flatnonzero((peak >= PRUNE_PEAK) & ~(bound < CULL_BOUND))
-        kt, peak = kt[keep], peak[keep]
-        centers = np.stack((cx[keep], cy[keep]), axis=1)  # (n, 2)
-        d = pts[:, None, :] - centers[None, :, :]         # (m, n, 2)
-        r2 = np.einsum("mnk,mnk->mn", d, d)
-        c_terms = peak[None, :] * np.exp(-r2 / (4.0 * kt)[None, :])
-        c = c_terms.sum(axis=1)
-        g_terms = -c_terms[:, :, None] * d / (2.0 * kt)[None, :, None]
-        grad = g_terms.sum(axis=1)
-        lap_terms = c_terms * (r2 / (4.0 * kt * kt)[None, :] - (1.0 / kt)[None, :])
-        lap = lap_terms.sum(axis=1)
-        return c, grad, lap
+        near = np.maximum(np.hypot(cx - q[0], cy - q[1]) - rho, 0.0)
+        bound = peak * np.exp(-near * near / (4.0 * kt))
+        keep = np.flatnonzero(~(bound < CULL_BOUND))
+        dx = pts[:, 0, None] - cx[keep]                   # (m, n)
+        dy = pts[:, 1, None] - cy[keep]
+        c_terms = peak[keep] * np.exp(-(dx * dx + dy * dy) / (4.0 * kt[keep]))
+        return c_terms.sum(axis=1)
 
     def centroid(self, t: float) -> np.ndarray:
         """Advected position of the strongest released puff (the mound
@@ -406,10 +395,7 @@ class FrozenGaussian:
         d = pts - self.centroid(t)[None, :]
         r2 = np.einsum("mk,mk->m", d, d)
         s2 = self.sigma * self.sigma
-        c = self.peak * np.exp(-r2 / (2.0 * s2))
-        grad = -c[:, None] * d / s2
-        lap = c * (r2 / (s2 * s2) - 2.0 / s2)
-        return c, grad, lap
+        return self.peak * np.exp(-r2 / (2.0 * s2))
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +449,12 @@ class GridField:
         ctr = puff.center(flow, t)
         tau = t - puff.release_time
         four_kt = 4.0 * puff.diffusion * tau
-        if four_kt == 0.0:
-            raise ValueError(f"4 k tau underflows to 0 (k={puff.diffusion:g}, "
-                             f"tau={tau:g})")
+        peak = puff.strength / (math.pi * four_kt) if four_kt else math.inf
+        if not math.isfinite(peak):
+            raise ValueError("puff peak Q/(4 pi k tau) overflows "
+                             f"(k={puff.diffusion:g}, tau={tau:g})")
         r2 = (xs[:, None] - ctr[0]) ** 2 + (ys[None, :] - ctr[1]) ** 2
-        conc = puff.strength / (math.pi * four_kt) * np.exp(-r2 / four_kt)
+        conc = peak * np.exp(-r2 / four_kt)
         return cls(np.asarray(origin, float), cell_size, conc,
                    puff.diffusion, flow, boundary, time=t)
 
@@ -570,16 +557,18 @@ class GridField:
         return g
 
     def eval_many(self, points, t: float):
-        """(c, grad, lap) at each point at ``self.time``; t is ignored, the
+        """Concentration at each point at ``self.time``; t is ignored, the
         caller advances the grid first.  Bilinear interpolation of the cell
-        values and of nodal central-difference derivative estimates,
-        continuous in x within each cell.  The points' 4 x 4 node blocks are
-        gathered at once and each bilinear sum is one batched dot product.
-        Raises DomainError for the first point whose cell or difference ring
-        leaves the grid."""
+        values, continuous in x within each cell: the points' 2 x 2 cell
+        blocks are gathered at once and each bilinear sum is one batched
+        dot product.  Raises DomainError for the first point that is not
+        at least one cell inside the grid's outer ring."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         u = (pts - self.origin) / self.cell_size - 0.5
         node = np.floor(u)
+        # the bilinear block needs only 0 <= node <= shape - 2; the margin
+        # of one cell more on each side is kept so that runs truncate
+        # where they always have
         inside = (node >= 1) & (node <= np.array(self.conc.shape) - 3)
         if not inside.all():
             pt = pts[np.argmin(inside.all(axis=1))]
@@ -589,21 +578,11 @@ class GridField:
         # bilinear weights for nodes (i0, j0), (i0+1, j0), (i0, j0+1), (i0+1, j0+1)
         w = np.stack(((1 - fx) * (1 - fy), fx * (1 - fy),
                       (1 - fx) * fy, fx * fy), axis=1)
-        ring = np.arange(-1, 3)
-        i = node[:, 0].astype(np.intp)[:, None] + ring
-        j = node[:, 1].astype(np.intp)[:, None] + ring
+        i = node[:, 0].astype(np.intp)[:, None] + (0, 1)
+        j = node[:, 1].astype(np.intp)[:, None] + (0, 1)
         # b[p, j, i], j first so that a reshape lists each 2 x 2 block in
         # the weights' node order
-        b = self.conc[i[:, None, :], j[:, :, None]]
-        h = self.cell_size
-        mid = b[:, 1:-1, 1:-1]
-        east, west = b[:, 1:-1, 2:], b[:, 1:-1, :-2]
-        north, south = b[:, 2:, 1:-1], b[:, :-2, 1:-1]
-        nodal = np.stack((mid, (east - west) / (2 * h),
-                          (north - south) / (2 * h),
-                          (east + west + north + south - 4.0 * mid) / (h * h)),
-                         axis=1).reshape(len(pts), 4, 4, 1)
-        # a (1, 4) @ (4, 1) product per point and quantity: numpy hands
-        # those to its dot routine, so each sum rounds as a 1-D w @ x does
-        out = (w[:, None, None, :] @ nodal)[:, :, 0, 0]  # (m, c gx gy lap)
-        return out[:, 0], out[:, 1:3], out[:, 3]
+        b = self.conc[i[:, None, :], j[:, :, None]].reshape(len(pts), 4, 1)
+        # a (1, 4) @ (4, 1) product per point: numpy hands those to its
+        # dot routine, so each sum rounds as a 1-D w @ x does
+        return (w[:, None, :] @ b)[:, 0, 0]

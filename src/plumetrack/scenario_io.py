@@ -334,12 +334,9 @@ def load_raw(path) -> dict:
     return doc
 
 
-def load_scenario(path, seed_override: int | None = None) -> Scenario:
+def load_scenario(path) -> Scenario:
     """Load and validate a scenario file."""
-    doc = load_raw(path)
-    if seed_override is not None:
-        doc = dict(doc, seed=seed_override)
-    return scenario_from_dict(doc, origin=str(path))
+    return scenario_from_dict(load_raw(path), origin=str(path))
 
 
 def set_path(doc: dict, dotted: str, value):

@@ -144,13 +144,12 @@ def _condition(B: np.ndarray) -> float:
     return condition
 
 
-def design_matrix(positions) -> tuple[np.ndarray, np.ndarray]:
-    """(B, x_r) for the Taylor system; x_r is the position mean."""
+def design_matrix(positions) -> np.ndarray:
+    """B for the Taylor system about the position mean x_r."""
     pts = np.asarray(positions, dtype=float)
-    x_r = pts.mean(axis=0)
-    d = pts - x_r
+    d = pts - pts.mean(axis=0)
     quad = 0.5 * np.stack([np.outer(di, di).ravel() for di in d])
-    return np.hstack([d, quad]), x_r
+    return np.hstack([d, quad])
 
 
 def estimate(positions, readings) -> StencilEstimate:
@@ -162,7 +161,7 @@ def estimate(positions, readings) -> StencilEstimate:
     two agree to ~1e-10 on well-conditioned rigs (tested) and the SVD route
     stays stable near degeneracy.
     """
-    B, _ = design_matrix(positions)
+    B = design_matrix(positions)
     _condition(B)
     c_hat = float(readings.mean())
     y = readings - c_hat
@@ -191,7 +190,7 @@ class RigEstimator:
     @classmethod
     def for_rig(cls, rig: SensorRig) -> "RigEstimator":
         """Raises DegenerateStencilError for an ill-conditioned rig."""
-        B, _ = design_matrix(rig.offsets)
+        B = design_matrix(rig.offsets)
         return cls(np.linalg.pinv(B), _condition(B))
 
     def estimate(self, readings, heading: float) -> StencilEstimate:

@@ -153,11 +153,11 @@ def run(scenario: Scenario) -> RunLog:
         positions = sensing.world_positions(sc.rig, state)
         z = vessel.head_point(state, sc.params.offset)
         if fieldmodel.has_analytic_truth:
-            c, _, _ = fieldmodel.eval_many(np.vstack((positions, z)), t)
+            c = fieldmodel.eval_many(np.vstack((positions, z)), t)
             ctrue = float(c[4])
         else:
             try:
-                c, _, _ = fieldmodel.eval_many(positions, t)
+                c = fieldmodel.eval_many(positions, t)
             except DomainError:
                 truncated = True
                 break

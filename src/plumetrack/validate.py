@@ -240,7 +240,7 @@ def check_pseudoinverse_agreement(seed: int = 10):
             state = vessel.VesselState(*rng.uniform(-50, 50, size=2),
                                        rng.uniform(-math.pi, math.pi))
             positions = sensing.world_positions(rig, state)
-            B, _ = design_matrix(positions)
+            B = design_matrix(positions)
             readings = rng.uniform(0, 100, size=4)
             y = readings - readings.mean()
             explicit = B.T @ np.linalg.solve(B @ B.T, y)

@@ -417,6 +417,8 @@ class TestExitCodeContract:
         ("grid_escape", ("vessel", "start_pose", 0), 1e300, 3),  # exits at t=0
         ("grid_escape", ("field", "origin", 1), -1e300, 3),
         ("grid_tiny_k", ("field", "init_puff", "release_time"), -1e-300, 2),
+        # 4 k tau is subnormal, not 0, and the peak Q/(4 pi k tau) overflows
+        ("grid_tiny_k", ("field", "init_puff", "release_time"), -1e-10, 2),
     ])
     def test_edge_documents(self, tmp_path, scenarios_dir, capsys, name,
                             path, value, code):

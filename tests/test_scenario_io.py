@@ -151,10 +151,6 @@ class TestSchema:
             sc = load_scenario(scenarios_dir / name)
             assert sc.duration == 60.0
 
-    def test_seed_override(self, scenarios_dir):
-        sc = load_scenario(scenarios_dir / "case1.json", seed_override=99)
-        assert sc.seed == 99
-
     def test_noise_seed_decouples_sensor_stream(self):
         # a pinned noise.seed makes readings independent of the run seed
         from plumetrack.simulator import run

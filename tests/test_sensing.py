@@ -117,7 +117,7 @@ class TestEstimator:
         rig = SensorRig.cross(0.5)
         pos = world_positions(rig, VesselState(0, 0, 0))
         readings = np.array([6.0, 4.0, 6.5, 3.5])
-        B, _ = design_matrix(pos)
+        B = design_matrix(pos)
         y = readings - readings.mean()
         gamma = B.T @ np.linalg.solve(B @ B.T, y)
         est = estimate(pos, readings)
@@ -238,7 +238,7 @@ class TestRigEstimator:
                 scale = max(1.0, float(np.abs(want).max()))
                 assert np.abs(got - want).max() / scale < 1e-12
                 assert est.c_hat == ref.c_hat
-                B, _ = design_matrix(positions)
+                B = design_matrix(positions)
                 assert per_rig.condition == pytest.approx(
                     np.linalg.cond(B @ B.T), rel=1e-9)
 

@@ -136,7 +136,7 @@ class TestRun:
             state = VesselState(*log.pose[i])
             z = head_point(state, sc.params.offset)
             assert np.array_equal(log.z[i], z)
-            c, _, _ = sc.field0.eval_many(
+            c = sc.field0.eval_many(
                 np.vstack((world_positions(sc.rig, state), z)), t)
             assert np.array_equal(log.readings[i], noise.read(c[:4]))
             assert log.ctrue[i] == c[4]
@@ -193,7 +193,7 @@ class TestLevelSetRadius:
     def test_frozen_gaussian(self):
         blob = FrozenGaussian(60.0, 18.0, (0.0, 0.0), STILL)
         r = blob.level_set_radius(50.0, 12.3)
-        c, _, _ = blob.eval_many([(r, 0.0)], 12.3)
+        c = blob.eval_many([(r, 0.0)], 12.3)
         assert c[0] == pytest.approx(50.0, abs=1e-9)
 
     def test_multi_puff_plume_rejected(self):
