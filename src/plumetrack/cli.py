@@ -5,10 +5,11 @@
     plume plot --kind <kind> --log <csv> --out <svg> [--c0 X] [--scenario S]
     plume validate
 
-Exit codes are a stable contract: 0 success, 2 input error, 3 truncated
-run, 4 numerical abort.  All outputs are written atomically (temp file
-plus rename), diagnostics go to stderr (PLUME_LOG=debug|info raises the
-verbosity), data never does.
+Exit codes are a stable contract: 0 success, 2 input error (an output
+path that cannot be written included), 3 truncated run, 4 numerical
+abort.  All outputs are written atomically (temp file plus rename),
+diagnostics go to stderr (PLUME_LOG=debug|info raises the verbosity),
+data never does.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def _execute_run(scenario: simulator.Scenario,
         m = dataclasses.asdict(simulator.metrics(runlog, scenario))
         m = {k: _json_value(v) for k, v in m.items()}
     else:
-        m = {"truncated": True, "seed": scenario.seed}
+        m = {"truncated": runlog.truncated, "seed": scenario.seed}
     _atomic_write(out_dir / "metrics.json", json.dumps(m, indent=2) + "\n")
     if runlog.truncated:
         # printed, like the exit-2 and exit-4 messages, so that it reaches
@@ -94,7 +95,9 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         doc["seed"] = args.seed
     scenario = scenario_from_dict(doc, origin=str(args.scenario))
-    return _execute_run(scenario, Path(args.out))[0]
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return _execute_run(scenario, out_dir)[0]
 
 
 @np.errstate(all="ignore")
@@ -123,10 +126,13 @@ def cmd_sweep(args) -> int:
         scenarios.append(scenario_from_dict(doc, origin=f"run{index:03d}"))
         out_dirs.append(out_root / f"run{index:03d}")
 
-    if args.jobs <= 1:
+    out_root.mkdir(parents=True, exist_ok=True)
+    # the pool starts every worker up front, so start no more than can work
+    workers = min(args.jobs, len(scenarios), len(os.sched_getaffinity(0)))
+    if workers <= 1:
         results = list(map(_execute_run, scenarios, out_dirs))
     else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_execute_run, scenarios, out_dirs))
 
     metric_keys = [f.name for f in dataclasses.fields(simulator.RunMetrics)]
@@ -232,6 +238,11 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ScenarioError, plotting.PlotDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:
+        # inputs report their own; this is an output that cannot be written
+        print(f"error: {exc.filename or 'output'}: {exc.strerror or exc}",
+              file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -104,11 +104,6 @@ class FlowField:
     def uniform(cls, velocity) -> "FlowField":
         return cls(np.asarray([velocity], dtype=float), np.empty(0))
 
-    @classmethod
-    def piecewise(cls, boundaries, velocities) -> "FlowField":
-        return cls(np.asarray(velocities, dtype=float),
-                   np.asarray(boundaries, dtype=float))
-
     def at(self, t: float) -> np.ndarray:
         """Flow velocity at time t, everywhere: the flow is spatially
         uniform by construction."""
@@ -441,8 +436,9 @@ class GridField:
 
     @classmethod
     def from_puff(cls, puff: GaussianPuff, flow: FlowField, t: float,
-                  origin, cell_size: float, shape, boundary: str = "outflow"):
-        """Initialize cell values from the analytic puff at time t."""
+                  origin, cell_size: float, shape, **kwargs):
+        """Initialize cell values from the analytic puff at time t.
+        Further keywords (``boundary``) go to the constructor."""
         nx, ny = shape
         xs = np.asarray(origin, float)[0] + (np.arange(nx) + 0.5) * cell_size
         ys = np.asarray(origin, float)[1] + (np.arange(ny) + 0.5) * cell_size
@@ -456,7 +452,7 @@ class GridField:
         r2 = (xs[:, None] - ctr[0]) ** 2 + (ys[None, :] - ctr[1]) ** 2
         conc = peak * np.exp(-r2 / four_kt)
         return cls(np.asarray(origin, float), cell_size, conc,
-                   puff.diffusion, flow, boundary, time=t)
+                   puff.diffusion, flow, time=t, **kwargs)
 
     def mass(self) -> float:
         return float(self.conc.sum() * self.cell_size * self.cell_size)

@@ -20,12 +20,17 @@ Top-level layout (see ``scenarios/`` for complete examples)::
       "flow_noise_sigma": 0.0,
       "field":  {"type": "puffs" | "frozen-gaussian" | "grid", ...},
       "rig":    {"offsets": [[...], x4]},
-      "noise":  {"sigma": 0.0, "floor": 0.01, "range_max": 10000.0},
-      "vessel": {"start_pose": [x, y, theta], "offset": 0.5,
-                 "nu_max": 2.0, "omega_max": 1.5},
+      "noise":  {"sigma": 2.0, "floor": ..., "range_max": ..., "seed": ...},
+      "vessel": {"start_pose": [x, y, theta], "offset": ...,
+                 "nu_max": ..., "omega_max": ...},
       "gains":  {"c0": 50, "k": 1.2, "k1": 5, "k2": 11, "v_d": 1.5,
-                 "grad_floor": 0.05}
+                 "grad_floor": ...}
     }
+
+The optional keys of ``noise``, ``vessel``, ``gains``, a puff field's
+``start_time`` and a grid's ``boundary`` reach their model only when given,
+so their defaults are the model's own; the document's other defaults are
+set here.
 """
 
 from __future__ import annotations
@@ -123,6 +128,12 @@ def _str(d: dict, key: str, path: str, default=None, choices=None) -> str:
     return v
 
 
+def _given(d: dict, path: str, keys, read=_num, **kwargs) -> dict:
+    """The values of those ``keys`` that ``d`` gives, each read by ``read``;
+    the model they configure supplies the rest."""
+    return {key: read(d, key, path, **kwargs) for key in keys if key in d}
+
+
 def _vec2(d: dict, key: str, path: str):
     v = d.get(key)
     if (not isinstance(v, (list, tuple)) or len(v) != 2
@@ -139,11 +150,10 @@ def _flow(d: dict, path: str) -> FlowField:
             _check_keys(d, path, ["type", "velocity"], [])
             return FlowField.uniform(_vec2(d, "velocity", path))
         _check_keys(d, path, ["type", "boundaries", "velocities"], [])
-        bounds = d["boundaries"]
-        vels = d["velocities"]
+        vels, bounds = d["velocities"], d["boundaries"]
         if not isinstance(bounds, list) or not isinstance(vels, list):
             _fail(path, "piecewise flow needs 'boundaries' and 'velocities' lists")
-        return FlowField.piecewise(bounds, vels)
+        return FlowField(vels, bounds)
 
 
 def _seed_puff(d: dict, path: str, diffusion: float) -> GaussianPuff:
@@ -172,9 +182,8 @@ def _field(d: dict, path: str, duration: float):
             plume = PuffPlume(source=_vec2(d, "source", path),
                               emission_rate=_num(d, "emission_rate", path, 0.0),
                               puff_interval=_num(d, "puff_interval", path, 0.5),
-                              flow=flow, diffusion=k,
-                              start_time=_num(d, "start_time", path, 0.0),
-                              seed_puffs=puffs)
+                              flow=flow, diffusion=k, seed_puffs=puffs,
+                              **_given(d, path, ["start_time"]))
         n_train = (duration - plume.start_time) / plume.puff_interval
         if plume.emission_rate > 0 and n_train > MAX_TRAIN_PUFFS:
             _fail(path, f"the emission train would release {n_train:.3g} puffs "
@@ -206,8 +215,8 @@ def _field(d: dict, path: str, duration: float):
             return GridField.from_puff(
                 puff, flow, t=0.0, origin=_vec2(d, "origin", path),
                 cell_size=_num(d, "cell_size", path), shape=shape,
-                boundary=_str(d, "boundary", path, "outflow",
-                              choices=("outflow", "periodic")))
+                **_given(d, path, ["boundary"], _str,
+                         choices=("outflow", "periodic")))
     _fail(f"{path}.type",
           "expected 'puffs', 'frozen-gaussian', or 'grid'")
 
@@ -250,40 +259,30 @@ def scenario_from_dict(doc: dict, origin: str = "<scenario>") -> Scenario:
     else:
         rig = SensorRig.cross()
 
-    noise_doc = doc.get("noise", {})
-    _check_keys(noise_doc, f"{origin}.noise", [],
-                ["sigma", "floor", "range_max", "seed"])
-    sigma = _num(noise_doc, "sigma", f"{origin}.noise", 0.0)
-    floor = _num(noise_doc, "floor", f"{origin}.noise", 0.01)
-    range_max = _num(noise_doc, "range_max", f"{origin}.noise", 10000.0)
+    nd = doc.get("noise", {})
+    noise_keys = ["sigma", "floor", "range_max"]
+    _check_keys(nd, f"{origin}.noise", [], noise_keys + ["seed"])
     with _at(f"{origin}.noise"):
-        NoiseModel.check(sigma, floor, range_max)
+        noise = NoiseModel(**_given(nd, f"{origin}.noise", noise_keys),
+                           **_given(nd, f"{origin}.noise", ["seed"], _int))
 
     vp = doc["vessel"]
-    _check_keys(vp, f"{origin}.vessel", ["start_pose"],
-                ["offset", "nu_max", "omega_max"])
+    param_keys = ["offset", "nu_max", "omega_max"]
+    _check_keys(vp, f"{origin}.vessel", ["start_pose"], param_keys)
     pose = vp.get("start_pose")
     if (not isinstance(pose, list) or len(pose) != 3
             or not all(map(_is_num, pose))):
         _fail(f"{origin}.vessel.start_pose",
               "expected [x, y, theta] of finite numbers")
     with _at(f"{origin}.vessel"):
-        params = VesselParams(offset=_num(vp, "offset", f"{origin}.vessel", 0.5),
-                              nu_max=_num(vp, "nu_max", f"{origin}.vessel", 2.0),
-                              omega_max=_num(vp, "omega_max",
-                                             f"{origin}.vessel", 1.5))
+        params = VesselParams(**_given(vp, f"{origin}.vessel", param_keys))
 
     gd = doc["gains"]
-    _check_keys(gd, f"{origin}.gains", ["c0", "k", "k1", "k2", "v_d"],
-                ["grad_floor"])
+    gain_keys = ["c0", "k", "k1", "k2", "v_d"]
+    _check_keys(gd, f"{origin}.gains", gain_keys, ["grad_floor"])
     with _at(f"{origin}.gains"):
-        gains = GuidanceGains(c0=_num(gd, "c0", f"{origin}.gains"),
-                              k=_num(gd, "k", f"{origin}.gains"),
-                              k1=_num(gd, "k1", f"{origin}.gains"),
-                              k2=_num(gd, "k2", f"{origin}.gains"),
-                              v_d=_num(gd, "v_d", f"{origin}.gains"),
-                              grad_floor=_num(gd, "grad_floor",
-                                              f"{origin}.gains", 0.05))
+        gains = GuidanceGains(**_given(gd, f"{origin}.gains",
+                                       gain_keys + ["grad_floor"]))
 
     duration = _num(doc, "duration", origin)
     with _at(origin):
@@ -300,10 +299,7 @@ def scenario_from_dict(doc: dict, origin: str = "<scenario>") -> Scenario:
             flow_noise_sigma=_num(doc, "flow_noise_sigma", origin, 0.0),
             field0=_field(doc["field"], f"{origin}.field", duration),
             rig=rig,
-            noise_sigma=sigma,
-            noise_floor=floor,
-            noise_range_max=range_max,
-            noise_seed=_int(noise_doc, "seed", f"{origin}.noise", None),
+            noise=noise,
             params=params,
             start_pose=(float(pose[0]), float(pose[1]), float(pose[2])),
             gains=gains,

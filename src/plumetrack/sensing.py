@@ -3,8 +3,9 @@
 Four point sensors ride at fixed body-frame offsets whose mean is zero, so
 the stencil center coincides with the vessel position.  Readings get a
 Gaussian noise term, a detection floor, and a range clamp emulating a
-fluorometer.  From one synchronized sample the estimator reconstructs the
-local concentration, gradient, and Hessian trace by a second-order Taylor
+fluorometer (``NoiseModel``; the run owns the generator it draws from).
+From one synchronized sample the estimator reconstructs the local
+concentration, gradient, and Hessian trace by a second-order Taylor
 expansion solved in the minimum-norm least-squares sense:
 
     y_i = c(x_Si) - c_hat,  c_hat = mean of the four readings
@@ -31,7 +32,7 @@ a rotation of the gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,38 +81,33 @@ class SensorRig:
                              [0.0, arm_y], [0.0, -arm_y]]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseModel:
     """Fluorometer noise: Gaussian sigma, detection floor, range clamp.
 
-    The generator is owned by a single run; draws are consumed in sensor
-    order, one per sensor per reading, so runs are bit-reproducible.
+    Plain configuration: the generator belongs to the run, which seeds it
+    from ``seed`` (None means the run's own seed) and passes it to
+    ``read``.
     """
 
     sigma: float = 0.0
     floor: float = 0.01              # ppb; readings below report as 0
     range_max: float = 10000.0       # ppb
-    seed: int = 0
-    rng: np.random.Generator = field(init=False, repr=False)
+    seed: int | None = None
 
     def __post_init__(self):
-        self.check(self.sigma, self.floor, self.range_max)
-        self.rng = np.random.default_rng(self.seed)
-
-    @staticmethod
-    def check(sigma: float, floor: float, range_max: float):
-        """Raise ValueError unless sigma >= 0 and 0 <= floor < range_max."""
-        if sigma < 0 or floor < 0 or range_max <= floor:
+        if self.sigma < 0 or self.floor < 0 or self.range_max <= self.floor:
             raise ValueError("need sigma >= 0 and 0 <= floor < range_max")
 
-    def read(self, c) -> np.ndarray:
+    def read(self, c, rng: np.random.Generator) -> np.ndarray:
         """Readings of the true concentrations ``c``, one per sensor.
 
         reading_i = clamp(c_i + sigma * g_i, 0, range_max), then zeroed
-        when below the detection floor.  One draw per sensor per call, in
-        sensor order, even when sigma is zero (keeps the stream aligned).
+        when below the detection floor.  One draw from ``rng`` per sensor
+        per call, in sensor order, even when sigma is zero (keeps the
+        stream aligned), so runs are bit-reproducible.
         """
-        g = self.rng.standard_normal(len(c))
+        g = rng.standard_normal(len(c))
         readings = np.clip(c + self.sigma * g, 0.0, self.range_max)
         readings[readings < self.floor] = 0.0
         return readings

@@ -44,7 +44,8 @@ MAX_STEPS = 1_000_000
 class Scenario:
     """Complete run configuration.  ``field0`` is the initial field model
     (PuffPlume, FrozenGaussian, or GridField); analytic fields are
-    stateless and may be shared between runs."""
+    stateless and may be shared between runs.  The other models are
+    frozen configuration; a run makes its own random generators."""
 
     name: str
     seed: int
@@ -56,10 +57,7 @@ class Scenario:
     flow_noise_sigma: float
     field0: object
     rig: SensorRig
-    noise_sigma: float
-    noise_floor: float
-    noise_range_max: float
-    noise_seed: int | None
+    noise: NoiseModel
     params: VesselParams
     start_pose: tuple[float, float, float]
     gains: GuidanceGains
@@ -130,9 +128,8 @@ def expected_records(duration: float, control_period: float) -> int:
 def run(scenario: Scenario) -> RunLog:
     """Execute one closed-loop run; deterministic for a given seed."""
     sc = scenario
-    noise = NoiseModel(sigma=sc.noise_sigma, floor=sc.noise_floor,
-                       range_max=sc.noise_range_max,
-                       seed=sc.seed if sc.noise_seed is None else sc.noise_seed)
+    sensor_rng = np.random.default_rng(
+        sc.seed if sc.noise.seed is None else sc.noise.seed)
     flow_rng = np.random.default_rng([sc.seed, 2])
     state = VesselState(sc.start_pose[0], sc.start_pose[1],
                         vessel.normalize_heading(sc.start_pose[2]))
@@ -162,7 +159,7 @@ def run(scenario: Scenario) -> RunLog:
                 truncated = True
                 break
             ctrue = math.nan
-        readings = noise.read(c[:4])
+        readings = sc.noise.read(c[:4], sensor_rng)
         est = estimator.estimate(readings, state.heading)
         v_r = fieldmodel.flow.at(t)
         if sc.flow_noise_sigma > 0:

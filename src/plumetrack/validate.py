@@ -101,10 +101,11 @@ def check_grid_vs_puff(shape=(120, 120), advance: float = 0.25,
     h = 0.35
     origin = (-0.5 * shape[0] * h + puff.center(flow, 0.0)[0],
               -0.5 * shape[1] * h + puff.center(flow, 0.0)[1])
-    grid = GridField.from_puff(puff, flow, 0.0, origin, h, shape, "periodic")
+    grid = GridField.from_puff(puff, flow, 0.0, origin, h, shape,
+                               boundary="periodic")
     grid = grid.advance(advance)
     ref = GridField.from_puff(puff, flow, grid.time, origin, h, shape,
-                              "periodic")
+                              boundary="periodic")
     peak = puff.peak(grid.time)
     err = float(np.abs(grid.conc - ref.conc).max()) / peak
     return err <= 0.02, f"max error {100 * err:.3f}% of peak (limit 2%)"

@@ -71,7 +71,7 @@ def test_a2_grid_solver_validation():
     puff = GaussianPuff(-tau0, (0.0, 0.0), 4 * math.pi * k * tau0 * 30, k)
     flow = FlowField.uniform((0.3, 0.15))
     grid = GridField.from_puff(puff, flow, 0.0, (-35.0, -35.0), 0.35,
-                               (200, 200), "periodic")
+                               (200, 200), boundary="periodic")
     m0 = grid.mass()
     prev = m0
     worst = 0.0

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from plumetrack import cli as CLI, simulator
 from plumetrack.cli import main
 from plumetrack.simulator import RunMetrics, expected_records
 
@@ -194,6 +195,16 @@ class TestRunCommand:
         assert (out1 / "metrics.json").read_bytes() == \
             (out2 / "metrics.json").read_bytes()
 
+    def test_one_record_run_is_not_truncated(self, tmp_path, capsys):
+        # a run shorter than one control period logs only t = 0
+        sc = write_scenario(tmp_path, dict(SHORT_SCENARIO, duration=0.01))
+        out = tmp_path / "out"
+        assert main(["run", str(sc), "--out", str(out)]) == 0
+        assert len((out / "log.csv").read_text().splitlines()) == 2
+        assert json.loads((out / "metrics.json").read_text()) == \
+            {"truncated": False, "seed": 7}
+        assert capsys.readouterr().err == ""
+
 
 class TestSweepCommand:
     def test_product_and_order(self, tmp_path):
@@ -223,6 +234,51 @@ class TestSweepCommand:
         assert (out1 / "sweep_summary.csv").read_bytes() == \
             (out2 / "sweep_summary.csv").read_bytes()
         assert len(summary_rows(out1)) == len(summary_rows(out2)) == 2
+
+    def test_one_record_members_are_not_truncated(self, tmp_path):
+        sc = write_scenario(tmp_path, dict(SHORT_SCENARIO, duration=0.01))
+        out = tmp_path / "s"
+        assert main(["sweep", str(sc), "--set", "seed=1,2",
+                     "--out", str(out)]) == 0
+        rows = summary_rows(out)
+        assert [(r["truncated"], r["exit_code"]) for r in rows] == \
+            [("0", "0"), ("0", "0")]
+
+    @pytest.mark.parametrize("jobs, runs, cpus, workers", [
+        (5000, 3, 4, 3), (2, 3, 4, 2), (4, 3, 2, 2), (5000, 3, 1, None),
+        (4, 1, 4, None), (1, 3, 4, None)])
+    def test_workers_capped_by_runs_and_cpus(self, tmp_path, monkeypatch,
+                                             jobs, runs, cpus, workers):
+        # the pool starts max_workers processes up front; this one starts
+        # none and maps in process
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(CLI, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(CLI.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        sc = write_scenario(tmp_path, dict(SHORT_SCENARIO, duration=0.5))
+        out = tmp_path / "s"
+        seeds = ",".join(str(s) for s in range(1, runs + 1))
+        assert main(["sweep", str(sc), "--set", f"seed={seeds}",
+                     "--out", str(out), "--jobs", str(jobs)]) == 0
+        assert started == ([] if workers is None else [workers])
+        serial = tmp_path / "serial"
+        assert main(["sweep", str(sc), "--set", f"seed={seeds}",
+                     "--out", str(serial), "--jobs", "1"]) == 0
+        assert (out / "sweep_summary.csv").read_bytes() == \
+            (serial / "sweep_summary.csv").read_bytes()
 
     def test_unknown_path_rejected(self, tmp_path):
         sc = write_scenario(tmp_path, SHORT_SCENARIO)
@@ -327,6 +383,42 @@ class TestPlotCommand:
         cli("plot", "--kind", "concentration-timeseries", "--log", str(logp),
             "--out", str(b), "--c0", "50")
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestUnwritableOutput:
+    """An --out that cannot be written is an input error: exit 2 with one
+    stderr line naming the path, and a run or sweep stops before it runs."""
+
+    @staticmethod
+    def check(capsys, argv, path):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(f"error: {path}: "), err
+        assert "Traceback" not in err
+
+    @pytest.fixture
+    def no_run(self, monkeypatch):
+        def run(scenario):
+            raise AssertionError("the run started")
+        monkeypatch.setattr(simulator, "run", run)
+
+    def test_run(self, tmp_path, capsys, no_run):
+        sc = write_scenario(tmp_path, SHORT_SCENARIO)
+        self.check(capsys, ["run", str(sc), "--out", str(sc)], sc)
+
+    def test_sweep(self, tmp_path, capsys, no_run):
+        sc = write_scenario(tmp_path, SHORT_SCENARIO)
+        out = sc / "s"
+        self.check(capsys, ["sweep", str(sc), "--set", "seed=1,2",
+                            "--out", str(out), "--jobs", "2"], out)
+
+    def test_plot(self, tmp_path, capsys):
+        sc = write_scenario(tmp_path, dict(SHORT_SCENARIO, duration=0.5))
+        assert main(["run", str(sc), "--out", str(tmp_path / "o")]) == 0
+        self.check(capsys, ["plot", "--kind", "trajectory-xy",
+                            "--log", str(tmp_path / "o" / "log.csv"),
+                            "--out", str(sc / "x.svg")], sc)
 
 
 class TestValidateCommand:

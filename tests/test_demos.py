@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,3 +18,14 @@ def test_demo_runs_clean(script, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_python_blocks_run(tmp_path):
+    # the README's library examples run as written from the repo root
+    blocks = re.findall(r"```python\n(.*?)```",
+                        (REPO / "README.md").read_text(), re.S)
+    assert blocks
+    for code in blocks:
+        proc = subprocess.run([sys.executable, "-c", code], cwd=REPO,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

@@ -86,7 +86,7 @@ class TestPuff:
 
     def test_pde_residual_on_both_sides_of_a_flow_switch(self):
         from plumetrack.validate import pde_residual
-        flow = FlowField.piecewise([0.5], [[1.0, 0.0], [0.0, 1.0]])
+        flow = FlowField([[1.0, 0.0], [0.0, 1.0]], [0.5])
         p = unit_puff()
         # the centre moves with the integral of v: (0.5, 0) then up
         assert np.allclose(p.center(flow, 1.0), [0.5, 0.5], atol=1e-15)
@@ -98,7 +98,7 @@ class TestPuff:
     def test_grid_matches_puff_under_piecewise_flow(self):
         # the flow turns halfway through the grid's advance
         from plumetrack.validate import check_grid_vs_puff
-        flow = FlowField.piecewise([0.125], [[0.3, 0.15], [-0.2, 0.3]])
+        flow = FlowField([[0.3, 0.15], [-0.2, 0.3]], [0.125])
         ok, detail = check_grid_vs_puff(shape=(120, 120), advance=0.25,
                                         flow=flow)
         assert ok, detail
@@ -298,20 +298,20 @@ class TestFlow:
         assert np.all(f.at(900.0) == [0.1, 0.0])
 
     def test_piecewise_lookup(self):
-        f = FlowField.piecewise([30.0], [[0.1, 0.0], [0.0, 0.1]])
+        f = FlowField([[0.1, 0.0], [0.0, 0.1]], [30.0])
         assert np.all(f.at(40.0) == [0.0, 0.1])
         assert np.all(f.at(10.0) == [0.1, 0.0])
 
     def test_boundary_belongs_to_later_segment(self):
-        f = FlowField.piecewise([30.0], [[0.1, 0.0], [0.0, 0.1]])
+        f = FlowField([[0.1, 0.0], [0.0, 0.1]], [30.0])
         assert np.all(f.at(30.0) == [0.0, 0.1])
 
     def test_boundaries_must_increase(self):
         with pytest.raises(ValueError):
-            FlowField.piecewise([5.0, 5.0], [[0, 0], [1, 0], [2, 0]])
+            FlowField([[0, 0], [1, 0], [2, 0]], [5.0, 5.0])
 
     def test_frozen_gaussian_piecewise_centroid(self):
-        f = FlowField.piecewise([10.0], [[1.0, 0.0], [0.0, 1.0]])
+        f = FlowField([[1.0, 0.0], [0.0, 1.0]], [10.0])
         blob = FrozenGaussian(10.0, 2.0, (0.0, 0.0), f)
         assert np.allclose(blob.centroid(15.0), [10.0, 5.0])
 
@@ -486,8 +486,7 @@ class TestGrid:
         # (flow, t, displacement from the grid's time 1.5 to t); the
         # piecewise flow is (1, 0), then (0, 1) from t = 1, then (1, 0)
         # again from t = 2.5
-        switching = FlowField.piecewise([1.0, 2.5],
-                                        [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        switching = FlowField([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], [1.0, 2.5])
         for flow, t, disp in ((FlowField.uniform(v), 4.0, v * (4.0 - 1.5)),
                               (switching, 4.0, [1.5, 1.0]),
                               (switching, 0.5, [-0.5, -0.5])):

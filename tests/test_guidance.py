@@ -10,7 +10,7 @@ from plumetrack.field import FlowField, FrozenGaussian
 from plumetrack.guidance import (
     GuidanceGains, NonFiniteError, SIGN_OPPOSED, SIGN_PDE, init, step)
 from plumetrack.scenario_io import scenario_from_dict
-from plumetrack.sensing import SensorRig
+from plumetrack.sensing import NoiseModel, SensorRig
 from plumetrack.vessel import VesselParams
 
 GAINS = GuidanceGains(c0=50.0, k=1.2, k1=5.0, k2=11.0, v_d=1.5)
@@ -37,8 +37,7 @@ def static_scenario(pose, duration=30.0, peak=60.0, sigma=18.0, c0=50.0):
         name="static", seed=0, duration=duration, control_period=0.05,
         physics_substep=0.05, sign_convention=SIGN_PDE, tracked_point="head",
         flow_noise_sigma=0.0, field0=blob, rig=SensorRig.cross(0.75),
-        noise_sigma=0.0, noise_floor=0.01, noise_range_max=10000.0,
-        noise_seed=None, params=VesselParams(), start_pose=pose,
+        noise=NoiseModel(), params=VesselParams(), start_pose=pose,
         gains=GuidanceGains(c0=c0, k=1.2, k1=5.0, k2=11.0, v_d=1.5))
 
 

@@ -9,7 +9,7 @@ from plumetrack.field import FlowField, FrozenGaussian
 from plumetrack.guidance import GuidanceGains
 from plumetrack.plotting import (PlotDataError, read_log, timeseries_svg,
                                  trajectory_svg)
-from plumetrack.sensing import SensorRig
+from plumetrack.sensing import NoiseModel, SensorRig
 from plumetrack.simulator import Scenario
 from plumetrack.vessel import VesselParams
 
@@ -22,9 +22,8 @@ def logfile(tmp_path_factory):
         tracked_point="head", flow_noise_sigma=0.0,
         field0=FrozenGaussian(60.0, 18.0, (0.0, 0.0),
                               FlowField.uniform((0.1, 0.0))),
-        rig=SensorRig.cross(0.75), noise_sigma=0.0, noise_floor=0.01,
-        noise_range_max=10000.0, noise_seed=None, params=VesselParams(),
-        start_pose=(10.8695, 0.5, -math.pi / 2),
+        rig=SensorRig.cross(0.75), noise=NoiseModel(),
+        params=VesselParams(), start_pose=(10.8695, 0.5, -math.pi / 2),
         gains=GuidanceGains(c0=50.0, k=1.2, k1=5.0, k2=11.0, v_d=1.5))
     path = tmp_path_factory.mktemp("logs") / "log.csv"
     path.write_text(SIM.run(sc).to_csv())

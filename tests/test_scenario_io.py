@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from plumetrack.field import FrozenGaussian, GridField, PuffPlume
+from plumetrack.guidance import GuidanceGains
 from plumetrack.scenario_io import (ScenarioError, load_scenario,
                                     parse_sweep_value, scenario_from_dict,
                                     set_path)
+from plumetrack.sensing import NoiseModel
+from plumetrack.vessel import VesselParams
 
 MINIMAL = {
     "schema": 1,
@@ -34,12 +37,30 @@ class TestSchema:
         assert sc.physics_substep == 0.05
         assert sc.sign_convention == "pde-derived"
         assert sc.tracked_point == "head"
-        assert sc.noise_sigma == 0.0
-        assert sc.noise_floor == 0.01
-        assert sc.noise_range_max == 10000.0
+        assert sc.noise.sigma == 0.0
+        assert sc.noise.floor == 0.01
+        assert sc.noise.range_max == 10000.0
         assert sc.params.offset == 0.5
         assert np.allclose(sc.rig.offsets[0], [0.75, 0.0])
         assert isinstance(sc.field0, FrozenGaussian)
+
+    def test_models_supply_the_defaults(self, case1_doc):
+        sc = scenario_from_dict(doc())
+        assert sc.noise == NoiseModel()
+        assert sc.params == VesselParams()
+        assert sc.gains == GuidanceGains(c0=50.0, k=1.2, k1=5.0, k2=11.0,
+                                         v_d=1.5)
+        puffs = json.loads(json.dumps(case1_doc["field"]))
+        del puffs["start_time"]
+        plume = scenario_from_dict(doc(field=puffs)).field0
+        assert plume.start_time == PuffPlume.start_time
+        grid = scenario_from_dict(doc(field={
+            "type": "grid", "origin": [-8.0, -8.0], "cell_size": 0.5,
+            "shape": [32, 32], "diffusion": 0.05,
+            "flow": {"type": "uniform", "velocity": [0.5, 0.0]},
+            "init_puff": {"release_time": -40.0, "point": [-20.0, 0.0],
+                          "strength": 1200.0}})).field0
+        assert grid.boundary == GridField.boundary
 
     def test_wrong_schema_version(self):
         with pytest.raises(ScenarioError, match="schema"):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -70,22 +71,26 @@ class TestRigValidation:
             SensorRig(np.array([[1, 0], [-1, 0], [0.5, 0], [-0.5, 0]]))
 
 
+RNG = np.random.default_rng
+
+
 class TestNoise:
     def test_noiseless_passthrough(self):
-        readings = NoiseModel(sigma=0.0).read(np.full(4, 5.0))
+        readings = NoiseModel(sigma=0.0).read(np.full(4, 5.0), RNG())
         assert np.all(readings == 5.0)
 
     def test_detection_floor(self):
-        readings = NoiseModel(sigma=0.0).read(np.full(4, 0.005))
+        readings = NoiseModel(sigma=0.0).read(np.full(4, 0.005), RNG())
         assert np.all(readings == 0.0)
 
     def test_range_clamp(self):
-        readings = NoiseModel(sigma=0.0).read(np.full(4, 2e4))
+        readings = NoiseModel(sigma=0.0).read(np.full(4, 2e4), RNG())
         assert np.all(readings == 10000.0)
 
     def test_seeded_reproducibility_and_draw_order(self):
-        r1 = NoiseModel(sigma=2.0, seed=9).read(np.full(4, 50.0))
-        r2 = NoiseModel(sigma=2.0, seed=9).read(np.full(4, 50.0))
+        noise = NoiseModel(sigma=2.0, seed=9)
+        r1 = noise.read(np.full(4, 50.0), RNG(noise.seed))
+        r2 = noise.read(np.full(4, 50.0), RNG(noise.seed))
         assert np.array_equal(r1, r2)
         # one draw per sensor per call, in sensor order
         expected = np.clip(
@@ -93,10 +98,23 @@ class TestNoise:
             0.0, 10000.0)
         assert np.array_equal(r1, expected)
 
+    def test_plain_frozen_configuration(self):
+        noise = NoiseModel(sigma=2.0)
+        assert noise.seed is None          # the run's seed
+        assert not hasattr(noise, "rng")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            noise.sigma = 1.0
+
+    @pytest.mark.parametrize("settings", [
+        {"sigma": -1.0}, {"floor": -0.01}, {"floor": 5.0, "range_max": 5.0}])
+    def test_invalid_settings_rejected(self, settings):
+        with pytest.raises(ValueError, match="range_max"):
+            NoiseModel(**settings)
+
     def test_stream_advances_even_at_zero_sigma(self):
-        noise = NoiseModel(sigma=0.0, seed=9)
-        noise.read(np.full(4, 5.0))
-        follow = noise.rng.standard_normal(4)
+        rng = RNG(9)
+        NoiseModel(sigma=0.0).read(np.full(4, 5.0), rng)
+        follow = rng.standard_normal(4)
         fresh = np.random.default_rng(9).standard_normal(8)[4:]
         assert np.array_equal(follow, fresh)
 

@@ -41,9 +41,8 @@ def short_scenario(duration=5.0, **overrides):
         physics_substep=0.05, sign_convention=G.SIGN_PDE,
         tracked_point="head", flow_noise_sigma=0.0,
         field0=FrozenGaussian(60.0, 18.0, (0.0, 0.0), STILL),
-        rig=SensorRig.cross(0.75), noise_sigma=0.0, noise_floor=0.01,
-        noise_range_max=10000.0, noise_seed=None, params=VesselParams(),
-        start_pose=(10.87, 0.5, -math.pi / 2),
+        rig=SensorRig.cross(0.75), noise=NoiseModel(),
+        params=VesselParams(), start_pose=(10.87, 0.5, -math.pi / 2),
         gains=GuidanceGains(c0=50.0, k=1.2, k1=5.0, k2=11.0, v_d=1.5))
     base.update(overrides)
     return Scenario(**base)
@@ -57,14 +56,15 @@ class TestRun:
         assert np.allclose(np.diff(log.t), 0.05)
 
     def test_determinism_bit_identical(self):
-        sc = short_scenario(noise_sigma=2.0, seed=5)
+        sc = short_scenario(noise=NoiseModel(sigma=2.0), seed=5)
         a = run(sc).to_csv()
         b = run(sc).to_csv()
         assert a == b
 
     def test_different_seeds_differ(self):
-        a = run(short_scenario(noise_sigma=2.0, seed=5)).to_csv()
-        b = run(short_scenario(noise_sigma=2.0, seed=6)).to_csv()
+        noisy = NoiseModel(sigma=2.0)
+        a = run(short_scenario(noise=noisy, seed=5)).to_csv()
+        b = run(short_scenario(noise=noisy, seed=6)).to_csv()
         assert a != b
 
     def test_flow_noise_is_seeded(self):
@@ -127,8 +127,7 @@ class TestRun:
         sc = short_scenario(duration=2.0, field0=FrozenGaussian(
             60.0, 18.0, (0.0, 0.0), FlowField.uniform((0.1, 0.05))))
         log = run(sc)
-        noise = NoiseModel(sigma=0.0, floor=sc.noise_floor,
-                           range_max=sc.noise_range_max, seed=0)
+        noise, rng = sc.noise, np.random.default_rng(sc.seed)
         estimator = RigEstimator.for_rig(sc.rig)
         assert np.array_equal(log.t, np.arange(len(log)) * 0.05)
         g = G.init(log.pose[0, :2])
@@ -138,7 +137,7 @@ class TestRun:
             assert np.array_equal(log.z[i], z)
             c = sc.field0.eval_many(
                 np.vstack((world_positions(sc.rig, state), z)), t)
-            assert np.array_equal(log.readings[i], noise.read(c[:4]))
+            assert np.array_equal(log.readings[i], noise.read(c[:4], rng))
             assert log.ctrue[i] == c[4]
             est = estimator.estimate(log.readings[i], state.heading)
             assert (log.chat[i], log.lap[i]) == (est.c_hat, est.lap)
@@ -276,7 +275,8 @@ class TestCsv:
             assert cell in text
 
     def test_run_logs_match_reference(self):
-        logs = (run(short_scenario(duration=2.0, noise_sigma=2.0, seed=3)),
+        logs = (run(short_scenario(duration=2.0, noise=NoiseModel(sigma=2.0),
+                                   seed=3)),
                 run(scenario_from_dict(dict(GRID_ESCAPE, duration=2.0))),
                 run(scenario_from_dict(GRID_ESCAPE)))
         assert logs[2].truncated
