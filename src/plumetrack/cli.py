@@ -164,6 +164,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    if args.c0 is not None and not np.isfinite(args.c0):
+        raise plotting.PlotDataError(f"--c0 {args.c0:g} is not finite")
     logdata = plotting.read_log(args.log)
     if args.kind == "concentration-timeseries":
         svg = plotting.timeseries_svg(logdata, args.c0)

@@ -18,7 +18,7 @@ Two feedforward sign conventions are implemented.  Differentiating
 c(x(t), t) = c0 with the dispersion PDE gives the normal velocity
 (v . g - k lap) g / |g|^2 ("pde-derived", the default); the alternative
 "advection-opposed" convention flips the advection term's sign,
--(v . g + k lap) g / |g|^2.  The two differ only in the advection part;
+(-v . g - k lap) g / |g|^2.  The two differ only in the advection part;
 the measurement-feedback k1 term stabilizes both, which is why either can
 track in practice.  The acceptance suite quantifies the difference on a
 pure-advection scenario.
@@ -47,7 +47,9 @@ ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 SIGN_PDE = "pde-derived"
 SIGN_OPPOSED = "advection-opposed"
-SIGN_MODES = (SIGN_PDE, SIGN_OPPOSED)
+# sign of the advection term v . g in the normal feedforward, per convention
+ADVECTION_SIGN = {SIGN_PDE: 1.0, SIGN_OPPOSED: -1.0}
+SIGN_MODES = tuple(ADVECTION_SIGN)
 
 STATUS_SEEKING = "seeking"
 STATUS_TRACKING = "tracking"
@@ -122,7 +124,7 @@ def step(state: GuidanceState, gains: GuidanceGains, mode: str, x_r, z,
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    if mode not in SIGN_MODES:
+    if mode not in ADVECTION_SIGN:
         raise ValueError(f"unknown sign convention {mode!r}; "
                          f"expected one of {SIGN_MODES}")
     x_r = np.asarray(x_r, dtype=float).reshape(2)
@@ -141,11 +143,8 @@ def step(state: GuidanceState, gains: GuidanceGains, mode: str, x_r, z,
         xhat = state.xhat
         u = -gains.k2 * (driven - xhat)
     else:
-        gg = float(g @ g)
-        if mode == SIGN_PDE:
-            speed = (float(v @ g) - gains.k * lap) / gg
-        else:
-            speed = -(float(v @ g) + gains.k * lap) / gg
+        speed = ((ADVECTION_SIGN[mode] * float(v @ g) - gains.k * lap)
+                 / float(g @ g))
         drift = speed * g + gains.v_d * (ROT90 @ g) / norm
         c_err = c_hat - gains.c0
         xhat = state.xhat + dt * (

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +31,12 @@ SOURCE_COLOR = "#7f7f7f"
 
 
 class PlotDataError(ValueError):
-    """Log file is missing, malformed, or empty."""
+    """Plot input is missing, malformed, empty or not plottable."""
 
 
 def read_log(path) -> dict[str, np.ndarray]:
-    """Parse a run-log CSV into column arrays (ctrue NaN where empty)."""
+    """Parse a run-log CSV into column arrays of finite numbers (ctrue NaN
+    where empty, the one gap a run writes)."""
     p = Path(path)
     try:
         with open(p, newline="", encoding="utf-8") as fh:
@@ -60,22 +62,20 @@ def read_log(path) -> dict[str, np.ndarray]:
             raise PlotDataError(f"{p}:{lineno}: expected "
                                 f"{len(CSV_COLUMNS)} fields, got {len(row)}")
         for name, cell in zip(CSV_COLUMNS, row):
-            cols[name].append(cell)
-    out: dict[str, np.ndarray] = {}
-    for name in CSV_COLUMNS:
-        if name == "status":
-            out[name] = np.asarray(cols[name])
-            continue
-        try:
-            if name == "ctrue":
-                out[name] = np.asarray(
-                    [float(v) if v else math.nan for v in cols[name]])
+            if name == "status":
+                cols[name].append(cell)
+            elif name == "ctrue" and not cell:
+                cols[name].append(math.nan)
             else:
-                out[name] = np.asarray([float(v) for v in cols[name]])
-        except ValueError:
-            raise PlotDataError(f"{p}: non-numeric value in column "
-                                f"'{name}'") from None
-    return out
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise PlotDataError(f"{p}:{lineno}: {cell!r} in column "
+                                        f"'{name}' is not a finite number")
+                cols[name].append(value)
+    return {name: np.asarray(cols[name]) for name in CSV_COLUMNS}
 
 
 def _fmt(v: float) -> str:
@@ -84,26 +84,27 @@ def _fmt(v: float) -> str:
 
 def _scale(lo: float, hi: float, pix_lo: float, pix_hi: float):
     span = hi - lo
-    if span <= 0:
-        span = 1.0
+    if not math.isfinite(span):
+        raise PlotDataError(f"plotted range [{lo:g}, {hi:g}] overflows")
+    k = (pix_hi - pix_lo) / span if span > 0 else math.inf
+    if not math.isfinite(k):         # an empty or subnormal span: one unit
         lo -= 0.5
-    k = (pix_hi - pix_lo) / span
+        k = pix_hi - pix_lo
     return lambda v: pix_lo + (v - lo) * k
 
 
 def _ticks(lo: float, hi: float, n: int = 5):
-    if hi <= lo:
-        return [lo]
+    """At most n + 1 round values in [lo, hi], strictly increasing."""
     raw = (hi - lo) / n
+    if not raw >= sys.float_info.min:
+        return [lo]
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
     first = math.ceil(lo / step) * step
-    out = []
-    v = first
-    while v <= hi + 1e-9 * step:
-        out.append(0.0 if abs(v) < 1e-12 * step else v)
-        v += step
-    return out
+    count = int((hi - first) / step + 1e-9) + 1
+    # near large values a step can be finer than the spacing of floats
+    ticks = sorted({first + i * step for i in range(count)})
+    return [0.0 if abs(v) < 1e-12 * step else v for v in ticks]
 
 
 def _polyline(xs, ys, color: str, width: float = 1.5, dash: str = "") -> str:
@@ -170,7 +171,8 @@ def timeseries_svg(log: dict[str, np.ndarray], c0: float | None) -> str:
     y_lo, y_hi = float(y_all.min()), float(y_all.max())
     pad = 0.05 * (y_hi - y_lo or 1.0)
     y_lo, y_hi = y_lo - pad, y_hi + pad
-    x_lo, x_hi = float(t[0]), float(t[-1] if t[-1] > t[0] else t[0] + 1.0)
+    x_lo, x_hi = float(t.min()), float(t.max())
+    x_hi = x_hi if x_hi > x_lo else x_lo + 1.0
     sx = _scale(x_lo, x_hi, MARGIN_L, WIDTH - MARGIN_R)
     sy = _scale(y_lo, y_hi, HEIGHT - MARGIN_B, MARGIN_T)
 
@@ -204,11 +206,11 @@ def trajectory_svg(log: dict[str, np.ndarray],
         ys.append(source_path[:, 1])
     x_all = np.concatenate(xs)
     y_all = np.concatenate(ys)
-    pad_x = 0.05 * (float(x_all.max() - x_all.min()) or 1.0)
-    pad_y = 0.05 * (float(y_all.max() - y_all.min()) or 1.0)
-    pad = max(pad_x, pad_y)
-    x_lo, x_hi = float(x_all.min()) - pad, float(x_all.max()) + pad
-    y_lo, y_hi = float(y_all.min()) - pad, float(y_all.max()) + pad
+    x_lo, x_hi = float(x_all.min()), float(x_all.max())
+    y_lo, y_hi = float(y_all.min()), float(y_all.max())
+    pad = 0.05 * max(x_hi - x_lo or 1.0, y_hi - y_lo or 1.0)
+    x_lo, x_hi = x_lo - pad, x_hi + pad
+    y_lo, y_hi = y_lo - pad, y_hi + pad
     # keep x and y scales equal so loops look like loops
     span = max(x_hi - x_lo, (y_hi - y_lo) * (WIDTH - MARGIN_L - MARGIN_R)
                / (HEIGHT - MARGIN_T - MARGIN_B))

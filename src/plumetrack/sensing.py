@@ -10,7 +10,7 @@ expansion solved in the minimum-norm least-squares sense:
 
     y_i = c(x_Si) - c_hat,  c_hat = mean of the four readings
     B   = [ (x_Si - x_r)^T | 0.5 vec((x_Si - x_r)(x_Si - x_r)^T) ]   (4 x 6)
-    gamma = B^T (B B^T)^-1 y     (computed via SVD least squares)
+    gamma = pinv(B) y = B^T (B B^T)^-1 y
 
 gamma[0:2] is the gradient estimate and gamma[2] + gamma[5] the Hessian
 trace (the Laplacian / divergence estimate).  Because y sums to zero by
@@ -20,13 +20,12 @@ readings.  An unequal-arm cross gives a nonzero but biased trace; four
 mean-referenced samples leave 3 observations for 5 unknowns, so the trace
 is never faithfully determined.  The tests pin both behaviors down.
 
-``estimate(positions, readings)`` solves this for any four sensor
-positions and is the reference.  A run uses ``RigEstimator`` instead: the
-rig's world-frame design matrix is the body-frame one times an orthogonal
-rotation factor, so pinv(B_body) and the condition number of B B^T are
-computed once, when the run starts (a degenerate rig raises
-``DegenerateStencilError`` there), and each step is one 6 x 4 product and
-a rotation of the gradient.
+``RigEstimator`` is the one solve.  The rig's world-frame design matrix
+is the body-frame one times an orthogonal rotation factor, so pinv(B_body)
+and the condition number of B B^T are computed once, when the run starts
+(a degenerate rig raises ``DegenerateStencilError`` there), and each step
+is one 6 x 4 product and a rotation of the gradient.  ``estimate`` solves
+any four sensor positions as a rig at heading 0.
 """
 
 from __future__ import annotations
@@ -120,7 +119,6 @@ class StencilEstimate:
     c_hat: float                     # ppb, mean of the four readings
     grad: np.ndarray                 # (2,), ppb/m
     lap: float                       # ppb/m^2, Hessian trace estimate
-    hessian_vec: np.ndarray          # (4,), [H11, H12, H21, H22]
 
 
 def world_positions(rig: SensorRig, state: VesselState) -> np.ndarray:
@@ -128,16 +126,6 @@ def world_positions(rig: SensorRig, state: VesselState) -> np.ndarray:
     c, s = math.cos(state.heading), math.sin(state.heading)
     rot = np.array([[c, -s], [s, c]])
     return state.position[None, :] + rig.offsets @ rot.T
-
-
-def _condition(B: np.ndarray) -> float:
-    """cond(B B^T); raises DegenerateStencilError beyond CONDITION_LIMIT."""
-    condition = float(np.linalg.cond(B @ B.T))
-    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
-        raise DegenerateStencilError(
-            f"stencil condition {condition:.3e} exceeds {CONDITION_LIMIT:.0e} "
-            "(collinear or coincident sensors)")
-    return condition
 
 
 def design_matrix(positions) -> np.ndarray:
@@ -150,24 +138,9 @@ def design_matrix(positions) -> np.ndarray:
 
 def estimate(positions, readings) -> StencilEstimate:
     """Minimum-norm Taylor reconstruction of (c, grad, trace H) from the
-    readings (4,) of sensors at world ``positions`` (4, 2).
-
-    Raises DegenerateStencilError beyond CONDITION_LIMIT.  Solved with an
-    SVD least squares rather than the explicit B^T (B B^T)^-1 product; the
-    two agree to ~1e-10 on well-conditioned rigs (tested) and the SVD route
-    stays stable near degeneracy.
-    """
-    B = design_matrix(positions)
-    _condition(B)
-    c_hat = float(readings.mean())
-    y = readings - c_hat
-    gamma, *_ = np.linalg.lstsq(B, y, rcond=None)
-    return StencilEstimate(
-        c_hat=c_hat,
-        grad=gamma[:2].copy(),
-        lap=float(gamma[2] + gamma[5]),
-        hessian_vec=gamma[2:].copy(),
-    )
+    readings (4,) of sensors at world ``positions`` (4, 2), solved as a rig
+    at heading 0.  Raises DegenerateStencilError beyond CONDITION_LIMIT."""
+    return RigEstimator.for_offsets(positions).estimate(readings, 0.0)
 
 
 @dataclass(frozen=True)
@@ -184,21 +157,29 @@ class RigEstimator:
     condition: float                 # cond(B B^T), heading-independent
 
     @classmethod
+    def for_offsets(cls, offsets) -> "RigEstimator":
+        """The estimator of sensors at ``offsets`` (4, 2) about their mean;
+        raises DegenerateStencilError beyond CONDITION_LIMIT."""
+        B = design_matrix(offsets)
+        condition = float(np.linalg.cond(B @ B.T))
+        if not np.isfinite(condition) or condition > CONDITION_LIMIT:
+            raise DegenerateStencilError(
+                f"stencil condition {condition:.3e} exceeds "
+                f"{CONDITION_LIMIT:.0e} (collinear or coincident sensors)")
+        return cls(np.linalg.pinv(B), condition)
+
+    @classmethod
     def for_rig(cls, rig: SensorRig) -> "RigEstimator":
         """Raises DegenerateStencilError for an ill-conditioned rig."""
-        B = design_matrix(rig.offsets)
-        return cls(np.linalg.pinv(B), _condition(B))
+        return cls.for_offsets(rig.offsets)
 
     def estimate(self, readings, heading: float) -> StencilEstimate:
-        """The estimate of ``estimate`` for the rig at ``heading``."""
+        """The stencil estimate of the rig at ``heading``, in world axes."""
         c_hat = float(readings.mean())
         gamma = self.pinv @ (readings - c_hat)
         c, s = math.cos(heading), math.sin(heading)
-        rot = np.array([[c, -s], [s, c]])
-        hess = rot @ gamma[2:].reshape(2, 2) @ rot.T
         return StencilEstimate(
             c_hat=c_hat,
-            grad=rot @ gamma[:2],
+            grad=np.array([[c, -s], [s, c]]) @ gamma[:2],
             lap=float(gamma[2] + gamma[5]),
-            hessian_vec=hess.ravel(),
         )

@@ -553,6 +553,102 @@ class TestExitCodeContract:
         assert "Traceback" not in err
 
 
+class TestPlotExitCodes:
+    """Logs and --c0 values that cannot be plotted end in exit 2 with one
+    stderr line and no traceback, for both kinds; numpy warnings would
+    print more."""
+
+    KINDS = ("concentration-timeseries", "trajectory-xy")
+    # cell pool of the property test: non-finite, extreme, empty, text
+    CELLS = ("nan", "inf", "-inf", "1e308", "-1e308", "1.7e308", "-1.7e308",
+             "", "x")
+    # columns plotted on one axis, set together to values 1e17 apart by a
+    # few units: finer than the floats' spacing there
+    NEAR_1E17 = (("t",), ("c1", "c2", "c3", "c4", "chat"), ("zx", "xhat"),
+                 ("zy", "yhat"))
+
+    @pytest.fixture(scope="class")
+    def log_rows(self, tmp_path_factory) -> list[list[str]]:
+        tmp = tmp_path_factory.mktemp("plotlog")
+        sc = write_scenario(tmp, dict(SHORT_SCENARIO, duration=0.5))
+        assert main(["run", str(sc), "--out", str(tmp / "o")]) == 0
+        return [line.split(",") for line in
+                (tmp / "o" / "log.csv").read_text().splitlines()]
+
+    @staticmethod
+    def write_log(tmp_path, rows) -> Path:
+        p = tmp_path / "log.csv"
+        p.write_text("".join(",".join(r) + "\n" for r in rows))
+        return p
+
+    @staticmethod
+    def plot(tmp_path, capsys, log, kind, *extra):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["plot", "--kind", kind, "--log", str(log),
+                         "--out", str(tmp_path / "x.svg"), *extra])
+        err = capsys.readouterr().err
+        assert code in (0, 2), err
+        assert err.count("\n") == (code != 0), err
+        assert "Traceback" not in err
+        return code
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("cells, c0", [
+        ({}, "nan"),
+        ({}, "inf"),
+        ({(2, "c1"): "nan"}, "50"),
+        ({(2, "c1"): "inf"}, "50"),
+        ({(2, "ctrue"): "nan"}, "50"),
+        # the span of the plotted values overflows
+        ({(1, "zx"): "-1.7e308", (1, "c1"): "-1.7e308",
+          (3, "zx"): "1.7e308", (3, "c1"): "1.7e308"}, "50"),
+    ])
+    def test_unplottable_input_exits_2(self, tmp_path, capsys, log_rows,
+                                       kind, cells, c0):
+        rows = [list(r) for r in log_rows]
+        for (i, name), value in cells.items():
+            rows[i][rows[0].index(name)] = value
+        log = self.write_log(tmp_path, rows)
+        assert self.plot(tmp_path, capsys, log, kind, f"--c0={c0}") == 2
+
+    def test_mutated_logs(self, tmp_path, capsys, log_rows):
+        # cells non-finite, extreme, empty or text, or values 1e17 apart by
+        # a few units; rows dropped or with a field dropped or added; the
+        # header altered
+        rng = np.random.default_rng(2025)
+        codes = set()
+        for trial in range(300):
+            rows = [list(r) for r in log_rows]
+            for _ in range(1 + rng.integers(3)):
+                kind = rng.integers(5)
+                i = 1 + rng.integers(len(rows) - 1)
+                j = rng.integers(len(rows[0]))
+                if kind == 0 and j < len(rows[i]):
+                    rows[i][j] = self.CELLS[rng.integers(len(self.CELLS))]
+                elif kind == 1:
+                    group = self.NEAR_1E17[rng.integers(len(self.NEAR_1E17))]
+                    cols = [rows[0].index(n) for n in group if n in rows[0]]
+                    for r in rows[1:]:
+                        for col in cols:
+                            if col < len(r):
+                                r[col] = "%d" % (10**17 + rng.integers(40))
+                elif kind == 2:         # the rows from one on, maybe all
+                    del rows[rng.integers(1, len(rows)):]
+                elif kind == 3:         # a field dropped or one added
+                    rows[i] = (rows[i][:-1] if rng.integers(2)
+                               else rows[i] + ["0"])
+                else:
+                    rows[0] = rows[0][:j] + ["extra"] + rows[0][j + 1:]
+                if len(rows) < 2:
+                    break
+            log = self.write_log(tmp_path, rows)
+            c0 = ("50", "1e17", "-1.7e308")[rng.integers(3)]
+            for kind in self.KINDS:
+                codes.add(self.plot(tmp_path, capsys, log, kind, f"--c0={c0}"))
+        assert codes == {0, 2}
+
+
 class TestUndecodableInput:
     """Files that are not UTF-8 JSON or CSV are input errors: exit 2 with
     one stderr line naming the file."""

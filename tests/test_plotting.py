@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from plumetrack import guidance as G
 from plumetrack import simulator as SIM
 from plumetrack.field import FlowField, FrozenGaussian
 from plumetrack.guidance import GuidanceGains
-from plumetrack.plotting import (PlotDataError, read_log, timeseries_svg,
-                                 trajectory_svg)
+from plumetrack.plotting import (PlotDataError, _ticks, read_log,
+                                 timeseries_svg, trajectory_svg)
 from plumetrack.sensing import NoiseModel, SensorRig
 from plumetrack.simulator import Scenario
 from plumetrack.vessel import VesselParams
@@ -66,6 +67,41 @@ def test_read_log_ragged_row(tmp_path, logfile):
     p.write_text("\n".join([lines[0], "1,2,3"]) + "\n")
     with pytest.raises(PlotDataError):
         read_log(p)
+
+
+def with_cell(tmp_path, logfile, column, value) -> Path:
+    """The log with ``column`` of its second data row set to ``value``."""
+    header, *rows = logfile.read_text().splitlines()
+    cells = rows[1].split(",")
+    cells[header.split(",").index(column)] = value
+    rows[1] = ",".join(cells)
+    p = tmp_path / "mutated.csv"
+    p.write_text("\n".join([header, *rows]) + "\n")
+    return p
+
+
+@pytest.mark.parametrize("column", ["c1", "ctrue"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_read_log_rejects_non_finite_cell(tmp_path, logfile, column, value):
+    p = with_cell(tmp_path, logfile, column, value)
+    with pytest.raises(PlotDataError, match=f":3: '{value}' in column "
+                       f"'{column}' is not a finite number"):
+        read_log(p)
+
+
+def test_read_log_empty_ctrue_is_nan(tmp_path, logfile):
+    log = read_log(with_cell(tmp_path, logfile, "ctrue", ""))
+    assert math.isnan(log["ctrue"][1])
+    assert np.isfinite(np.delete(log["ctrue"], 1)).all()
+
+
+def test_ticks_finer_than_float_spacing():
+    # a step of 5 cannot advance past 1e17, where floats are 16 apart
+    lo, hi = 1e17, 1e17 + 16
+    ticks = _ticks(lo, hi)
+    assert 1 <= len(ticks) <= 6
+    assert all(lo <= v <= hi for v in ticks)
+    assert all(a < b for a, b in zip(ticks, ticks[1:]))
 
 
 def test_timeseries_series_count(logfile):

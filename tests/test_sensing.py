@@ -139,8 +139,11 @@ class TestEstimator:
         y = readings - readings.mean()
         gamma = B.T @ np.linalg.solve(B @ B.T, y)
         est = estimate(pos, readings)
-        assert np.allclose(np.concatenate([est.grad, est.hessian_vec]),
-                           gamma, atol=1e-12)
+        assert np.allclose(np.concatenate([est.grad, [est.lap]]),
+                           [*gamma[:2], gamma[2] + gamma[5]], atol=1e-12)
+        # at heading 0 the body frame is the world frame
+        assert np.allclose(RigEstimator.for_rig(rig).pinv @ y, gamma,
+                           atol=1e-12)
 
     def test_constant_field(self):
         pos = SensorRig.cross().offsets
@@ -251,14 +254,28 @@ class TestRigEstimator:
                 positions = world_positions(rig, state)
                 ref = estimate(positions, readings)
                 est = per_rig.estimate(readings, theta)
-                want = np.concatenate([ref.grad, [ref.lap], ref.hessian_vec])
-                got = np.concatenate([est.grad, [est.lap], est.hessian_vec])
-                scale = max(1.0, float(np.abs(want).max()))
+                want = np.concatenate([ref.grad, [ref.lap]])
+                got = np.concatenate([est.grad, [est.lap]])
+                # relative to the whole world-frame solution, Hessian
+                # entries included: the reference solves positions 50 m
+                # out, whose centring rounds at that scale
+                B = design_matrix(positions)
+                gamma = np.linalg.pinv(B) @ (readings - ref.c_hat)
+                scale = max(1.0, float(np.abs(gamma).max()))
                 assert np.abs(got - want).max() / scale < 1e-12
                 assert est.c_hat == ref.c_hat
-                B = design_matrix(positions)
                 assert per_rig.condition == pytest.approx(
                     np.linalg.cond(B @ B.T), rel=1e-9)
+
+    def test_agreement_check_catches_a_wrong_rotation(self, monkeypatch):
+        from plumetrack.validate import check_pseudoinverse_agreement
+        right = RigEstimator.estimate
+        # R(-theta) = R^T rotates the body-frame gradient the wrong way
+        monkeypatch.setattr(RigEstimator, "estimate",
+                            lambda self, readings, heading:
+                            right(self, readings, -heading))
+        ok, detail = check_pseudoinverse_agreement()
+        assert not ok, detail
 
     def test_degenerate_rig_rejected_once(self):
         rig = SensorRig(np.array([[1.0, 0], [-1.0, 0], [0.0, 1e-8],
