@@ -249,7 +249,7 @@ class _ReleaseTable:
         return t0s, pts, qs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PuffPlume:
     """Continuous source discretized as a train of Gaussian puffs.
 
@@ -263,10 +263,10 @@ class PuffPlume:
     """
 
     source: np.ndarray
-    emission_rate: float            # ppb m^2 / s; 0 disables the train
-    puff_interval: float
     flow: FlowField
     diffusion: float
+    emission_rate: float = 0.0      # ppb m^2 / s; 0 disables the train
+    puff_interval: float = 0.5
     start_time: float = 0.0
     seed_puffs: tuple = ()
 

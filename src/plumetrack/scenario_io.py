@@ -27,10 +27,13 @@ Top-level layout (see ``scenarios/`` for complete examples)::
                  "grad_floor": ...}
     }
 
-The optional keys of ``noise``, ``vessel``, ``gains``, a puff field's
-``start_time`` and a grid's ``boundary`` reach their model only when given,
-so their defaults are the model's own; the document's other defaults are
-set here.
+Each section that builds one model (``noise``, ``vessel``, ``gains``,
+``rig``, a ``puffs`` or ``frozen-gaussian`` field, a seed puff, a piecewise
+flow) takes that model's fields as its keys and defaults: a field without
+a default is required.  Only keys that are not model fields are read
+explicitly: the top level, ``vessel.start_pose``, each ``type``, a uniform
+flow's ``velocity``, and the grid field, whose ``shape`` and ``init_puff``
+make its cells.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -128,12 +131,6 @@ def _str(d: dict, key: str, path: str, default=None, choices=None) -> str:
     return v
 
 
-def _given(d: dict, path: str, keys, read=_num, **kwargs) -> dict:
-    """The values of those ``keys`` that ``d`` gives, each read by ``read``;
-    the model they configure supplies the rest."""
-    return {key: read(d, key, path, **kwargs) for key in keys if key in d}
-
-
 def _vec2(d: dict, key: str, path: str):
     v = d.get(key)
     if (not isinstance(v, (list, tuple)) or len(v) != 2
@@ -142,60 +139,71 @@ def _vec2(d: dict, key: str, path: str):
     return [float(v[0]), float(v[1])]
 
 
-def _flow(d: dict, path: str) -> FlowField:
-    _check_keys(d, path, ["type"], ["velocity", "boundaries", "velocities"])
-    kind = _str(d, "type", path, choices=("uniform", "piecewise"))
-    with _at(path):
-        if kind == "uniform":
-            _check_keys(d, path, ["type", "velocity"], [])
-            return FlowField.uniform(_vec2(d, "velocity", path))
-        _check_keys(d, path, ["type", "boundaries", "velocities"], [])
-        vels, bounds = d["velocities"], d["boundaries"]
-        if not isinstance(bounds, list) or not isinstance(vels, list):
-            _fail(path, "piecewise flow needs 'boundaries' and 'velocities' lists")
-        return FlowField(vels, bounds)
+def _array(d: dict, key: str, path: str) -> np.ndarray:
+    """``d[key]``, a list nested to any depth, as a float array; every
+    entry must be a finite number as ``_num`` requires (numpy would also
+    take booleans and numeric strings).  The model checks the shape."""
+    todo = [d[key]]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, list):
+            todo.extend(v)
+        elif v is d[key] or not _is_num(v):     # a bare number is no array
+            _fail(f"{path}.{key}",
+                  f"expected an array of finite numbers, got {v!r}")
+    return np.asarray(d[key], dtype=float)
 
 
-def _seed_puff(d: dict, path: str, diffusion: float) -> GaussianPuff:
-    _check_keys(d, path, ["release_time", "point", "strength"], [])
+def _flow(d: dict, key: str, path: str) -> FlowField:
+    flow, path = d[key], f"{path}.{key}"
+    _check_keys(flow, path, ["type"], ["velocity", "boundaries", "velocities"])
+    kind = _str(flow, "type", path, choices=("uniform", "piecewise"))
+    if kind == "uniform":
+        _check_keys(flow, path, ["type", "velocity"], [])
+        return FlowField.uniform(_vec2(flow, "velocity", path))
+    return _model(FlowField, flow, path, extra=["type"])
+
+
+def _seed_puffs(d: dict, key: str, path: str) -> tuple:
+    """A puff field's seed puffs, each with the field's diffusion."""
+    if not isinstance(d[key], list):
+        _fail(f"{path}.{key}", "expected a list")
+    k = _num(d, "diffusion", path)
+    return tuple(_model(GaussianPuff, p, f"{path}.{key}[{i}]", diffusion=k)
+                 for i, p in enumerate(d[key]))
+
+
+def _model(cls, d: dict, path: str, extra=(), **given):
+    """Build ``cls`` from the object ``d`` at ``path``.  Each field not in
+    ``given`` is a key, required when the field has no default and read by
+    its ``_READERS`` entry or as a finite number; ``extra`` names required
+    keys that are not fields, which the caller reads itself."""
+    keys = [f for f in fields(cls) if f.name not in given]
+    required = [f.name for f in keys if f.default is MISSING]
+    _check_keys(d, path, [*extra, *required], [f.name for f in keys])
     with _at(path):
-        return GaussianPuff(release_time=_num(d, "release_time", path),
-                            point=_vec2(d, "point", path),
-                            strength=_num(d, "strength", path),
-                            diffusion=diffusion)
+        values = {f.name: _READERS.get(f.name, _num)(d, f.name, path)
+                  for f in keys if f.name in d}
+        return cls(**given, **values)
+
+
+# The reader of each model field that is not a plain number.
+_READERS = {"source": _vec2, "center": _vec2, "point": _vec2,
+            "offsets": _array, "velocities": _array, "boundaries": _array,
+            "flow": _flow, "seed_puffs": _seed_puffs, "seed": _int}
 
 
 def _field(d: dict, path: str, duration: float):
     kind = _str(d, "type", path) if isinstance(d, dict) else None
     if kind == "puffs":
-        _check_keys(d, path, ["type", "diffusion", "flow", "source"],
-                    ["emission_rate", "puff_interval", "start_time",
-                     "seed_puffs"])
-        k = _num(d, "diffusion", path)
-        flow = _flow(d["flow"], f"{path}.flow")
-        seeds = d.get("seed_puffs", [])
-        if not isinstance(seeds, list):
-            _fail(f"{path}.seed_puffs", "expected a list")
-        puffs = tuple(_seed_puff(p, f"{path}.seed_puffs[{i}]", k)
-                      for i, p in enumerate(seeds))
-        with _at(path):
-            plume = PuffPlume(source=_vec2(d, "source", path),
-                              emission_rate=_num(d, "emission_rate", path, 0.0),
-                              puff_interval=_num(d, "puff_interval", path, 0.5),
-                              flow=flow, diffusion=k, seed_puffs=puffs,
-                              **_given(d, path, ["start_time"]))
+        plume = _model(PuffPlume, d, path, extra=["type"])
         n_train = (duration - plume.start_time) / plume.puff_interval
         if plume.emission_rate > 0 and n_train > MAX_TRAIN_PUFFS:
             _fail(path, f"the emission train would release {n_train:.3g} puffs "
                         f"by t = {duration:g} s; at most {MAX_TRAIN_PUFFS:,}")
         return plume
     if kind == "frozen-gaussian":
-        _check_keys(d, path, ["type", "peak", "sigma", "center", "flow"], [])
-        with _at(path):
-            return FrozenGaussian(peak=_num(d, "peak", path),
-                                  sigma=_num(d, "sigma", path),
-                                  center=_vec2(d, "center", path),
-                                  flow=_flow(d["flow"], f"{path}.flow"))
+        return _model(FrozenGaussian, d, path, extra=["type"])
     if kind == "grid":
         _check_keys(d, path,
                     ["type", "origin", "cell_size", "shape", "diffusion",
@@ -206,8 +214,9 @@ def _field(d: dict, path: str, duration: float):
                        for s in shape)):
             _fail(f"{path}.shape", "expected [nx, ny] integers")
         k = _num(d, "diffusion", path)
-        flow = _flow(d["flow"], f"{path}.flow")
-        puff = _seed_puff(d["init_puff"], f"{path}.init_puff", k)
+        flow = _flow(d, "flow", path)
+        puff = _model(GaussianPuff, d["init_puff"], f"{path}.init_puff",
+                      diffusion=k)
         if puff.release_time >= 0:
             _fail(f"{path}.init_puff.release_time",
                   "must be < 0 so the grid is defined at t = 0")
@@ -215,8 +224,8 @@ def _field(d: dict, path: str, duration: float):
             return GridField.from_puff(
                 puff, flow, t=0.0, origin=_vec2(d, "origin", path),
                 cell_size=_num(d, "cell_size", path), shape=shape,
-                **_given(d, path, ["boundary"], _str,
-                         choices=("outflow", "periodic")))
+                boundary=_str(d, "boundary", path, GridField.boundary,
+                              choices=("outflow", "periodic")))
     _fail(f"{path}.type",
           "expected 'puffs', 'frozen-gaussian', or 'grid'")
 
@@ -245,44 +254,25 @@ def scenario_from_dict(doc: dict, origin: str = "<scenario>") -> Scenario:
                "sign_convention", "tracked_point", "flow_noise_sigma",
                "rig", "noise"]
     _check_keys(doc, origin, top_req, top_opt)
-    if doc["schema"] != SCHEMA_VERSION:
+    if isinstance(doc["schema"], bool) or doc["schema"] != SCHEMA_VERSION:
         _fail(f"{origin}.schema",
               f"unsupported schema {doc['schema']!r}; expected {SCHEMA_VERSION}")
 
     control_period = _num(doc, "control_period", origin, 0.05)
     substep = _num(doc, "physics_substep", origin, control_period)
 
-    if "rig" in doc:
-        _check_keys(doc["rig"], f"{origin}.rig", ["offsets"], [])
-        with _at(f"{origin}.rig"):
-            rig = SensorRig(np.asarray(doc["rig"]["offsets"], dtype=float))
-    else:
-        rig = SensorRig.cross()
-
-    nd = doc.get("noise", {})
-    noise_keys = ["sigma", "floor", "range_max"]
-    _check_keys(nd, f"{origin}.noise", [], noise_keys + ["seed"])
-    with _at(f"{origin}.noise"):
-        noise = NoiseModel(**_given(nd, f"{origin}.noise", noise_keys),
-                           **_given(nd, f"{origin}.noise", ["seed"], _int))
+    rig = (_model(SensorRig, doc["rig"], f"{origin}.rig") if "rig" in doc
+           else SensorRig.cross())
+    noise = _model(NoiseModel, doc.get("noise", {}), f"{origin}.noise")
 
     vp = doc["vessel"]
-    param_keys = ["offset", "nu_max", "omega_max"]
-    _check_keys(vp, f"{origin}.vessel", ["start_pose"], param_keys)
-    pose = vp.get("start_pose")
+    params = _model(VesselParams, vp, f"{origin}.vessel", extra=["start_pose"])
+    pose = vp["start_pose"]
     if (not isinstance(pose, list) or len(pose) != 3
             or not all(map(_is_num, pose))):
         _fail(f"{origin}.vessel.start_pose",
               "expected [x, y, theta] of finite numbers")
-    with _at(f"{origin}.vessel"):
-        params = VesselParams(**_given(vp, f"{origin}.vessel", param_keys))
-
-    gd = doc["gains"]
-    gain_keys = ["c0", "k", "k1", "k2", "v_d"]
-    _check_keys(gd, f"{origin}.gains", gain_keys, ["grad_floor"])
-    with _at(f"{origin}.gains"):
-        gains = GuidanceGains(**_given(gd, f"{origin}.gains",
-                                       gain_keys + ["grad_floor"]))
+    gains = _model(GuidanceGains, doc["gains"], f"{origin}.gains")
 
     duration = _num(doc, "duration", origin)
     with _at(origin):

@@ -511,6 +511,18 @@ class TestExitCodeContract:
         ("grid_tiny_k", ("field", "init_puff", "release_time"), -1e-300, 2),
         # 4 k tau is subnormal, not 0, and the peak Q/(4 pi k tau) overflows
         ("grid_tiny_k", ("field", "init_puff", "release_time"), -1e-10, 2),
+        # booleans and numeric strings are not numbers, in arrays too
+        ("case1", ("schema",), True, 2),
+        ("case1", ("rig", "offsets"), [[True, 0], [-1, 0], [0, True], [0, -1]],
+         2),
+        ("case1", ("rig", "offsets"),
+         [["0.75", "0"], ["-0.75", "0"], ["0", "0.75"], ["0", "-0.75"]], 2),
+        ("case1", ("field", "flow"),
+         {"type": "piecewise", "boundaries": ["5"],
+          "velocities": [["0.1", False], [0, True]]}, 2),
+        ("case1", ("field", "flow"),
+         {"type": "piecewise", "boundaries": ["5"],
+          "velocities": [[0.1, 0], [0, 1]]}, 2),
     ])
     def test_edge_documents(self, tmp_path, scenarios_dir, capsys, name,
                             path, value, code):

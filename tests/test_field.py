@@ -146,19 +146,22 @@ class TestPuff:
 
 class TestPlume:
     def test_before_first_release_is_zero(self):
-        plume = PuffPlume((0, 0), 1.0, 0.5, STILL, 1.0, start_time=2.0)
+        plume = PuffPlume(source=(0, 0), flow=STILL, diffusion=1.0,
+                          emission_rate=1.0, start_time=2.0)
         assert at_point(plume, (1, 1), 2.0) == 0.0
 
     def test_single_puff_matches_components(self):
         p = unit_puff()
-        plume = PuffPlume((0, 0), 0.0, 0.5, STILL, 1.0, seed_puffs=(p,))
+        plume = PuffPlume(source=(0, 0), flow=STILL, diffusion=1.0,
+                          seed_puffs=(p,))
         c = at_point(plume, (0.7, -0.3), 1.5)
         assert c == pytest.approx(puff_concentration(p, STILL, (0.7, -0.3), 1.5), rel=1e-14)
 
     def test_two_colocated_puffs_double(self):
         p = unit_puff()
-        one = PuffPlume((0, 0), 0.0, 0.5, STILL, 1.0, seed_puffs=(p,))
-        two = PuffPlume((0, 0), 0.0, 0.5, STILL, 1.0, seed_puffs=(p, p))
+        one = PuffPlume(source=(0, 0), flow=STILL, diffusion=1.0, seed_puffs=(p,))
+        two = PuffPlume(source=(0, 0), flow=STILL, diffusion=1.0,
+                        seed_puffs=(p, p))
         c1 = at_point(one, (0.5, 0.5), 2.0)
         c2 = at_point(two, (0.5, 0.5), 2.0)
         assert c2 == pytest.approx(2 * c1, rel=1e-13)
@@ -174,7 +177,8 @@ class TestPlume:
         flow = FlowField.uniform((0.2, -0.1))
 
         def plume(subset):
-            return PuffPlume((0, 0), 0.0, 0.5, flow, k, seed_puffs=subset)
+            return PuffPlume(source=(0, 0), flow=flow, diffusion=k,
+                             seed_puffs=subset)
 
         x, t = (0.8, -0.4), 1.7
         ca = at_point(plume(puffs[:3]), x, t)
@@ -183,14 +187,16 @@ class TestPlume:
         assert cu == pytest.approx(ca + cb, rel=1e-12)
 
     def test_emission_train_count_and_strength(self):
-        plume = PuffPlume((0, 0), 2.0, 0.5, STILL, 1.0, start_time=0.0)
+        plume = PuffPlume(source=(0, 0), flow=STILL, diffusion=1.0,
+                          emission_rate=2.0, puff_interval=0.5)
         t0s, pts, qs = plume._table.released(1.6)
         # releases at 0.0, 0.5, 1.0, 1.5 are all strictly before t = 1.6
         assert t0s.tolist() == [0.0, 0.5, 1.0, 1.5]
         assert np.all(qs == 1.0)  # Q = rate * interval
 
     def test_release_at_t_excluded(self):
-        plume = PuffPlume((0, 0), 2.0, 0.5, STILL, 1.0, start_time=0.0)
+        plume = PuffPlume(source=(0, 0), flow=STILL, diffusion=1.0,
+                          emission_rate=2.0, puff_interval=0.5)
         t0s, _, _ = plume._table.released(1.5)
         assert t0s.tolist() == [0.0, 0.5, 1.0]
 
@@ -200,7 +206,9 @@ class TestPlume:
                  GaussianPuff(3.2, (-1.0, 0.5), 20.0, 1.0))
 
         def plume():
-            return PuffPlume((0, 0), 2.0, 0.5, STILL, 1.0, seed_puffs=seeds)
+            return PuffPlume(source=(0, 0), flow=STILL, diffusion=1.0,
+                             emission_rate=2.0, puff_interval=0.5,
+                             seed_puffs=seeds)
 
         grown = plume()
         for t in (0.7, 3.0, 3.3, 12.0, 40.0):
@@ -262,7 +270,8 @@ class TestPlume:
         peak = CULL_BOUND / math.exp(-(d - rho) ** 2 / (4 * k * tau))
         q = factor * peak * 4 * math.pi * k * tau      # about 3e62
         far = GaussianPuff(0.0, (d, 0.0), q, k)
-        plume = PuffPlume((0, 0), 0.0, 0.5, STILL, k, seed_puffs=(far,))
+        plume = PuffPlume(source=(0, 0), flow=STILL, diffusion=k,
+                          seed_puffs=(far,))
         x = np.array([[0.0, rho], [0.0, -rho]])
         c = plume.eval_many(x, tau)
         if kept:
@@ -277,7 +286,7 @@ class TestPlume:
         # next to the puff, so the puff stays in the superposition
         weak = GaussianPuff(0.0, (0.0, 0.0), 1e-7 * 4.0 * math.pi, 1.0)
         strong = unit_puff()
-        plume = PuffPlume((0, 0), 0.0, 0.5, STILL, 1.0,
+        plume = PuffPlume(source=(0, 0), flow=STILL, diffusion=1.0,
                           seed_puffs=(weak, strong))
         x = (0.3, 0.1)
         assert at_point(plume, x, 1.0) == pytest.approx(
@@ -286,7 +295,8 @@ class TestPlume:
 
     def test_analytic_fields_advance_to_themselves(self):
         blob = FrozenGaussian(10.0, 2.0, (0.0, 0.0), STILL)
-        plume = PuffPlume((0, 0), 1.0, 0.5, STILL, 1.0)
+        plume = PuffPlume(source=(0, 0), flow=STILL, diffusion=1.0,
+                          emission_rate=1.0)
         assert blob.advance(7.0, 0.05) is blob
         assert plume.advance(7.0, 0.05) is plume
 

@@ -1,15 +1,18 @@
 import json
 import math
+import re
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
-from plumetrack.field import FrozenGaussian, GridField, PuffPlume
+from plumetrack.field import (FlowField, FrozenGaussian, GaussianPuff,
+                              GridField, PuffPlume)
 from plumetrack.guidance import GuidanceGains
 from plumetrack.scenario_io import (ScenarioError, load_scenario,
                                     parse_sweep_value, scenario_from_dict,
                                     set_path)
-from plumetrack.sensing import NoiseModel
+from plumetrack.sensing import NoiseModel, SensorRig
 from plumetrack.vessel import VesselParams
 
 MINIMAL = {
@@ -22,6 +25,16 @@ MINIMAL = {
     "vessel": {"start_pose": [10.0, 0.0, 0.0]},
     "gains": {"c0": 50.0, "k": 1.2, "k1": 5.0, "k2": 11.0, "v_d": 1.5},
 }
+
+GRID = {
+    "type": "grid", "origin": [-8.0, -8.0], "cell_size": 0.5,
+    "shape": [32, 32], "diffusion": 0.05,
+    "flow": {"type": "uniform", "velocity": [0.5, 0.0]},
+    "init_puff": {"release_time": -40.0, "point": [-20.0, 0.0],
+                  "strength": 1200.0}}
+
+PIECEWISE = {"type": "piecewise", "boundaries": [5.0],
+             "velocities": [[0.1, 0.0], [0.0, 0.1]]}
 
 
 def doc(**overrides) -> dict:
@@ -51,20 +64,60 @@ class TestSchema:
         assert sc.gains == GuidanceGains(c0=50.0, k=1.2, k1=5.0, k2=11.0,
                                          v_d=1.5)
         puffs = json.loads(json.dumps(case1_doc["field"]))
-        del puffs["start_time"]
+        for key in ("start_time", "emission_rate", "puff_interval"):
+            del puffs[key]
         plume = scenario_from_dict(doc(field=puffs)).field0
         assert plume.start_time == PuffPlume.start_time
-        grid = scenario_from_dict(doc(field={
-            "type": "grid", "origin": [-8.0, -8.0], "cell_size": 0.5,
-            "shape": [32, 32], "diffusion": 0.05,
-            "flow": {"type": "uniform", "velocity": [0.5, 0.0]},
-            "init_puff": {"release_time": -40.0, "point": [-20.0, 0.0],
-                          "strength": 1200.0}})).field0
+        assert plume.emission_rate == PuffPlume.emission_rate == 0.0
+        assert plume.puff_interval == PuffPlume.puff_interval == 0.5
+        grid = scenario_from_dict(doc(field=GRID)).field0
         assert grid.boundary == GridField.boundary
 
+    @pytest.mark.parametrize("base, section, model", [
+        ("case1", ("noise",), NoiseModel),
+        ("case1", ("vessel",), VesselParams),
+        ("case1", ("gains",), GuidanceGains),
+        ("case1", ("rig",), SensorRig),
+        ("case1", ("field",), PuffPlume),
+        ("case1", ("field", "seed_puffs", 0), GaussianPuff),
+        ("minimal", ("field",), FrozenGaussian),
+        ("grid", ("field", "init_puff"), GaussianPuff),
+        ("piecewise", ("field", "flow"), FlowField),
+    ])
+    def test_each_key_is_a_model_field(self, case1_doc, base, section,
+                                       model):
+        # a section's required keys are its model's fields without a
+        # default, and a key that is no field is refused
+        base = {"case1": case1_doc, "minimal": MINIMAL,
+                "grid": doc(field=GRID),
+                "piecewise": doc(field=dict(MINIMAL["field"],
+                                            flow=PIECEWISE))}[base]
+        path = "<scenario>" + "".join(
+            f"[{k}]" if isinstance(k, int) else f".{k}" for k in section)
+        required = [f.name for f in fields(model) if f.default is MISSING]
+        if model is GaussianPuff:
+            required.remove("diffusion")          # the field's, passed in
+
+        def refused(edit, msg):
+            d = json.loads(json.dumps(base))
+            node = d
+            for key in section:
+                node = node[key]
+            edit(node)
+            with pytest.raises(ScenarioError,
+                               match=f"^{re.escape(f'{path}: {msg}')}$"):
+                scenario_from_dict(d)
+
+        for name in required:
+            refused(lambda node: node.pop(name),
+                    f"missing required field '{name}'")
+        refused(lambda node: node.update(bogus=1.0),
+                "unknown field(s): bogus")
+
     def test_wrong_schema_version(self):
-        with pytest.raises(ScenarioError, match="schema"):
-            scenario_from_dict(doc(schema=2))
+        for schema in (2, True):
+            with pytest.raises(ScenarioError, match="schema"):
+                scenario_from_dict(doc(schema=schema))
 
     def test_unknown_top_level_field(self):
         with pytest.raises(ScenarioError, match="bogus"):
@@ -165,6 +218,22 @@ class TestSchema:
                                   "velocities": vels}
             with pytest.raises(ScenarioError, match="flow"):
                 scenario_from_dict(d)
+
+    @pytest.mark.parametrize("key, value", [
+        ("rig.offsets", [[True, 0], [-1, 0], [0, True], [0, -1]]),
+        ("rig.offsets", [["0.75", "0"], ["-0.75", "0"], ["0", "0.75"],
+                         ["0", "-0.75"]]),
+        ("field.flow.boundaries", ["5"]),
+        ("field.flow.velocities", [["0.1", False], [0, True]]),
+    ])
+    def test_arrays_hold_numbers_only(self, key, value):
+        d = doc(rig={"offsets": [[1, 0], [-1, 0], [0, 1], [0, -1]]})
+        d["field"]["flow"] = json.loads(json.dumps(PIECEWISE))
+        scenario_from_dict(d)
+        set_path(d, key, value)
+        msg = f"<scenario>.{key}: expected an array of finite numbers"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(msg)}"):
+            scenario_from_dict(d)
 
     def test_bundled_scenarios_load(self, scenarios_dir):
         for name in ("case1.json", "case2.json", "pure_advection.json",

@@ -169,7 +169,8 @@ class TestLevelSetRadius:
         # peak 100 ppb at tau = 1, k = 1: R = sqrt(4 ln 2)
         q = 100.0 * 4.0 * math.pi
         puff = GaussianPuff(0.0, (0.0, 0.0), q, 1.0)
-        plume = PuffPlume((0, 0), 0.0, 0.5, STILL, 1.0, seed_puffs=(puff,))
+        plume = PuffPlume(source=(0, 0), flow=STILL, diffusion=1.0,
+                          seed_puffs=(puff,))
         r = plume.level_set_radius(50.0, 1.0)
         assert r == pytest.approx(math.sqrt(4.0 * math.log(2.0)), rel=1e-12)
         assert r == pytest.approx(1.66511, abs=1e-5)
@@ -179,13 +180,13 @@ class TestLevelSetRadius:
 
     def test_empty_level_set(self):
         q = 40.0 * 4.0 * math.pi
-        plume = PuffPlume((0, 0), 0.0, 0.5, STILL, 1.0,
+        plume = PuffPlume(source=(0, 0), flow=STILL, diffusion=1.0,
                           seed_puffs=(GaussianPuff(0.0, (0, 0), q, 1.0),))
         assert plume.level_set_radius(50.0, 1.0) is None
 
     def test_peak_equals_level(self):
         q = 50.0 * 4.0 * math.pi
-        plume = PuffPlume((0, 0), 0.0, 0.5, STILL, 1.0,
+        plume = PuffPlume(source=(0, 0), flow=STILL, diffusion=1.0,
                           seed_puffs=(GaussianPuff(0.0, (0, 0), q, 1.0),))
         assert plume.level_set_radius(50.0, 1.0) == pytest.approx(0.0, abs=1e-9)
 
@@ -196,7 +197,8 @@ class TestLevelSetRadius:
         assert c[0] == pytest.approx(50.0, abs=1e-9)
 
     def test_multi_puff_plume_rejected(self):
-        plume = PuffPlume((0, 0), 1.0, 0.5, STILL, 1.0, start_time=0.0)
+        plume = PuffPlume(source=(0, 0), flow=STILL, diffusion=1.0,
+                          emission_rate=1.0)
         with pytest.raises(ValueError):
             plume.level_set_radius(50.0, 1.0)
 
