@@ -23,8 +23,9 @@ the measurement-feedback k1 term stabilizes both, which is why either can
 track in practice.  The acceptance suite quantifies the difference on a
 pure-advection scenario.
 
-With the stock cross rig the Laplacian estimate is identically zero (see
-sensing), so the k lap term is inert there regardless of convention.
+With the stock cross rig the Laplacian estimate is zero up to roundoff
+(see sensing), so the k lap term is inert there in either convention.
+The step runs on floats, in the operand order of the matrix forms above.
 
 Degenerate fallback: when |g| is below ``grad_floor`` the gradient gives
 no usable direction, so the step holds x_hat, keeps only the pull
@@ -38,12 +39,9 @@ clockwise (negative winding).  The tests assert this geometric fact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
-
-# +90 degree (counter-clockwise) rotation
-ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
+from typing import NamedTuple
 
 SIGN_PDE = "pde-derived"
 SIGN_OPPOSED = "advection-opposed"
@@ -94,11 +92,10 @@ class GuidanceGains:
             raise ValueError("gradient floor must be > 0")
 
 
-@dataclass(frozen=True)
-class GuidanceState:
+class GuidanceState(NamedTuple):
     """Observer estimate plus diagnostic tracking status."""
 
-    xhat: np.ndarray
+    xhat: tuple[float, float]
     status: str = STATUS_SEEKING
     window_start: float | None = None    # start of the current in-band window
     converged: bool = False              # sticky once promoted to tracking
@@ -106,13 +103,13 @@ class GuidanceState:
 
 def init(x_r) -> GuidanceState:
     """Fresh observer state anchored at the vessel position."""
-    x = np.asarray(x_r, dtype=float).reshape(2).copy()
-    return GuidanceState(xhat=x)
+    x, y = map(float, x_r)
+    return GuidanceState(xhat=(x, y))
 
 
 def step(state: GuidanceState, gains: GuidanceGains, mode: str, x_r, z,
          driven, c_hat: float, grad, lap: float, v_r, dt: float,
-         t: float) -> tuple[GuidanceState, np.ndarray]:
+         t: float) -> tuple[GuidanceState, tuple[float, float]]:
     """One control period: observer update, planar control, status.
 
     The observer takes an explicit Euler step first, and the control's
@@ -120,48 +117,53 @@ def step(state: GuidanceState, gains: GuidanceGains, mode: str, x_r, z,
     the control moves (the head point or the hull centre); the status
     always measures the head point ``z`` against x_hat.  Promotion to
     tracking is sticky and requires the concentration band and the
-    z-to-estimate distance to hold for TRACK_HOLD seconds.
+    z-to-estimate distance to hold for TRACK_HOLD seconds.  The points
+    and vectors are any 2-sequences; x_hat and u come back as tuples.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
     if mode not in ADVECTION_SIGN:
         raise ValueError(f"unknown sign convention {mode!r}; "
                          f"expected one of {SIGN_MODES}")
-    x_r = np.asarray(x_r, dtype=float).reshape(2)
-    z = np.asarray(z, dtype=float).reshape(2)
-    driven = np.asarray(driven, dtype=float).reshape(2)
-    g = np.asarray(grad, dtype=float).reshape(2)
-    v = np.asarray(v_r, dtype=float).reshape(2)
-    finite = np.isfinite(np.concatenate((x_r, g, v, (c_hat, lap))))
-    if not finite.all():
+    xr, yr = x_r
+    gx, gy = grad
+    vx, vy = v_r
+    inputs = (xr, yr, gx, gy, vx, vy, c_hat, lap)
+    if not all(map(math.isfinite, inputs)):
         name = ("x_r", "x_r", "grad", "grad", "v_r", "v_r", "c_hat",
-                "lap")[int(np.argmin(finite))]
+                "lap")[[math.isfinite(a) for a in inputs].index(False)]
         raise NonFiniteError(f"non-finite observer input {name} at t={t:g} s")
-    norm = float(np.hypot(g[0], g[1]))
+    # abs of a complex is C's hypot, as np.hypot; math.hypot rounds otherwise
+    norm = abs(complex(gx, gy))
     degenerate = norm < gains.grad_floor
+    xh, yh = state.xhat
+    dx, dy = driven
     if degenerate:
-        xhat = state.xhat
-        u = -gains.k2 * (driven - xhat)
+        ux, uy = -gains.k2 * (dx - xh), -gains.k2 * (dy - yh)
     else:
-        speed = ((ADVECTION_SIGN[mode] * float(v @ g) - gains.k * lap)
-                 / float(g @ g))
-        drift = speed * g + gains.v_d * (ROT90 @ g) / norm
+        speed = ((ADVECTION_SIGN[mode] * (vx * gx + vy * gy) - gains.k * lap)
+                 / (gx * gx + gy * gy))
+        # drift = speed g + v_d A g / |g|, with A g = (-gy, gx)
+        fx = speed * gx + gains.v_d * -gy / norm
+        fy = speed * gy + gains.v_d * gx / norm
         c_err = c_hat - gains.c0
-        xhat = state.xhat + dt * (
-            drift - gains.k1 * (float(g @ (state.xhat - x_r)) + c_err) * g)
-        u = (drift - gains.k1 * (float(g @ (xhat - x_r)) + c_err) * g
-             - gains.k2 * (driven - xhat))
-    if not np.isfinite(u).all():
+        w = gains.k1 * (gx * (xh - xr) + gy * (yh - yr) + c_err)
+        xh = xh + dt * (fx - w * gx)
+        yh = yh + dt * (fy - w * gy)
+        w = gains.k1 * (gx * (xh - xr) + gy * (yh - yr) + c_err)
+        ux = fx - w * gx - gains.k2 * (dx - xh)
+        uy = fy - w * gy - gains.k2 * (dy - yh)
+    if not (math.isfinite(ux) and math.isfinite(uy)):
         raise NonFiniteError(
-            f"non-finite planar control {u.tolist()} at t={t:g} s")
+            f"non-finite planar control {[float(ux), float(uy)]} at t={t:g} s")
     if degenerate:
-        return GuidanceState(xhat, STATUS_DEGENERATE, None,
-                             state.converged), u
+        return GuidanceState(state.xhat, STATUS_DEGENERATE, None,
+                             state.converged), (ux, uy)
 
     converged = state.converged
     window = state.window_start
     in_band = (abs(c_err) < TRACK_BAND * gains.c0
-               and float(np.hypot(*(z - xhat))) < TRACK_DIST)
+               and abs(complex(z[0] - xh, z[1] - yh)) < TRACK_DIST)
     if in_band:
         window = t if window is None else window
         if t - window >= TRACK_HOLD:
@@ -169,4 +171,4 @@ def step(state: GuidanceState, gains: GuidanceGains, mode: str, x_r, z,
     else:
         window = None
     status = STATUS_TRACKING if converged else STATUS_SEEKING
-    return GuidanceState(xhat, status, window, converged), u
+    return GuidanceState((xh, yh), status, window, converged), (ux, uy)

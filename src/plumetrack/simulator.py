@@ -150,7 +150,7 @@ def run(scenario: Scenario) -> RunLog:
         positions = sensing.world_positions(sc.rig, state)
         z = vessel.head_point(state, sc.params.offset)
         if fieldmodel.has_analytic_truth:
-            c = fieldmodel.eval_many(np.vstack((positions, z)), t)
+            c = fieldmodel.eval_many((*positions, z), t)
             ctrue = float(c[4])
         else:
             try:
@@ -164,6 +164,7 @@ def run(scenario: Scenario) -> RunLog:
         v_r = fieldmodel.flow.at(t)
         if sc.flow_noise_sigma > 0:
             v_r = v_r + sc.flow_noise_sigma * flow_rng.standard_normal(2)
+        v_r = v_r.tolist()
         driven = z if sc.tracked_point == "head" else state.position
         g, u = guidance.step(g, sc.gains, sc.sign_convention, state.position,
                              z, driven, est.c_hat, est.grad, est.lap, v_r,

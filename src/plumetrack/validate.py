@@ -135,17 +135,19 @@ def _misprinted_inverse(theta: float, offset: float) -> np.ndarray:
 
 
 def check_transform_identity(n: int = 10000, seed: int = 3):
-    """|C C^-1 - I|_inf over random (theta, l0)."""
+    """|C to_actuators(u) - u|_inf over random (theta, l0, u), with
+    actuator limits that never clip: the inverse the run applies."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n):
         theta = rng.uniform(-math.pi, math.pi)
         l0 = rng.uniform(1e-3, 10.0)
-        product = (vessel.input_matrix(theta, l0)
-                   @ vessel.inverse_input_matrix(theta, l0))
-        err = np.abs(product - np.eye(2)).max()
+        u = rng.uniform(-1.0, 1.0, size=2)
+        params = vessel.VesselParams(offset=l0, nu_max=1e6, omega_max=1e6)
+        cmd, _ = vessel.to_actuators(u, theta, params)
+        err = np.abs(vessel.input_matrix(theta, l0) @ cmd - u).max()
         worst = max(worst, err)
-    return worst < 1e-12, f"max |C C^-1 - I| = {worst:.3e} (limit 1e-12)"
+    return worst < 1e-12, f"max |C C^-1 u - u| = {worst:.3e} (limit 1e-12)"
 
 
 def check_misprint_rejected(n: int = 200, seed: int = 4):

@@ -14,7 +14,9 @@ so commanding z' = u reduces the vehicle to a single integrator.  The
 inverse used here is the true matrix inverse,
 
     C^-1 = [[ cos theta,      sin theta    ],
-            [-sin theta / l0, cos theta / l0]].
+            [-sin theta / l0, cos theta / l0]],
+
+applied row by row on floats, each row a left-to-right 2-term sum.
 
 A variant with the (2, 2) entry negated circulates in some writeups; it
 satisfies neither C D = I nor D C = I (det C = l0 != 0 leaves no sign
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +41,8 @@ class VesselState:
     heading: float
 
     @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
+    def position(self) -> tuple[float, float]:
+        return self.x, self.y
 
 
 @dataclass(frozen=True)
@@ -57,8 +60,7 @@ class VesselParams:
             raise ValueError("actuator limits must be > 0")
 
 
-@dataclass(frozen=True)
-class ActuatorCommand:
+class ActuatorCommand(NamedTuple):
     nu: float                    # m/s
     omega: float                 # rad/s
 
@@ -69,12 +71,12 @@ def normalize_heading(theta: float) -> float:
     return math.pi if t == -math.pi else t
 
 
-def head_point(state: VesselState, offset: float) -> np.ndarray:
+def head_point(state: VesselState, offset: float) -> tuple[float, float]:
     """Offset point z = x_r + l0 (cos theta, sin theta)."""
     if offset <= 0:
         raise ValueError("head-point offset l0 must be > 0")
-    return np.array([state.x + offset * math.cos(state.heading),
-                     state.y + offset * math.sin(state.heading)])
+    return (state.x + offset * math.cos(state.heading),
+            state.y + offset * math.sin(state.heading))
 
 
 def input_matrix(theta: float, offset: float) -> np.ndarray:
@@ -83,26 +85,23 @@ def input_matrix(theta: float, offset: float) -> np.ndarray:
     return np.array([[c, -offset * s], [s, offset * c]])
 
 
-def inverse_input_matrix(theta: float, offset: float) -> np.ndarray:
-    """Closed-form C(theta)^-1."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [-s / offset, c / offset]])
-
-
 def to_actuators(u, theta: float, params: VesselParams):
     """Map a planar head-point velocity command to (nu, omega).
 
     Returns (ActuatorCommand, saturated): the exact inverse transform is
     applied first, then each channel is clipped to its limit.
     """
-    u = np.asarray(u, dtype=float).reshape(2)
-    if not np.all(np.isfinite(u)):
-        raise ValueError(f"non-finite planar control {u.tolist()}")
-    raw = inverse_input_matrix(theta, params.offset) @ u
-    nu = min(max(raw[0], -params.nu_max), params.nu_max)
-    omega = min(max(raw[1], -params.omega_max), params.omega_max)
-    saturated = (nu != raw[0]) or (omega != raw[1])
-    return ActuatorCommand(float(nu), float(omega)), saturated
+    ux, uy = map(float, u)
+    if not (math.isfinite(ux) and math.isfinite(uy)):
+        raise ValueError(f"non-finite planar control {[ux, uy]}")
+    c, s = math.cos(theta), math.sin(theta)
+    l0 = params.offset
+    nu_raw = c * ux + s * uy
+    omega_raw = -s / l0 * ux + c / l0 * uy
+    nu = min(max(nu_raw, -params.nu_max), params.nu_max)
+    omega = min(max(omega_raw, -params.omega_max), params.omega_max)
+    saturated = nu != nu_raw or omega != omega_raw
+    return ActuatorCommand(nu, omega), saturated
 
 
 def step(state: VesselState, cmd: ActuatorCommand, dt: float) -> VesselState:

@@ -123,8 +123,8 @@ class TestNormalFeedforward:
             if np.hypot(*g) < 0.1:
                 continue
             lap, v = rng.uniform(-2, 2), rng.uniform(-1, 1, 2)
-            a = observer_rate(QUIET, SIGN_PDE, g, lap, v)
-            b = observer_rate(QUIET, SIGN_OPPOSED, g, lap, v)
+            a = np.asarray(observer_rate(QUIET, SIGN_PDE, g, lap, v))
+            b = np.asarray(observer_rate(QUIET, SIGN_OPPOSED, g, lap, v))
             adv = float(v @ g) / float(g @ g) * g
             assert np.allclose(a - b, 2 * adv, atol=1e-12)
 
@@ -250,11 +250,15 @@ class TestControl:
         assert np.allclose(u, [-22.0, 11.0])
 
     def test_rotation_preserves_norm(self):
+        # the patrol term v_d A g / |g|, with k = 0 and a still fluid
+        # alone in the rate, is g turned +90 degrees at the patrol speed
+        gains = GuidanceGains(c0=50.0, k=0.0, k1=5.0, k2=11.0, v_d=1.0)
         rng = np.random.default_rng(1)
         for _ in range(100):
             g = rng.uniform(-5, 5, 2)
-            assert np.hypot(*(G.ROT90 @ g)) == pytest.approx(np.hypot(*g),
-                                                             rel=1e-15)
+            rate = np.asarray(observer_rate(gains, SIGN_PDE, g, 0.0, (0, 0)))
+            assert rate * np.hypot(*g) == pytest.approx([-g[1], g[0]],
+                                                        rel=1e-15)
 
     def test_tangential_orthogonal_and_normed(self):
         # on-curve x_r and a still fluid: the patrol is the whole rate

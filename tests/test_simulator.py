@@ -164,6 +164,135 @@ class TestRun:
             run(short_scenario(duration=1.0, rig=rig))
 
 
+# The matrix forms of one control step, as the step chain computed them on
+# numpy 2-vectors before it ran on floats: a reference for the float chain.
+
+def matrix_positions(offsets, x, y, theta):
+    c, s = math.cos(theta), math.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    return np.array([x, y])[None, :] + offsets @ rot.T
+
+
+def matrix_estimate(pinv, readings, theta):
+    c_hat = float(readings.mean())
+    gamma = pinv @ (readings - c_hat)
+    c, s = math.cos(theta), math.sin(theta)
+    return (c_hat, np.array([[c, -s], [s, c]]) @ gamma[:2],
+            float(gamma[2] + gamma[5]))
+
+
+def matrix_guidance(state, gains, mode, x_r, z, driven, c_hat, g, lap, v,
+                    dt, t):
+    """(x_hat, u, status, window, converged, scale), scale being the
+    largest term of the observer and the control."""
+    rot90 = np.array([[0.0, -1.0], [1.0, 0.0]])
+    x_r, z, driven, g, v = (np.asarray(a, dtype=float)
+                            for a in (x_r, z, driven, g, v))
+    xhat0 = np.asarray(state.xhat, dtype=float)
+    norm = float(np.hypot(g[0], g[1]))
+    if norm < gains.grad_floor:
+        u = -gains.k2 * (driven - xhat0)
+        return (xhat0, u, G.STATUS_DEGENERATE, None, state.converged,
+                max(1.0, float(np.abs(u).max())))
+    speed = ((G.ADVECTION_SIGN[mode] * float(v @ g) - gains.k * lap)
+             / float(g @ g))
+    drift = speed * g + gains.v_d * (rot90 @ g) / norm
+    c_err = c_hat - gains.c0
+    correction = gains.k1 * (float(g @ (xhat0 - x_r)) + c_err) * g
+    xhat = xhat0 + dt * (drift - correction)
+    correction2 = gains.k1 * (float(g @ (xhat - x_r)) + c_err) * g
+    pull = gains.k2 * (driven - xhat)
+    u = drift - correction2 - pull
+    scale = max(1.0, *(float(np.abs(a).max()) for a in (
+        xhat0, xhat, x_r, drift, correction, correction2, pull)))
+    converged, window = state.converged, state.window_start
+    if (abs(c_err) < G.TRACK_BAND * gains.c0
+            and float(np.hypot(*(z - xhat))) < G.TRACK_DIST):
+        window = t if window is None else window
+        converged = converged or t - window >= G.TRACK_HOLD
+    else:
+        window = None
+    status = G.STATUS_TRACKING if converged else G.STATUS_SEEKING
+    return xhat, u, status, window, converged, scale
+
+
+def matrix_actuators(u, theta, params):
+    c, s = math.cos(theta), math.sin(theta)
+    l0 = params.offset
+    raw = np.array([[c, s], [-s / l0, c / l0]]) @ np.asarray(u, dtype=float)
+    nu = min(max(raw[0], -params.nu_max), params.nu_max)
+    omega = min(max(raw[1], -params.omega_max), params.omega_max)
+    return nu, omega, bool(nu != raw[0] or omega != raw[1]), raw
+
+
+class TestFloatChainMatchesMatrixForms:
+    def test_one_step_at_random_states(self):
+        def assert_close(got, want, scale):
+            err = np.abs(np.asarray(got, dtype=float)
+                         - np.asarray(want, dtype=float)).max()
+            assert err <= 1e-12 * scale
+
+        rng = np.random.default_rng(13)
+        rigs = [SensorRig.cross(0.75), SensorRig.uneven_cross(),
+                SensorRig(matrix_positions(SensorRig.cross(0.6).offsets,
+                                           0.0, 0.0, 0.9))]
+        estimators = [RigEstimator.for_rig(rig) for rig in rigs]
+        statuses, saturation = set(), set()
+        for i in range(2000):
+            rig, estimator = rigs[i % 3], estimators[i % 3]
+            x, y = rng.uniform(-50, 50, 2)
+            theta = rng.uniform(-math.pi, math.pi)
+            state = VesselState(x, y, theta)
+            positions = world_positions(rig, state)
+            ref = matrix_positions(rig.offsets, x, y, theta)
+            assert_close(positions, ref, max(1.0, abs(x), abs(y)))
+
+            # readings of a local quadratic field; every fourth gradient
+            # is scaled down to straddle the degenerate floor
+            d = ref - (x, y)
+            grad_true = rng.uniform(-5, 5, 2) * (0.01 if i % 4 == 0 else 1)
+            H = rng.uniform(-1, 1, (2, 2))
+            readings = np.abs(rng.uniform(0, 100) + d @ grad_true
+                              + 0.5 * np.einsum("ij,jk,ik->i", d, H + H.T, d)
+                              + rng.normal(0.0, 0.5, 4))
+            est = estimator.estimate(readings, theta)
+            c_hat, grad, lap = matrix_estimate(estimator.pinv, readings, theta)
+            assert_close((est.c_hat, *est.grad, est.lap), (c_hat, *grad, lap),
+                         max(1.0, float(readings.max())))
+
+            params = VesselParams(offset=rng.uniform(0.1, 2.0),
+                                  nu_max=rng.uniform(0.5, 20.0),
+                                  omega_max=rng.uniform(0.5, 20.0))
+            gains = GuidanceGains(c0=c_hat * rng.uniform(0.85, 1.15) + 1e-3,
+                                  k=rng.uniform(0, 2), k1=rng.uniform(0.1, 10),
+                                  k2=rng.uniform(0.1, 20),
+                                  v_d=rng.uniform(0, 2))
+            mode = G.SIGN_MODES[i % 2]
+            z = head_point(state, params.offset)
+            driven = z if i % 3 else state.position
+            t = rng.uniform(0, 100)
+            window = None if i % 5 == 0 else t - rng.uniform(0, 3)
+            g0 = G.GuidanceState(tuple(np.add(z, rng.uniform(-2, 2, 2))),
+                                 G.STATUS_SEEKING, window, i % 7 == 0)
+            v = rng.uniform(-1, 1, 2)
+            g1, u = G.step(g0, gains, mode, (x, y), z, driven, c_hat, grad,
+                           lap, v, 0.05, t)
+            want = matrix_guidance(g0, gains, mode, (x, y), z, driven, c_hat,
+                                   grad, lap, v, 0.05, t)
+            assert_close((*g1.xhat, *u), (*want[0], *want[1]), want[5])
+            assert (g1.status, g1.window_start, g1.converged) == want[2:5]
+            statuses.add(g1.status)
+
+            cmd, saturated = to_actuators(want[1], theta, params)
+            nu, omega, sat, raw = matrix_actuators(want[1], theta, params)
+            assert_close(cmd, (nu, omega), max(1.0, float(np.abs(raw).max())))
+            assert saturated == sat
+            saturation.add(sat)
+        assert statuses == {G.STATUS_SEEKING, G.STATUS_TRACKING,
+                            G.STATUS_DEGENERATE}
+        assert saturation == {False, True}
+
+
 class TestLevelSetRadius:
     def test_hundred_to_fifty(self):
         # peak 100 ppb at tau = 1, k = 1: R = sqrt(4 ln 2)
