@@ -34,9 +34,9 @@ is the plume centre, and ``level_set_radius(c0, t)`` is the radius of a
 circular c = c0 curve or raises ``ValueError`` where there is no closed
 form.
 
-The puff plume keeps its puffs in a release table (seed puffs, then the
-emission train) that grows by doubling and hands out prefix slices.  An
-evaluation leaves out every puff whose c is below ``CULL_BOUND`` on the
+The puff plume lists its puffs in a release table: the stored seed
+puffs, then the emission train, computed up to a time where it is read.
+An evaluation leaves out every puff whose c is below ``CULL_BOUND`` on the
 disc around the query points; on case1 that is all but one of about
 1,300 puffs.  That per-puff bound runs over a neighbour list (Verlet,
 1967) rather than the whole table: one pass keeps every puff that could
@@ -169,24 +169,24 @@ class GaussianPuff:
         if self.diffusion <= 0:
             raise ValueError("diffusion k must be > 0")
 
-    def peak(self, t: float) -> float:
+    def _age(self, t: float) -> float:
+        """tau = t - release_time; PuffTimeError unless tau > 0."""
         tau = t - self.release_time
         if tau <= 0:
             raise PuffTimeError(f"puff evaluated at age {tau:g} <= 0")
-        return self.strength / (4.0 * math.pi * self.diffusion * tau)
+        return tau
+
+    def peak(self, t: float) -> float:
+        return self.strength / (4.0 * math.pi * self.diffusion * self._age(t))
 
     def center(self, flow: FlowField, t: float) -> np.ndarray:
-        tau = t - self.release_time
-        if tau <= 0:
-            raise PuffTimeError(f"puff evaluated at age {tau:g} <= 0")
+        self._age(t)
         return self.point + flow.displacement(self.release_time, t)
 
 
 def puff_concentration(puff: GaussianPuff, flow: FlowField, x, t: float) -> float:
     """Exact concentration of a single puff at (x, t)."""
-    tau = t - puff.release_time
-    if tau <= 0:
-        raise PuffTimeError(f"puff evaluated at age {tau:g} <= 0")
+    tau = puff._age(t)
     d = np.asarray(x, dtype=float).reshape(2) - puff.center(flow, t)
     four_kt = 4.0 * puff.diffusion * tau
     return puff.strength / (math.pi * four_kt) * math.exp(-(d @ d) / four_kt)
@@ -231,59 +231,49 @@ class _ReleaseTable:
     """Release times, points and strengths of a plume's puffs: the seed
     puffs in document order, then the emission train by release time.
 
-    The train part grows by doubling.  Train row i always holds
-    start_time + i * puff_interval, so the values never depend on when the
-    table grew.  The table also holds the plume's neighbour list, which is
-    read once per call and replaced whole and never changes a result, so
-    a plume shared between runs stays deterministic.
+    Only the seed rows are stored; the train rows up to a time are
+    computed where they are read.  The table also holds the plume's
+    neighbour list, which is read once per call and replaced whole and
+    never changes a result, so a plume shared between runs stays
+    deterministic.
     """
 
     def __init__(self, plume: "PuffPlume"):
-        seeds = plume.seed_puffs
-        self._n_seed = len(seeds)
-        self._seed_t0 = np.asarray([p.release_time for p in seeds], dtype=float)
-        self._seed_pts = np.asarray([p.point for p in seeds],
-                                    dtype=float).reshape(-1, 2).T
-        self._seed_q = np.asarray([p.strength for p in seeds], dtype=float)
-        self._last_seed = float(self._seed_t0.max()) if seeds else -math.inf
+        # (4, n_seed): release times, x, y and strengths
+        self._seeds = np.asarray(
+            [(p.release_time, *p.point, p.strength) for p in plume.seed_puffs],
+            dtype=float).reshape(-1, 4).T
         self._plume = plume
         self._speed = float(np.hypot(*plume.flow.velocities.T).max())
         self._near = None
-        self._grow(0)
 
-    def _grow(self, n_train: int):
+    def _rows(self, t: float):
+        """(release_times, points (2, n), strengths): every seed puff,
+        then the train puffs released before t, train puff i at
+        start_time + i * puff_interval."""
         pl = self._plume
-        self.t0s = np.concatenate(
-            [self._seed_t0, pl.start_time + pl.puff_interval * np.arange(n_train)])
-        self.pts = np.concatenate(
-            [self._seed_pts, np.repeat(pl.source[:, None], n_train, axis=1)],
-            axis=1)
-        self.qs = np.concatenate(
-            [self._seed_q,
-             np.full(n_train, pl.emission_rate * pl.puff_interval)])
-
-    def _prefix(self, t: float) -> int:
-        """Rows up to the last train puff released before t, every seed
-        row included; the table grows to hold them."""
-        pl = self._plume
-        n = 0
+        need = 0
         if pl.emission_rate != 0 and t > pl.start_time:
+            # one row past the quotient, so that rounding in it cannot
+            # leave out a release before t
             need = int(math.ceil((t - pl.start_time) / pl.puff_interval)) + 1
-            if need > self.t0s.size - self._n_seed:
-                self._grow(2 * need)
-            n = int(np.searchsorted(self.t0s[self._n_seed:], t, side="left"))
-        return self._n_seed + n
+        n_seed = self._seeds.shape[1]
+        rows = np.empty((4, n_seed + need))
+        rows[:, :n_seed] = self._seeds
+        train = rows[:, n_seed:]
+        train[0] = pl.start_time + pl.puff_interval * np.arange(need)
+        train[1:3] = pl.source[:, None]
+        train[3] = pl.emission_rate * pl.puff_interval
+        k = n_seed + int(np.searchsorted(train[0], t, side="left"))
+        return rows[0, :k], rows[1:3, :k], rows[3, :k]
 
     def released(self, t: float):
         """(release_times, points (2, n), strengths) of the puffs with
-        t0 < t; prefix slices of the table unless a seed puff is still to
-        come."""
-        k = self._prefix(t)
-        t0s, pts, qs = self.t0s[:k], self.pts[:, :k], self.qs[:k]
-        if t <= self._last_seed:
-            live = t0s < t
-            return t0s[live], pts[:, live], qs[live]
-        return t0s, pts, qs
+        t0 < t; a NaN t keeps every seed puff, so that the NaN reaches the
+        result."""
+        t0s, pts, qs = self._rows(t)
+        live = ~(t0s >= t)
+        return t0s[live], pts[:, live], qs[live]
 
     def near(self, t: float, qx: float, qy: float, rho: float):
         """What ``released(t)`` gives, less puffs that cannot reach
@@ -330,8 +320,7 @@ class _ReleaseTable:
         an exp that underflows to a subnormal is slow.
         """
         pl = self._plume
-        k = self._prefix(t + HORIZON)
-        t0s, pts, qs = self.t0s[:k], self.pts[:, :k], self.qs[:k]
+        t0s, pts, qs = self._rows(t + HORIZON)
         radius = rho + SKIN
         with np.errstate(all="ignore"):     # q / 0 before a release
             age = np.maximum(t - t0s, 0.0)

@@ -55,8 +55,8 @@ from .vessel import VesselParams
 
 SCHEMA_VERSION = 1
 
-# The most emission-train puffs a run may release; every evaluation visits
-# each of them.
+# The most emission-train puffs a run may release; each neighbour-list
+# build computes and scans every one released by t + HORIZON.
 MAX_TRAIN_PUFFS = 1_000_000
 
 

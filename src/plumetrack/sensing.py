@@ -27,7 +27,11 @@ and the condition number of B B^T are computed once, when the run starts
 (a degenerate rig raises ``DegenerateStencilError`` there).  Each step
 is four left-to-right 4-term sums on floats (pinv rows 0, 1, 2 and 5)
 and a rotation of the gradient.  ``estimate`` solves any four sensor
-positions as a rig at heading 0.
+positions as a rig at heading 0, but centring world coordinates rounds
+at their scale, so it loses exactness away from the origin: on the
+0.75 m cross, whose exact trace is 0, |lap| reaches 3.4e-12 for readings
+below 100 at positions up to 50 m out, against 3.7e-13 at the origin.
+A run solves body-frame offsets and is unaffected.
 """
 
 from __future__ import annotations

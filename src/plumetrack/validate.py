@@ -27,20 +27,26 @@ def _rel_steps(puff: GaussianPuff, t: float):
     return 1e-3 * tau, 1e-3 * math.sqrt(2.0 * puff.diffusion * tau)
 
 
+def _fd_derivatives(puff: GaussianPuff, flow: FlowField, x, t: float,
+                    h: float):
+    """Central-difference gradient (gx, gy) and 5-point Laplacian of the
+    puff's c at (x, t), with spatial step h."""
+    x = np.asarray(x, dtype=float)
+    ex, ey = np.array([h, 0.0]), np.array([0.0, h])
+    east, west, north, south = (puff_concentration(puff, flow, p, t)
+                                for p in (x + ex, x - ex, x + ey, x - ey))
+    grad = np.array([(east - west) / (2 * h), (north - south) / (2 * h)])
+    lap = (east + west + north + south
+           - 4.0 * puff_concentration(puff, flow, x, t)) / (h * h)
+    return grad, lap
+
+
 def pde_residual(puff: GaussianPuff, flow: FlowField, x, t: float) -> float:
     """|dc/dt + v . grad c - k lap c| / peak via central differences."""
     ht, hx = _rel_steps(puff, t)
-    x = np.asarray(x, dtype=float)
-    ex, ey = np.array([hx, 0.0]), np.array([0.0, hx])
-
-    def c(p, s):
-        return puff_concentration(puff, flow, p, s)
-
-    ct = (c(x, t + ht) - c(x, t - ht)) / (2 * ht)
-    gx = (c(x + ex, t) - c(x - ex, t)) / (2 * hx)
-    gy = (c(x + ey, t) - c(x - ey, t)) / (2 * hx)
-    lap = (c(x + ex, t) + c(x - ex, t) + c(x + ey, t) + c(x - ey, t)
-           - 4.0 * c(x, t)) / (hx * hx)
+    ct = (puff_concentration(puff, flow, x, t + ht)
+          - puff_concentration(puff, flow, x, t - ht)) / (2 * ht)
+    (gx, gy), lap = _fd_derivatives(puff, flow, x, t, hx)
     v = flow.at(t)
     resid = ct + v[0] * gx + v[1] * gy - puff.diffusion * lap
     return abs(resid) / puff.peak(t)
@@ -77,16 +83,8 @@ def check_puff_derivatives(n: int = 300, seed: int = 12):
     worst = 0.0
     for puff, flow, x, t in _random_puff_probes(rng, n):
         _, hx = _rel_steps(puff, t)
-        ex, ey = np.array([hx, 0.0]), np.array([0.0, hx])
-
-        def c(p):
-            return puff_concentration(puff, flow, p, t)
-
         peak = puff.peak(t)
-        fd_g = np.array([(c(x + ex) - c(x - ex)) / (2 * hx),
-                         (c(x + ey) - c(x - ey)) / (2 * hx)])
-        fd_l = (c(x + ex) + c(x - ex) + c(x + ey) + c(x - ey) - 4 * c(x)) \
-            / (hx * hx)
+        fd_g, fd_l = _fd_derivatives(puff, flow, x, t, hx)
         eg = np.abs(puff_gradient(puff, flow, x, t) - fd_g).max() / peak
         el = abs(puff_laplacian(puff, flow, x, t) - fd_l) / peak
         worst = max(worst, eg, el)

@@ -84,6 +84,47 @@ def flat_cull(plume, pts, t, puffs):
     return np.vstack((t0s, origins, qs))[:, keep], c.sum(axis=1)
 
 
+def reference_rows(plume, t):
+    """The release table's rows up to t, written out: every seed puff in
+    document order, then the train puff start_time + puff_interval * i,
+    at the source, for every i whose value is < t."""
+    train = []
+    while plume.emission_rate != 0 and \
+            plume.start_time + plume.puff_interval * len(train) < t:
+        train.append(plume.start_time + plume.puff_interval * len(train))
+    seeds = plume.seed_puffs
+    t0s = np.array([p.release_time for p in seeds] + train)
+    pts = np.array([list(p.point) for p in seeds]
+                   + [list(plume.source)] * len(train)).reshape(-1, 2).T
+    qs = np.array([p.strength for p in seeds]
+                  + [plume.emission_rate * plume.puff_interval] * len(train))
+    return t0s, pts, qs
+
+
+def reference_released(plume, t):
+    """``reference_rows`` less the puffs with t0 >= t: a NaN t keeps
+    every seed puff."""
+    rows = reference_rows(plume, t)
+    live = ~(rows[0] >= t)
+    return tuple(a[..., live] for a in rows)
+
+
+def build_bound(plume, t, q, radius, puffs):
+    """The puffs, as columns (t0, x, y, Q), whose c can reach half of
+    CULL_BOUND on the disc of centre q and this radius within HORIZON of
+    t: a puff released from t on always can."""
+    t0s, origins, qs = puffs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        age = np.maximum(t - t0s, 0.0)
+        peak = qs / (4.0 * math.pi * plume.diffusion * age)
+        cx, cy = origins + plume.flow.displacement(t0s, t)
+        near = np.maximum(np.hypot(cx - q[0], cy - q[1]) - radius, 0.0)
+        bound = peak * np.exp(-near * near / (4.0 * plume.diffusion
+                                              * (age + field.HORIZON)))
+    keep = ~(bound < CULL_BOUND / 2)
+    return np.vstack((t0s, origins, qs))[:, keep]
+
+
 def assert_matches_flat_cull(plume, pts, t):
     """eval_many keeps the puffs the cull over the whole table keeps and
     returns its c, bit for bit."""
@@ -237,30 +278,47 @@ class TestPlume:
         t0s, _, _ = plume._table.released(1.5)
         assert t0s.tolist() == [0.0, 0.5, 1.0]
 
-    def test_release_table_growth_matches_fresh_build(self):
-        # a seed puff released mid-train joins the seeds, in document order
-        seeds = (GaussianPuff(-5.0, (1.0, 2.0), 30.0, 1.0),
-                 GaussianPuff(3.2, (-1.0, 0.5), 20.0, 1.0))
+    def test_released_rows_match_reference_train(self):
+        # a seed released before the train, one mid-run, one after
+        # t + HORIZON for every t below, in that document order
+        seeds = (GaussianPuff(-5.0, (1.0, 2.0), 30.0, 0.05),
+                 GaussianPuff(3.2, (-1.0, 0.5), 20.0, 0.05),
+                 GaussianPuff(50.0, (4.0, -3.0), 10.0, 0.05))
 
         def plume():
-            return PuffPlume(source=(0, 0), flow=STILL, diffusion=1.0,
-                             emission_rate=2.0, puff_interval=0.5,
-                             seed_puffs=seeds)
+            return PuffPlume(source=(0, 0), flow=FlowField.uniform((0.5, 0.0)),
+                             diffusion=0.05, emission_rate=2.0,
+                             puff_interval=0.5, seed_puffs=seeds)
 
-        grown = plume()
-        for t in (0.7, 3.0, 3.3, 12.0, 40.0):
-            grown._table.released(t)          # the table grows on the way
-            for got, want in zip(grown._table.released(t),
-                                 plume()._table.released(t)):
-                assert np.array_equal(got, want)
-        t0s, pts, qs = grown._table.released(3.3)
-        assert t0s[:2].tolist() == [-5.0, 3.2]
-        assert t0s[2:].tolist() == [0.5 * i for i in range(7)]
-        assert np.array_equal(pts[:, 1], [-1.0, 0.5]) and qs[1] == 20.0
-        assert 3.2 not in grown._table.released(3.2)[0]
-        x = np.array([[0.4, 0.2], [2.0, -1.0]])
-        assert np.array_equal(grown.eval_many(x, 9.9),
-                              plume().eval_many(x, 9.9))
+        shared = plume()
+        q, rho = (30.0, 10.0), 1.0
+        # before start_time, on a release, between releases, NaN, and
+        # late enough that old puffs reach the query while young are culled
+        for t in (-1.0, 1.5, 3.2, 3.3, 12.0, 40.0, math.nan):
+            for got, ref in zip(shared._table.released(t),
+                                reference_released(shared, t)):
+                assert np.array_equal(got, ref)
+            if math.isnan(t):
+                assert shared._table.released(t)[0].tolist() == \
+                    [-5.0, 3.2, 50.0]
+                continue
+            nl = shared._table._build(t, *q, rho)
+            candidates = build_bound(shared, t, q, rho + field.SKIN,
+                                     reference_rows(shared, t + field.HORIZON))
+            assert np.array_equal(np.vstack((nl.t0s, nl.pts, nl.qs)),
+                                  candidates)
+        kept = candidates[0].tolist()
+        assert 50.0 in kept and 0.0 in kept and 39.5 not in kept
+        x = np.array([[29.5, 10.0], [30.5, 9.2]])
+        c = shared.eval_many(x, 40.0)
+        assert np.array_equal(c, plume().eval_many(x, 40.0))
+        assert np.array_equal(
+            c, flat_cull(shared, x, 40.0, reference_released(shared, 40.0))[1])
+        # 0.3 * 3 rounds below 0.9 while (0.9 - 0) / 0.3 rounds to 3
+        fine = PuffPlume(source=(0, 0), flow=STILL, diffusion=0.05,
+                         emission_rate=2.0, puff_interval=0.3)
+        assert fine._table.released(0.9)[0].tolist() == \
+            reference_rows(fine, 0.9)[0].tolist() == [0.0, 0.3, 0.6, 0.3 * 3]
 
     @staticmethod
     def unculled(plume, pts, t):
@@ -418,6 +476,27 @@ class TestNeighbourList:
         monkeypatch.setattr(field, "SKIN", skin)
         monkeypatch.setattr(field, "HORIZON", horizon)
         assert all(map(np.array_equal, outputs(), want))
+
+    def test_rebuild_count_on_case1_and_a7(self, case1_doc, monkeypatch):
+        # each rebuild computes the whole emission train, so a change to
+        # the reuse test that rebuilds more often fails here
+        builds = []
+        build = field._ReleaseTable._build
+
+        def counting_build(table, *args):
+            builds.append(args)
+            return build(table, *args)
+
+        monkeypatch.setattr(field._ReleaseTable, "_build", counting_build)
+        a7_seed1 = copy.deepcopy(case1_doc)
+        a7_seed1.update(seed=1)
+        a7_seed1["noise"]["sigma"] = 2.0
+        counts = []
+        for doc in (case1_doc, a7_seed1):
+            builds.clear()
+            assert len(simulator.run(scenario_from_dict(doc))) == 1201
+            counts.append(len(builds))
+        assert counts[0] <= 46 and counts[1] <= 30, counts
 
     def test_nan_time_reaches_the_result(self):
         plume, queries = seeded_calls()
