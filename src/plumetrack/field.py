@@ -34,20 +34,21 @@ is the plume centre, and ``level_set_radius(c0, t)`` is the radius of a
 circular c = c0 curve or raises ``ValueError`` where there is no closed
 form.
 
-The puff plume lists its puffs in a release table: the stored seed
-puffs, then the emission train, computed up to a time where it is read.
-An evaluation leaves out every puff whose c is below ``CULL_BOUND`` on the
-disc around the query points; on case1 that is all but one of about
-1,300 puffs.  That per-puff bound runs over a neighbour list (Verlet,
-1967) rather than the whole table: one pass keeps every puff that could
-pass the bound anywhere on a disc ``SKIN`` wider than the query's within
-the next ``HORIZON`` seconds, and later calls reuse it while their disc,
-widened by the flow's top speed times the time elapsed, stays inside.
-The flow moves every puff by the same displacement, so the list holds
-every puff the bound over the whole table would keep and the kept terms,
-their order and the sum are the same.  On case1 the list is rebuilt
-46 times in 1,201 steps and holds 5 puffs: the mound and the train's
-next four releases.
+The puff plume stores its seed puffs and computes the emission train up
+to a time where it reads it.  An evaluation leaves out every puff whose c
+is below ``CULL_BOUND`` on the disc around the query points; on case1
+that is all but one of about 1,300 puffs.  That per-puff bound runs over
+a neighbour list (Verlet, 1967) rather than every released puff: one
+pass over the train keeps every puff that could pass the bound anywhere
+on a disc ``SKIN`` wider than the query's within the next ``HORIZON``
+seconds, and later calls reuse it while their disc, widened by the
+flow's top speed times the time elapsed, stays inside.  The flow moves
+every puff by the same displacement, so the list holds every puff the
+bound over all released puffs would keep and the kept terms, their order
+and the sum are the same.  On case1 the list is rebuilt 46 times in
+1,201 steps and holds 5 puffs: the mound and the train's next four
+releases.  The train's puffs share one strength, so ``centroid`` finds
+the strongest puff without computing the train.
 
 Concentration is in ppb, lengths in m, times in s.
 """
@@ -164,9 +165,9 @@ class GaussianPuff:
     def __post_init__(self):
         object.__setattr__(self, "point",
                            np.asarray(self.point, dtype=float).reshape(2))
-        if self.strength <= 0:
+        if not self.strength > 0:
             raise ValueError("puff strength Q must be > 0")
-        if self.diffusion <= 0:
+        if not self.diffusion > 0:
             raise ValueError("diffusion k must be > 0")
 
     def _age(self, t: float) -> float:
@@ -227,70 +228,88 @@ class _NeighbourList(NamedTuple):
     qs: np.ndarray
 
 
-class _ReleaseTable:
-    """Release times, points and strengths of a plume's puffs: the seed
-    puffs in document order, then the emission train by release time.
+@dataclass(frozen=True, kw_only=True)
+class PuffPlume:
+    """Continuous source discretized as a train of Gaussian puffs.
 
-    Only the seed rows are stored; the train rows up to a time are
-    computed where they are read.  The table also holds the plume's
-    neighbour list, which is read once per call and replaced whole and
-    never changes a result, so a plume shared between runs stays
-    deterministic.
+    Every ``puff_interval`` seconds from ``start_time`` a puff of strength
+    Q = emission_rate * puff_interval is released at ``source``.  Optional
+    ``seed_puffs`` (e.g. one old, strong release that forms the main mound)
+    are superposed on top.  Evaluation sums the closed-form puffs'
+    concentrations; the PDE is linear, so the sum is itself an exact
+    solution.  A puff's exact gradient and Laplacian are the point
+    functions ``puff_gradient`` and ``puff_laplacian``.
+
+    The plume holds a neighbour list, which is replaced whole and never
+    changes a result, so a plume shared between runs stays deterministic.
     """
 
-    def __init__(self, plume: "PuffPlume"):
+    source: np.ndarray
+    flow: FlowField
+    diffusion: float
+    emission_rate: float = 0.0      # ppb m^2 / s; 0 disables the train
+    puff_interval: float = 0.5
+    start_time: float = 0.0
+    seed_puffs: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "source",
+                           np.asarray(self.source, dtype=float).reshape(2))
+        if not self.emission_rate >= 0:
+            raise ValueError("emission rate must be >= 0")
+        if not self.puff_interval > 0:
+            raise ValueError("puff interval must be > 0")
+        if not self.diffusion > 0:
+            raise ValueError("diffusion k must be > 0")
+        for p in self.seed_puffs:
+            if p.diffusion != self.diffusion:
+                raise ValueError("seed puff diffusion must match the plume's")
         # (4, n_seed): release times, x, y and strengths
-        self._seeds = np.asarray(
-            [(p.release_time, *p.point, p.strength) for p in plume.seed_puffs],
-            dtype=float).reshape(-1, 4).T
-        self._plume = plume
-        self._speed = float(np.hypot(*plume.flow.velocities.T).max())
-        self._near = None
+        object.__setattr__(self, "_seeds", np.asarray(
+            [(p.release_time, *p.point, p.strength) for p in self.seed_puffs],
+            dtype=float).reshape(-1, 4).T)
+        object.__setattr__(self, "_speed",
+                           float(np.hypot(*self.flow.velocities.T).max()))
+        object.__setattr__(self, "_neighbours", None)
+
+    has_analytic_truth = True
 
     def _rows(self, t: float):
-        """(release_times, points (2, n), strengths): every seed puff,
-        then the train puffs released before t, train puff i at
-        start_time + i * puff_interval."""
-        pl = self._plume
+        """(release_times, points (2, n), strengths): every seed puff in
+        document order, then the train puffs released before t, train
+        puff i at start_time + i * puff_interval."""
         need = 0
-        if pl.emission_rate != 0 and t > pl.start_time:
+        if self.emission_rate != 0 and t > self.start_time:
             # one row past the quotient, so that rounding in it cannot
             # leave out a release before t
-            need = int(math.ceil((t - pl.start_time) / pl.puff_interval)) + 1
+            need = int(math.ceil((t - self.start_time) / self.puff_interval)) + 1
         n_seed = self._seeds.shape[1]
         rows = np.empty((4, n_seed + need))
         rows[:, :n_seed] = self._seeds
         train = rows[:, n_seed:]
-        train[0] = pl.start_time + pl.puff_interval * np.arange(need)
-        train[1:3] = pl.source[:, None]
-        train[3] = pl.emission_rate * pl.puff_interval
+        train[0] = self.start_time + self.puff_interval * np.arange(need)
+        train[1:3] = self.source[:, None]
+        train[3] = self.emission_rate * self.puff_interval
         k = n_seed + int(np.searchsorted(train[0], t, side="left"))
         return rows[0, :k], rows[1:3, :k], rows[3, :k]
 
-    def released(self, t: float):
-        """(release_times, points (2, n), strengths) of the puffs with
-        t0 < t; a NaN t keeps every seed puff, so that the NaN reaches the
-        result."""
-        t0s, pts, qs = self._rows(t)
-        live = ~(t0s >= t)
-        return t0s[live], pts[:, live], qs[live]
-
-    def near(self, t: float, qx: float, qy: float, rho: float):
-        """What ``released(t)`` gives, less puffs that cannot reach
+    def _near(self, t: float, qx: float, qy: float, rho: float):
+        """The puffs released before t, less those that cannot reach
         CULL_BOUND on the disc of centre (qx, qy) and radius rho: every
-        puff the plume's per-puff bound keeps, in table order.
+        puff the cull of ``eval_many`` keeps, in ``_rows`` order.
 
         They come from the neighbour list, which is rebuilt unless it
         covers the disc at t (see ``_build``).
         """
-        nl = self._near
+        nl = self._neighbours
         if nl is None or not (
                 nl.t <= t <= nl.t + HORIZON
                 and math.hypot(qx - nl.qx, qy - nl.qy)
                 + self._speed * (t - nl.t) + rho <= nl.radius):
-            nl = self._near = self._build(t, qx, qy, rho)
-        # t0 < t, but a NaN t keeps every candidate, as released(t) keeps
-        # every seed, so that the NaN reaches the result
+            nl = self._build(t, qx, qy, rho)
+            object.__setattr__(self, "_neighbours", nl)
+        # t0 < t, but a NaN t keeps every candidate, so that the NaN
+        # reaches the result
         live = ~(nl.t0s >= t)
         return nl.t0s[live], nl.pts[:, live], nl.qs[live]
 
@@ -311,7 +330,7 @@ class _ReleaseTable:
         displacement, at most V (t' - t) at t' for V the fastest
         segment's speed: a disc (q', rho') at t' with
         |q' - q| + V (t' - t) + rho' <= R is at least as far from every
-        centre as the R-disc was at t, and ``near`` reuses the list while
+        centre as the R-disc was at t, and ``_near`` reuses the list while
         that holds.
 
         The bound is compared with half of CULL_BOUND, so that rounding
@@ -319,58 +338,19 @@ class _ReleaseTable:
         keeps, and in logarithms, d-^2 > 4 kt log(2 peak / CULL_BOUND):
         an exp that underflows to a subnormal is slow.
         """
-        pl = self._plume
         t0s, pts, qs = self._rows(t + HORIZON)
         radius = rho + SKIN
         with np.errstate(all="ignore"):     # q / 0 before a release
             age = np.maximum(t - t0s, 0.0)
-            peak = qs / (4.0 * math.pi * pl.diffusion * age)
-            reach2 = (4.0 * pl.diffusion * (age + HORIZON)
+            peak = qs / (4.0 * math.pi * self.diffusion * age)
+            reach2 = (4.0 * self.diffusion * (age + HORIZON)
                       * np.log(peak * (2.0 / CULL_BOUND)))
-            cx, cy = pts + pl.flow.displacement(t0s, t)
+            cx, cy = pts + self.flow.displacement(t0s, t)
             dx, dy = cx - qx, cy - qy
             near = np.maximum(np.sqrt(dx * dx + dy * dy) - radius, 0.0)
             idx = np.flatnonzero(~(near * near > reach2))
         return _NeighbourList(t, qx, qy, radius, t0s[idx], pts[:, idx],
                               qs[idx])
-
-
-@dataclass(frozen=True, kw_only=True)
-class PuffPlume:
-    """Continuous source discretized as a train of Gaussian puffs.
-
-    Every ``puff_interval`` seconds from ``start_time`` a puff of strength
-    Q = emission_rate * puff_interval is released at ``source``.  Optional
-    ``seed_puffs`` (e.g. one old, strong release that forms the main mound)
-    are superposed on top.  Evaluation sums the closed-form puffs'
-    concentrations; the PDE is linear, so the sum is itself an exact
-    solution.  A puff's exact gradient and Laplacian are the point
-    functions ``puff_gradient`` and ``puff_laplacian``.
-    """
-
-    source: np.ndarray
-    flow: FlowField
-    diffusion: float
-    emission_rate: float = 0.0      # ppb m^2 / s; 0 disables the train
-    puff_interval: float = 0.5
-    start_time: float = 0.0
-    seed_puffs: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "source",
-                           np.asarray(self.source, dtype=float).reshape(2))
-        if self.emission_rate < 0:
-            raise ValueError("emission rate must be >= 0")
-        if self.puff_interval <= 0:
-            raise ValueError("puff interval must be > 0")
-        if self.diffusion <= 0:
-            raise ValueError("diffusion k must be > 0")
-        for p in self.seed_puffs:
-            if p.diffusion != self.diffusion:
-                raise ValueError("seed puff diffusion must match the plume's")
-        object.__setattr__(self, "_table", _ReleaseTable(self))
-
-    has_analytic_truth = True
 
     def eval_many(self, points, t: float):
         """Concentration (m,) at several points.
@@ -383,15 +363,16 @@ class PuffPlume:
             peak exp(-d-^2/(4kt))
 
         so the result is exact for any caller.  The bound is applied to
-        the candidates of the release table's neighbour list, which holds
-        every released puff that can pass it, so the kept terms are those
-        of a bound over the whole table.  They are summed in table order.
+        the candidates of the plume's neighbour list, which holds every
+        released puff that can pass it, so the kept terms are those of a
+        bound over every released puff.  They are summed in ``_rows``
+        order.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         q = pts.mean(axis=0)
         rho = max(math.hypot(*p) for p in (pts - q).tolist())
         qx, qy = q.tolist()
-        t0s, origins, qs = self._table.near(t, qx, qy, rho)
+        t0s, origins, qs = self._near(t, qx, qy, rho)
         kt = self.diffusion * (t - t0s)                   # (n,)
         peak = qs / (4.0 * math.pi * kt)
         cx, cy = origins + self.flow.displacement(t0s, t)
@@ -404,13 +385,18 @@ class PuffPlume:
         return c_terms.sum(axis=1)
 
     def centroid(self, t: float) -> np.ndarray:
-        """Advected position of the strongest released puff (the mound
-        center for seeded plumes, the source trail head otherwise)."""
-        t0s, origins, qs = self._table.released(t)
-        if t0s.size == 0:
+        """Advected position of the first strongest puff released before
+        t (the mound center for seeded plumes, the source trail head
+        otherwise); the train's first puff stands for the whole train."""
+        live = [p for p in self.seed_puffs if not p.release_time >= t]
+        best = max(live, key=lambda p: p.strength, default=None)
+        if self.emission_rate != 0 and t > self.start_time and (
+                best is None
+                or self.emission_rate * self.puff_interval > best.strength):
+            return self.source + self.flow.displacement(self.start_time, t)
+        if best is None:
             return self.source.copy()
-        i = int(np.argmax(qs))
-        return origins[:, i] + self.flow.displacement(t0s[i], t)
+        return best.point + self.flow.displacement(best.release_time, t)
 
     def advance(self, t: float, max_substep: float = math.inf) -> "PuffPlume":
         """Closed form: the plume at any time is this same object."""
@@ -451,7 +437,7 @@ class FrozenGaussian:
     def __post_init__(self):
         object.__setattr__(self, "center",
                            np.asarray(self.center, dtype=float).reshape(2))
-        if self.peak <= 0 or self.sigma <= 0:
+        if not (self.peak > 0 and self.sigma > 0):
             raise ValueError("peak and sigma must be > 0")
         if self.sigma * self.sigma == 0.0:
             raise ValueError(f"sigma {self.sigma:g} is too small to square")
@@ -509,9 +495,9 @@ class GridField:
         c = np.ascontiguousarray(self.conc, dtype=float)  # step's flat views
         if c.ndim != 2 or min(c.shape) < 3:
             raise ValueError("grid must be 2-D with nx, ny >= 3")
-        if self.cell_size <= 0:
+        if not self.cell_size > 0:
             raise ValueError("cell size h must be > 0")
-        if self.diffusion < 0:
+        if not self.diffusion >= 0:
             raise ValueError("diffusion k must be >= 0")
         if self.boundary not in ("outflow", "periodic"):
             raise ValueError(f"unknown boundary mode {self.boundary!r}")

@@ -80,15 +80,15 @@ class GuidanceGains:
     grad_floor: float = 0.05     # ppb/m; below this the estimate is unusable
 
     def __post_init__(self):
-        if self.c0 <= 0:
+        if not self.c0 > 0:
             raise ValueError("tracked concentration c0 must be > 0")
-        if self.k < 0:
+        if not self.k >= 0:
             raise ValueError("controller diffusion constant k must be >= 0")
-        if self.k1 <= 0 or self.k2 <= 0:
+        if not (self.k1 > 0 and self.k2 > 0):
             raise ValueError("gains k1, k2 must be > 0")
-        if self.v_d < 0:
+        if not self.v_d >= 0:
             raise ValueError("patrol speed v_d must be >= 0")
-        if self.grad_floor <= 0:
+        if not self.grad_floor > 0:
             raise ValueError("gradient floor must be > 0")
 
 

@@ -102,7 +102,8 @@ class NoiseModel:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.sigma < 0 or self.floor < 0 or self.range_max <= self.floor:
+        if not (self.sigma >= 0 and self.floor >= 0
+                and self.range_max > self.floor):
             raise ValueError("need sigma >= 0 and 0 <= floor < range_max")
 
     def read(self, c, rng: np.random.Generator) -> np.ndarray:
@@ -174,11 +175,6 @@ class RigEstimator:
                 f"stencil condition {condition:.3e} exceeds "
                 f"{CONDITION_LIMIT:.0e} (collinear or coincident sensors)")
         return cls(np.linalg.pinv(B), condition)
-
-    @classmethod
-    def for_rig(cls, rig: SensorRig) -> "RigEstimator":
-        """Raises DegenerateStencilError for an ill-conditioned rig."""
-        return cls.for_offsets(rig.offsets)
 
     def estimate(self, readings, heading: float) -> StencilEstimate:
         """The stencil estimate of the rig at ``heading``, in world axes."""

@@ -63,9 +63,9 @@ class Scenario:
     gains: GuidanceGains
 
     def __post_init__(self):
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError("duration must be > 0")
-        if self.control_period <= 0:
+        if not self.control_period > 0:
             raise ValueError("control period must be > 0")
         steps = self.duration / self.control_period
         if steps > MAX_STEPS:
@@ -77,7 +77,7 @@ class Scenario:
             raise ValueError(f"unknown sign convention {self.sign_convention!r}")
         if self.tracked_point not in TRACKED_POINTS:
             raise ValueError(f"tracked point must be one of {TRACKED_POINTS}")
-        if self.flow_noise_sigma < 0:
+        if not self.flow_noise_sigma >= 0:
             raise ValueError("flow noise sigma must be >= 0")
 
 
@@ -135,7 +135,7 @@ def run(scenario: Scenario) -> RunLog:
                         vessel.normalize_heading(sc.start_pose[2]))
     g = guidance.init(state.position)
     fieldmodel = sc.field0
-    estimator = sensing.RigEstimator.for_rig(sc.rig)
+    estimator = sensing.RigEstimator.for_offsets(sc.rig.offsets)
     n_steps = expected_records(sc.duration, sc.control_period) - 1
     dt = sc.control_period
 

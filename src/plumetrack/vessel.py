@@ -54,9 +54,9 @@ class VesselParams:
     omega_max: float = 1.5       # rad/s
 
     def __post_init__(self):
-        if self.offset <= 0:
+        if not self.offset > 0:
             raise ValueError("head-point offset l0 must be > 0")
-        if self.nu_max <= 0 or self.omega_max <= 0:
+        if not (self.nu_max > 0 and self.omega_max > 0):
             raise ValueError("actuator limits must be > 0")
 
 

@@ -66,9 +66,9 @@ def point_sample(g, x):
 
 def flat_cull(plume, pts, t, puffs):
     """The per-puff bound and sum of ``PuffPlume.eval_many`` over puffs
-    (release times, points, strengths); over ``plume._table.released(t)``
-    it is the cull over the whole table.  Returns the kept puffs, as
-    columns (t0, x, y, Q) in table order, and c."""
+    (release times, points, strengths); over ``reference_released(plume,
+    t)`` it is the cull over every released puff.  Returns the kept
+    puffs, as columns (t0, x, y, Q) in the given order, and c."""
     t0s, origins, qs = puffs
     kt = plume.diffusion * (t - t0s)
     peak = qs / (4.0 * math.pi * kt)
@@ -85,7 +85,7 @@ def flat_cull(plume, pts, t, puffs):
 
 
 def reference_rows(plume, t):
-    """The release table's rows up to t, written out: every seed puff in
+    """The plume's puffs up to t, written out: every seed puff in
     document order, then the train puff start_time + puff_interval * i,
     at the source, for every i whose value is < t."""
     train = []
@@ -126,13 +126,13 @@ def build_bound(plume, t, q, radius, puffs):
 
 
 def assert_matches_flat_cull(plume, pts, t):
-    """eval_many keeps the puffs the cull over the whole table keeps and
-    returns its c, bit for bit."""
+    """eval_many keeps the puffs the cull over every released puff keeps
+    and returns its c, bit for bit."""
     c = plume.eval_many(pts, t)
-    kept, c_flat = flat_cull(plume, pts, t, plume._table.released(t))
+    kept, c_flat = flat_cull(plume, pts, t, reference_released(plume, t))
     q = pts.mean(axis=0)
     rho = max(math.hypot(*p) for p in (pts - q).tolist())
-    candidates = plume._table.near(t, *q.tolist(), rho)
+    candidates = plume._near(t, *q.tolist(), rho)
     assert np.array_equal(flat_cull(plume, pts, t, candidates)[0], kept)
     assert np.array_equal(c, c_flat)
     return kept.shape[1]
@@ -267,16 +267,19 @@ class TestPlume:
     def test_emission_train_count_and_strength(self):
         plume = PuffPlume(source=(0, 0), flow=STILL, diffusion=1.0,
                           emission_rate=2.0, puff_interval=0.5)
-        t0s, pts, qs = plume._table.released(1.6)
+        rows = plume._rows(1.6)
+        t0s, pts, qs = rows
         # releases at 0.0, 0.5, 1.0, 1.5 are all strictly before t = 1.6
         assert t0s.tolist() == [0.0, 0.5, 1.0, 1.5]
         assert np.all(qs == 1.0)  # Q = rate * interval
+        assert np.all(pts == 0.0)
+        assert all(map(np.array_equal, rows, reference_rows(plume, 1.6)))
 
     def test_release_at_t_excluded(self):
         plume = PuffPlume(source=(0, 0), flow=STILL, diffusion=1.0,
                           emission_rate=2.0, puff_interval=0.5)
-        t0s, _, _ = plume._table.released(1.5)
-        assert t0s.tolist() == [0.0, 0.5, 1.0]
+        assert plume._rows(1.5)[0].tolist() == \
+            reference_rows(plume, 1.5)[0].tolist() == [0.0, 0.5, 1.0]
 
     def test_released_rows_match_reference_train(self):
         # a seed released before the train, one mid-run, one after
@@ -295,14 +298,12 @@ class TestPlume:
         # before start_time, on a release, between releases, NaN, and
         # late enough that old puffs reach the query while young are culled
         for t in (-1.0, 1.5, 3.2, 3.3, 12.0, 40.0, math.nan):
-            for got, ref in zip(shared._table.released(t),
-                                reference_released(shared, t)):
+            for got, ref in zip(shared._rows(t), reference_rows(shared, t)):
                 assert np.array_equal(got, ref)
             if math.isnan(t):
-                assert shared._table.released(t)[0].tolist() == \
-                    [-5.0, 3.2, 50.0]
+                assert shared._rows(t)[0].tolist() == [-5.0, 3.2, 50.0]
                 continue
-            nl = shared._table._build(t, *q, rho)
+            nl = shared._build(t, *q, rho)
             candidates = build_bound(shared, t, q, rho + field.SKIN,
                                      reference_rows(shared, t + field.HORIZON))
             assert np.array_equal(np.vstack((nl.t0s, nl.pts, nl.qs)),
@@ -314,16 +315,21 @@ class TestPlume:
         assert np.array_equal(c, plume().eval_many(x, 40.0))
         assert np.array_equal(
             c, flat_cull(shared, x, 40.0, reference_released(shared, 40.0))[1])
+        # the mid-run seed is left out on its release and summed after it
+        at_seed = np.array([[-1.0, 0.6], [-0.9, 0.4]])
+        kept = [assert_matches_flat_cull(plume(), at_seed, t)
+                for t in (3.2, 3.3)]
+        assert kept[1] == kept[0] + 1
         # 0.3 * 3 rounds below 0.9 while (0.9 - 0) / 0.3 rounds to 3
         fine = PuffPlume(source=(0, 0), flow=STILL, diffusion=0.05,
                          emission_rate=2.0, puff_interval=0.3)
-        assert fine._table.released(0.9)[0].tolist() == \
+        assert fine._rows(0.9)[0].tolist() == \
             reference_rows(fine, 0.9)[0].tolist() == [0.0, 0.3, 0.6, 0.3 * 3]
 
     @staticmethod
     def unculled(plume, pts, t):
         """c with every released puff summed."""
-        t0s, origins, qs = plume._table.released(t)
+        t0s, origins, qs = reference_released(plume, t)
         kt = plume.diffusion * (t - t0s)
         centres = origins.T + plume.flow.at(t) * (t - t0s)[:, None]
         d = pts[:, None, :] - centres[None]
@@ -396,6 +402,75 @@ class TestPlume:
         assert plume.advance(7.0, 0.05) is plume
 
 
+def reference_centroid(plume, t):
+    """The advected point of the first strongest puff of
+    ``reference_released``, or the source when none is released."""
+    t0s, origins, qs = reference_released(plume, t)
+    if t0s.size == 0:
+        return plume.source.copy()
+    i = int(np.argmax(qs))
+    return origins[:, i] + plume.flow.displacement(t0s[i], t)
+
+
+TURNING = FlowField([[0.5, 0.1], [-0.3, 0.4]], [4.0])
+
+
+def seed_puff(t0, x, q):
+    return GaussianPuff(t0, (x, 2.0 * x), q, 0.1)
+
+
+# plumes with 0-3 seeds released before, during and after a run, seeds
+# that tie the train's strength 1.0 or each other, no train, and trains
+# from t = -2, 0 and 1
+CENTROID_CASES = {
+    "train": dict(emission_rate=2.0),
+    "nothing": dict(),
+    "seeds-no-train": dict(flow=TURNING, seed_puffs=(
+        seed_puff(-5.0, 1.0, 30.0), seed_puff(0.7, -1.0, 40.0),
+        seed_puff(50.0, 4.0, 90.0))),
+    "seed-ties-train": dict(emission_rate=2.0, start_time=1.0,
+                            seed_puffs=(seed_puff(0.7, 1.0, 1.0),)),
+    "train-beats-seeds": dict(emission_rate=2.0, start_time=-2.0,
+                              flow=TURNING, seed_puffs=(
+                                  seed_puff(-3.0, 1.0, 0.5),
+                                  seed_puff(2.0, -1.0, 0.999))),
+    "seeds-tie": dict(emission_rate=0.5, flow=TURNING, seed_puffs=(
+        seed_puff(-1.0, 1.0, 5.0), seed_puff(2.0, -1.0, 5.0),
+        seed_puff(1.0, 3.0, 5.0))),
+    "seed-beats-train": dict(emission_rate=2.0, start_time=-2.0,
+                             seed_puffs=(seed_puff(3.3, 2.0, 1.0 + 1e-12),)),
+}
+
+
+def centroid_plume(name):
+    return PuffPlume(**{"source": (0.5, -0.25), "flow": STILL,
+                        "diffusion": 0.1, **CENTROID_CASES[name]})
+
+
+CENTROID_TIMES = (-3.0, -2.0, -1.0, 0.0, 0.3, 0.7, 1.0, 1.2, 2.0, 3.3, 4.0,
+                  7.5, 60.0, math.nan)
+
+
+class TestCentroid:
+    @pytest.mark.parametrize("name", CENTROID_CASES)
+    def test_matches_argmax_over_released_puffs(self, name):
+        plume = centroid_plume(name)
+        for t in CENTROID_TIMES:
+            got, want = plume.centroid(t), reference_centroid(plume, t)
+            assert got.shape == (2,) and got.tobytes() == want.tobytes(), t
+
+    def test_builds_no_train(self, monkeypatch):
+        plume = centroid_plume("train-beats-seeds")
+        want = [reference_centroid(plume, t) for t in CENTROID_TIMES]
+
+        def no_rows(self, t):
+            raise AssertionError("centroid computed the train")
+
+        monkeypatch.setattr(PuffPlume, "_rows", no_rows)
+        got = [plume.centroid(t) for t in CENTROID_TIMES]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
 # a sensor cross and a head point about a query centre
 RIG = np.array([[0.75, 0.0], [-0.75, 0.0], [0.0, 0.75], [0.0, -0.75],
                 [0.5, 0.0]])
@@ -457,7 +532,8 @@ class TestNeighbourList:
     def test_matches_flat_cull(self, calls):
         plume, queries = calls()
         kept = [assert_matches_flat_cull(plume, pts, t) for pts, t in queries]
-        released = [plume._table.released(t)[0].size for _, t in queries]
+        released = [reference_released(plume, t)[0].size
+                    for _, t in queries]
         # puffs are both kept and culled along the way
         assert max(kept) > 0 and any(k < n for k, n in zip(kept, released))
 
@@ -481,13 +557,13 @@ class TestNeighbourList:
         # each rebuild computes the whole emission train, so a change to
         # the reuse test that rebuilds more often fails here
         builds = []
-        build = field._ReleaseTable._build
+        build = PuffPlume._build
 
-        def counting_build(table, *args):
+        def counting_build(plume, *args):
             builds.append(args)
-            return build(table, *args)
+            return build(plume, *args)
 
-        monkeypatch.setattr(field._ReleaseTable, "_build", counting_build)
+        monkeypatch.setattr(PuffPlume, "_build", counting_build)
         a7_seed1 = copy.deepcopy(case1_doc)
         a7_seed1.update(seed=1)
         a7_seed1["noise"]["sigma"] = 2.0

@@ -142,8 +142,8 @@ class TestEstimator:
         assert np.allclose(np.concatenate([est.grad, [est.lap]]),
                            [*gamma[:2], gamma[2] + gamma[5]], atol=1e-12)
         # at heading 0 the body frame is the world frame
-        assert np.allclose(RigEstimator.for_rig(rig).pinv @ y, gamma,
-                           atol=1e-12)
+        assert np.allclose(RigEstimator.for_offsets(rig.offsets).pinv @ y,
+                           gamma, atol=1e-12)
 
     def test_constant_field(self):
         pos = SensorRig.cross().offsets
@@ -248,7 +248,7 @@ class TestRigEstimator:
         from plumetrack.validate import _rigs_for_checks
         rng = np.random.default_rng(15)
         for rig in _rigs_for_checks():
-            per_rig = RigEstimator.for_rig(rig)
+            per_rig = RigEstimator.for_offsets(rig.offsets)
             for theta in rng.uniform(-math.pi, math.pi, 2000):
                 state = VesselState(*rng.uniform(-50, 50, 2), theta)
                 readings = rng.uniform(0, 100, 4)
@@ -282,4 +282,4 @@ class TestRigEstimator:
         rig = SensorRig(np.array([[1.0, 0], [-1.0, 0], [0.0, 1e-8],
                                   [0.0, -1e-8]]))
         with pytest.raises(DegenerateStencilError):
-            RigEstimator.for_rig(rig)
+            RigEstimator.for_offsets(rig.offsets)

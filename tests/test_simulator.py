@@ -128,7 +128,7 @@ class TestRun:
             60.0, 18.0, (0.0, 0.0), FlowField.uniform((0.1, 0.05))))
         log = run(sc)
         noise, rng = sc.noise, np.random.default_rng(sc.seed)
-        estimator = RigEstimator.for_rig(sc.rig)
+        estimator = RigEstimator.for_offsets(sc.rig.offsets)
         assert np.array_equal(log.t, np.arange(len(log)) * 0.05)
         g = G.init(log.pose[0, :2])
         for i, t in enumerate(log.t):
@@ -236,7 +236,7 @@ class TestFloatChainMatchesMatrixForms:
         rigs = [SensorRig.cross(0.75), SensorRig.uneven_cross(),
                 SensorRig(matrix_positions(SensorRig.cross(0.6).offsets,
                                            0.0, 0.0, 0.9))]
-        estimators = [RigEstimator.for_rig(rig) for rig in rigs]
+        estimators = [RigEstimator.for_offsets(rig.offsets) for rig in rigs]
         statuses, saturation = set(), set()
         for i in range(2000):
             rig, estimator = rigs[i % 3], estimators[i % 3]
@@ -492,6 +492,48 @@ class TestMetrics:
         dist_rms = [rms(dist_err[i:i + w]) for i in range(0, 160, w)]
         assert all(np.diff(conc_rms) < 0)
         assert all(np.diff(dist_rms) < 0)
+
+
+NAN = math.nan
+GAINS = dict(c0=50.0, k=1.2, k1=5.0, k2=11.0, v_d=1.5)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: GaussianPuff(0.0, (0, 0), NAN, 1.0), "strength Q must be > 0"),
+    (lambda: GaussianPuff(0.0, (0, 0), 1.0, NAN), "diffusion k must be > 0"),
+    (lambda: PuffPlume(source=(0, 0), flow=STILL, diffusion=1.0,
+                       emission_rate=NAN), "emission rate must be >= 0"),
+    (lambda: PuffPlume(source=(0, 0), flow=STILL, diffusion=1.0,
+                       puff_interval=NAN), "puff interval must be > 0"),
+    (lambda: PuffPlume(source=(0, 0), flow=STILL, diffusion=NAN),
+     "diffusion k must be > 0"),
+    (lambda: FrozenGaussian(NAN, 1.0, (0, 0), STILL), "peak and sigma"),
+    (lambda: FrozenGaussian(1.0, NAN, (0, 0), STILL), "peak and sigma"),
+    (lambda: GridField((0, 0), NAN, np.zeros((4, 4)), 0.1, STILL),
+     "cell size h must be > 0"),
+    (lambda: GridField((0, 0), 0.5, np.zeros((4, 4)), NAN, STILL),
+     "diffusion k must be >= 0"),
+    (lambda: NoiseModel(sigma=NAN), "need sigma >= 0"),
+    (lambda: NoiseModel(floor=NAN), "need sigma >= 0"),
+    (lambda: NoiseModel(range_max=NAN), "need sigma >= 0"),
+    (lambda: VesselParams(offset=NAN), "offset l0 must be > 0"),
+    (lambda: VesselParams(nu_max=NAN), "actuator limits must be > 0"),
+    (lambda: VesselParams(omega_max=NAN), "actuator limits must be > 0"),
+    (lambda: GuidanceGains(**{**GAINS, "c0": NAN}), "c0 must be > 0"),
+    (lambda: GuidanceGains(**{**GAINS, "k": NAN}), "constant k must be >= 0"),
+    (lambda: GuidanceGains(**{**GAINS, "k1": NAN}), "k1, k2 must be > 0"),
+    (lambda: GuidanceGains(**{**GAINS, "k2": NAN}), "k1, k2 must be > 0"),
+    (lambda: GuidanceGains(**{**GAINS, "v_d": NAN}), "v_d must be >= 0"),
+    (lambda: GuidanceGains(**GAINS, grad_floor=NAN), "floor must be > 0"),
+    (lambda: short_scenario(duration=NAN), "duration must be > 0"),
+    (lambda: short_scenario(control_period=NAN),
+     "control period must be > 0"),
+    (lambda: short_scenario(flow_noise_sigma=NAN),
+     "flow noise sigma must be >= 0"),
+])
+def test_range_checks_refuse_nan(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 class TestCentroid:
