@@ -9,7 +9,7 @@ observer-based tracking controller, driven by scenario files through the
 
 from .field import (FlowField, FrozenGaussian, GaussianPuff, GridField,
                     PuffPlume)
-from .guidance import GuidanceGains, GuidanceState
+from .guidance import GuidanceGains
 from .sensing import NoiseModel, SensorRig, StencilEstimate
 from .simulator import RunLog, RunMetrics, Scenario, metrics, run
 from .vessel import ActuatorCommand, VesselParams, VesselState
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActuatorCommand", "FlowField", "FrozenGaussian", "GaussianPuff",
-    "GridField", "GuidanceGains", "GuidanceState", "NoiseModel", "PuffPlume",
+    "GridField", "GuidanceGains", "NoiseModel", "PuffPlume",
     "RunLog", "RunMetrics", "Scenario", "SensorRig", "StencilEstimate",
     "VesselParams", "VesselState", "metrics", "run", "__version__",
 ]

@@ -582,7 +582,7 @@ class GridField:
         outflow ghost's difference is 0; a periodic one is the wrapped row or
         column.  Raises StepSizeError beyond the stability bound; the caller
         is expected to subdivide."""
-        if dt <= 0:
+        if not dt > 0:
             raise ValueError("dt must be > 0")
         if dt > self.max_stable_dt() * (1.0 + 1e-12):
             raise StepSizeError(

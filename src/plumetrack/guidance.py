@@ -28,9 +28,11 @@ With the stock cross rig the Laplacian estimate is zero up to roundoff
 The step runs on floats, in the operand order of the matrix forms above.
 
 Degenerate fallback: when |g| is below ``grad_floor`` the gradient gives
-no usable direction, so the step holds x_hat, keeps only the pull
-u = -k2 (z - x_hat), and reports the "degenerate-gradient" status.  A
-zero gradient therefore never reaches the 1/|g| terms above.
+no usable direction, so the step holds x_hat and keeps only the pull
+u = -k2 (z - x_hat).  A zero gradient therefore never reaches the 1/|g|
+terms above.  The step keeps no status: :func:`status` reads the
+"seeking", "tracking" and "degenerate-gradient" status of every record
+from a run's log, after the loop.
 
 Sign note: for a radially decreasing field the gradient points inward and
 A g then points clockwise around the maximum, so the patrol circulates
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 SIGN_PDE = "pde-derived"
 SIGN_OPPOSED = "advection-opposed"
@@ -92,35 +93,17 @@ class GuidanceGains:
             raise ValueError("gradient floor must be > 0")
 
 
-class GuidanceState(NamedTuple):
-    """Observer estimate plus diagnostic tracking status."""
-
-    xhat: tuple[float, float]
-    status: str = STATUS_SEEKING
-    window_start: float | None = None    # start of the current in-band window
-    converged: bool = False              # sticky once promoted to tracking
-
-
-def init(x_r) -> GuidanceState:
-    """Fresh observer state anchored at the vessel position."""
-    x, y = map(float, x_r)
-    return GuidanceState(xhat=(x, y))
-
-
-def step(state: GuidanceState, gains: GuidanceGains, mode: str, x_r, z,
-         driven, c_hat: float, grad, lap: float, v_r, dt: float,
-         t: float) -> tuple[GuidanceState, tuple[float, float]]:
-    """One control period: observer update, planar control, status.
+def step(xhat, gains: GuidanceGains, mode: str, x_r, driven, c_hat: float,
+         grad, lap: float, v_r, dt: float,
+         t: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """One control period: observer update, then planar control.
 
     The observer takes an explicit Euler step first, and the control's
     correction and pull use the updated x_hat.  ``driven`` is the point
-    the control moves (the head point or the hull centre); the status
-    always measures the head point ``z`` against x_hat.  Promotion to
-    tracking is sticky and requires the concentration band and the
-    z-to-estimate distance to hold for TRACK_HOLD seconds.  The points
+    the control moves (the head point or the hull centre).  The points
     and vectors are any 2-sequences; x_hat and u come back as tuples.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be > 0")
     if mode not in ADVECTION_SIGN:
         raise ValueError(f"unknown sign convention {mode!r}; "
@@ -135,10 +118,9 @@ def step(state: GuidanceState, gains: GuidanceGains, mode: str, x_r, z,
         raise NonFiniteError(f"non-finite observer input {name} at t={t:g} s")
     # abs of a complex is C's hypot, as np.hypot; math.hypot rounds otherwise
     norm = abs(complex(gx, gy))
-    degenerate = norm < gains.grad_floor
-    xh, yh = state.xhat
+    xh, yh = xhat
     dx, dy = driven
-    if degenerate:
+    if norm < gains.grad_floor:
         ux, uy = -gains.k2 * (dx - xh), -gains.k2 * (dy - yh)
     else:
         speed = ((ADVECTION_SIGN[mode] * (vx * gx + vy * gy) - gains.k * lap)
@@ -156,19 +138,32 @@ def step(state: GuidanceState, gains: GuidanceGains, mode: str, x_r, z,
     if not (math.isfinite(ux) and math.isfinite(uy)):
         raise NonFiniteError(
             f"non-finite planar control {[float(ux), float(uy)]} at t={t:g} s")
-    if degenerate:
-        return GuidanceState(state.xhat, STATUS_DEGENERATE, None,
-                             state.converged), (ux, uy)
+    return (xh, yh), (ux, uy)
 
-    converged = state.converged
-    window = state.window_start
-    in_band = (abs(c_err) < TRACK_BAND * gains.c0
-               and abs(complex(z[0] - xh, z[1] - yh)) < TRACK_DIST)
-    if in_band:
-        window = t if window is None else window
-        if t - window >= TRACK_HOLD:
-            converged = True
-    else:
-        window = None
-    status = STATUS_TRACKING if converged else STATUS_SEEKING
-    return GuidanceState((xh, yh), status, window, converged), (ux, uy)
+
+def status(t, c_hat, z, xhat, grad, gains: GuidanceGains) -> tuple[str, ...]:
+    """The tracking status of each record of a run's log.
+
+    ``t`` and ``c_hat`` are (n,) arrays and ``z``, ``xhat`` and ``grad``
+    (n, 2) arrays, as a RunLog holds them.  A record whose gradient is
+    below ``grad_floor`` is "degenerate-gradient" and ends the in-band
+    window.  Otherwise promotion to "tracking" is sticky and needs
+    |c_hat - c0| < TRACK_BAND c0 and |z - x_hat| < TRACK_DIST to hold
+    for TRACK_HOLD seconds; until then a record is "seeking".
+    """
+    out, window, converged = [], None, False
+    for ti, c, (zx, zy), (xh, yh), (gx, gy) in zip(
+            t.tolist(), c_hat.tolist(), z.tolist(), xhat.tolist(),
+            grad.tolist()):
+        if abs(complex(gx, gy)) < gains.grad_floor:
+            window = None
+            out.append(STATUS_DEGENERATE)
+            continue
+        if (abs(c - gains.c0) < TRACK_BAND * gains.c0
+                and abs(complex(zx - xh, zy - yh)) < TRACK_DIST):
+            window = ti if window is None else window
+            converged = converged or ti - window >= TRACK_HOLD
+        else:
+            window = None
+        out.append(STATUS_TRACKING if converged else STATUS_SEEKING)
+    return tuple(out)

@@ -6,10 +6,13 @@ and the head point (the head point gives the ``ctrue`` oracle; a grid
 field has none and is sampled at the sensors only), read the sensors
 through the noise model, reconstruct the local field with the rig's
 estimator, update the level-curve observer, compute the planar control,
-convert it to actuator commands, and integrate the vessel.  The log is
-one table preallocated for floor(duration / dt_c) + 1 records at t = 0,
-dt_c, ...; each control step writes one row, a truncated run keeps the
-rows written, and runs are bit-reproducible for a given seed.
+convert it to actuator commands, and integrate the vessel.  The loop
+carries only the vessel state, x_hat, the field and the generators.  The
+log is one table preallocated for floor(duration / dt_c) + 1 records at
+t = 0, dt_c, ...; each control step writes one row, a truncated run keeps
+the rows written, and runs are bit-reproducible for a given seed.  The
+status column is read from the logged columns after the loop, by
+:func:`~plumetrack.guidance.status`.
 
 A vessel that leaves a grid field's sampling domain truncates the run
 (flagged on the log); a degenerate sensor stencil aborts it at the start
@@ -133,7 +136,7 @@ def run(scenario: Scenario) -> RunLog:
     flow_rng = np.random.default_rng([sc.seed, 2])
     state = VesselState(sc.start_pose[0], sc.start_pose[1],
                         vessel.normalize_heading(sc.start_pose[2]))
-    g = guidance.init(state.position)
+    xhat = state.position
     fieldmodel = sc.field0
     estimator = sensing.RigEstimator.for_offsets(sc.rig.offsets)
     n_steps = expected_records(sc.duration, sc.control_period) - 1
@@ -141,7 +144,6 @@ def run(scenario: Scenario) -> RunLog:
 
     # one row per record: the CSV columns but status, in CSV order
     rows = np.empty((n_steps + 1, len(CSV_COLUMNS) - 1))
-    status = []
     truncated = False
 
     for i in range(n_steps + 1):
@@ -157,6 +159,7 @@ def run(scenario: Scenario) -> RunLog:
                 c = fieldmodel.eval_many(positions, t)
             except DomainError:
                 truncated = True
+                rows = rows[:i]
                 break
             ctrue = math.nan
         readings = sc.noise.read(c[:4], sensor_rng)
@@ -166,25 +169,26 @@ def run(scenario: Scenario) -> RunLog:
             v_r = v_r + sc.flow_noise_sigma * flow_rng.standard_normal(2)
         v_r = v_r.tolist()
         driven = z if sc.tracked_point == "head" else state.position
-        g, u = guidance.step(g, sc.gains, sc.sign_convention, state.position,
-                             z, driven, est.c_hat, est.grad, est.lap, v_r,
-                             dt, t)
+        xhat, u = guidance.step(xhat, sc.gains, sc.sign_convention,
+                                state.position, driven, est.c_hat, est.grad,
+                                est.lap, v_r, dt, t)
         cmd, saturated = vessel.to_actuators(u, state.heading, sc.params)
 
-        rows[i] = (t, state.x, state.y, state.heading, *z, *g.xhat,
+        rows[i] = (t, state.x, state.y, state.heading, *z, *xhat,
                    *readings, est.c_hat, *est.grad, est.lap, *u, cmd.nu,
                    cmd.omega, saturated, ctrue)
-        status.append(g.status)
 
         if i < n_steps:
             state = vessel.step(state, cmd, dt)
 
-    rows = rows[:len(status)]
-    return RunLog(t=rows[:, 0], pose=rows[:, 1:4], z=rows[:, 4:6],
-                  xhat=rows[:, 6:8], readings=rows[:, 8:12], chat=rows[:, 12],
-                  grad=rows[:, 13:15], lap=rows[:, 15], u=rows[:, 16:18],
-                  nu=rows[:, 18], omega=rows[:, 19], sat=rows[:, 20] != 0,
-                  status=tuple(status), ctrue=rows[:, 21], truncated=truncated)
+    cols = dict(t=rows[:, 0], pose=rows[:, 1:4], z=rows[:, 4:6],
+                xhat=rows[:, 6:8], readings=rows[:, 8:12], chat=rows[:, 12],
+                grad=rows[:, 13:15], lap=rows[:, 15], u=rows[:, 16:18],
+                nu=rows[:, 18], omega=rows[:, 19], sat=rows[:, 20] != 0,
+                ctrue=rows[:, 21])
+    status = guidance.status(cols["t"], cols["chat"], cols["z"], cols["xhat"],
+                             cols["grad"], sc.gains)
+    return RunLog(**cols, status=status, truncated=truncated)
 
 
 # ---------------------------------------------------------------------------

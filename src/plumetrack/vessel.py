@@ -73,7 +73,7 @@ def normalize_heading(theta: float) -> float:
 
 def head_point(state: VesselState, offset: float) -> tuple[float, float]:
     """Offset point z = x_r + l0 (cos theta, sin theta)."""
-    if offset <= 0:
+    if not offset > 0:
         raise ValueError("head-point offset l0 must be > 0")
     return (state.x + offset * math.cos(state.heading),
             state.y + offset * math.sin(state.heading))
@@ -113,7 +113,7 @@ def step(state: VesselState, cmd: ActuatorCommand, dt: float) -> VesselState:
     unlike nu / omega (sin(theta + omega dt) - sin theta).  Heading is
     renormalized afterwards.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be > 0")
     half = 0.5 * cmd.omega * dt
     chord = cmd.nu * dt * (math.sin(half) / half if half != 0.0 else 1.0)

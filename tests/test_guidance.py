@@ -8,26 +8,26 @@ from plumetrack import guidance as G
 from plumetrack import simulator as SIM
 from plumetrack.field import FlowField, FrozenGaussian
 from plumetrack.guidance import (
-    GuidanceGains, NonFiniteError, SIGN_OPPOSED, SIGN_PDE, init, step)
+    GuidanceGains, NonFiniteError, SIGN_OPPOSED, SIGN_PDE, step)
 from plumetrack.scenario_io import scenario_from_dict
 from plumetrack.sensing import NoiseModel, SensorRig
 from plumetrack.vessel import VesselParams
 
 GAINS = GuidanceGains(c0=50.0, k=1.2, k1=5.0, k2=11.0, v_d=1.5)
 # no patrol: with x_r on the linearised level curve through x_hat and a
-# still fluid the observer rate is zero, so a step exercises the status alone
+# still fluid the observer rate is zero
 QUIET = GuidanceGains(c0=50.0, k=1.2, k1=5.0, k2=11.0, v_d=0.0)
 
 
-def status_step(g, c_hat, grad, z, t):
-    """One guidance step that leaves x_hat where it is."""
-    grad = np.asarray(grad, dtype=float)
-    gg = float(grad @ grad)
-    x_r = g.xhat + (c_hat - QUIET.c0) / gg * grad if gg else g.xhat
-    g2, _ = step(g, QUIET, SIGN_PDE, x_r, z, z, c_hat, grad, 0.0, (0, 0),
-                 0.05, t)
-    assert np.array_equal(g2.xhat, g.xhat)
-    return g2
+def statuses(t, c_hat, grad, z=(0.1, 0.0), xhat=(0.0, 0.0)):
+    """guidance.status of records at times t; a c_hat, gradient, head
+    point or estimate given once holds for every record."""
+    n = len(t)
+    c_hat, grad, z, xhat = (
+        np.broadcast_to(np.asarray(a, dtype=float), shape)
+        for a, shape in ((c_hat, (n,)), (grad, (n, 2)), (z, (n, 2)),
+                         (xhat, (n, 2))))
+    return G.status(np.asarray(t, dtype=float), c_hat, z, xhat, grad, QUIET)
 
 
 def static_scenario(pose, duration=30.0, peak=60.0, sigma=18.0, c0=50.0):
@@ -44,9 +44,9 @@ def static_scenario(pose, duration=30.0, peak=60.0, sigma=18.0, c0=50.0):
 def observer_rate(gains, mode, grad, lap, v):
     """x_hat' of one step from an on-curve x_r (x_r = x_hat, c_hat = c0):
     with the correction zero, dt = 1 makes the update the rate itself."""
-    g, _ = step(init((0, 0)), gains, mode, (0, 0), (0, 0), (0, 0), gains.c0,
-                grad, lap, v, 1.0, 0.0)
-    return g.xhat
+    xhat, _ = step((0, 0), gains, mode, (0, 0), (0, 0), gains.c0, grad, lap,
+                   v, 1.0, 0.0)
+    return np.asarray(xhat)
 
 
 def folded_law(gains, mode, xhat, x_r, driven, c_hat, grad, lap, v, dt):
@@ -86,15 +86,15 @@ class TestFoldedLaw:
             grad = rng.uniform(-3, 3, 2)
             if np.hypot(*grad) < gains.grad_floor:
                 continue
-            xhat, x_r, z, driven = rng.uniform(-10, 10, (4, 2))
+            xhat, x_r, driven = rng.uniform(-10, 10, (3, 2))
             c_hat, lap = rng.uniform(0, 100), rng.uniform(-2, 2)
             v, dt = rng.uniform(-1, 1, 2), rng.uniform(0.01, 0.2)
             for mode in (SIGN_PDE, SIGN_OPPOSED):
-                g2, u = step(init(xhat), gains, mode, x_r, z, driven, c_hat,
-                             grad, lap, v, dt, 0.0)
+                xhat2, u = step(xhat, gains, mode, x_r, driven, c_hat, grad,
+                                lap, v, dt, 0.0)
                 want_xhat, want_u, scale = folded_law(
                     gains, mode, xhat, x_r, driven, c_hat, grad, lap, v, dt)
-                assert np.abs(g2.xhat - want_xhat).max() <= 1e-12 * scale
+                assert np.abs(xhat2 - want_xhat).max() <= 1e-12 * scale
                 assert np.abs(u - want_u).max() <= 1e-12 * scale
                 checked += 1
         assert checked > 700
@@ -130,45 +130,50 @@ class TestNormalFeedforward:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="sign convention"):
-            step(init((0, 0)), GAINS, "bogus", (0, 0), (0, 0), (0, 0), 50.0,
-                 (1, 0), 0.0, (0, 0), 0.1, 0.0)
+            step((0, 0), GAINS, "bogus", (0, 0), (0, 0), 50.0, (1, 0), 0.0,
+                 (0, 0), 0.1, 0.0)
 
 
 class TestObserver:
     def test_tangential_only(self):
-        g = init((0, 0))
         gains = GuidanceGains(c0=50, k=0.0, k1=5, k2=11, v_d=1.5)
-        g2, _ = step(g, gains, SIGN_PDE, (0, 0), (0, 0), (0, 0), 50.0, (1, 0),
-                     0.0, (0, 0), 0.1, 0.0)
-        assert np.allclose(g2.xhat, [0.0, 0.15], atol=1e-15)
+        xhat, _ = step((0, 0), gains, SIGN_PDE, (0, 0), (0, 0), 50.0, (1, 0),
+                       0.0, (0, 0), 0.1, 0.0)
+        assert np.allclose(xhat, [0.0, 0.15], atol=1e-15)
 
     def test_measurement_correction(self):
-        g = init((0, 0))
         gains = GuidanceGains(c0=50, k=0.0, k1=5, k2=11, v_d=0.0)
-        g2, _ = step(g, gains, SIGN_PDE, (0, 0), (0, 0), (0, 0), 51.0, (1, 0),
-                     0.0, (0, 0), 0.1, 0.0)
-        assert np.allclose(g2.xhat, [-0.5, 0.0], atol=1e-15)
+        xhat, _ = step((0, 0), gains, SIGN_PDE, (0, 0), (0, 0), 51.0, (1, 0),
+                       0.0, (0, 0), 0.1, 0.0)
+        assert np.allclose(xhat, [-0.5, 0.0], atol=1e-15)
 
     def test_degenerate_gradient_holds_estimate(self):
-        g = init((3, -2))
-        g2, _ = step(g, GAINS, SIGN_PDE, (3, -2), (3, -2), (3, -2), 50.0,
-                     (0, 0), 0.0, (0, 0), 0.1, 0.0)
-        assert np.array_equal(g2.xhat, g.xhat)
-        assert g2.status == G.STATUS_DEGENERATE
+        xhat, _ = step((3, -2), GAINS, SIGN_PDE, (3, -2), (3, -2), 50.0,
+                       (0, 0), 0.0, (0, 0), 0.1, 0.0)
+        assert xhat == (3, -2)
+        assert statuses([0.0], 50.0, (0, 0), (3, -2), xhat) == \
+            (G.STATUS_DEGENERATE,)
 
     def test_fixed_point(self):
         # on-curve, still fluid, no patrol: observer is the identity
         gains = GuidanceGains(c0=50, k=0.0, k1=5, k2=11, v_d=0.0)
-        g = init((1.0, 2.0))
-        g2, u = step(g, gains, SIGN_PDE, (1.0, 2.0), (1.5, 2.0), (1.5, 2.0),
-                     50.0, (0.7, 0.2), 0.0, (0, 0), 0.05, 0.0)
-        assert np.allclose(g2.xhat, g.xhat, atol=1e-15)
+        xhat, u = step((1.0, 2.0), gains, SIGN_PDE, (1.0, 2.0), (1.5, 2.0),
+                       50.0, (0.7, 0.2), 0.0, (0, 0), 0.05, 0.0)
+        assert np.allclose(xhat, (1.0, 2.0), atol=1e-15)
         assert np.allclose(u, -11.0 * np.array([0.5, 0.0]), atol=1e-12)
 
-    def test_init_examples(self):
-        assert np.array_equal(init((0, 0)).xhat, [0, 0])
-        assert np.array_equal(init((3, -2)).xhat, [3, -2])
-        assert init((0, 0)).status == G.STATUS_SEEKING
+    def test_run_starts_at_vessel_position(self):
+        # a run's x_hat starts at the vessel position, and its first
+        # record, with no hold behind it, is seeking
+        for pose in ((10.87, 0.5, -math.pi / 2), (3.0, -2.0, 1.0)):
+            sc = static_scenario(pose, duration=0.05)
+            log = SIM.run(sc)
+            z = log.z[0]
+            est = (log.chat[0], log.grad[0], log.lap[0])
+            xhat, _ = step(pose[:2], sc.gains, SIGN_PDE, pose[:2], z, *est,
+                           (0.0, 0.0), 0.05, 0.0)
+            assert np.array_equal(log.xhat[0], xhat)
+            assert log.status[0] == G.STATUS_SEEKING
 
     def test_nonfinite_rejected(self):
         ok = dict(x_r=(0.0, 0.0), grad=(1.0, 0.0), v_r=(0.0, 0.0),
@@ -176,8 +181,8 @@ class TestObserver:
 
         def run(**inputs):
             a = dict(ok, **inputs)
-            step(init((0, 0)), GAINS, SIGN_PDE, a["x_r"], (0, 0), (0, 0),
-                 a["c_hat"], a["grad"], a["lap"], a["v_r"], 0.1, 0.0)
+            step((0, 0), GAINS, SIGN_PDE, a["x_r"], (0, 0), a["c_hat"],
+                 a["grad"], a["lap"], a["v_r"], 0.1, 0.0)
 
         for name in ok:
             for bad in (math.nan, math.inf, -math.inf):
@@ -192,10 +197,9 @@ class TestObserver:
 
     def test_nonfinite_control_raises(self):
         # an observer that has already diverged yields no finite command
-        g = init((1e308, 0.0))
         with pytest.raises(NonFiniteError, match="control"), \
                 np.errstate(over="ignore", invalid="ignore"):
-            step(g, GAINS, SIGN_PDE, (0, 0), (0, 0), (0, 0), 50.0, (1, 0),
+            step((1e308, 0.0), GAINS, SIGN_PDE, (0, 0), (0, 0), 50.0, (1, 0),
                  0.0, (0, 0), 0.1, 0.0)
 
     def test_nonfinite_degenerate_control_raises(self):
@@ -203,50 +207,51 @@ class TestObserver:
         gains = GuidanceGains(c0=50.0, k=1.2, k1=5.0, k2=1e308, v_d=1.5)
         with pytest.raises(NonFiniteError, match="control"), \
                 np.errstate(over="ignore"):
-            step(init((0, 0)), gains, SIGN_PDE, (0, 0), (2, 0), (2, 0), 50.0,
-                 (0, 0), 0.0, (0, 0), 0.1, 0.0)
+            step((0, 0), gains, SIGN_PDE, (0, 0), (2, 0), 50.0, (0, 0), 0.0,
+                 (0, 0), 0.1, 0.0)
 
     def test_control_uses_updated_estimate(self):
         # x_hat moves to (-0.5, 0) first; the correction and the pull then
         # act on it: u = -5 * 0.5 * (1, 0) - 11 * (0.5, 0) = (-8, 0).  The
         # pre-update x_hat would give (-5, 0).
         gains = GuidanceGains(c0=50, k=0.0, k1=5, k2=11, v_d=0.0)
-        g2, u = step(init((0, 0)), gains, SIGN_PDE, (0, 0), (0, 0), (0, 0),
-                     51.0, (1, 0), 0.0, (0, 0), 0.1, 0.0)
-        assert np.allclose(g2.xhat, [-0.5, 0.0], atol=1e-15)
+        xhat, u = step((0, 0), gains, SIGN_PDE, (0, 0), (0, 0), 51.0, (1, 0),
+                       0.0, (0, 0), 0.1, 0.0)
+        assert np.allclose(xhat, [-0.5, 0.0], atol=1e-15)
         assert np.allclose(u, [-8.0, 0.0], atol=1e-12)
 
     def test_status_measures_head_point_not_driven_point(self):
         # the control drives the hull centre, the status watches the head
-        g = init((0, 0))
-        far, near = (5.0, 0.0), (0.0, 0.0)
+        xhat, far, near = (0, 0), (5.0, 0.0), (0.0, 0.0)
+        estimates = []
         for t in (0.0, 2.0):
-            g, u = step(g, QUIET, SIGN_PDE, (0, 0), far, near, 50.0, (1, 0),
-                        0.0, (0, 0), 0.05, t)
+            xhat, u = step(xhat, QUIET, SIGN_PDE, (0, 0), near, 50.0, (1, 0),
+                           0.0, (0, 0), 0.05, t)
+            estimates.append(xhat)
         assert np.allclose(u, 0.0)
-        assert g.status == G.STATUS_SEEKING
+        assert statuses([0.0, 2.0], 50.0, (1, 0), far, estimates) == \
+            (G.STATUS_SEEKING,) * 2
+        assert statuses([0.0, 2.0], 50.0, (1, 0), near, estimates)[-1] == \
+            G.STATUS_TRACKING
 
 
 class TestControl:
     def test_patrol_only(self):
         gains = GuidanceGains(c0=50, k=0.0, k1=5, k2=11, v_d=1.5)
         # x_hat starts one patrol step behind z, so the update lands on z
-        g = init((0, -0.15))
-        _, u = step(g, gains, SIGN_PDE, (0, 0), (0, 0), (0, 0), 50.0, (1, 0),
+        _, u = step((0, -0.15), gains, SIGN_PDE, (0, 0), (0, 0), 50.0, (1, 0),
                     0.0, (0, 0), 0.1, 0.0)
         assert np.allclose(u, [0.0, 1.5], atol=1e-15)
 
     def test_pure_tracking_term(self):
         gains = GuidanceGains(c0=50, k=0.0, k1=5, k2=11, v_d=0.0)
-        g = init((0, 0))
-        _, u = step(g, gains, SIGN_PDE, (0, 0), (1.0, 0.0), (1.0, 0.0), 50.0,
-                    (1, 0), 0.0, (0, 0), 0.1, 0.0)
+        _, u = step((0, 0), gains, SIGN_PDE, (0, 0), (1.0, 0.0), 50.0, (1, 0),
+                    0.0, (0, 0), 0.1, 0.0)
         assert np.allclose(u, [-11.0, 0.0], atol=1e-12)
 
     def test_degenerate_fallback_is_pure_tracking(self):
-        g = init((0, 0))
-        _, u = step(g, GAINS, SIGN_PDE, (0, 0), (2.0, -1.0), (2.0, -1.0),
-                    50.0, (0, 0), 0.0, (0, 0), 0.1, 0.0)
+        _, u = step((0, 0), GAINS, SIGN_PDE, (0, 0), (2.0, -1.0), 50.0,
+                    (0, 0), 0.0, (0, 0), 0.1, 0.0)
         assert np.allclose(u, [-22.0, 11.0])
 
     def test_rotation_preserves_norm(self):
@@ -274,34 +279,22 @@ class TestControl:
 
 class TestStatus:
     def test_promotion_needs_sustained_band(self):
-        g = init((0, 0))
-        z = (0.1, 0.0)
-        for i, t in enumerate(np.arange(0, 2.0, 0.05)):
-            g = status_step(g, 50.0, (1, 0), z, float(t))
-            if t < 2.0:
-                assert g.status == G.STATUS_SEEKING
-        g = status_step(g, 50.0, (1, 0), z, 2.0)
-        assert g.status == G.STATUS_TRACKING
+        t = [*np.arange(0, 2.0, 0.05), 2.0]
+        got = statuses(t, 50.0, (1, 0))
+        assert got[:-1] == (G.STATUS_SEEKING,) * (len(t) - 1)
+        assert got[-1] == G.STATUS_TRACKING
 
     def test_band_break_resets_window(self):
-        g = init((0, 0))
-        g = status_step(g, 50.0, (1, 0), (0.1, 0), 0.0)
-        g = status_step(g, 50.0, (1, 0), (0.1, 0), 1.0)
-        g = status_step(g, 80.0, (1, 0), (0.1, 0), 1.5)
-        g = status_step(g, 50.0, (1, 0), (0.1, 0), 2.5)
-        assert g.status == G.STATUS_SEEKING
-        g = status_step(g, 50.0, (1, 0), (0.1, 0), 4.5)
-        assert g.status == G.STATUS_TRACKING
+        got = statuses([0.0, 1.0, 1.5, 2.5, 4.5],
+                       [50.0, 50.0, 80.0, 50.0, 50.0], (1, 0))
+        assert got[3] == G.STATUS_SEEKING
+        assert got[4] == G.STATUS_TRACKING
 
     def test_tracking_is_sticky_and_degeneracy_reports(self):
-        g = init((0, 0))
-        g = status_step(g, 50.0, (1, 0), (0.1, 0), 0.0)
-        g = status_step(g, 50.0, (1, 0), (0.1, 0), 2.0)
-        assert g.status == G.STATUS_TRACKING
-        g = status_step(g, 50.0, (0, 0), (0.1, 0), 2.05)
-        assert g.status == G.STATUS_DEGENERATE
-        g = status_step(g, 50.0, (1, 0), (0.1, 0), 2.10)
-        assert g.status == G.STATUS_TRACKING
+        got = statuses([0.0, 2.0, 2.05, 2.10], 50.0,
+                       [(1, 0), (1, 0), (0, 0), (1, 0)])
+        assert got[1:] == (G.STATUS_TRACKING, G.STATUS_DEGENERATE,
+                           G.STATUS_TRACKING)
 
 
 class TestClosedLoop:

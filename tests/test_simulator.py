@@ -130,7 +130,8 @@ class TestRun:
         noise, rng = sc.noise, np.random.default_rng(sc.seed)
         estimator = RigEstimator.for_offsets(sc.rig.offsets)
         assert np.array_equal(log.t, np.arange(len(log)) * 0.05)
-        g = G.init(log.pose[0, :2])
+        xhat = tuple(log.pose[0, :2])
+        replayed = []               # the status's inputs, in its order
         for i, t in enumerate(log.t):
             state = VesselState(*log.pose[i])
             z = head_point(state, sc.params.offset)
@@ -142,19 +143,39 @@ class TestRun:
             est = estimator.estimate(log.readings[i], state.heading)
             assert (log.chat[i], log.lap[i]) == (est.c_hat, est.lap)
             assert np.array_equal(log.grad[i], est.grad)
-            g, u = G.step(g, sc.gains, sc.sign_convention, state.position, z,
-                          z, est.c_hat, est.grad, est.lap,
-                          sc.field0.flow.at(t), 0.05, t)
-            assert np.array_equal(log.xhat[i], g.xhat)
+            xhat, u = G.step(xhat, sc.gains, sc.sign_convention,
+                             state.position, z, est.c_hat, est.grad, est.lap,
+                             sc.field0.flow.at(t), 0.05, t)
+            assert np.array_equal(log.xhat[i], xhat)
             assert np.array_equal(log.u[i], u)
-            assert log.status[i] == g.status
+            replayed.append((est.c_hat, z, xhat, est.grad))
             cmd, saturated = to_actuators(u, state.heading, sc.params)
             assert (log.nu[i], log.omega[i], log.sat[i]) == \
                 (cmd.nu, cmd.omega, saturated)
             if i + 1 < len(log):
                 nxt = vessel_step(state, cmd, 0.05)
                 assert tuple(log.pose[i + 1]) == (nxt.x, nxt.y, nxt.heading)
+        assert log.status == G.status(
+            log.t, *map(np.array, zip(*replayed)), sc.gains)
         assert {G.STATUS_SEEKING, G.STATUS_TRACKING} <= set(log.status)
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_status_and_step_agree_on_degeneracy(self, case1_doc, seed):
+        # A7's document (case1, sensor noise sigma 2) at two seeds that log
+        # a degenerate-gradient record: exactly there the step took its
+        # pull-only branch, holding x_hat and commanding -k2 (z - x_hat)
+        doc = copy.deepcopy(case1_doc)
+        doc["seed"] = seed
+        doc["noise"]["sigma"] = 2.0
+        sc = scenario_from_dict(doc)
+        assert sc.tracked_point == "head"
+        log = run(sc)
+        before = np.vstack((log.pose[:1, :2], log.xhat[:-1]))
+        held = (log.xhat == before).all(axis=1)
+        pull_only = (log.u == -sc.gains.k2 * (log.z - log.xhat)).all(axis=1)
+        degenerate = np.array(log.status) == G.STATUS_DEGENERATE
+        assert degenerate.any()
+        assert np.array_equal(degenerate, held & pull_only)
 
     def test_degenerate_stencil_aborts(self):
         from plumetrack.sensing import DegenerateStencilError
@@ -181,19 +202,16 @@ def matrix_estimate(pinv, readings, theta):
             float(gamma[2] + gamma[5]))
 
 
-def matrix_guidance(state, gains, mode, x_r, z, driven, c_hat, g, lap, v,
-                    dt, t):
-    """(x_hat, u, status, window, converged, scale), scale being the
-    largest term of the observer and the control."""
+def matrix_guidance(xhat0, gains, mode, x_r, driven, c_hat, g, lap, v, dt):
+    """(x_hat, u, scale), scale being the largest term of the observer
+    and the control."""
     rot90 = np.array([[0.0, -1.0], [1.0, 0.0]])
-    x_r, z, driven, g, v = (np.asarray(a, dtype=float)
-                            for a in (x_r, z, driven, g, v))
-    xhat0 = np.asarray(state.xhat, dtype=float)
+    xhat0, x_r, driven, g, v = (np.asarray(a, dtype=float)
+                                for a in (xhat0, x_r, driven, g, v))
     norm = float(np.hypot(g[0], g[1]))
     if norm < gains.grad_floor:
         u = -gains.k2 * (driven - xhat0)
-        return (xhat0, u, G.STATUS_DEGENERATE, None, state.converged,
-                max(1.0, float(np.abs(u).max())))
+        return xhat0, u, max(1.0, float(np.abs(u).max()))
     speed = ((G.ADVECTION_SIGN[mode] * float(v @ g) - gains.k * lap)
              / float(g @ g))
     drift = speed * g + gains.v_d * (rot90 @ g) / norm
@@ -205,15 +223,23 @@ def matrix_guidance(state, gains, mode, x_r, z, driven, c_hat, g, lap, v,
     u = drift - correction2 - pull
     scale = max(1.0, *(float(np.abs(a).max()) for a in (
         xhat0, xhat, x_r, drift, correction, correction2, pull)))
-    converged, window = state.converged, state.window_start
-    if (abs(c_err) < G.TRACK_BAND * gains.c0
+    return xhat, u, scale
+
+
+def matrix_status(window, converged, gains, z, xhat, c_hat, g, t):
+    """(status, window, converged) after one record, from the window and
+    the sticky flag before it: the status half of the step as it was
+    computed inside the loop, on numpy 2-vectors."""
+    if float(np.hypot(g[0], g[1])) < gains.grad_floor:
+        return G.STATUS_DEGENERATE, None, converged
+    if (abs(c_hat - gains.c0) < G.TRACK_BAND * gains.c0
             and float(np.hypot(*(z - xhat))) < G.TRACK_DIST):
         window = t if window is None else window
         converged = converged or t - window >= G.TRACK_HOLD
     else:
         window = None
     status = G.STATUS_TRACKING if converged else G.STATUS_SEEKING
-    return xhat, u, status, window, converged, scale
+    return status, window, converged
 
 
 def matrix_actuators(u, theta, params):
@@ -237,7 +263,7 @@ class TestFloatChainMatchesMatrixForms:
                 SensorRig(matrix_positions(SensorRig.cross(0.6).offsets,
                                            0.0, 0.0, 0.9))]
         estimators = [RigEstimator.for_offsets(rig.offsets) for rig in rigs]
-        statuses, saturation = set(), set()
+        degenerate, saturation = set(), set()
         for i in range(2000):
             rig, estimator = rigs[i % 3], estimators[i % 3]
             x, y = rng.uniform(-50, 50, 2)
@@ -271,26 +297,59 @@ class TestFloatChainMatchesMatrixForms:
             z = head_point(state, params.offset)
             driven = z if i % 3 else state.position
             t = rng.uniform(0, 100)
-            window = None if i % 5 == 0 else t - rng.uniform(0, 3)
-            g0 = G.GuidanceState(tuple(np.add(z, rng.uniform(-2, 2, 2))),
-                                 G.STATUS_SEEKING, window, i % 7 == 0)
+            xhat0 = tuple(np.add(z, rng.uniform(-2, 2, 2)))
             v = rng.uniform(-1, 1, 2)
-            g1, u = G.step(g0, gains, mode, (x, y), z, driven, c_hat, grad,
-                           lap, v, 0.05, t)
-            want = matrix_guidance(g0, gains, mode, (x, y), z, driven, c_hat,
-                                   grad, lap, v, 0.05, t)
-            assert_close((*g1.xhat, *u), (*want[0], *want[1]), want[5])
-            assert (g1.status, g1.window_start, g1.converged) == want[2:5]
-            statuses.add(g1.status)
+            xhat, u = G.step(xhat0, gains, mode, (x, y), driven, c_hat, grad,
+                             lap, v, 0.05, t)
+            want = matrix_guidance(xhat0, gains, mode, (x, y), driven, c_hat,
+                                   grad, lap, v, 0.05)
+            assert_close((*xhat, *u), (*want[0], *want[1]), want[2])
+            degenerate.add(bool(np.hypot(*grad) < gains.grad_floor))
 
             cmd, saturated = to_actuators(want[1], theta, params)
             nu, omega, sat, raw = matrix_actuators(want[1], theta, params)
             assert_close(cmd, (nu, omega), max(1.0, float(np.abs(raw).max())))
             assert saturated == sat
             saturation.add(sat)
-        assert statuses == {G.STATUS_SEEKING, G.STATUS_TRACKING,
-                            G.STATUS_DEGENERATE}
+        assert degenerate == {False, True}
         assert saturation == {False, True}
+
+    def test_status_at_random_record_sequences(self):
+        # sequences of records whose concentration, head-point distance and
+        # gradient straddle the band, TRACK_DIST and grad_floor, against the
+        # per-record reference
+        rng = np.random.default_rng(17)
+        seen = set()
+        for _ in range(300):
+            n = 80
+            gains = GuidanceGains(c0=rng.uniform(10, 100), k=1.2, k1=5.0,
+                                  k2=11.0, v_d=1.5,
+                                  grad_floor=rng.uniform(0.01, 0.5))
+            t = rng.uniform(0, 100) + rng.choice([0.05, 0.1]) * np.arange(n)
+            spread = rng.uniform(0.8, 1.3, 2)
+            c_hat = gains.c0 * (1 + G.TRACK_BAND * spread[0]
+                                * rng.uniform(-1, 1, n))
+            xhat = rng.uniform(-50, 50, (n, 2))
+            angle = rng.uniform(-math.pi, math.pi, n)
+            dist = G.TRACK_DIST * spread[1] * rng.uniform(0, 1, n)
+            z = xhat + dist[:, None] * np.column_stack((np.cos(angle),
+                                                        np.sin(angle)))
+            size = np.where(rng.uniform(size=n) < 0.05,
+                            gains.grad_floor * rng.uniform(0.5, 1.5, n),
+                            rng.uniform(0.1, 5, n))
+            angle = rng.uniform(-math.pi, math.pi, n)
+            grad = size[:, None] * np.column_stack((np.cos(angle),
+                                                    np.sin(angle)))
+            want, window, converged = [], None, False
+            for j in range(n):
+                status, window, converged = matrix_status(
+                    window, converged, gains, z[j], xhat[j], c_hat[j],
+                    grad[j], t[j])
+                want.append(status)
+            assert G.status(t, c_hat, z, xhat, grad, gains) == tuple(want)
+            seen.update(want)
+        assert seen == {G.STATUS_SEEKING, G.STATUS_TRACKING,
+                        G.STATUS_DEGENERATE}
 
 
 class TestLevelSetRadius:
@@ -530,6 +589,15 @@ GAINS = dict(c0=50.0, k=1.2, k1=5.0, k2=11.0, v_d=1.5)
      "control period must be > 0"),
     (lambda: short_scenario(flow_noise_sigma=NAN),
      "flow noise sigma must be >= 0"),
+    (lambda: GridField((0, 0), 0.5, np.zeros((4, 4)), 0.1, STILL).step(NAN),
+     "dt must be > 0"),
+    (lambda: vessel_step(VesselState(0.0, 0.0, 0.0),
+                         ActuatorCommand(1.0, 0.0), NAN), "dt must be > 0"),
+    (lambda: head_point(VesselState(0.0, 0.0, 0.0), NAN),
+     "head-point offset l0 must be > 0"),
+    (lambda: G.step((0.0, 0.0), GuidanceGains(**GAINS), G.SIGN_PDE,
+                    (0.0, 0.0), (0.0, 0.0), 50.0, (1.0, 0.0), 0.0,
+                    (0.0, 0.0), NAN, 0.0), "dt must be > 0"),
 ])
 def test_range_checks_refuse_nan(make, message):
     with pytest.raises(ValueError, match=message):
