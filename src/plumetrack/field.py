@@ -50,12 +50,18 @@ and the sum are the same.  On case1 the list is rebuilt 46 times in
 releases.  The train's puffs share one strength, so ``centroid`` finds
 the strongest puff without computing the train.
 
+The analytic fields' evaluation, the flow's ``at`` and a scalar
+``displacement`` run on Python floats, with ``math.exp``, so they do not
+depend on numpy's SIMD dispatch; a plume point's kept terms are summed
+left to right in ``_rows`` order (see ``PuffPlume.eval_many``).
+
 Concentration is in ppb, lengths in m, times in s.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -114,30 +120,50 @@ class FlowField:
             raise ValueError("segment boundaries must be strictly increasing")
         object.__setattr__(self, "velocities", v)
         object.__setattr__(self, "boundaries", b)
+        # the same values as floats: each segment's (vx, vy), and each
+        # switch's time and velocity jump (jx, jy)
+        vs = [tuple(row) for row in v.tolist()]
+        object.__setattr__(self, "_v", vs)
+        object.__setattr__(self, "_b", b.tolist())
+        object.__setattr__(self, "_switches", [
+            (bi, nx - px, ny - py)
+            for bi, (px, py), (nx, ny) in zip(b.tolist(), vs, vs[1:])])
 
     @classmethod
     def uniform(cls, velocity) -> "FlowField":
         return cls(np.asarray([velocity], dtype=float), np.empty(0))
 
-    def at(self, t: float) -> np.ndarray:
-        """Flow velocity at time t, everywhere: the flow is spatially
-        uniform by construction."""
-        i = int(np.searchsorted(self.boundaries, t, side="right"))
-        return self.velocities[i].copy()
+    def at(self, t: float) -> list:
+        """Flow velocity [vx, vy] at time t, everywhere: the flow is
+        spatially uniform by construction.  A NaN t reads the last
+        segment."""
+        return list(self._v[bisect_right(self._b, t)])
 
-    def displacement(self, t0, t1: float) -> np.ndarray:
-        """Integral of v over [t0, t1] for t0 <= t1, vectorised over t0.
+    def displacement(self, t0, t1: float):
+        """Integral of v over [t0, t1] for t0 <= t1.
 
-        v(t1) (t1 - t0) minus, for each switch b in (t0, t1], the velocity
-        jump at b times (b - t0).  Shape ``(2,) + np.shape(t0)``, x and y
-        first; under a uniform flow exactly v * (t1 - t0).
+        v(t1) (t1 - t0) minus, for each switch b <= t1, the velocity jump
+        at b times (b - t0) where t0 < b and times 0.0 elsewhere; under a
+        uniform flow exactly v * (t1 - t0).  A float or int t0 gives a
+        list [dx, dy]; an array t0 gives shape ``(2,) + np.shape(t0)``, x
+        and y first.  Both take the same operations in the same order, so they
+        agree bit for bit.
         """
+        if isinstance(t0, (float, int)):
+            (vx, vy), span = self.at(t1), t1 - t0
+            dx, dy = vx * span, vy * span
+            for b, jx, jy in self._switches:
+                if b <= t1:
+                    w = b - t0 if t0 < b else 0.0
+                    dx -= jx * w
+                    dy -= jy * w
+            return [dx, dy]
         t0 = np.asarray(t0, dtype=float)
         disp = np.multiply.outer(self.at(t1), t1 - t0)
-        for i, b in enumerate(self.boundaries):
+        for b, jx, jy in self._switches:
             if b <= t1:
-                jump = self.velocities[i + 1] - self.velocities[i]
-                disp -= np.multiply.outer(jump, np.where(t0 < b, b - t0, 0.0))
+                disp -= np.multiply.outer((jx, jy),
+                                          np.where(t0 < b, b - t0, 0.0))
         return disp
 
 
@@ -171,10 +197,11 @@ class GaussianPuff:
             raise ValueError("diffusion k must be > 0")
 
     def _age(self, t: float) -> float:
-        """tau = t - release_time; PuffTimeError unless tau > 0."""
+        """tau = t - release_time; PuffTimeError unless tau > 0 (a NaN
+        t included)."""
         tau = t - self.release_time
-        if tau <= 0:
-            raise PuffTimeError(f"puff evaluated at age {tau:g} <= 0")
+        if not tau > 0:
+            raise PuffTimeError(f"puff evaluated at age {tau:g}, not > 0")
         return tau
 
     def peak(self, t: float) -> float:
@@ -216,16 +243,15 @@ def puff_laplacian(puff: GaussianPuff, flow: FlowField, x, t: float) -> float:
 
 class _NeighbourList(NamedTuple):
     """Candidates for a plume's cull at times in [t, t + HORIZON] and
-    query discs inside the disc of centre (qx, qy) and this radius: the
-    release times, points (2, n) and strengths of their puffs."""
+    query discs inside the disc of centre (qx, qy) and this radius: one
+    float row (t0, x, y, Q) per puff, its release time, point and
+    strength, in ``_rows`` order."""
 
     t: float
     qx: float
     qy: float
     radius: float
-    t0s: np.ndarray
-    pts: np.ndarray
-    qs: np.ndarray
+    rows: list
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -296,7 +322,8 @@ class PuffPlume:
     def _near(self, t: float, qx: float, qy: float, rho: float):
         """The puffs released before t, less those that cannot reach
         CULL_BOUND on the disc of centre (qx, qy) and radius rho: every
-        puff the cull of ``eval_many`` keeps, in ``_rows`` order.
+        puff the cull of ``eval_many`` keeps, as float rows
+        (t0, x, y, Q) in ``_rows`` order.
 
         They come from the neighbour list, which is rebuilt unless it
         covers the disc at t (see ``_build``).
@@ -310,8 +337,7 @@ class PuffPlume:
             object.__setattr__(self, "_neighbours", nl)
         # t0 < t, but a NaN t keeps every candidate, so that the NaN
         # reaches the result
-        live = ~(nl.t0s >= t)
-        return nl.t0s[live], nl.pts[:, live], nl.qs[live]
+        return [row for row in nl.rows if not row[0] >= t]
 
     def _build(self, t: float, qx: float, qy: float,
                rho: float) -> _NeighbourList:
@@ -348,9 +374,9 @@ class PuffPlume:
             cx, cy = pts + self.flow.displacement(t0s, t)
             dx, dy = cx - qx, cy - qy
             near = np.maximum(np.sqrt(dx * dx + dy * dy) - radius, 0.0)
-            idx = np.flatnonzero(~(near * near > reach2))
-        return _NeighbourList(t, qx, qy, radius, t0s[idx], pts[:, idx],
-                              qs[idx])
+            keep = ~(near * near > reach2)
+        rows = np.vstack((t0s, pts, qs))[:, keep].T.tolist()
+        return _NeighbourList(t, qx, qy, radius, rows)
 
     def eval_many(self, points, t: float):
         """Concentration (m,) at several points.
@@ -365,24 +391,50 @@ class PuffPlume:
         so the result is exact for any caller.  The bound is applied to
         the candidates of the plume's neighbour list, which holds every
         released puff that can pass it, so the kept terms are those of a
-        bound over every released puff.  They are summed in ``_rows``
-        order.
+        bound over every released puff.
+
+        A call is a few puffs at a few points, so it runs on Python
+        floats: ``math.exp`` for each term, and C's ``hypot``, through
+        ``abs(complex)``, for d.  Each point's kept terms are summed left
+        to right in ``_rows`` order, starting from 0.0.  For fewer than 8
+        terms that is how numpy's ``sum`` adds them too; for more, numpy
+        would add them pairwise.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        q = pts.mean(axis=0)
-        rho = max(math.hypot(*p) for p in (pts - q).tolist())
-        qx, qy = q.tolist()
-        t0s, origins, qs = self._near(t, qx, qy, rho)
-        kt = self.diffusion * (t - t0s)                   # (n,)
-        peak = qs / (4.0 * math.pi * kt)
-        cx, cy = origins + self.flow.displacement(t0s, t)
-        near = np.maximum(np.hypot(cx - qx, cy - qy) - rho, 0.0)
-        bound = peak * np.exp(-near * near / (4.0 * kt))
-        keep = np.flatnonzero(~(bound < CULL_BOUND))
-        dx = pts[:, 0, None] - cx[keep]                   # (m, n)
-        dy = pts[:, 1, None] - cy[keep]
-        c_terms = peak[keep] * np.exp(-(dx * dx + dy * dy) / (4.0 * kt[keep]))
-        return c_terms.sum(axis=1)
+        pts = np.atleast_2d(np.asarray(points, dtype=float)).tolist()
+        if not pts:
+            return np.empty(0)
+        # the disc: the points' mean, added in point order as numpy's
+        # mean does, and the largest distance from it
+        (qx, qy), m = pts[0], len(pts)
+        for x, y in pts[1:]:
+            qx += x
+            qy += y
+        qx, qy = qx / m, qy / m
+        rho = max(math.hypot(x - qx, y - qy) for x, y in pts)
+        terms = []                              # (peak, cx, cy, 4kt)
+        for t0, x0, y0, q in self._near(t, qx, qy, rho):
+            # a kt that underflows to 0 makes the term NaN, as the IEEE
+            # q / 0 and 0 * inf would; Python raises on a division by 0
+            kt = self.diffusion * (t - t0) or math.nan
+            peak = q / (4.0 * math.pi * kt)
+            dx, dy = self.flow.displacement(t0, t)
+            cx, cy = x0 + dx, y0 + dy
+            try:
+                d = abs(complex(cx - qx, cy - qy))
+            except OverflowError:       # C's hypot gives inf
+                d = math.inf
+            near = max(d - rho, 0.0)
+            # not <, so that a NaN bound keeps the puff
+            if not peak * math.exp(-near * near / (4.0 * kt)) < CULL_BOUND:
+                terms.append((peak, cx, cy, 4.0 * kt))
+        c = []
+        for x, y in pts:
+            total = 0.0
+            for peak, cx, cy, four_kt in terms:
+                dx, dy = x - cx, y - cy
+                total += peak * math.exp(-(dx * dx + dy * dy) / four_kt)
+            c.append(total)
+        return np.array(c)
 
     def centroid(self, t: float) -> np.ndarray:
         """Advected position of the first strongest puff released before
@@ -444,10 +496,16 @@ class FrozenGaussian:
 
     has_analytic_truth = True
 
-    def centroid(self, t: float) -> np.ndarray:
+    def _centre(self, t: float) -> tuple[float, float]:
+        x, y = self.center.tolist()
         if t >= 0:
-            return self.center + self.flow.displacement(0.0, t)
-        return self.center - self.flow.displacement(t, 0.0)
+            dx, dy = self.flow.displacement(0.0, t)
+            return x + dx, y + dy
+        dx, dy = self.flow.displacement(t, 0.0)
+        return x - dx, y - dy
+
+    def centroid(self, t: float) -> np.ndarray:
+        return np.array(self._centre(t))
 
     def advance(self, t: float, max_substep: float = math.inf) -> "FrozenGaussian":
         """Closed form: the field at any time is this same object."""
@@ -461,11 +519,15 @@ class FrozenGaussian:
         return self.sigma * math.sqrt(2.0 * math.log(self.peak / c0))
 
     def eval_many(self, points, t: float):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d = pts - self.centroid(t)[None, :]
-        r2 = np.einsum("mk,mk->m", d, d)
+        """Concentration (m,) at several points, on Python floats:
+        d0*d0 + d1*d1 for |x - ctr(t)|^2 and ``math.exp``."""
+        cx, cy = self._centre(t)
         s2 = self.sigma * self.sigma
-        return self.peak * np.exp(-r2 / (2.0 * s2))
+        c = []
+        for x, y in np.atleast_2d(np.asarray(points, dtype=float)).tolist():
+            d0, d1 = x - cx, y - cy
+            c.append(self.peak * math.exp(-(d0 * d0 + d1 * d1) / (2.0 * s2)))
+        return np.array(c)
 
 
 # ---------------------------------------------------------------------------
@@ -547,10 +609,8 @@ class GridField:
         cx = float((self.conc.sum(axis=1) @ xs) / m)
         cy = float((self.conc.sum(axis=0) @ ys) / m)
         if t >= self.time:
-            disp = self.flow.displacement(self.time, t)
-        else:
-            disp = -self.flow.displacement(t, self.time)
-        return np.array([cx, cy]) + disp
+            return np.array([cx, cy]) + self.flow.displacement(self.time, t)
+        return np.array([cx, cy]) - self.flow.displacement(t, self.time)
 
     def level_set_radius(self, c0: float, t: float) -> float | None:
         raise ValueError("no closed-form level set for GridField")

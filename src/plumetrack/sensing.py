@@ -106,17 +106,22 @@ class NoiseModel:
                 and self.range_max > self.floor):
             raise ValueError("need sigma >= 0 and 0 <= floor < range_max")
 
-    def read(self, c, rng: np.random.Generator) -> np.ndarray:
-        """Readings of the true concentrations ``c``, one per sensor.
+    def read(self, c, rng: np.random.Generator) -> list[float]:
+        """Readings of the true concentrations ``c``, one float per sensor.
 
         reading_i = clamp(c_i + sigma * g_i, 0, range_max), then zeroed
-        when below the detection floor.  One draw from ``rng`` per sensor
-        per call, in sensor order, even when sigma is zero (keeps the
-        stream aligned), so runs are bit-reproducible.
+        when below the detection floor; a NaN stays NaN.  One draw from
+        ``rng`` per sensor per call, in sensor order, even when sigma is
+        zero (keeps the stream aligned), so runs are bit-reproducible.
         """
-        g = rng.standard_normal(len(c))
-        readings = np.clip(c + self.sigma * g, 0.0, self.range_max)
-        readings[readings < self.floor] = 0.0
+        readings = []
+        for ci, gi in zip(c, rng.standard_normal(len(c)).tolist()):
+            r = float(ci) + self.sigma * gi
+            if r > self.range_max:
+                r = self.range_max
+            elif r < self.floor:                # floor >= 0: negatives too
+                r = 0.0
+            readings.append(r)
         return readings
 
 

@@ -152,11 +152,11 @@ def run(scenario: Scenario) -> RunLog:
         positions = sensing.world_positions(sc.rig, state)
         z = vessel.head_point(state, sc.params.offset)
         if fieldmodel.has_analytic_truth:
-            c = fieldmodel.eval_many((*positions, z), t)
-            ctrue = float(c[4])
+            c = fieldmodel.eval_many((*positions, z), t).tolist()
+            ctrue = c[4]
         else:
             try:
-                c = fieldmodel.eval_many(positions, t)
+                c = fieldmodel.eval_many(positions, t).tolist()
             except DomainError:
                 truncated = True
                 rows = rows[:i]
@@ -166,8 +166,9 @@ def run(scenario: Scenario) -> RunLog:
         est = estimator.estimate(readings, state.heading)
         v_r = fieldmodel.flow.at(t)
         if sc.flow_noise_sigma > 0:
-            v_r = v_r + sc.flow_noise_sigma * flow_rng.standard_normal(2)
-        v_r = v_r.tolist()
+            gx, gy = flow_rng.standard_normal(2).tolist()
+            v_r = [v_r[0] + sc.flow_noise_sigma * gx,
+                   v_r[1] + sc.flow_noise_sigma * gy]
         driven = z if sc.tracked_point == "head" else state.position
         xhat, u = guidance.step(xhat, sc.gains, sc.sign_convention,
                                 state.position, driven, est.c_hat, est.grad,
@@ -218,9 +219,12 @@ class RunMetrics:
 
 
 def _winding(points: np.ndarray, center: np.ndarray):
-    """(total signed angle, adverse excursion) of a polyline about center."""
+    """(total signed angle, adverse excursion) of a polyline about center.
+    The angles come from ``math.atan2``, as the field's exponentials come
+    from ``math.exp``, so that they do not depend on numpy's SIMD
+    dispatch."""
     rel = points - center[None, :]
-    ang = np.arctan2(rel[:, 1], rel[:, 0])
+    ang = np.array([math.atan2(y, x) for x, y in rel.tolist()])
     d = np.diff(ang)
     d = (d + math.pi) % (2.0 * math.pi) - math.pi
     if d.size == 0:

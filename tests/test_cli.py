@@ -56,6 +56,17 @@ def cli(*args) -> subprocess.CompletedProcess:
                           capture_output=True, text=True)
 
 
+def avx512_targets() -> list[str]:
+    """numpy's AVX-512 dispatch targets that this CPU runs."""
+    try:
+        from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                                   __cpu_features__)
+    except ImportError:
+        return []
+    return [f for f in __cpu_dispatch__ if __cpu_features__.get(f)
+            and (f.startswith("AVX512") or f == "X86_V4")]
+
+
 def summary_rows(out: Path) -> list[dict]:
     """The rows of a sweep's summary, each checked against its member's
     metrics.json: "" for null or a missing file, 1/0 for bools and %.9g
@@ -194,6 +205,30 @@ class TestRunCommand:
         assert (out1 / "log.csv").read_bytes() == (out2 / "log.csv").read_bytes()
         assert (out1 / "metrics.json").read_bytes() == \
             (out2 / "metrics.json").read_bytes()
+
+    @pytest.mark.skipif(not avx512_targets(),
+                        reason="numpy dispatches no AVX-512 code here")
+    @pytest.mark.parametrize("name", ["case1", "pure_advection"])
+    def test_bytes_do_not_depend_on_numpy_simd_dispatch(self, tmp_path,
+                                                        scenarios_dir, name):
+        # the same run with numpy's AVX-512 loops and with them switched
+        # off in the child process
+        import os
+        outputs = []
+        for disabled in (None, " ".join(avx512_targets())):
+            env = dict(os.environ)
+            env.pop("NPY_DISABLE_CPU_FEATURES", None)
+            if disabled:
+                env["NPY_DISABLE_CPU_FEATURES"] = disabled
+            out = tmp_path / str(len(outputs))
+            proc = subprocess.run(
+                [sys.executable, "-m", "plumetrack.cli", "run",
+                 str(scenarios_dir / f"{name}.json"), "--out", str(out)],
+                capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / f).read_bytes()
+                            for f in ("log.csv", "metrics.json")])
+        assert outputs[0] == outputs[1]
 
     def test_one_record_run_is_not_truncated(self, tmp_path, capsys):
         # a run shorter than one control period logs only t = 0

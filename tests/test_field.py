@@ -68,7 +68,8 @@ def flat_cull(plume, pts, t, puffs):
     """The per-puff bound and sum of ``PuffPlume.eval_many`` over puffs
     (release times, points, strengths); over ``reference_released(plume,
     t)`` it is the cull over every released puff.  Returns the kept
-    puffs, as columns (t0, x, y, Q) in the given order, and c."""
+    puffs, as columns (t0, x, y, Q) in the given order, and c: each kept
+    term with ``math.exp``, a point's terms summed left to right."""
     t0s, origins, qs = puffs
     kt = plume.diffusion * (t - t0s)
     peak = qs / (4.0 * math.pi * kt)
@@ -78,10 +79,32 @@ def flat_cull(plume, pts, t, puffs):
     near = np.maximum(np.hypot(cx - q[0], cy - q[1]) - rho, 0.0)
     bound = peak * np.exp(-near * near / (4.0 * kt))
     keep = np.flatnonzero(~(bound < CULL_BOUND))
-    dx = pts[:, 0, None] - cx[keep]
-    dy = pts[:, 1, None] - cy[keep]
-    c = peak[keep] * np.exp(-(dx * dx + dy * dy) / (4.0 * kt[keep]))
-    return np.vstack((t0s, origins, qs))[:, keep], c.sum(axis=1)
+    terms = np.vstack((peak, cx, cy, 4.0 * kt))[:, keep].T.tolist()
+    return np.vstack((t0s, origins, qs))[:, keep], np.array(
+        [left_to_right(puff_terms(p, terms)) for p in pts.tolist()])
+
+
+def puff_terms(point, terms):
+    """The terms (peak, cx, cy, 4kt) at a point, each with ``math.exp``."""
+    x, y = point
+    return [peak * math.exp(-((x - cx) * (x - cx) + (y - cy) * (y - cy))
+                            / four_kt)
+            for peak, cx, cy, four_kt in terms]
+
+
+def left_to_right(values):
+    """The sum from 0.0, in the given order."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def columns(rows):
+    """Float rows (t0, x, y, Q), as ``_near`` hands them out, as
+    (release times, points (2, n), strengths)."""
+    a = np.array(rows, dtype=float).reshape(-1, 4).T
+    return a[0], a[1:3], a[3]
 
 
 def reference_rows(plume, t):
@@ -132,7 +155,7 @@ def assert_matches_flat_cull(plume, pts, t):
     kept, c_flat = flat_cull(plume, pts, t, reference_released(plume, t))
     q = pts.mean(axis=0)
     rho = max(math.hypot(*p) for p in (pts - q).tolist())
-    candidates = plume._near(t, *q.tolist(), rho)
+    candidates = columns(plume._near(t, *q.tolist(), rho))
     assert np.array_equal(flat_cull(plume, pts, t, candidates)[0], kept)
     assert np.array_equal(c, c_flat)
     return kept.shape[1]
@@ -222,6 +245,17 @@ class TestPuff:
         assert ok, detail
 
 
+def three_seed_plume():
+    """A train with a seed released before it, one mid-run, and one after
+    t + HORIZON for every t of the tests, in that document order."""
+    seeds = (GaussianPuff(-5.0, (1.0, 2.0), 30.0, 0.05),
+             GaussianPuff(3.2, (-1.0, 0.5), 20.0, 0.05),
+             GaussianPuff(50.0, (4.0, -3.0), 10.0, 0.05))
+    return PuffPlume(source=(0, 0), flow=FlowField.uniform((0.5, 0.0)),
+                     diffusion=0.05, emission_rate=2.0, puff_interval=0.5,
+                     seed_puffs=seeds)
+
+
 class TestPlume:
     def test_before_first_release_is_zero(self):
         plume = PuffPlume(source=(0, 0), flow=STILL, diffusion=1.0,
@@ -282,17 +316,7 @@ class TestPlume:
             reference_rows(plume, 1.5)[0].tolist() == [0.0, 0.5, 1.0]
 
     def test_released_rows_match_reference_train(self):
-        # a seed released before the train, one mid-run, one after
-        # t + HORIZON for every t below, in that document order
-        seeds = (GaussianPuff(-5.0, (1.0, 2.0), 30.0, 0.05),
-                 GaussianPuff(3.2, (-1.0, 0.5), 20.0, 0.05),
-                 GaussianPuff(50.0, (4.0, -3.0), 10.0, 0.05))
-
-        def plume():
-            return PuffPlume(source=(0, 0), flow=FlowField.uniform((0.5, 0.0)),
-                             diffusion=0.05, emission_rate=2.0,
-                             puff_interval=0.5, seed_puffs=seeds)
-
+        plume = three_seed_plume
         shared = plume()
         q, rho = (30.0, 10.0), 1.0
         # before start_time, on a release, between releases, NaN, and
@@ -306,8 +330,7 @@ class TestPlume:
             nl = shared._build(t, *q, rho)
             candidates = build_bound(shared, t, q, rho + field.SKIN,
                                      reference_rows(shared, t + field.HORIZON))
-            assert np.array_equal(np.vstack((nl.t0s, nl.pts, nl.qs)),
-                                  candidates)
+            assert np.array_equal(np.vstack(columns(nl.rows)), candidates)
         kept = candidates[0].tolist()
         assert 50.0 in kept and 0.0 in kept and 39.5 not in kept
         x = np.array([[29.5, 10.0], [30.5, 9.2]])
@@ -325,6 +348,49 @@ class TestPlume:
                          emission_rate=2.0, puff_interval=0.3)
         assert fine._rows(0.9)[0].tolist() == \
             reference_rows(fine, 0.9)[0].tolist() == [0.0, 0.3, 0.6, 0.3 * 3]
+
+    def test_many_terms_are_summed_left_to_right(self):
+        # 30 terms pass the cull; numpy's sum of the same terms adds them
+        # pairwise, which differs here, so the order itself is pinned
+        plume = three_seed_plume()
+        x = np.array([[29.5, 10.0], [30.5, 9.2]])
+        kept, c = flat_cull(plume, x, 40.0, reference_released(plume, 40.0))
+        assert kept.shape[1] == 30
+        assert np.array_equal(plume.eval_many(x, 40.0), c)
+        kt = plume.diffusion * (40.0 - kept[0])
+        cx, cy = kept[1:3] + plume.flow.displacement(kept[0], 40.0)
+        terms = np.vstack((kept[3] / (4.0 * math.pi * kt), cx, cy, 4.0 * kt))
+        values = [puff_terms(p, terms.T.tolist()) for p in x.tolist()]
+        assert c.tolist() == [left_to_right(v) for v in values]
+        assert not np.array_equal(np.sum(values, axis=1), c)
+
+    def test_underflowing_kt_gives_nan(self):
+        # k (t - t0) rounds to 0, where q / (4 pi k tau) divides by zero
+        k = 5e-324
+        plume = PuffPlume(source=(0, 0), flow=STILL, diffusion=k,
+                          seed_puffs=(GaussianPuff(0.0, (0, 0), 1.0, k),))
+        assert k * 0.5 == 0.0
+        assert np.isnan(plume.eval_many(RIG, 0.5)).all()
+
+    def test_distance_beyond_the_float_range_is_culled(self):
+        # a seed released within the list's horizon is a candidate however
+        # far it is; at t = 0.55 its distance to the query overflows
+        far = GaussianPuff(0.5, (-1.4e308, -1.4e308), 1.0, 1.0)
+        plume = PuffPlume(source=(0, 0), flow=STILL, diffusion=1.0,
+                          seed_puffs=(far,))
+        pts = RIG + 3e307
+        plume.eval_many(pts, 0.0)
+        with np.errstate(over="ignore"):        # numpy's hypot warns
+            assert assert_matches_flat_cull(plume, pts, 0.55) == 0
+        assert np.all(plume.eval_many(pts, 0.55) == 0.0)
+
+    def test_zero_points_give_an_empty_array(self):
+        grid = GridField((0.0, 0.0), 1.0, np.ones((8, 8)), 0.1, STILL)
+        fields = (three_seed_plume(), FrozenGaussian(1.0, 2.0, (0, 0), STILL),
+                  grid)
+        for f in fields:
+            c = f.eval_many(np.empty((0, 2)), 1.0)
+            assert c.shape == (0,) and c.dtype == float
 
     @staticmethod
     def unculled(plume, pts, t):
@@ -353,7 +419,7 @@ class TestPlume:
                 c_ref = self.unculled(plume, pts, t)
                 assert np.allclose(c, c_ref, rtol=1e-14, atol=0)
         # along the emission train many puffs matter and the cull is tight
-        v = plume.flow.at(0.0)
+        v = np.array(plume.flow.at(0.0))
         for t in (0.0, 30.0, 60.0):
             for age in (0.3, 2.0, 20.0, 200.0):
                 ctr = plume.source + v * age + [0.0, 0.5 * math.sqrt(age)]
@@ -590,7 +656,50 @@ class TestNeighbourList:
             [fresh[0], fresh[1], fresh[0]]
 
 
+def searchsorted_at(flow, t):
+    """``FlowField.at`` as first written, on arrays."""
+    i = int(np.searchsorted(flow.boundaries, t, side="right"))
+    return flow.velocities[i].copy()
+
+
+def vectorised_displacement(flow, t0, t1):
+    """``FlowField.displacement`` as first written, on arrays."""
+    t0 = np.asarray(t0, dtype=float)
+    disp = np.multiply.outer(searchsorted_at(flow, t1), t1 - t0)
+    for i, b in enumerate(flow.boundaries):
+        if b <= t1:
+            jump = flow.velocities[i + 1] - flow.velocities[i]
+            disp -= np.multiply.outer(jump, np.where(t0 < b, b - t0, 0.0))
+    return disp
+
+
 class TestFlow:
+    def test_float_paths_match_array_forms(self):
+        # random piecewise flows, queried on and between their switches,
+        # with t0 on a switch, t0 == t1, signed zeros and NaN
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            n = int(rng.integers(0, 5))
+            flow = FlowField(rng.normal(0.0, 1.0, (n + 1, 2)),
+                             np.cumsum(rng.uniform(0.01, 4.0, n)) - 3.0)
+            times = (rng.uniform(-8.0, 12.0, 5).tolist()
+                     + flow.boundaries.tolist() + [-0.0, 0.0, math.nan])
+            for t1 in times:
+                want = searchsorted_at(flow, t1)
+                assert np.array(flow.at(t1)).tobytes() == want.tobytes()
+                for t0 in times:
+                    got = np.array(flow.displacement(t0, t1))
+                    want = vectorised_displacement(flow, t0, t1)
+                    assert got.tobytes() == want.tobytes(), (t0, t1)
+                t0s = np.array(times)
+                assert flow.displacement(t0s, t1).tobytes() == \
+                    vectorised_displacement(flow, t0s, t1).tobytes()
+
+    def test_at_hands_out_a_copy(self):
+        f = FlowField.uniform((0.1, 0.0))
+        f.at(0.0)[0] = 5.0
+        assert f.at(0.0) == [0.1, 0.0]
+
     def test_uniform(self):
         f = FlowField.uniform((0.1, 0.0))
         assert np.all(f.at(2.0) == [0.1, 0.0])

@@ -74,18 +74,26 @@ class TestRigValidation:
 RNG = np.random.default_rng
 
 
+def clip_read(noise, c, rng):
+    """``NoiseModel.read`` as first written, on arrays."""
+    g = rng.standard_normal(len(c))
+    readings = np.clip(c + noise.sigma * g, 0.0, noise.range_max)
+    readings[readings < noise.floor] = 0.0
+    return readings
+
+
 class TestNoise:
     def test_noiseless_passthrough(self):
         readings = NoiseModel(sigma=0.0).read(np.full(4, 5.0), RNG())
-        assert np.all(readings == 5.0)
+        assert readings == [5.0] * 4
 
     def test_detection_floor(self):
         readings = NoiseModel(sigma=0.0).read(np.full(4, 0.005), RNG())
-        assert np.all(readings == 0.0)
+        assert readings == [0.0] * 4
 
     def test_range_clamp(self):
         readings = NoiseModel(sigma=0.0).read(np.full(4, 2e4), RNG())
-        assert np.all(readings == 10000.0)
+        assert readings == [10000.0] * 4
 
     def test_seeded_reproducibility_and_draw_order(self):
         noise = NoiseModel(sigma=2.0, seed=9)
@@ -110,6 +118,23 @@ class TestNoise:
     def test_invalid_settings_rejected(self, settings):
         with pytest.raises(ValueError, match="range_max"):
             NoiseModel(**settings)
+
+    @pytest.mark.parametrize("noise", [
+        NoiseModel(sigma=0.0), NoiseModel(sigma=2.0),
+        NoiseModel(sigma=0.0, floor=0.0),
+        NoiseModel(sigma=0.5, floor=0.0, range_max=50.0)])
+    def test_float_read_matches_clip_form(self, noise):
+        # NaN, negative and signed-zero, below, at and above the floor,
+        # at and over the range
+        edges = [math.nan, -1.0, -0.0, 0.0, 0.005, 0.01, 0.01 + 1e-18,
+                 5.0, 49.9999, 50.0, 1e4, 2e4, math.inf, -math.inf]
+        pick = RNG(4)
+        for seed in range(40):
+            c = pick.choice(edges, 4)
+            got = noise.read(c.tolist(), RNG(seed))
+            assert all(type(r) is float for r in got)
+            want = clip_read(noise, c, RNG(seed))
+            assert np.array(got).tobytes() == want.tobytes(), (c, seed)
 
     def test_stream_advances_even_at_zero_sigma(self):
         rng = RNG(9)

@@ -566,6 +566,16 @@ GAINS = dict(c0=50.0, k=1.2, k1=5.0, k2=11.0, v_d=1.5)
                        puff_interval=NAN), "puff interval must be > 0"),
     (lambda: PuffPlume(source=(0, 0), flow=STILL, diffusion=NAN),
      "diffusion k must be > 0"),
+    (lambda: GaussianPuff(0.0, (0, 0), 1.0, 1.0).peak(NAN),
+     "puff evaluated at age nan"),
+    (lambda: GaussianPuff(0.0, (0, 0), 1.0, 1.0).center(STILL, NAN),
+     "puff evaluated at age nan"),
+    (lambda: puff_concentration(GaussianPuff(0.0, (0, 0), 1.0, 1.0), STILL,
+                                (0, 0), NAN), "puff evaluated at age nan"),
+    (lambda: PuffPlume(source=(0, 0), flow=STILL, diffusion=1.0,
+                       seed_puffs=(GaussianPuff(0.0, (0, 0), 1.0, 1.0),)
+                       ).level_set_radius(0.1, NAN),
+     "puff evaluated at age nan"),
     (lambda: FrozenGaussian(NAN, 1.0, (0, 0), STILL), "peak and sigma"),
     (lambda: FrozenGaussian(1.0, NAN, (0, 0), STILL), "peak and sigma"),
     (lambda: GridField((0, 0), NAN, np.zeros((4, 4)), 0.1, STILL),
