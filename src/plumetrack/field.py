@@ -21,8 +21,10 @@ scalar turbulent diffusion coefficient k.  Three field models are provided:
   A step is c + sum_i a_i (c_i - c) over the four neighbours, with scalar
   weights a_i >= 0 that sum to at most 0.9 within the stable dt, so each
   new cell is a convex combination of its neighbourhood and stays >= 0.
-  It is computed from neighbour differences without padded copies; a
-  sample gathers every point's 2 x 2 cell block at once.
+  It takes one neighbour difference per axis, shared by the axis's two
+  directions, in flat passes over two work buffers that each step hands
+  to the field it returns; a sample sums each point's 2 x 2 cell block
+  on Python floats in a stated order.
 
 All three share one protocol: ``eval_many(points, t)`` is the only
 sampling call and gives the concentration c at every point (a
@@ -53,7 +55,9 @@ the strongest puff without computing the train.
 The analytic fields' evaluation, the flow's ``at`` and a scalar
 ``displacement`` run on Python floats, with ``math.exp``, so they do not
 depend on numpy's SIMD dispatch; a plume point's kept terms are summed
-left to right in ``_rows`` order (see ``PuffPlume.eval_many``).
+left to right in ``_rows`` order (see ``PuffPlume.eval_many``).  A grid
+takes its initial cells from ``math.exp`` too, and its step and sample
+are IEEE-exact numpy passes and float sums, with no BLAS call.
 
 Concentration is in ppb, lengths in m, times in s.
 """
@@ -564,6 +568,7 @@ class GridField:
         if self.boundary not in ("outflow", "periodic"):
             raise ValueError(f"unknown boundary mode {self.boundary!r}")
         object.__setattr__(self, "conc", c)
+        object.__setattr__(self, "_scratch", None)   # step's work buffers
 
     has_analytic_truth = False
 
@@ -590,8 +595,13 @@ class GridField:
         # value, exp(-inf) = 0, is what the overflow gives
         with np.errstate(over="ignore"):
             r2 = (xs[:, None] - ctr[0]) ** 2 + (ys[None, :] - ctr[1]) ** 2
-            conc = peak * np.exp(-r2 / four_kt)
-        return cls(np.asarray(origin, float), cell_size, conc,
+            arg = -r2 / four_kt
+        # math.exp, so the cells do not depend on numpy's SIMD dispatch;
+        # a row at a time, so the Python floats never outgrow one row
+        e = np.empty_like(arg)
+        for i, row in enumerate(arg):
+            e[i] = list(map(math.exp, row.tolist()))
+        return cls(np.asarray(origin, float), cell_size, peak * e,
                    puff.diffusion, flow, time=t, **kwargs)
 
     def mass(self) -> float:
@@ -641,7 +651,20 @@ class GridField:
         never leaves that neighbourhood's range: no negative values.  An
         outflow ghost's difference is 0; a periodic one is the wrapped row or
         column.  Raises StepSizeError beyond the stability bound; the caller
-        is expected to subdivide."""
+        is expected to subdivide.
+
+        Each axis takes one difference, D = c[i + 1] - c[i], for both of
+        its directions: cell i's east term is + a_e D[i] and cell i + 1's
+        west term - a_w D[i].  IEEE negation is exact, so the terms, their
+        W, E, S, N order and every new cell's bits are those of four
+        separate differences, for any c without a -0.0 cell (a step
+        makes none).  The differences are flat passes; the y pair's
+        first and last columns, whose flat neighbours are wrong, are set
+        after.  The work buffers are made by the first step and handed to the field
+        each step returns, so a run allocates only the returned ``conc``
+        per step; nothing a step leaves in them is read again, but two
+        fields of one chain must not be stepped at once from two
+        threads."""
         if not dt > 0:
             raise ValueError("dt must be > 0")
         if dt > self.max_stable_dt() * (1.0 + 1e-12):
@@ -650,32 +673,41 @@ class GridField:
         v = self.flow.at(self.time)
         h = self.cell_size
         kh = self.diffusion / (h * h) if self.diffusion > 0 else 0.0
+        a_w = dt * (kh + max(v[0], 0.0) / h)
+        a_e = dt * (kh + max(-v[0], 0.0) / h)
+        a_s = dt * (kh + max(v[1], 0.0) / h)
+        a_n = dt * (kh + max(-v[1], 0.0) / h)
         c = self.conc
-        new = np.empty_like(c)
-        diff = np.empty_like(c)
-        flat_c, flat_d = c.ravel(), diff.ravel()
         n, ny = c.size, c.shape[1]
-        col = slice(None)
-        acc = c
-        # weight, neighbour offset in the flat array, the ghost row or
-        # column and the one a periodic ghost wraps to
-        for a, s, edge, wrap in (
-                (dt * (kh + max(v[0], 0.0) / h), -ny, 0, -1),
-                (dt * (kh + max(-v[0], 0.0) / h), ny, -1, 0),
-                (dt * (kh + max(v[1], 0.0) / h), -1, (col, 0), (col, -1)),
-                (dt * (kh + max(-v[1], 0.0) / h), 1, (col, -1), (col, 0))):
-            # flat neighbour differences; the ghost row or column, which
-            # also holds every wrong flat neighbour, is set after
-            lo, hi = max(0, -s), n - max(0, s)
-            np.subtract(flat_c[lo + s:hi + s], flat_c[lo:hi], out=flat_d[lo:hi])
-            if self.boundary == "periodic":
-                np.subtract(c[wrap], c[edge], out=diff[edge])
-            else:
-                diff[edge] = 0.0
-            np.multiply(diff, a, out=diff)
-            np.add(acc, diff, out=new)
-            acc = new
-        return replace(self, conc=new, time=self.time + dt)
+        d, ad = self._scratch or (np.empty(n), np.empty(n))
+        new = np.empty_like(c)
+        flat_c, flat_new = c.ravel(), new.ravel()
+        periodic = self.boundary == "periodic"
+        # x pair: rows 1.. take the west term, rows ..-2 the east one, and
+        # the ghost rows their ghost difference times a
+        m = n - ny
+        np.subtract(flat_c[ny:], flat_c[:m], out=d[:m])
+        np.multiply(d[:m], a_w, out=ad[:m])
+        np.subtract(flat_c[ny:], ad[:m], out=flat_new[ny:])
+        new[0] = c[0] + a_w * (c[-1] - c[0] if periodic else 0.0)
+        np.multiply(d[:m], a_e, out=ad[:m])
+        np.add(flat_new[:m], ad[:m], out=flat_new[:m])
+        new[-1] += a_e * (c[0] - c[-1] if periodic else 0.0)
+        # y pair: the flat passes also cross from a row's end to the next
+        # row's start, so the column each ghost borders is saved and set
+        m = n - 1
+        np.subtract(flat_c[1:], flat_c[:m], out=d[:m])
+        first = new[:, 0].copy()
+        np.multiply(d[:m], a_s, out=ad[:m])
+        np.subtract(flat_new[1:], ad[:m], out=flat_new[1:])
+        new[:, 0] = first + a_s * (c[:, -1] - c[:, 0] if periodic else 0.0)
+        last = new[:, -1].copy()
+        np.multiply(d[:m], a_n, out=ad[:m])
+        np.add(flat_new[:m], ad[:m], out=flat_new[:m])
+        new[:, -1] = last + a_n * (c[:, 0] - c[:, -1] if periodic else 0.0)
+        g = replace(self, conc=new, time=self.time + dt)
+        object.__setattr__(g, "_scratch", (d, ad))
+        return g
 
     def advance(self, t_target: float, max_substep: float = math.inf) -> "GridField":
         """Step until ``t_target`` using substeps within both the stability
@@ -691,32 +723,36 @@ class GridField:
         return g
 
     def eval_many(self, points, t: float):
-        """Concentration at each point at ``self.time``; t is ignored, the
-        caller advances the grid first.  Bilinear interpolation of the cell
-        values, continuous in x within each cell: the points' 2 x 2 cell
-        blocks are gathered at once and each bilinear sum is one batched
-        dot product.  Raises DomainError for the first point that is not
-        at least one cell inside the grid's outer ring."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        u = (pts - self.origin) / self.cell_size - 0.5
-        node = np.floor(u)
-        # the bilinear block needs only 0 <= node <= shape - 2; the margin
-        # of one cell more on each side is kept so that runs truncate
-        # where they always have
-        inside = (node >= 1) & (node <= np.array(self.conc.shape) - 3)
-        if not inside.all():
-            pt = pts[np.argmin(inside.all(axis=1))]
-            raise DomainError(
-                f"sample at {pt.tolist()} too close to the grid boundary")
-        fx, fy = (u - node).T
-        # bilinear weights for nodes (i0, j0), (i0+1, j0), (i0, j0+1), (i0+1, j0+1)
-        w = np.stack(((1 - fx) * (1 - fy), fx * (1 - fy),
-                      (1 - fx) * fy, fx * fy), axis=1)
-        i = node[:, 0].astype(np.intp)[:, None] + (0, 1)
-        j = node[:, 1].astype(np.intp)[:, None] + (0, 1)
-        # b[p, j, i], j first so that a reshape lists each 2 x 2 block in
-        # the weights' node order
-        b = self.conc[i[:, None, :], j[:, :, None]].reshape(len(pts), 4, 1)
-        # a (1, 4) @ (4, 1) product per point: numpy hands those to its
-        # dot routine, so each sum rounds as a 1-D w @ x does
-        return (w[:, None, :] @ b)[:, 0, 0]
+        """Concentration (m,) at each point at ``self.time``; t is
+        ignored, the caller advances the grid first.  Bilinear
+        interpolation of the cell values, continuous in x within each
+        cell, on Python floats: with (fx, fy) the point's offset in its
+        2 x 2 cell block, the sum
+
+            w00 c00 + w10 c10 + w01 c01 + w11 c11
+
+        is taken left to right, w00 = (1 - fx)(1 - fy), w10 = fx (1 - fy),
+        w01 = (1 - fx) fy and w11 = fx fy.  Raises DomainError for the
+        first point that is not at least one cell inside the grid's outer
+        ring, a NaN or infinite coordinate included."""
+        x0, y0 = self.origin.tolist()
+        h = self.cell_size
+        nx, ny = self.conc.shape
+        cell = self.conc.item
+        c = []
+        for x, y in np.atleast_2d(np.asarray(points, dtype=float)).tolist():
+            u, v = (x - x0) / h - 0.5, (y - y0) / h - 0.5
+            # the bilinear block needs only 0 <= floor(u) <= nx - 2; the
+            # margin of one cell more on each side is kept so that runs
+            # truncate where they always have.  The test is on u, which
+            # math.floor refuses when NaN or infinite.
+            if not (1 <= u < nx - 2 and 1 <= v < ny - 2):
+                raise DomainError(
+                    f"sample at {[x, y]} too close to the grid boundary")
+            i, j = math.floor(u), math.floor(v)
+            fx, fy = u - i, v - j
+            gx, gy = 1 - fx, 1 - fy
+            k = i * ny + j                      # flat index of c00
+            c.append(gx * gy * cell(k) + fx * gy * cell(k + ny)
+                     + gx * fy * cell(k + 1) + fx * fy * cell(k + ny + 1))
+        return np.array(c)

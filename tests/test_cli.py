@@ -208,12 +208,18 @@ class TestRunCommand:
 
     @pytest.mark.skipif(not avx512_targets(),
                         reason="numpy dispatches no AVX-512 code here")
-    @pytest.mark.parametrize("name", ["case1", "pure_advection"])
+    @pytest.mark.parametrize("name", ["case1", "pure_advection", "grid"])
     def test_bytes_do_not_depend_on_numpy_simd_dispatch(self, tmp_path,
                                                         scenarios_dir, name):
         # the same run with numpy's AVX-512 loops and with them switched
-        # off in the child process
+        # off in the child process; the grid run is GRID_ESCAPE's first
+        # seconds, before the blob leaves its grid
         import os
+        if name == "grid":
+            doc_path = write_scenario(tmp_path,
+                                      dict(GRID_ESCAPE, duration=3.0))
+        else:
+            doc_path = scenarios_dir / f"{name}.json"
         outputs = []
         for disabled in (None, " ".join(avx512_targets())):
             env = dict(os.environ)
@@ -223,12 +229,13 @@ class TestRunCommand:
             out = tmp_path / str(len(outputs))
             proc = subprocess.run(
                 [sys.executable, "-m", "plumetrack.cli", "run",
-                 str(scenarios_dir / f"{name}.json"), "--out", str(out)],
+                 str(doc_path), "--out", str(out)],
                 capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
             outputs.append([(out / f).read_bytes()
                             for f in ("log.csv", "metrics.json")])
         assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][1])["truncated"] is False
 
     def test_one_record_run_is_not_truncated(self, tmp_path, capsys):
         # a run shorter than one control period logs only t = 0

@@ -49,19 +49,49 @@ def neighbourhoods(conc, boundary):
                      p[1:-1, 2:]))
 
 
+def four_pass_step(g, dt):
+    """The grid step's new cells as four difference passes, one per
+    neighbour in W, E, S, N order, each into a fresh difference array
+    whose ghost row or column is set after."""
+    v = g.flow.at(g.time)
+    h = g.cell_size
+    kh = g.diffusion / (h * h) if g.diffusion > 0 else 0.0
+    c = g.conc
+    new = np.empty_like(c)
+    diff = np.empty_like(c)
+    flat_c, flat_d = c.ravel(), diff.ravel()
+    n, ny = c.size, c.shape[1]
+    col = slice(None)
+    acc = c
+    for a, s, edge, wrap in (
+            (dt * (kh + max(v[0], 0.0) / h), -ny, 0, -1),
+            (dt * (kh + max(-v[0], 0.0) / h), ny, -1, 0),
+            (dt * (kh + max(v[1], 0.0) / h), -1, (col, 0), (col, -1)),
+            (dt * (kh + max(-v[1], 0.0) / h), 1, (col, -1), (col, 0))):
+        lo, hi = max(0, -s), n - max(0, s)
+        np.subtract(flat_c[lo + s:hi + s], flat_c[lo:hi], out=flat_d[lo:hi])
+        if g.boundary == "periodic":
+            np.subtract(c[wrap], c[edge], out=diff[edge])
+        else:
+            diff[edge] = 0.0
+        np.multiply(diff, a, out=diff)
+        np.add(acc, diff, out=new)
+        acc = new
+    return new
+
+
 def point_sample(g, x):
-    """c at one point from a 1-D dot product of the bilinear weights with
-    the point's 2 x 2 cell block."""
+    """c at one point: the bilinear weights times the point's 2 x 2 cell
+    block, summed left to right."""
     pt = np.asarray(x, dtype=float).reshape(2)
     u = (pt - g.origin) / g.cell_size - 0.5
     i0, j0 = int(math.floor(u[0])), int(math.floor(u[1]))
     fx, fy = u[0] - i0, u[1] - j0
     c = g.conc
-    w = np.array([(1 - fx) * (1 - fy), fx * (1 - fy),
-                  (1 - fx) * fy, fx * fy])
-    corners = np.array([c[i0, j0], c[i0 + 1, j0],
-                        c[i0, j0 + 1], c[i0 + 1, j0 + 1]])
-    return float(w @ corners)
+    w = [(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy]
+    corners = [c[i0, j0], c[i0 + 1, j0], c[i0, j0 + 1], c[i0 + 1, j0 + 1]]
+    return float(w[0] * corners[0] + w[1] * corners[1] + w[2] * corners[2]
+                 + w[3] * corners[3])
 
 
 def flat_cull(plume, pts, t, puffs):
@@ -793,6 +823,43 @@ class TestGrid:
                     assert err <= 1e-14 * np.abs(conc).max(), (v, k, shape)
 
     @pytest.mark.parametrize("boundary", ["outflow", "periodic"])
+    def test_step_bit_equal_to_four_pass_step(self, boundary):
+        # one shared difference per axis gives the four-pass step's bits,
+        # signed zeros included, over chained steps
+        rng = np.random.default_rng(24)
+        for v in GRID_FLOWS:
+            for k in (0.0, 0.4):
+                for shape in ((3, 3), (17, 11), (40, 40)):
+                    conc = rng.uniform(0, 10, shape)
+                    conc[rng.uniform(size=shape) < 0.3] = 0.0
+                    if shape == (17, 11):       # stored column-major
+                        conc = np.asfortranarray(conc)
+                    g = GridField((0.5, -1.0), 0.25, conc, k,
+                                  FlowField.uniform(v), boundary)
+                    for _ in range(5):
+                        dt = (min(g.max_stable_dt(), 0.7)
+                              * rng.uniform(0.2, 1.0))
+                        ref = four_pass_step(g, dt)
+                        g = g.step(dt)
+                        assert np.array_equal(g.conc, ref), (v, k, shape)
+                        assert np.array_equal(np.signbit(g.conc),
+                                              np.signbit(ref)), (v, k, shape)
+
+    def test_step_leaves_earlier_fields_alone(self):
+        # the steps of a chain share work buffers, never a returned conc
+        rng = np.random.default_rng(25)
+        g = self.make_grid(rng.uniform(0, 5, (12, 9)), v=(0.3, -0.2),
+                           boundary="outflow")
+        dt = g.max_stable_dt()
+        g1 = g.step(dt)
+        before = g1.conc.copy()
+        g2 = g1.step(dt)
+        assert np.array_equal(g1.conc, before)
+        assert np.array_equal(g1.conc, g.step(dt).conc)
+        assert not np.shares_memory(g1.conc, g2.conc)
+        assert np.array_equal(g2.conc, g.step(dt).step(dt).conc)
+
+    @pytest.mark.parametrize("boundary", ["outflow", "periodic"])
     def test_step_discrete_maximum_principle(self, boundary):
         # at the stable bound each new cell is a convex combination of its
         # 5-cell neighbourhood
@@ -843,6 +910,18 @@ class TestGrid:
         with pytest.raises(DomainError, match=re.escape(
                 "sample at [0.6, 5.0] too close to the grid boundary")):
             g.eval_many(pts, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_non_finite_points_raise_domain_error(self, bad, first):
+        g = self.make_grid(np.ones((10, 10)))
+        for axis in (0, 1):
+            pt = [5.0, 5.0]
+            pt[axis] = bad
+            pts = [pt, (4.2, 3.3)] if first else [(4.2, 3.3), (5.0, 6.0), pt]
+            with pytest.raises(DomainError, match=re.escape(
+                    f"sample at {pt} too close to the grid boundary")):
+                g.eval_many(pts, 0.0)
 
     def test_sample_at_cell_center(self):
         rng = np.random.default_rng(5)
