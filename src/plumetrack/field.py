@@ -27,8 +27,10 @@ scalar turbulent diffusion coefficient k.  Three field models are provided:
   on Python floats in a stated order.
 
 All three share one protocol: ``eval_many(points, t)`` is the only
-sampling call and gives the concentration c at every point (a
-``GridField`` samples itself at its own ``time`` and ignores t); the
+sampling call.  It reads the caller's sequence of m (x, y) float pairs
+as it is (an (m, 2) ndarray is converted once) and gives the
+concentration c at every point as a list of m floats (a ``GridField``
+samples itself at its own ``time`` and ignores t); the
 gradient and divergence the control law needs come from the sensor
 stencil, not from the field.  ``advance(t, max_substep)`` returns the
 field at time t (the analytic fields return themselves), ``centroid(t)``
@@ -94,6 +96,12 @@ class StepSizeError(FieldError):
 
 class DomainError(FieldError):
     """Sample point too close to or outside the grid boundary."""
+
+
+def _pairs(points):
+    """The (x, y) pairs of an ``eval_many`` call: the caller's sequence
+    as it is, or an (m, 2) ndarray's rows as float lists."""
+    return points.tolist() if isinstance(points, np.ndarray) else points
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +390,8 @@ class PuffPlume:
         rows = np.vstack((t0s, pts, qs))[:, keep].T.tolist()
         return _NeighbourList(t, qx, qy, radius, rows)
 
-    def eval_many(self, points, t: float):
-        """Concentration (m,) at several points.
+    def eval_many(self, points, t: float) -> list:
+        """Concentration at several points, a list of m floats.
 
         Puffs whose c is below CULL_BOUND everywhere on the disc around
         the points (centre q, radius rho) are left out.  With d the
@@ -404,9 +412,9 @@ class PuffPlume:
         terms that is how numpy's ``sum`` adds them too; for more, numpy
         would add them pairwise.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float)).tolist()
+        pts = _pairs(points)
         if not pts:
-            return np.empty(0)
+            return []
         # the disc: the points' mean, added in point order as numpy's
         # mean does, and the largest distance from it
         (qx, qy), m = pts[0], len(pts)
@@ -438,7 +446,7 @@ class PuffPlume:
                 dx, dy = x - cx, y - cy
                 total += peak * math.exp(-(dx * dx + dy * dy) / four_kt)
             c.append(total)
-        return np.array(c)
+        return c
 
     def centroid(self, t: float) -> np.ndarray:
         """Advected position of the first strongest puff released before
@@ -493,6 +501,7 @@ class FrozenGaussian:
     def __post_init__(self):
         object.__setattr__(self, "center",
                            np.asarray(self.center, dtype=float).reshape(2))
+        object.__setattr__(self, "_xy", tuple(self.center.tolist()))
         if not (self.peak > 0 and self.sigma > 0):
             raise ValueError("peak and sigma must be > 0")
         if self.sigma * self.sigma == 0.0:
@@ -501,7 +510,7 @@ class FrozenGaussian:
     has_analytic_truth = True
 
     def _centre(self, t: float) -> tuple[float, float]:
-        x, y = self.center.tolist()
+        x, y = self._xy
         if t >= 0:
             dx, dy = self.flow.displacement(0.0, t)
             return x + dx, y + dy
@@ -522,16 +531,17 @@ class FrozenGaussian:
             return None
         return self.sigma * math.sqrt(2.0 * math.log(self.peak / c0))
 
-    def eval_many(self, points, t: float):
-        """Concentration (m,) at several points, on Python floats:
-        d0*d0 + d1*d1 for |x - ctr(t)|^2 and ``math.exp``."""
+    def eval_many(self, points, t: float) -> list:
+        """Concentration at several points, a list of m floats, on
+        Python floats: d0*d0 + d1*d1 for |x - ctr(t)|^2 and
+        ``math.exp``."""
         cx, cy = self._centre(t)
         s2 = self.sigma * self.sigma
         c = []
-        for x, y in np.atleast_2d(np.asarray(points, dtype=float)).tolist():
+        for x, y in _pairs(points):
             d0, d1 = x - cx, y - cy
             c.append(self.peak * math.exp(-(d0 * d0 + d1 * d1) / (2.0 * s2)))
-        return np.array(c)
+        return c
 
 
 # ---------------------------------------------------------------------------
@@ -722,12 +732,12 @@ class GridField:
             g = g.step(span / n)
         return g
 
-    def eval_many(self, points, t: float):
-        """Concentration (m,) at each point at ``self.time``; t is
-        ignored, the caller advances the grid first.  Bilinear
-        interpolation of the cell values, continuous in x within each
-        cell, on Python floats: with (fx, fy) the point's offset in its
-        2 x 2 cell block, the sum
+    def eval_many(self, points, t: float) -> list:
+        """Concentration at each point at ``self.time``, a list of m
+        floats; t is ignored, the caller advances the grid first.
+        Bilinear interpolation of the cell values, continuous in x within
+        each cell, on Python floats: with (fx, fy) the point's offset in
+        its 2 x 2 cell block, the sum
 
             w00 c00 + w10 c10 + w01 c01 + w11 c11
 
@@ -740,7 +750,7 @@ class GridField:
         nx, ny = self.conc.shape
         cell = self.conc.item
         c = []
-        for x, y in np.atleast_2d(np.asarray(points, dtype=float)).tolist():
+        for x, y in _pairs(points):
             u, v = (x - x0) / h - 0.5, (y - y0) / h - 0.5
             # the bilinear block needs only 0 <= floor(u) <= nx - 2; the
             # margin of one cell more on each side is kept so that runs
@@ -755,4 +765,4 @@ class GridField:
             k = i * ny + j                      # flat index of c00
             c.append(gx * gy * cell(k) + fx * gy * cell(k + ny)
                      + gx * fy * cell(k + 1) + fx * fy * cell(k + ny + 1))
-        return np.array(c)
+        return c

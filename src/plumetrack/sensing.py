@@ -73,6 +73,8 @@ class SensorRig:
         if cross.max() <= 1e-12 * scale * scale:
             raise ValueError("sensor offsets must not all be collinear")
         object.__setattr__(self, "offsets", o)
+        # the same offsets as four float pairs (ox, oy)
+        object.__setattr__(self, "_pairs", tuple(map(tuple, o.tolist())))
 
     @classmethod
     def cross(cls, arm: float = 0.75) -> "SensorRig":
@@ -116,7 +118,7 @@ class NoiseModel:
         """
         readings = []
         for ci, gi in zip(c, rng.standard_normal(len(c)).tolist()):
-            r = float(ci) + self.sigma * gi
+            r = ci + self.sigma * gi
             if r > self.range_max:
                 r = self.range_max
             elif r < self.floor:                # floor >= 0: negatives too
@@ -138,7 +140,7 @@ def world_positions(rig: SensorRig, state: VesselState) -> tuple:
     c, s = math.cos(state.heading), math.sin(state.heading)
     x, y = state.x, state.y
     return tuple([(x + (ox * c + oy * -s), y + (ox * s + oy * c))
-                  for ox, oy in rig.offsets.tolist()])
+                  for ox, oy in rig._pairs])
 
 
 def design_matrix(positions) -> np.ndarray:
@@ -169,6 +171,11 @@ class RigEstimator:
     pinv: np.ndarray                 # (6, 4), pinv(B_body)
     condition: float                 # cond(B B^T), heading-independent
 
+    def __post_init__(self):
+        # pinv rows 0, 1, 2 and 5 (gx, gy, hxx, hyy) as float 4-tuples
+        object.__setattr__(self, "_rows", tuple(
+            tuple(self.pinv[k].tolist()) for k in (0, 1, 2, 5)))
+
     @classmethod
     def for_offsets(cls, offsets) -> "RigEstimator":
         """The estimator of sensors at ``offsets`` (4, 2) about their mean;
@@ -183,12 +190,11 @@ class RigEstimator:
 
     def estimate(self, readings, heading: float) -> StencilEstimate:
         """The stencil estimate of the rig at ``heading``, in world axes."""
-        r0, r1, r2, r3 = map(float, readings)
+        r0, r1, r2, r3 = readings
         c_hat = (r0 + r1 + r2 + r3) / 4
         y0, y1, y2, y3 = r0 - c_hat, r1 - c_hat, r2 - c_hat, r3 - c_hat
-        p = self.pinv.tolist()
         gx, gy, hxx, hyy = [a * y0 + b * y1 + c * y2 + d * y3
-                            for a, b, c, d in (p[0], p[1], p[2], p[5])]
+                            for a, b, c, d in self._rows]
         c, s = math.cos(heading), math.sin(heading)
         return StencilEstimate(c_hat, (c * gx + -s * gy, s * gx + c * gy),
                                hxx + hyy)

@@ -152,11 +152,11 @@ def run(scenario: Scenario) -> RunLog:
         positions = sensing.world_positions(sc.rig, state)
         z = vessel.head_point(state, sc.params.offset)
         if fieldmodel.has_analytic_truth:
-            c = fieldmodel.eval_many((*positions, z), t).tolist()
+            c = fieldmodel.eval_many((*positions, z), t)
             ctrue = c[4]
         else:
             try:
-                c = fieldmodel.eval_many(positions, t).tolist()
+                c = fieldmodel.eval_many(positions, t)
             except DomainError:
                 truncated = True
                 rows = rows[:i]
@@ -272,12 +272,15 @@ def metrics(log: RunLog, scenario: Scenario) -> RunMetrics:
 
     ls_err = None
     try:
-        radii = [field0.level_set_radius(c0, float(ti)) for ti in t[half]]
+        radii = [field0.level_set_radius(c0, ti) for ti in t[half].tolist()]
     except ValueError:
         radii = None
     if radii is not None and all(r is not None for r in radii):
-        dists = [float(np.hypot(*(log.z[j] - field0.centroid(float(t[j])))))
-                 for j in np.nonzero(half)[0]]
+        # abs of a complex is C's hypot, as np.hypot is
+        dists = []
+        for (zx, zy), tj in zip(log.z[half].tolist(), t[half].tolist()):
+            cx, cy = field0.centroid(tj)
+            dists.append(abs(complex(zx - cx, zy - cy)))
         ls_err = float(np.mean(np.abs(np.asarray(dists) - np.asarray(radii))))
 
     return RunMetrics(

@@ -32,8 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 
-@dataclass(frozen=True)
-class VesselState:
+class VesselState(NamedTuple):
     """Planar pose; heading is kept normalized to (-pi, pi]."""
 
     x: float
@@ -91,7 +90,7 @@ def to_actuators(u, theta: float, params: VesselParams):
     Returns (ActuatorCommand, saturated): the exact inverse transform is
     applied first, then each channel is clipped to its limit.
     """
-    ux, uy = map(float, u)
+    ux, uy = u
     if not (math.isfinite(ux) and math.isfinite(uy)):
         raise ValueError(f"non-finite planar control {[ux, uy]}")
     c, s = math.cos(theta), math.sin(theta)

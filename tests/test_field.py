@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -412,15 +413,15 @@ class TestPlume:
         plume.eval_many(pts, 0.0)
         with np.errstate(over="ignore"):        # numpy's hypot warns
             assert assert_matches_flat_cull(plume, pts, 0.55) == 0
-        assert np.all(plume.eval_many(pts, 0.55) == 0.0)
+        assert np.all(np.asarray(plume.eval_many(pts, 0.55)) == 0.0)
 
     def test_zero_points_give_an_empty_array(self):
         grid = GridField((0.0, 0.0), 1.0, np.ones((8, 8)), 0.1, STILL)
         fields = (three_seed_plume(), FrozenGaussian(1.0, 2.0, (0, 0), STILL),
                   grid)
         for f in fields:
-            c = f.eval_many(np.empty((0, 2)), 1.0)
-            assert c.shape == (0,) and c.dtype == float
+            assert f.eval_many(np.empty((0, 2)), 1.0) == []
+            assert f.eval_many((), 1.0) == []
 
     @staticmethod
     def unculled(plume, pts, t):
@@ -476,7 +477,7 @@ class TestPlume:
                 puff_concentration(far, STILL, x[0], tau), rel=1e-12)
             assert c[0] > 0
         else:
-            assert np.all(c == 0)
+            assert np.all(np.asarray(c) == 0)
 
     def test_faded_puff_near_the_points_is_summed(self):
         # a peak Q/(4 pi k tau) of 1e-7 ppb is far above the cull bound
@@ -989,3 +990,63 @@ class TestGrid:
         c_grid = at_point(g, (5.25, 5.25))  # a cell center
         assert c_grid == pytest.approx(
             puff_concentration(p, STILL, (5.25, 5.25), 0.0), rel=1e-12)
+
+
+def float_bits(values):
+    """The IEEE bits of each value of an ``eval_many`` result, which must
+    be a list of Python floats."""
+    assert type(values) is list
+    assert all(type(v) is float for v in values)
+    return [struct.pack("<d", v) for v in values]
+
+
+def as_pairs(pts):
+    """An (m, 2) array's rows as the tuple of float 2-tuples a run
+    passes."""
+    return tuple((x, y) for x, y in np.asarray(pts).tolist())
+
+
+class TestPointInput:
+    """A tuple of float pairs and the same points as an (m, 2) ndarray
+    give the same floats, bit for bit."""
+
+    @staticmethod
+    def assert_same(f, pts, t):
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        want = float_bits(f.eval_many(pts, t))
+        assert float_bits(f.eval_many(as_pairs(pts), t)) == want
+        return want
+
+    def test_case1_plume(self, case1_doc):
+        plume = scenario_from_dict(case1_doc).field0
+        for t in (0.0, 0.05, 7.3, 30.0, 59.95):
+            # the rig and head point about the mound and on the train
+            for ctr in (plume.centroid(t), plume.source + (2.0, 0.5)):
+                assert len(self.assert_same(plume, ctr + RIG, t)) == 5
+            self.assert_same(plume, plume.centroid(t), t)
+            assert self.assert_same(plume, np.empty((0, 2)), t) == []
+
+    def test_frozen_gaussian(self):
+        flow = FlowField([[0.4, -0.1], [0.0, 0.3]], [2.0])
+        f = FrozenGaussian(60.0, 3.0, (1.0, -2.0), flow)
+        for t in (-1.0, 0.0, 2.0, 5.5):
+            assert len(self.assert_same(f, RIG * 4.0 + (1.5, -2.0), t)) == 5
+            self.assert_same(f, (1.0, -2.0), t)
+            assert self.assert_same(f, np.empty((0, 2)), t) == []
+
+    def test_grid(self):
+        rng = np.random.default_rng(31)
+        g = GridField((-3.0, 2.0), 0.37, rng.uniform(0, 50, (24, 31)), 0.2,
+                      STILL)
+        pts = rng.uniform(g.origin + 0.6, g.origin + 7.5, (40, 2))
+        assert len(self.assert_same(g, pts, 0.0)) == 40
+        self.assert_same(g, pts[0], 0.0)
+        assert self.assert_same(g, np.empty((0, 2)), 0.0) == []
+        for bad in (math.nan, math.inf, -math.inf):
+            for axis in (0, 1):
+                pt = [1.0, 5.0]
+                pt[axis] = bad
+                for points in (np.array([pts[0], pt]),
+                               as_pairs([pts[0], pt])):
+                    with pytest.raises(DomainError):
+                        g.eval_many(points, 0.0)

@@ -55,6 +55,42 @@ class TestRun:
         assert len(log) == 121
         assert np.allclose(np.diff(log.t), 0.05)
 
+    def test_field_boundary_carries_only_floats(self, advection_doc):
+        # the run hands its field a tuple of float pairs and takes back a
+        # list, with no ndarray either way, and logs what it logs unwrapped
+        class FloatsOnly:
+            has_analytic_truth = True
+
+            def __init__(self, inner):
+                self.inner, self.flow, self.calls = inner, inner.flow, 0
+
+            def advance(self, t, max_substep=math.inf):
+                return self
+
+            def eval_many(self, points, t):
+                assert type(points) is tuple
+                for p in points:
+                    assert type(p) is tuple and len(p) == 2
+                    assert all(type(v) is float for v in p)
+                c = self.inner.eval_many(points, t)
+                assert type(c) is list
+                self.calls += 1
+                return c
+
+        doc = copy.deepcopy(advection_doc)
+        doc["duration"] = 20.0
+        sc = scenario_from_dict(doc)
+        stub = FloatsOnly(sc.field0)
+        want = run(sc)
+        got = run(dataclasses.replace(sc, field0=stub))
+        assert stub.calls == len(got) == len(want)
+        for f in dataclasses.fields(RunLog):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(b, np.ndarray):
+                assert np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name
+
     def test_determinism_bit_identical(self):
         sc = short_scenario(noise=NoiseModel(sigma=2.0), seed=5)
         a = run(sc).to_csv()
@@ -519,6 +555,39 @@ class TestMetrics:
         m = metrics(run(sc), sc)
         assert m.mean_level_set_error is not None
         assert m.mean_level_set_error < 0.05
+
+    @staticmethod
+    def reference_level_set_error(log, sc):
+        """``mean_level_set_error`` as numpy arrays, with one ``np.hypot``
+        of array differences per row."""
+        t, field0 = log.t, sc.field0
+        half = t >= t[-1] / 2.0
+        radii = [field0.level_set_radius(sc.gains.c0, float(ti))
+                 for ti in t[half]]
+        dists = [float(np.hypot(*(log.z[j] - field0.centroid(float(t[j])))))
+                 for j in np.nonzero(half)[0]]
+        return float(np.mean(np.abs(np.asarray(dists) - np.asarray(radii))))
+
+    @pytest.mark.parametrize("plume", ["frozen-gaussian", "single-seed"])
+    def test_level_set_error_bit_equal_to_array_form(self, plume,
+                                                     advection_doc):
+        if plume == "frozen-gaussian":
+            doc = copy.deepcopy(advection_doc)
+            doc["duration"] = 20.0
+            sc = scenario_from_dict(doc)
+        else:
+            # peak 75.6 ppb at age 50 s, so the c0 = 50 curve has a
+            # radius of about 10 m while the flow carries the puff
+            k = 1.2
+            sc = short_scenario(duration=10.0, field0=PuffPlume(
+                source=(0.0, 0.0), flow=FlowField.uniform((0.2, 0.1)),
+                diffusion=k,
+                seed_puffs=(GaussianPuff(-50.0, (0.0, 0.0), 57000.0, k),)))
+        log = run(sc)
+        m = metrics(log, sc)
+        want = self.reference_level_set_error(log, sc)
+        assert m.mean_level_set_error is not None
+        assert m.mean_level_set_error.hex() == want.hex()
 
     def test_needs_two_records(self):
         z = np.tile([0.0, 0.0], (1, 1))
