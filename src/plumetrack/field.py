@@ -619,15 +619,21 @@ class GridField:
 
     def centroid(self, t: float) -> np.ndarray:
         """Mass centroid of the cells, advected by the flow from
-        ``self.time`` to t."""
+        ``self.time`` to t.  Each moment, the row or column masses times
+        the cell centres, is summed on Python floats left to right from
+        0.0, so no BLAS kernel sets its bits."""
         nx, ny = self.shape
         xs = self.origin[0] + (np.arange(nx) + 0.5) * self.cell_size
         ys = self.origin[1] + (np.arange(ny) + 0.5) * self.cell_size
-        m = self.conc.sum()
+        m = float(self.conc.sum())
         if m <= 0:
             return self.origin.copy()
-        cx = float((self.conc.sum(axis=1) @ xs) / m)
-        cy = float((self.conc.sum(axis=0) @ ys) / m)
+        cx = cy = 0.0
+        for w, x in zip(self.conc.sum(axis=1).tolist(), xs.tolist()):
+            cx += w * x
+        for w, y in zip(self.conc.sum(axis=0).tolist(), ys.tolist()):
+            cy += w * y
+        cx, cy = cx / m, cy / m
         if t >= self.time:
             return np.array([cx, cy]) + self.flow.displacement(self.time, t)
         return np.array([cx, cy]) - self.flow.displacement(t, self.time)

@@ -24,7 +24,8 @@ faithfully determined.  The tests pin both behaviors down.
 ``RigEstimator`` is the one solve.  The rig's world-frame design matrix
 is the body-frame one times an orthogonal rotation factor, so pinv(B_body)
 and the condition number of B B^T are computed once, when the run starts
-(a degenerate rig raises ``DegenerateStencilError`` there).  Each step
+(a degenerate rig raises ``DegenerateStencilError`` there); pinv is taken
+on Python floats, so no BLAS kernel sets its bits.  Each step
 is four left-to-right 4-term sums on floats (pinv rows 0, 1, 2 and 5)
 and a rotation of the gradient.  ``estimate`` solves any four sensor
 positions as a rig at heading 0, but centring world coordinates rounds
@@ -158,6 +159,37 @@ def estimate(positions, readings) -> StencilEstimate:
     return RigEstimator.for_offsets(positions).estimate(readings, 0.0)
 
 
+def _dot(u, v) -> float:
+    """u . v on Python floats, summed left to right from 0.0."""
+    total = 0.0
+    for a, b in zip(u, v):
+        total += a * b
+    return total
+
+
+def _gauss_jordan(rows: list) -> list:
+    """The right-hand part of n augmented rows [A | R] after Gauss-Jordan
+    elimination, A^-1 R for an n x n A, on Python floats.
+
+    Column by column, j = 0 .. n - 1: the row at or below j with the
+    largest |entry| in column j (the first of equals) is swapped into row
+    j and divided by that pivot, entry by entry; then every other row i,
+    in order, takes row j times its own entry in column j, entry by entry:
+    row_i[c] - a_ij row_j[c].
+    """
+    n = len(rows)
+    for j in range(n):
+        p = max(range(j, n), key=lambda i: abs(rows[i][j]))
+        rows[j], rows[p] = rows[p], rows[j]
+        pivot = rows[j][j]
+        rows[j] = row_j = [v / pivot for v in rows[j]]
+        for i in range(n):
+            if i != j:
+                a = rows[i][j]
+                rows[i] = [v - a * w for v, w in zip(rows[i], row_j)]
+    return [r[n:] for r in rows]
+
+
 @dataclass(frozen=True)
 class RigEstimator:
     """The estimator of one rig at any heading, solved once.
@@ -179,14 +211,25 @@ class RigEstimator:
     @classmethod
     def for_offsets(cls, offsets) -> "RigEstimator":
         """The estimator of sensors at ``offsets`` (4, 2) about their mean;
-        raises DegenerateStencilError beyond CONDITION_LIMIT."""
-        B = design_matrix(offsets)
-        condition = float(np.linalg.cond(B @ B.T))
+        raises DegenerateStencilError beyond CONDITION_LIMIT.
+
+        pinv(B) = B^T (B B^T)^-1 is taken on Python floats, so that no
+        BLAS kernel sets its bits.  Each entry of B B^T sums its six
+        products left to right (``_dot``), so B B^T is exactly
+        symmetric, and Gauss-Jordan elimination of [B B^T | B]
+        (``_gauss_jordan``) leaves (B B^T)^-1 B, whose transpose is
+        pinv(B).  The condition number only gates the solve."""
+        b = design_matrix(offsets).tolist()
+        bbt = [[_dot(bi, bk) for bk in b] for bi in b]
+        # LAPACK would complain of a non-finite B B^T on stderr
+        finite = all(math.isfinite(v) for row in bbt for v in row)
+        condition = float(np.linalg.cond(np.array(bbt))) if finite else math.inf
         if not np.isfinite(condition) or condition > CONDITION_LIMIT:
             raise DegenerateStencilError(
                 f"stencil condition {condition:.3e} exceeds "
                 f"{CONDITION_LIMIT:.0e} (collinear or coincident sensors)")
-        return cls(np.linalg.pinv(B), condition)
+        solved = _gauss_jordan([m + r for m, r in zip(bbt, b)])
+        return cls(np.array(solved).T, condition)
 
     def estimate(self, readings, heading: float) -> StencilEstimate:
         """The stencil estimate of the rig at ``heading``, in world axes."""

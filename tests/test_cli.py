@@ -176,6 +176,19 @@ class TestRunCommand:
         assert proc.returncode == 4
         assert "stencil" in proc.stderr.lower()
 
+    def test_overflowing_stencil_exits_4_without_lapack_output(self, tmp_path):
+        # B B^T of 1e150 m arms overflows to inf, which has no condition
+        # number; LAPACK, asked for one, writes to the process's stdout
+        doc = json.loads(json.dumps(SHORT_SCENARIO))
+        doc["rig"] = {"offsets": [[1e150, 0.0], [-1e150, 0.0],
+                                  [0.0, 1e150], [0.0, -1e150]]}
+        sc = write_scenario(tmp_path, doc)
+        proc = cli("run", str(sc), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert "stencil condition inf" in proc.stderr
+
     @pytest.mark.parametrize("section, key, value", [
         (None, "duration", math.nan),
         (None, "control_period", math.inf),
@@ -206,14 +219,15 @@ class TestRunCommand:
         assert (out1 / "metrics.json").read_bytes() == \
             (out2 / "metrics.json").read_bytes()
 
-    @pytest.mark.skipif(not avx512_targets(),
-                        reason="numpy dispatches no AVX-512 code here")
-    @pytest.mark.parametrize("name", ["case1", "pure_advection", "grid"])
-    def test_bytes_do_not_depend_on_numpy_simd_dispatch(self, tmp_path,
-                                                        scenarios_dir, name):
-        # the same run with numpy's AVX-512 loops and with them switched
-        # off in the child process; the grid run is GRID_ESCAPE's first
-        # seconds, before the blob leaves its grid
+    # the platform settings a run's bytes must not follow, each set in the
+    # child process only
+    PLATFORM_VARIABLES = ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")
+
+    @classmethod
+    def run_bytes(cls, tmp_path, scenarios_dir, name, settings):
+        """(log.csv, metrics.json) bytes of a child ``plume run`` of case1,
+        pure_advection or the grid document, GRID_ESCAPE's first seconds
+        before the blob leaves its grid, under each platform setting."""
         import os
         if name == "grid":
             doc_path = write_scenario(tmp_path,
@@ -221,11 +235,10 @@ class TestRunCommand:
         else:
             doc_path = scenarios_dir / f"{name}.json"
         outputs = []
-        for disabled in (None, " ".join(avx512_targets())):
-            env = dict(os.environ)
-            env.pop("NPY_DISABLE_CPU_FEATURES", None)
-            if disabled:
-                env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        for setting in settings:
+            env = {k: v for k, v in os.environ.items()
+                   if k not in cls.PLATFORM_VARIABLES}
+            env.update(setting)
             out = tmp_path / str(len(outputs))
             proc = subprocess.run(
                 [sys.executable, "-m", "plumetrack.cli", "run",
@@ -234,8 +247,28 @@ class TestRunCommand:
             assert proc.returncode == 0, proc.stderr
             outputs.append([(out / f).read_bytes()
                             for f in ("log.csv", "metrics.json")])
-        assert outputs[0] == outputs[1]
         assert json.loads(outputs[0][1])["truncated"] is False
+        return outputs
+
+    @pytest.mark.skipif(not avx512_targets(),
+                        reason="numpy dispatches no AVX-512 code here")
+    @pytest.mark.parametrize("name", ["case1", "pure_advection", "grid"])
+    def test_bytes_do_not_depend_on_numpy_simd_dispatch(self, tmp_path,
+                                                        scenarios_dir, name):
+        # the same run with numpy's AVX-512 loops and with them switched off
+        off = {"NPY_DISABLE_CPU_FEATURES": " ".join(avx512_targets())}
+        outputs = self.run_bytes(tmp_path, scenarios_dir, name, ({}, off))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("name", ["case1", "pure_advection", "grid"])
+    def test_bytes_do_not_depend_on_the_blas_kernel(self, tmp_path,
+                                                    scenarios_dir, name):
+        # the same run with OpenBLAS's kernel for this CPU, which may fuse
+        # multiply-adds, and with its Prescott kernel, which has no FMA
+        prescott = {"OPENBLAS_CORETYPE": "Prescott"}
+        outputs = self.run_bytes(tmp_path, scenarios_dir, name,
+                                 ({}, prescott))
+        assert outputs[0] == outputs[1]
 
     def test_one_record_run_is_not_truncated(self, tmp_path, capsys):
         # a run shorter than one control period logs only t = 0
