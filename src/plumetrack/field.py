@@ -30,13 +30,12 @@ All three share one protocol: ``eval_many(points, t)`` is the only
 sampling call.  It reads the caller's sequence of m (x, y) float pairs
 as it is (an (m, 2) ndarray is converted once) and gives the
 concentration c at every point as a list of m floats (a ``GridField``
-samples itself at its own ``time`` and ignores t); the
-gradient and divergence the control law needs come from the sensor
-stencil, not from the field.  ``advance(t, max_substep)`` returns the
-field at time t (the analytic fields return themselves), ``centroid(t)``
-is the plume centre, and ``level_set_radius(c0, t)`` is the radius of a
-circular c = c0 curve or raises ``ValueError`` where there is no closed
-form.
+samples itself at its own ``time`` and ignores t); the gradient and
+divergence the control law needs come from the sensor stencil, not from
+the field.  ``advance(t, max_substep)`` returns the field at time t
+(the analytic fields return themselves), ``centroid(t)`` is the plume
+centre, and ``level_set_radius(c0, t)`` is the radius of a circular
+c = c0 curve or raises ``ValueError`` where there is no closed form.
 
 The puff plume stores its seed puffs and computes the emission train up
 to a time where it reads it.  An evaluation leaves out every puff whose c

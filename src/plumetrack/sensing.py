@@ -174,8 +174,8 @@ def _gauss_jordan(rows: list) -> list:
     Column by column, j = 0 .. n - 1: the row at or below j with the
     largest |entry| in column j (the first of equals) is swapped into row
     j and divided by that pivot, entry by entry; then every other row i,
-    in order, takes row j times its own entry in column j, entry by entry:
-    row_i[c] - a_ij row_j[c].
+    in order, subtracts row j times its own entry a_ij in column j, entry
+    by entry: row_i[c] - a_ij row_j[c].
     """
     n = len(rows)
     for j in range(n):
@@ -221,7 +221,8 @@ class RigEstimator:
         pinv(B).  The condition number only gates the solve."""
         b = design_matrix(offsets).tolist()
         bbt = [[_dot(bi, bk) for bk in b] for bi in b]
-        # LAPACK would complain of a non-finite B B^T on stderr
+        # a non-finite B B^T has no condition number; LAPACK, asked for
+        # one, prints its complaint on stdout
         finite = all(math.isfinite(v) for row in bbt for v in row)
         condition = float(np.linalg.cond(np.array(bbt))) if finite else math.inf
         if not np.isfinite(condition) or condition > CONDITION_LIMIT:
