@@ -111,14 +111,14 @@ def _pairs(points):
 class FlowField:
     """Spatially uniform flow, constant or piecewise constant in time.
 
-    ``boundaries`` are strictly increasing switch times; ``velocities`` has
-    one more row than there are boundaries.  Segment i is active on the
-    half-open interval [boundaries[i-1], boundaries[i]), so a query exactly
-    on a boundary returns the later segment's velocity.
+    ``boundaries`` are strictly increasing switch times, ``velocities`` one
+    more (vx, vy) pair; both are stored as Python floats.  Segment i is
+    active on the half-open interval [boundaries[i-1], boundaries[i]), so a
+    query exactly on a boundary returns the later segment's velocity.
     """
 
-    velocities: np.ndarray          # (n_seg, 2)
-    boundaries: np.ndarray          # (n_seg - 1,)
+    velocities: tuple               # n_seg (vx, vy) float pairs
+    boundaries: tuple               # n_seg - 1 floats
 
     def __post_init__(self):
         v = np.atleast_2d(np.asarray(self.velocities, dtype=float))
@@ -129,26 +129,23 @@ class FlowField:
             raise ValueError("flow velocities and boundaries must be finite")
         if b.size and not np.all(np.diff(b) > 0):
             raise ValueError("segment boundaries must be strictly increasing")
-        object.__setattr__(self, "velocities", v)
-        object.__setattr__(self, "boundaries", b)
-        # the same values as floats: each segment's (vx, vy), and each
-        # switch's time and velocity jump (jx, jy)
-        vs = [tuple(row) for row in v.tolist()]
-        object.__setattr__(self, "_v", vs)
-        object.__setattr__(self, "_b", b.tolist())
+        vs = tuple(map(tuple, v.tolist()))
+        object.__setattr__(self, "velocities", vs)
+        object.__setattr__(self, "boundaries", tuple(b.tolist()))
+        # each switch's time and velocity jump (jx, jy)
         object.__setattr__(self, "_switches", [
             (bi, nx - px, ny - py)
-            for bi, (px, py), (nx, ny) in zip(b.tolist(), vs, vs[1:])])
+            for bi, (px, py), (nx, ny) in zip(self.boundaries, vs, vs[1:])])
 
     @classmethod
     def uniform(cls, velocity) -> "FlowField":
-        return cls(np.asarray([velocity], dtype=float), np.empty(0))
+        return cls([velocity], ())
 
     def at(self, t: float) -> list:
         """Flow velocity [vx, vy] at time t, everywhere: the flow is
         spatially uniform by construction.  A NaN t reads the last
         segment."""
-        return list(self._v[bisect_right(self._b, t)])
+        return list(self.velocities[bisect_right(self.boundaries, t)])
 
     def displacement(self, t0, t1: float):
         """Integral of v over [t0, t1] for t0 <= t1.
@@ -301,12 +298,8 @@ class PuffPlume:
         for p in self.seed_puffs:
             if p.diffusion != self.diffusion:
                 raise ValueError("seed puff diffusion must match the plume's")
-        # (4, n_seed): release times, x, y and strengths
-        object.__setattr__(self, "_seeds", np.asarray(
-            [(p.release_time, *p.point, p.strength) for p in self.seed_puffs],
-            dtype=float).reshape(-1, 4).T)
-        object.__setattr__(self, "_speed",
-                           float(np.hypot(*self.flow.velocities.T).max()))
+        object.__setattr__(self, "_speed", float(
+            np.hypot(*np.transpose(self.flow.velocities)).max()))
         object.__setattr__(self, "_neighbours", None)
 
     has_analytic_truth = True
@@ -320,9 +313,10 @@ class PuffPlume:
             # one row past the quotient, so that rounding in it cannot
             # leave out a release before t
             need = int(math.ceil((t - self.start_time) / self.puff_interval)) + 1
-        n_seed = self._seeds.shape[1]
+        n_seed = len(self.seed_puffs)
         rows = np.empty((4, n_seed + need))
-        rows[:, :n_seed] = self._seeds
+        for i, p in enumerate(self.seed_puffs):
+            rows[:, i] = p.release_time, *p.point, p.strength
         train = rows[:, n_seed:]
         train[0] = self.start_time + self.puff_interval * np.arange(need)
         train[1:3] = self.source[:, None]
@@ -494,13 +488,12 @@ class FrozenGaussian:
 
     peak: float
     sigma: float
-    center: np.ndarray
+    center: tuple                   # (x, y) floats at t = 0
     flow: FlowField
 
     def __post_init__(self):
-        object.__setattr__(self, "center",
-                           np.asarray(self.center, dtype=float).reshape(2))
-        object.__setattr__(self, "_xy", tuple(self.center.tolist()))
+        object.__setattr__(self, "center", tuple(
+            np.asarray(self.center, dtype=float).reshape(2).tolist()))
         if not (self.peak > 0 and self.sigma > 0):
             raise ValueError("peak and sigma must be > 0")
         if self.sigma * self.sigma == 0.0:
@@ -509,7 +502,7 @@ class FrozenGaussian:
     has_analytic_truth = True
 
     def _centre(self, t: float) -> tuple[float, float]:
-        x, y = self._xy
+        x, y = self.center
         if t >= 0:
             dx, dy = self.flow.displacement(0.0, t)
             return x + dx, y + dy

@@ -46,7 +46,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import FlowField, FrozenGaussian, GaussianPuff, GridField, PuffPlume
+from .field import (HORIZON, FlowField, FrozenGaussian, GaussianPuff,
+                    GridField, PuffPlume)
 from .guidance import GuidanceGains, SIGN_MODES, SIGN_PDE
 from .sensing import NoiseModel, SensorRig
 from .simulator import (MAX_STEPS, Scenario, TRACKED_POINTS,
@@ -55,8 +56,8 @@ from .vessel import VesselParams
 
 SCHEMA_VERSION = 1
 
-# The most emission-train puffs a run may release; each neighbour-list
-# build computes and scans every one released by t + HORIZON.
+# The most emission-train puffs a run may compute: a neighbour-list build
+# at t <= duration computes and scans every one released by t + HORIZON.
 MAX_TRAIN_PUFFS = 1_000_000
 
 
@@ -197,10 +198,11 @@ def _field(d: dict, path: str, duration: float):
     kind = _str(d, "type", path) if isinstance(d, dict) else None
     if kind == "puffs":
         plume = _model(PuffPlume, d, path, extra=["type"])
-        n_train = (duration - plume.start_time) / plume.puff_interval
+        n_train = (duration + HORIZON - plume.start_time) / plume.puff_interval
         if plume.emission_rate > 0 and n_train > MAX_TRAIN_PUFFS:
-            _fail(path, f"the emission train would release {n_train:.3g} puffs "
-                        f"by t = {duration:g} s; at most {MAX_TRAIN_PUFFS:,}")
+            _fail(path, f"the emission train would release {n_train:.3g} "
+                        f"puffs by t = {duration + HORIZON:g} s; "
+                        f"at most {MAX_TRAIN_PUFFS:,}")
         return plume
     if kind == "frozen-gaussian":
         return _model(FrozenGaussian, d, path, extra=["type"])
@@ -236,8 +238,7 @@ def _check_grid_substeps(sc: Scenario, path: str):
     stable dt of the fastest flow segment.  A stable dt of 0 (the bound
     underflowed) is too many."""
     grid = sc.field0
-    fastest = max(grid.flow.velocities.tolist(),
-                  key=lambda v: abs(v[0]) + abs(v[1]))
+    fastest = max(grid.flow.velocities, key=lambda v: abs(v[0]) + abs(v[1]))
     dt = min(sc.physics_substep, replace(
         grid, flow=FlowField.uniform(fastest)).max_stable_dt())
     per_step = sc.control_period / dt if dt > 0 else math.inf

@@ -57,10 +57,10 @@ class DegenerateStencilError(ValueError):
 class SensorRig:
     """Body-frame sensor offsets; exactly four, mean zero, not collinear."""
 
-    offsets: np.ndarray              # (4, 2)
+    offsets: np.ndarray              # (4, 2), the rig's own read-only copy
 
     def __post_init__(self):
-        o = np.asarray(self.offsets, dtype=float)
+        o = np.array(self.offsets, dtype=float)
         if o.shape != (4, 2):
             raise ValueError("rig needs exactly 4 sensor offsets")
         if not np.all(np.isfinite(o)):
@@ -73,9 +73,14 @@ class SensorRig:
                        - o[:, 1][:, None] * o[:, 0][None, :])
         if cross.max() <= 1e-12 * scale * scale:
             raise ValueError("sensor offsets must not all be collinear")
+        o.setflags(write=False)
         object.__setattr__(self, "offsets", o)
         # the same offsets as four float pairs (ox, oy)
         object.__setattr__(self, "_pairs", tuple(map(tuple, o.tolist())))
+
+    def __reduce__(self):
+        # copies and unpickled rigs are built again, so read-only too
+        return type(self), (self.offsets,)
 
     @classmethod
     def cross(cls, arm: float = 0.75) -> "SensorRig":
@@ -200,13 +205,8 @@ class RigEstimator:
     cond(B_body B_body^T).  A step then uses four rows of pinv(B_body).
     """
 
-    pinv: np.ndarray                 # (6, 4), pinv(B_body)
+    pinv: tuple                      # pinv(B_body): 6 rows of 4 floats
     condition: float                 # cond(B B^T), heading-independent
-
-    def __post_init__(self):
-        # pinv rows 0, 1, 2 and 5 (gx, gy, hxx, hyy) as float 4-tuples
-        object.__setattr__(self, "_rows", tuple(
-            tuple(self.pinv[k].tolist()) for k in (0, 1, 2, 5)))
 
     @classmethod
     def for_offsets(cls, offsets) -> "RigEstimator":
@@ -230,15 +230,16 @@ class RigEstimator:
                 f"stencil condition {condition:.3e} exceeds "
                 f"{CONDITION_LIMIT:.0e} (collinear or coincident sensors)")
         solved = _gauss_jordan([m + r for m, r in zip(bbt, b)])
-        return cls(np.array(solved).T, condition)
+        return cls(tuple(zip(*solved)), condition)
 
     def estimate(self, readings, heading: float) -> StencilEstimate:
         """The stencil estimate of the rig at ``heading``, in world axes."""
         r0, r1, r2, r3 = readings
         c_hat = (r0 + r1 + r2 + r3) / 4
         y0, y1, y2, y3 = r0 - c_hat, r1 - c_hat, r2 - c_hat, r3 - c_hat
+        p = self.pinv                   # rows 0, 1, 2, 5: gx, gy, hxx, hyy
         gx, gy, hxx, hyy = [a * y0 + b * y1 + c * y2 + d * y3
-                            for a, b, c, d in self._rows]
+                            for a, b, c, d in (p[0], p[1], p[2], p[5])]
         c, s = math.cos(heading), math.sin(heading)
         return StencilEstimate(c_hat, (c * gx + -s * gy, s * gx + c * gy),
                                hxx + hyy)

@@ -71,8 +71,10 @@ class Scenario:
         if not self.control_period > 0:
             raise ValueError("control period must be > 0")
         steps = self.duration / self.control_period
+        if steps < math.inf:            # counted as the run counts them
+            steps = expected_records(self.duration, self.control_period) - 1
         if steps > MAX_STEPS:
-            raise ValueError(f"duration / control period is {steps:.3g} "
+            raise ValueError(f"duration / control period is {steps:,} "
                              f"steps; at most {MAX_STEPS:,}")
         if not 0 < self.physics_substep <= self.control_period + 1e-12:
             raise ValueError("physics substep must be in (0, control period]")
@@ -151,17 +153,15 @@ def run(scenario: Scenario) -> RunLog:
         fieldmodel = fieldmodel.advance(t, sc.physics_substep)
         positions = sensing.world_positions(sc.rig, state)
         z = vessel.head_point(state, sc.params.offset)
-        if fieldmodel.has_analytic_truth:
-            c = fieldmodel.eval_many((*positions, z), t)
-            ctrue = c[4]
-        else:
-            try:
-                c = fieldmodel.eval_many(positions, t)
-            except DomainError:
-                truncated = True
-                rows = rows[:i]
-                break
-            ctrue = math.nan
+        truth = fieldmodel.has_analytic_truth
+        points = (*positions, z) if truth else positions
+        try:
+            c = fieldmodel.eval_many(points, t)
+        except DomainError:
+            truncated = True
+            rows = rows[:i]
+            break
+        ctrue = c[4] if truth else math.nan
         readings = sc.noise.read(c[:4], sensor_rng)
         est = estimator.estimate(readings, state.heading)
         v_r = fieldmodel.flow.at(t)

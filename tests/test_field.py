@@ -690,7 +690,7 @@ class TestNeighbourList:
 def searchsorted_at(flow, t):
     """``FlowField.at`` as first written, on arrays."""
     i = int(np.searchsorted(flow.boundaries, t, side="right"))
-    return flow.velocities[i].copy()
+    return np.array(flow.velocities[i])
 
 
 def vectorised_displacement(flow, t0, t1):
@@ -699,7 +699,7 @@ def vectorised_displacement(flow, t0, t1):
     disp = np.multiply.outer(searchsorted_at(flow, t1), t1 - t0)
     for i, b in enumerate(flow.boundaries):
         if b <= t1:
-            jump = flow.velocities[i + 1] - flow.velocities[i]
+            jump = np.subtract(flow.velocities[i + 1], flow.velocities[i])
             disp -= np.multiply.outer(jump, np.where(t0 < b, b - t0, 0.0))
     return disp
 
@@ -714,7 +714,7 @@ class TestFlow:
             flow = FlowField(rng.normal(0.0, 1.0, (n + 1, 2)),
                              np.cumsum(rng.uniform(0.01, 4.0, n)) - 3.0)
             times = (rng.uniform(-8.0, 12.0, 5).tolist()
-                     + flow.boundaries.tolist() + [-0.0, 0.0, math.nan])
+                     + list(flow.boundaries) + [-0.0, 0.0, math.nan])
             for t1 in times:
                 want = searchsorted_at(flow, t1)
                 assert np.array(flow.at(t1)).tobytes() == want.tobytes()
@@ -744,6 +744,16 @@ class TestFlow:
     def test_boundary_belongs_to_later_segment(self):
         f = FlowField([[0.1, 0.0], [0.0, 0.1]], [30.0])
         assert np.all(f.at(30.0) == [0.0, 0.1])
+
+    def test_equal_models_compare_and_hash_equal(self):
+        # lists and arrays give the same float tuples
+        f = FlowField([[0.1, 0.0], [0.0, 0.1]], [30.0])
+        g = FlowField(np.array([[0.1, 0.0], [0.0, 0.1]]), np.array([30.0]))
+        blobs = [FrozenGaussian(10.0, 2.0, (1, 2), f),
+                 FrozenGaussian(10.0, 2.0, np.array([1.0, 2.0]), g)]
+        for a, b in ((f, g), blobs):
+            assert a == b and hash(a) == hash(b)
+        assert f != FlowField.uniform((0.1, 0.0))
 
     def test_boundaries_must_increase(self):
         with pytest.raises(ValueError):

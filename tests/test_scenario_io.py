@@ -13,6 +13,7 @@ from plumetrack.scenario_io import (ScenarioError, load_scenario,
                                     parse_sweep_value, scenario_from_dict,
                                     set_path)
 from plumetrack.sensing import NoiseModel, SensorRig
+from plumetrack.simulator import MAX_STEPS, expected_records
 from plumetrack.vessel import VesselParams
 
 MINIMAL = {
@@ -234,6 +235,31 @@ class TestSchema:
         msg = f"<scenario>.{key}: expected an array of finite numbers"
         with pytest.raises(ScenarioError, match=f"^{re.escape(msg)}"):
             scenario_from_dict(d)
+
+    @pytest.mark.parametrize("duration, period, refused", [
+        (700000.0, 0.7, None), (9000.0, 0.009, None),
+        (700000.7, 0.7, "1,000,001 steps"), (1e300, 1e-300, "inf steps")])
+    def test_step_limit_counts_as_the_run_counts(self, duration, period,
+                                                 refused):
+        # the first two ratios round above 1,000,000, but the run takes
+        # exactly 1,000,000 steps; constructed only, never run
+        d = doc(duration=duration, control_period=period)
+        if refused is None:
+            scenario_from_dict(d)
+            assert expected_records(duration, period) - 1 == MAX_STEPS
+        else:
+            with pytest.raises(ScenarioError, match=refused):
+                scenario_from_dict(d)
+
+    def test_train_limit_counts_to_the_last_build(self, case1_doc):
+        # 900,000 releases by the end of the run, but the build at t = 0
+        # already computes those released by HORIZON, about 2,000,000
+        d = json.loads(json.dumps(case1_doc))
+        d["duration"] = 0.9
+        d["field"].update(start_time=0.0, puff_interval=1e-6)
+        with pytest.raises(ScenarioError, match="emission train"):
+            scenario_from_dict(d)
+        assert scenario_from_dict(json.loads(json.dumps(case1_doc)))
 
     def test_bundled_scenarios_load(self, scenarios_dir):
         for name in ("case1.json", "case2.json", "pure_advection.json",

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -69,6 +71,20 @@ class TestRigValidation:
     def test_collinear(self):
         with pytest.raises(ValueError):
             SensorRig(np.array([[1, 0], [-1, 0], [0.5, 0], [-0.5, 0]]))
+
+    def test_offsets_are_the_rigs_read_only_copy(self):
+        with pytest.raises(ValueError):
+            SensorRig.cross().offsets[0, 0] = 1.5
+        # writing into the caller's array leaves the rig as it was built
+        given = SensorRig.cross().offsets.copy()
+        rig = SensorRig(given)
+        given[0, 0], given[1, 0] = 1.5, -1.5
+        stock, pose = SensorRig.cross(), VesselState(0.0, 0.0, 0.0)
+        assert rig.offsets.tolist() == stock.offsets.tolist()
+        assert world_positions(rig, pose) == world_positions(stock, pose)
+        for copied in (copy.deepcopy(stock), pickle.loads(pickle.dumps(stock))):
+            with pytest.raises(ValueError):
+                copied.offsets[0, 0] = 1.5
 
 
 RNG = np.random.default_rng
@@ -302,6 +318,12 @@ class TestRigEstimator:
                             right(self, readings, -heading))
         ok, detail = check_pseudoinverse_agreement()
         assert not ok, detail
+
+    def test_equal_rigs_give_equal_estimators(self):
+        a, b = (RigEstimator.for_offsets(SensorRig.cross().offsets)
+                for _ in range(2))
+        assert a == b and hash(a) == hash(b)
+        assert a != RigEstimator.for_offsets(SensorRig.uneven_cross().offsets)
 
     def test_degenerate_rig_rejected_once(self):
         rig = SensorRig(np.array([[1.0, 0], [-1.0, 0], [0.0, 1e-8],
