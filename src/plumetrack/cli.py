@@ -9,7 +9,9 @@ Exit codes are a stable contract: 0 success, 2 input error (an output
 path that cannot be written included), 3 truncated run, 4 numerical
 abort.  All outputs are written atomically (temp file plus rename),
 diagnostics go to stderr (PLUME_LOG=debug|info raises the verbosity),
-data never does.
+data never does.  The process pool, the plots and the self-checks are
+imported by the commands that use them, so that ``plume run`` starts
+without them.
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import plotting, simulator, validate as validation
+from . import simulator
 from .guidance import NonFiniteError
 from .scenario_io import (ScenarioError, load_raw, load_scenario,
                           parse_sweep_value, scenario_from_dict, set_path)
@@ -132,6 +133,7 @@ def cmd_sweep(args) -> int:
     if workers <= 1:
         results = list(map(_execute_run, scenarios, out_dirs))
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_execute_run, scenarios, out_dirs))
 
@@ -163,25 +165,35 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _input_error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_INPUT
+
+
 def cmd_plot(args) -> int:
-    if args.c0 is not None and not np.isfinite(args.c0):
-        raise plotting.PlotDataError(f"--c0 {args.c0:g} is not finite")
-    logdata = plotting.read_log(args.log)
-    if args.kind == "concentration-timeseries":
-        svg = plotting.timeseries_svg(logdata, args.c0)
-    else:
-        source_path = None
-        if args.scenario is not None:
-            scenario = load_scenario(args.scenario)
-            source_path = np.stack([scenario.field0.centroid(float(t))
-                                    for t in logdata["t"]])
-        svg = plotting.trajectory_svg(logdata, source_path)
+    from . import plotting
+    try:
+        if args.c0 is not None and not np.isfinite(args.c0):
+            raise plotting.PlotDataError(f"--c0 {args.c0:g} is not finite")
+        logdata = plotting.read_log(args.log)
+        if args.kind == "concentration-timeseries":
+            svg = plotting.timeseries_svg(logdata, args.c0)
+        else:
+            source_path = None
+            if args.scenario is not None:
+                scenario = load_scenario(args.scenario)
+                source_path = np.stack([scenario.field0.centroid(float(t))
+                                        for t in logdata["t"]])
+            svg = plotting.trajectory_svg(logdata, source_path)
+    except plotting.PlotDataError as exc:
+        return _input_error(exc)
     _atomic_write(Path(args.out), svg)
     return EXIT_OK
 
 
 def cmd_validate(_args) -> int:
-    return EXIT_OK if validation.run_validation() else 1
+    from .validate import run_validation
+    return EXIT_OK if run_validation() else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -238,9 +250,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ScenarioError, plotting.PlotDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except ScenarioError as exc:
+        return _input_error(exc)
     except OSError as exc:
         # inputs report their own; this is an output that cannot be written
         print(f"error: {exc.filename or 'output'}: {exc.strerror or exc}",

@@ -48,10 +48,12 @@ seconds, and later calls reuse it while their disc, widened by the
 flow's top speed times the time elapsed, stays inside.  The flow moves
 every puff by the same displacement, so the list holds every puff the
 bound over all released puffs would keep and the kept terms, their order
-and the sum are the same.  On case1 the list is rebuilt 46 times in
-1,201 steps and holds 5 puffs: the mound and the train's next four
-releases.  The train's puffs share one strength, so ``centroid`` finds
-the strongest puff without computing the train.
+and the sum are the same.  A puff released within the horizon is
+bounded over the ages it can reach in it, so a fresh release far from
+the query is left out too.  On case1 the list is rebuilt 15 times in
+1,201 steps and holds the mound alone, so each call has one candidate.
+The train's puffs share one strength, so ``centroid`` finds the
+strongest puff without computing the train.
 
 The analytic fields' evaluation, the flow's ``at`` and a scalar
 ``displacement`` run on Python floats, with ``math.exp``, so they do not
@@ -76,9 +78,10 @@ import numpy as np
 # out of the sum.
 CULL_BOUND = 1e-30
 # The plume's neighbour list covers a disc SKIN (m) wider than the query
-# disc it was built for, over the next HORIZON (s).
-SKIN = 2.0
-HORIZON = 2.0
+# disc it was built for, over the next HORIZON (s): the stock vessel's
+# top speed, 2 m/s, times the horizon.
+SKIN = 8.0
+HORIZON = 4.0
 
 
 class FieldError(ValueError):
@@ -192,13 +195,13 @@ class GaussianPuff:
     """
 
     release_time: float
-    point: np.ndarray
+    point: tuple                    # (x, y) floats
     strength: float
     diffusion: float
 
     def __post_init__(self):
-        object.__setattr__(self, "point",
-                           np.asarray(self.point, dtype=float).reshape(2))
+        object.__setattr__(self, "point", tuple(
+            np.asarray(self.point, dtype=float).reshape(2).tolist()))
         if not self.strength > 0:
             raise ValueError("puff strength Q must be > 0")
         if not self.diffusion > 0:
@@ -217,7 +220,7 @@ class GaussianPuff:
 
     def center(self, flow: FlowField, t: float) -> np.ndarray:
         self._age(t)
-        return self.point + flow.displacement(self.release_time, t)
+        return np.add(self.point, flow.displacement(self.release_time, t))
 
 
 def puff_concentration(puff: GaussianPuff, flow: FlowField, x, t: float) -> float:
@@ -278,7 +281,7 @@ class PuffPlume:
     changes a result, so a plume shared between runs stays deterministic.
     """
 
-    source: np.ndarray
+    source: tuple                   # (x, y) floats
     flow: FlowField
     diffusion: float
     emission_rate: float = 0.0      # ppb m^2 / s; 0 disables the train
@@ -287,8 +290,8 @@ class PuffPlume:
     seed_puffs: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "source",
-                           np.asarray(self.source, dtype=float).reshape(2))
+        object.__setattr__(self, "source", tuple(
+            np.asarray(self.source, dtype=float).reshape(2).tolist()))
         if not self.emission_rate >= 0:
             raise ValueError("emission rate must be >= 0")
         if not self.puff_interval > 0:
@@ -319,7 +322,7 @@ class PuffPlume:
             rows[:, i] = p.release_time, *p.point, p.strength
         train = rows[:, n_seed:]
         train[0] = self.start_time + self.puff_interval * np.arange(need)
-        train[1:3] = self.source[:, None]
+        train[1], train[2] = self.source
         train[3] = self.emission_rate * self.puff_interval
         k = n_seed + int(np.searchsorted(train[0], t, side="left"))
         return rows[0, :k], rows[1:3, :k], rows[3, :k]
@@ -349,17 +352,32 @@ class PuffPlume:
         """The neighbour list for queries within the disc of radius
         R = rho + SKIN about (qx, qy) over [t, t + HORIZON].
 
-        It holds every puff released by t + HORIZON whose c can reach
+        It holds every puff released before t + HORIZON whose c can reach
         CULL_BOUND on that disc within the horizon.  With d- the distance
-        from a puff's centre at t to the disc, c is at most
+        from a puff's centre at t to the disc, a puff released before t
+        has c at most
 
             peak(t) exp(-d-^2/(4 k (t + HORIZON - t0)))
 
-        since the peak only falls and kt only grows; the peak of a puff
-        released from t on is unbounded, so such a puff is always kept.
-        The flow is uniform, so every centre moves by the same
-        displacement, at most V (t' - t) at t' for V the fastest
-        segment's speed: a disc (q', rho') at t' with
+        since the peak only falls and kt only grows.  A puff released
+        from t on is summed while the list lasts only at ages tau in
+        (0, HORIZON], and with a = d-^2/(4k) its c is then at most
+
+            f(tau) = Q exp(-a/tau) / (4 pi k tau)
+
+        f rises up to tau = a and falls after it, so c <= f(min(a,
+        HORIZON)).  With L = log(2 Q / (4 pi k HORIZON CULL_BOUND)), the
+        puff is left out where d-^2 > 4 k HORIZON max(1, L): then
+        a > HORIZON and f(HORIZON) = Q/(4 pi k HORIZON) exp(-a/HORIZON)
+        is below CULL_BOUND / 2, as L >= 1 gives a/HORIZON > L and L < 1
+        gives 2 Q/(4 pi k HORIZON) < e CULL_BOUND.  Its centre at t is
+        its point less v(t) (t0 - t), the flow at t run back from t0.
+
+        Every centre at t' is then within V (t' - t) of where it stood at
+        t, for V the fastest segment's speed: the flow is uniform, so the
+        released puffs all move by one displacement, and a puff released
+        at t0 > t stands V (t0 - t) at most from its point at t and
+        V (t' - t0) at most from it at t'.  A disc (q', rho') at t' with
         |q' - q| + V (t' - t) + rho' <= R is at least as far from every
         centre as the R-disc was at t, and ``_near`` reuses the list while
         that holds.
@@ -367,15 +385,21 @@ class PuffPlume:
         The bound is compared with half of CULL_BOUND, so that rounding
         in the distances cannot leave out a puff that the per-puff bound
         keeps, and in logarithms, d-^2 > 4 kt log(2 peak / CULL_BOUND):
-        an exp that underflows to a subnormal is slow.
+        an exp that underflows to a subnormal is slow.  A NaN t keeps
+        every puff.
         """
         t0s, pts, qs = self._rows(t + HORIZON)
         radius = rho + SKIN
-        with np.errstate(all="ignore"):     # q / 0 before a release
-            age = np.maximum(t - t0s, 0.0)
-            peak = qs / (4.0 * math.pi * self.diffusion * age)
-            reach2 = (4.0 * self.diffusion * (age + HORIZON)
-                      * np.log(peak * (2.0 / CULL_BOUND)))
+        k = self.diffusion
+        with np.errstate(all="ignore"):     # q / 0 at a HORIZON of 0
+            age = t - t0s
+            released = age > 0
+            # a released puff: its peak at t and its kt at t + HORIZON; a
+            # fresh one: its peak and kt at age HORIZON, and a log >= 1
+            peak = qs / (4.0 * math.pi * k * np.where(released, age, HORIZON))
+            log_ratio = np.log(peak * (2.0 / CULL_BOUND))
+            reach2 = np.where(released, 4.0 * k * (age + HORIZON) * log_ratio,
+                              4.0 * k * HORIZON * np.maximum(log_ratio, 1.0))
             cx, cy = pts + self.flow.displacement(t0s, t)
             dx, dy = cx - qx, cy - qy
             near = np.maximum(np.sqrt(dx * dx + dy * dy) - radius, 0.0)
@@ -450,10 +474,11 @@ class PuffPlume:
         if self.emission_rate != 0 and t > self.start_time and (
                 best is None
                 or self.emission_rate * self.puff_interval > best.strength):
-            return self.source + self.flow.displacement(self.start_time, t)
+            return np.add(self.source,
+                          self.flow.displacement(self.start_time, t))
         if best is None:
-            return self.source.copy()
-        return best.point + self.flow.displacement(best.release_time, t)
+            return np.array(self.source)
+        return np.add(best.point, self.flow.displacement(best.release_time, t))
 
     def advance(self, t: float, max_substep: float = math.inf) -> "PuffPlume":
         """Closed form: the plume at any time is this same object."""

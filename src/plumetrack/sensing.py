@@ -3,7 +3,8 @@
 Four point sensors ride at fixed body-frame offsets whose mean is zero, so
 the stencil center coincides with the vessel position.  Readings get a
 Gaussian noise term, a detection floor, and a range clamp emulating a
-fluorometer (``NoiseModel``; the run owns the generator it draws from).
+fluorometer (``NoiseModel``; the run owns the generator and draws the
+normals in blocks).
 From one synchronized sample the estimator reconstructs the local
 concentration, gradient, and Hessian trace by a second-order Taylor
 expansion solved in the minimum-norm least-squares sense:
@@ -100,8 +101,8 @@ class NoiseModel:
     """Fluorometer noise: Gaussian sigma, detection floor, range clamp.
 
     Plain configuration: the generator belongs to the run, which seeds it
-    from ``seed`` (None means the run's own seed) and passes it to
-    ``read``.
+    from ``seed`` (None means the run's own seed) and hands each step's
+    standard normals to ``read``.
     """
 
     sigma: float = 0.0
@@ -114,16 +115,17 @@ class NoiseModel:
                 and self.range_max > self.floor):
             raise ValueError("need sigma >= 0 and 0 <= floor < range_max")
 
-    def read(self, c, rng: np.random.Generator) -> list[float]:
-        """Readings of the true concentrations ``c``, one float per sensor.
+    def read(self, c, g) -> list[float]:
+        """Readings of the true concentrations ``c``, one float per sensor,
+        given one standard normal g_i per sensor.
 
         reading_i = clamp(c_i + sigma * g_i, 0, range_max), then zeroed
-        when below the detection floor; a NaN stays NaN.  One draw from
-        ``rng`` per sensor per call, in sensor order, even when sigma is
-        zero (keeps the stream aligned), so runs are bit-reproducible.
+        when below the detection floor; a NaN stays NaN.  A run draws
+        four normals per step, in sensor order, even when sigma is zero
+        (keeps the stream aligned), so runs are bit-reproducible.
         """
         readings = []
-        for ci, gi in zip(c, rng.standard_normal(len(c)).tolist()):
+        for ci, gi in zip(c, g):
             r = ci + self.sigma * gi
             if r > self.range_max:
                 r = self.range_max

@@ -6,7 +6,9 @@ and the head point (the head point gives the ``ctrue`` oracle; a grid
 field has none and is sampled at the sensors only), read the sensors
 through the noise model, reconstruct the local field with the rig's
 estimator, update the level-curve observer, compute the planar control,
-convert it to actuator commands, and integrate the vessel.  The loop
+convert it to actuator commands, and integrate the vessel.  The sensor
+normals are drawn ``NOISE_BLOCK`` steps at a time; numpy's stream gives
+the same values in blocks as four at a time.  The loop
 carries only the vessel state, x_hat, the field and the generators.  The
 log is one table preallocated for floor(duration / dt_c) + 1 records at
 t = 0, dt_c, ...; each control step writes one row, a truncated run keeps
@@ -41,6 +43,8 @@ TRACKED_POINTS = ("head", "center")
 
 # The most control steps a run may take; its log is held in memory.
 MAX_STEPS = 1_000_000
+# Control steps whose sensor normals a run draws at once.
+NOISE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -162,7 +166,10 @@ def run(scenario: Scenario) -> RunLog:
             rows = rows[:i]
             break
         ctrue = c[4] if truth else math.nan
-        readings = sc.noise.read(c[:4], sensor_rng)
+        if i % NOISE_BLOCK == 0:
+            normals = sensor_rng.standard_normal(
+                (min(NOISE_BLOCK, n_steps + 1 - i), 4)).tolist()
+        readings = sc.noise.read(c[:4], normals[i % NOISE_BLOCK])
         est = estimator.estimate(readings, state.heading)
         v_r = fieldmodel.flow.at(t)
         if sc.flow_noise_sigma > 0:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -102,6 +103,22 @@ class TestRunCommand:
         m = json.loads((out / "metrics.json").read_text())
         assert m["seed"] == 7
         assert not list(out.glob("*.tmp"))
+
+    def test_run_imports_no_pool_plots_or_checks(self, tmp_path):
+        # the sweep's pool, the plots and the self-checks are imported by
+        # the commands that use them
+        sc = write_scenario(tmp_path, SHORT_SCENARIO)
+        later = ("concurrent.futures.process", "plumetrack.plotting",
+                 "plumetrack.validate")
+        code = ("import sys\n"
+                "from plumetrack.cli import main\n"
+                f"assert main(['run', {str(sc)!r}, '--out', "
+                f"{str(tmp_path / 'out')!r}]) == 0\n"
+                f"print([m for m in {later!r} if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_seed_override_echoed(self, tmp_path):
         sc = write_scenario(tmp_path, SHORT_SCENARIO)
@@ -340,7 +357,9 @@ class TestSweepCommand:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr(CLI, "ProcessPoolExecutor", SerialPool)
+        # the sweep imports the pool where it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
         monkeypatch.setattr(CLI.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)))
         sc = write_scenario(tmp_path, dict(SHORT_SCENARIO, duration=0.5))

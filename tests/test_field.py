@@ -166,15 +166,24 @@ def reference_released(plume, t):
 def build_bound(plume, t, q, radius, puffs):
     """The puffs, as columns (t0, x, y, Q), whose c can reach half of
     CULL_BOUND on the disc of centre q and this radius within HORIZON of
-    t: a puff released from t on always can."""
+    t.  A puff released before t is bounded by its peak at t and its kt
+    at t + HORIZON.  A puff released from t on is bounded over its ages
+    tau in (0, HORIZON] by the largest Q exp(-a/tau) / (4 pi k tau),
+    a = near^2 / 4k, which is at tau = min(a, HORIZON); the list keeps
+    more than this only for puffs too weak to reach the bound anywhere,
+    2 Q / (4 pi k HORIZON) < e CULL_BOUND."""
     t0s, origins, qs = puffs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        age = np.maximum(t - t0s, 0.0)
-        peak = qs / (4.0 * math.pi * plume.diffusion * age)
+    k = plume.diffusion
+    with np.errstate(all="ignore"):     # each form where it is not used
+        age = t - t0s
         cx, cy = origins + plume.flow.displacement(t0s, t)
         near = np.maximum(np.hypot(cx - q[0], cy - q[1]) - radius, 0.0)
-        bound = peak * np.exp(-near * near / (4.0 * plume.diffusion
-                                              * (age + field.HORIZON)))
+        released = qs / (4.0 * math.pi * k * age) * np.exp(
+            -near * near / (4.0 * k * (age + field.HORIZON)))
+        tau = np.minimum(near * near / (4.0 * k), field.HORIZON)
+        fresh = qs / (4.0 * math.pi * k * tau) * np.exp(
+            -near * near / (4.0 * k * tau))
+        bound = np.where(age > 0, released, fresh)
     keep = ~(bound < CULL_BOUND / 2)
     return np.vstack((t0s, origins, qs))[:, keep]
 
@@ -363,7 +372,9 @@ class TestPlume:
                                      reference_rows(shared, t + field.HORIZON))
             assert np.array_equal(np.vstack(columns(nl.rows)), candidates)
         kept = candidates[0].tolist()
-        assert 50.0 in kept and 0.0 in kept and 39.5 not in kept
+        # the seed released after t and the train's newest puffs are far
+        # from the query, old ones drifted to it
+        assert 50.0 not in kept and 0.0 in kept and 39.5 not in kept
         x = np.array([[29.5, 10.0], [30.5, 9.2]])
         c = shared.eval_many(x, 40.0)
         assert np.array_equal(c, plume().eval_many(x, 40.0))
@@ -491,6 +502,26 @@ class TestPlume:
             puff_concentration(weak, STILL, x, 1.0)
             + puff_concentration(strong, STILL, x, 1.0), rel=1e-15)
 
+    def test_points_are_read_only_float_pairs(self):
+        # a write to a point can no longer leave the plume's neighbour list
+        # behind; lists and arrays give the same float pairs
+        flow = FlowField.uniform((0.5, 0.0))
+        puffs = [GaussianPuff(-5.0, [1, 2], 30.0, 0.05),
+                 GaussianPuff(-5.0, np.array([1.0, 2.0]), 30.0, 0.05)]
+        plumes = [PuffPlume(source=source, flow=flow, diffusion=0.05,
+                            emission_rate=2.0, seed_puffs=(puff,))
+                  for source, puff in zip(((0, 0), np.zeros(2)), puffs)]
+        plumes[0].eval_many(RIG, 3.0)           # only one holds a list
+        for a, b in (puffs, plumes):
+            assert a == b and hash(a) == hash(b)
+        assert plumes[0] != dataclasses.replace(plumes[0], source=(0.0, 1.0))
+        for pair in (plumes[0].source, puffs[0].point):
+            assert type(pair) is tuple and list(map(type, pair)) == [float] * 2
+            with pytest.raises(TypeError):
+                pair[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plumes[0].source = (1.0, 0.0)
+
     def test_analytic_fields_advance_to_themselves(self):
         blob = FrozenGaussian(10.0, 2.0, (0.0, 0.0), STILL)
         plume = PuffPlume(source=(0, 0), flow=STILL, diffusion=1.0,
@@ -504,7 +535,7 @@ def reference_centroid(plume, t):
     ``reference_released``, or the source when none is released."""
     t0s, origins, qs = reference_released(plume, t)
     if t0s.size == 0:
-        return plume.source.copy()
+        return np.array(plume.source)
     i = int(np.argmax(qs))
     return origins[:, i] + plume.flow.displacement(t0s[i], t)
 
@@ -621,7 +652,18 @@ def creeping_calls():
                    for i, t in enumerate(ts.tolist())]
 
 
-QUERIES = (piecewise_calls, seeded_calls, sweeping_calls, creeping_calls)
+def approaching_calls():
+    """A query that heads for the source at the stock vessel's top speed,
+    2 m/s, from 30 m off to past it, so that puffs released within a
+    list's horizon come within reach of the query before it ends."""
+    plume = PuffPlume(source=(0.0, 0.0), flow=FlowField.uniform((0.1, 0.0)),
+                      diffusion=0.05, emission_rate=2.0, start_time=-10.0)
+    return plume, [(RIG + (0.0, 30.0 - 0.1 * i), 0.05 * i)
+                   for i in range(400)]
+
+
+QUERIES = (piecewise_calls, seeded_calls, sweeping_calls, creeping_calls,
+           approaching_calls)
 
 
 class TestNeighbourList:
@@ -652,24 +694,51 @@ class TestNeighbourList:
 
     def test_rebuild_count_on_case1_and_a7(self, case1_doc, monkeypatch):
         # each rebuild computes the whole emission train, so a change to
-        # the reuse test that rebuilds more often fails here
-        builds = []
-        build = PuffPlume._build
+        # the reuse test that rebuilds more often fails here; every list
+        # holds the mound alone, so each field call has one candidate
+        builds, candidates = [], []
+        build, near = PuffPlume._build, PuffPlume._near
 
         def counting_build(plume, *args):
-            builds.append(args)
-            return build(plume, *args)
+            nl = build(plume, *args)
+            builds.append(nl.rows)
+            return nl
+
+        def counting_near(plume, *args):
+            rows = near(plume, *args)
+            candidates.append(len(rows))
+            return rows
 
         monkeypatch.setattr(PuffPlume, "_build", counting_build)
+        monkeypatch.setattr(PuffPlume, "_near", counting_near)
         a7_seed1 = copy.deepcopy(case1_doc)
         a7_seed1.update(seed=1)
         a7_seed1["noise"]["sigma"] = 2.0
         counts = []
         for doc in (case1_doc, a7_seed1):
             builds.clear()
-            assert len(simulator.run(scenario_from_dict(doc))) == 1201
+            candidates.clear()
+            sc = scenario_from_dict(doc)
+            assert len(simulator.run(sc)) == 1201
             counts.append(len(builds))
-        assert counts[0] <= 46 and counts[1] <= 30, counts
+            mound = sc.field0.seed_puffs[0]
+            assert builds == [[[mound.release_time, *mound.point,
+                                mound.strength]]] * len(builds)
+            assert candidates == [1] * 1201
+        assert counts[0] <= 15 and counts[1] <= 15, counts
+
+    def test_fresh_release_at_the_source_is_kept_and_summed(self):
+        # the list built at a release holds the puffs released over its
+        # horizon at the source; just after the release the new puff is
+        # summed, bit for bit as the cull over every released puff sums it
+        plume = three_seed_plume()
+        pts = RIG + (0.1, 0.05)
+        kept = [assert_matches_flat_cull(plume, pts, t)
+                for t in (10.0, 10.0 + 1e-3, 10.5 + 1e-3)]
+        assert plume._neighbours.t == 10.0
+        fresh = [row[0] for row in plume._neighbours.rows if row[0] >= 10.0]
+        assert fresh == [10.0 + 0.5 * i for i in range(2 * int(field.HORIZON))]
+        assert kept[1] == kept[0] + 1 and kept[2] == kept[1] + 1
 
     def test_nan_time_reaches_the_result(self):
         plume, queries = seeded_calls()
@@ -1031,7 +1100,7 @@ class TestPointInput:
         plume = scenario_from_dict(case1_doc).field0
         for t in (0.0, 0.05, 7.3, 30.0, 59.95):
             # the rig and head point about the mound and on the train
-            for ctr in (plume.centroid(t), plume.source + (2.0, 0.5)):
+            for ctr in (plume.centroid(t), np.add(plume.source, (2.0, 0.5))):
                 assert len(self.assert_same(plume, ctr + RIG, t)) == 5
             self.assert_same(plume, plume.centroid(t), t)
             assert self.assert_same(plume, np.empty((0, 2)), t) == []

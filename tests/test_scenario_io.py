@@ -253,7 +253,7 @@ class TestSchema:
 
     def test_train_limit_counts_to_the_last_build(self, case1_doc):
         # 900,000 releases by the end of the run, but the build at t = 0
-        # already computes those released by HORIZON, about 2,000,000
+        # already computes those released by HORIZON, 4,000,000 or so
         d = json.loads(json.dumps(case1_doc))
         d["duration"] = 0.9
         d["field"].update(start_time=0.0, puff_interval=1e-6)

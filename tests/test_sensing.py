@@ -100,21 +100,26 @@ def clip_read(noise, c, rng):
 
 class TestNoise:
     def test_noiseless_passthrough(self):
-        readings = NoiseModel(sigma=0.0).read(np.full(4, 5.0), RNG())
+        readings = NoiseModel(sigma=0.0).read(
+            np.full(4, 5.0), RNG().standard_normal(4).tolist())
         assert readings == [5.0] * 4
 
     def test_detection_floor(self):
-        readings = NoiseModel(sigma=0.0).read(np.full(4, 0.005), RNG())
+        readings = NoiseModel(sigma=0.0).read(
+            np.full(4, 0.005), RNG().standard_normal(4).tolist())
         assert readings == [0.0] * 4
 
     def test_range_clamp(self):
-        readings = NoiseModel(sigma=0.0).read(np.full(4, 2e4), RNG())
+        readings = NoiseModel(sigma=0.0).read(
+            np.full(4, 2e4), RNG().standard_normal(4).tolist())
         assert readings == [10000.0] * 4
 
     def test_seeded_reproducibility_and_draw_order(self):
         noise = NoiseModel(sigma=2.0, seed=9)
-        r1 = noise.read(np.full(4, 50.0), RNG(noise.seed))
-        r2 = noise.read(np.full(4, 50.0), RNG(noise.seed))
+        r1 = noise.read(np.full(4, 50.0),
+                        RNG(noise.seed).standard_normal(4).tolist())
+        r2 = noise.read(np.full(4, 50.0),
+                        RNG(noise.seed).standard_normal(4).tolist())
         assert np.array_equal(r1, r2)
         # one draw per sensor per call, in sensor order
         expected = np.clip(
@@ -147,14 +152,15 @@ class TestNoise:
         pick = RNG(4)
         for seed in range(40):
             c = pick.choice(edges, 4)
-            got = noise.read(c.tolist(), RNG(seed))
+            got = noise.read(c.tolist(), RNG(seed).standard_normal(4).tolist())
             assert all(type(r) is float for r in got)
             want = clip_read(noise, c, RNG(seed))
             assert np.array(got).tobytes() == want.tobytes(), (c, seed)
 
     def test_stream_advances_even_at_zero_sigma(self):
         rng = RNG(9)
-        NoiseModel(sigma=0.0).read(np.full(4, 5.0), rng)
+        NoiseModel(sigma=0.0).read(np.full(4, 5.0),
+                                   rng.standard_normal(4).tolist())
         follow = rng.standard_normal(4)
         fresh = np.random.default_rng(9).standard_normal(8)[4:]
         assert np.array_equal(follow, fresh)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from plumetrack import guidance as G
+from plumetrack import guidance as G, simulator
 from plumetrack.field import (FlowField, FrozenGaussian, GaussianPuff,
                               GridField, PuffPlume, puff_concentration)
 from plumetrack.guidance import GuidanceGains
@@ -174,7 +174,8 @@ class TestRun:
             assert np.array_equal(log.z[i], z)
             c = sc.field0.eval_many(
                 np.vstack((world_positions(sc.rig, state), z)), t)
-            assert np.array_equal(log.readings[i], noise.read(c[:4], rng))
+            assert np.array_equal(log.readings[i], noise.read(
+                c[:4], rng.standard_normal(4).tolist()))
             assert log.ctrue[i] == c[4]
             est = estimator.estimate(log.readings[i], state.heading)
             assert (log.chat[i], log.lap[i]) == (est.c_hat, est.lap)
@@ -194,6 +195,38 @@ class TestRun:
         assert log.status == G.status(
             log.t, *map(np.array, zip(*replayed)), sc.gains)
         assert {G.STATUS_SEEKING, G.STATUS_TRACKING} <= set(log.status)
+
+    @staticmethod
+    def per_step_readings(sc, log):
+        """The readings of the logged poses, each step's four normals
+        drawn from a fresh generator, four at a time."""
+        rng = np.random.default_rng(
+            sc.seed if sc.noise.seed is None else sc.noise.seed)
+        f, readings = sc.field0, []
+        for t, pose in zip(log.t.tolist(), log.pose.tolist()):
+            f = f.advance(t, sc.physics_substep)
+            c = f.eval_many(world_positions(sc.rig, VesselState(*pose)), t)
+            readings.append(sc.noise.read(c, rng.standard_normal(4).tolist()))
+        return readings
+
+    def test_block_draws_match_per_step_draws(self, case1_doc, monkeypatch):
+        # A7's document runs 1,201 steps, past the first block; the noisy
+        # grid run truncates inside a block, at the run's block size and at
+        # one that crosses several
+        a7 = copy.deepcopy(case1_doc)
+        a7["noise"]["sigma"] = 2.0
+        sc = scenario_from_dict(a7)
+        log = run(sc)
+        assert len(log) == 1201 > simulator.NOISE_BLOCK
+        assert log.readings.tolist() == self.per_step_readings(sc, log)
+        grid = copy.deepcopy(GRID_ESCAPE)
+        grid["noise"] = {"sigma": 0.5}
+        sc = scenario_from_dict(grid)
+        for block in (simulator.NOISE_BLOCK, 7):
+            monkeypatch.setattr(simulator, "NOISE_BLOCK", block)
+            log = run(sc)
+            assert log.truncated and len(log) % 7
+            assert log.readings.tolist() == self.per_step_readings(sc, log)
 
     @pytest.mark.parametrize("seed", [1, 5])
     def test_status_and_step_agree_on_degeneracy(self, case1_doc, seed):
