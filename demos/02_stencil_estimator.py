@@ -10,7 +10,7 @@ biased divergence.  Run from the repo root:
 
 import numpy as np
 
-from plumetrack.sensing import SensorRig, estimate
+from plumetrack.sensing import RigEstimator, SensorRig
 
 g_true = np.array([2.0, -1.5])
 H_true = np.array([[3.0, 0.4], [0.4, 1.0]])     # trace 4.0
@@ -18,19 +18,20 @@ H_true = np.array([[3.0, 0.4], [0.4, 1.0]])     # trace 4.0
 
 def readings_for(rig):
     return np.array([g_true @ d + 0.5 * d @ H_true @ d + 50.0
-                     for d in rig.offsets])
+                     for d in np.array(rig.offsets)])
 
 
 for name, rig in (("cross d=0.75", SensorRig.cross(0.75)),
                   ("uneven cross 0.75/0.45", SensorRig.uneven_cross())):
-    est = estimate(rig.offsets, readings_for(rig))
+    estimator = RigEstimator.for_offsets(rig.offsets)
+    est = estimator.estimate(readings_for(rig), 0.0)
     print(f"{name}:")
     print(f"  gradient estimate {est.grad}  (true {g_true})")
     print(f"  divergence estimate {est.lap:+.3f}  (true {np.trace(H_true):g})")
 
 print("\nnoise does not leak into the cross rig's divergence either:")
 rng = np.random.default_rng(0)
-rig = SensorRig.cross(0.75)
-worst = max(abs(estimate(rig.offsets, rng.uniform(0, 100, 4)).lap)
+estimator = RigEstimator.for_offsets(SensorRig.cross(0.75).offsets)
+worst = max(abs(estimator.estimate(rng.uniform(0, 100, 4), 0.0).lap)
             for _ in range(200))
 print(f"  max |divergence| over 200 random reading vectors: {worst:.2e}")

@@ -129,7 +129,9 @@ def cmd_sweep(args) -> int:
 
     out_root.mkdir(parents=True, exist_ok=True)
     # the pool starts every worker up front, so start no more than can work
-    workers = min(args.jobs, len(scenarios), len(os.sched_getaffinity(0)))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)       # the affinity call is Linux-only
+    workers = min(args.jobs, len(scenarios), cpus)
     if workers <= 1:
         results = list(map(_execute_run, scenarios, out_dirs))
     else:

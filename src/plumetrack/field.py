@@ -37,23 +37,8 @@ the field.  ``advance(t, max_substep)`` returns the field at time t
 centre, and ``level_set_radius(c0, t)`` is the radius of a circular
 c = c0 curve or raises ``ValueError`` where there is no closed form.
 
-The puff plume stores its seed puffs and computes the emission train up
-to a time where it reads it.  An evaluation leaves out every puff whose c
-is below ``CULL_BOUND`` on the disc around the query points; on case1
-that is all but one of about 1,300 puffs.  That per-puff bound runs over
-a neighbour list (Verlet, 1967) rather than every released puff: one
-pass over the train keeps every puff that could pass the bound anywhere
-on a disc ``SKIN`` wider than the query's within the next ``HORIZON``
-seconds, and later calls reuse it while their disc, widened by the
-flow's top speed times the time elapsed, stays inside.  The flow moves
-every puff by the same displacement, so the list holds every puff the
-bound over all released puffs would keep and the kept terms, their order
-and the sum are the same.  A puff released within the horizon is
-bounded over the ages it can reach in it, so a fresh release far from
-the query is left out too.  On case1 the list is rebuilt 15 times in
-1,201 steps and holds the mound alone, so each call has one candidate.
-The train's puffs share one strength, so ``centroid`` finds the
-strongest puff without computing the train.
+The puff plume sums only the puffs that its neighbour list (Verlet,
+1967) keeps; ``PuffPlume._build`` states the bound and why no sum changes.
 
 The analytic fields' evaluation, the flow's ``at`` and a scalar
 ``displacement`` run on Python floats, with ``math.exp``, so they do not
@@ -574,7 +559,7 @@ class GridField:
     mode is "periodic" (wrap) or "outflow" (zero-gradient ghost cells).
     """
 
-    origin: np.ndarray
+    origin: tuple                    # (x, y) floats
     cell_size: float
     conc: np.ndarray                 # (nx, ny)
     diffusion: float
@@ -583,8 +568,8 @@ class GridField:
     time: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "origin",
-                           np.asarray(self.origin, dtype=float).reshape(2))
+        object.__setattr__(self, "origin", tuple(
+            np.asarray(self.origin, dtype=float).reshape(2).tolist()))
         c = np.ascontiguousarray(self.conc, dtype=float)  # step's flat views
         if c.ndim != 2 or min(c.shape) < 3:
             raise ValueError("grid must be 2-D with nx, ny >= 3")
@@ -599,18 +584,15 @@ class GridField:
 
     has_analytic_truth = False
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.conc.shape
-
     @classmethod
     def from_puff(cls, puff: GaussianPuff, flow: FlowField, t: float,
                   origin, cell_size: float, shape, **kwargs):
         """Initialize cell values from the analytic puff at time t.
         Further keywords (``boundary``) go to the constructor."""
         nx, ny = shape
-        xs = np.asarray(origin, float)[0] + (np.arange(nx) + 0.5) * cell_size
-        ys = np.asarray(origin, float)[1] + (np.arange(ny) + 0.5) * cell_size
+        x0, y0 = origin = np.asarray(origin, float)
+        xs = x0 + (np.arange(nx) + 0.5) * cell_size
+        ys = y0 + (np.arange(ny) + 0.5) * cell_size
         ctr = puff.center(flow, t)
         tau = t - puff.release_time
         four_kt = 4.0 * puff.diffusion * tau
@@ -628,7 +610,7 @@ class GridField:
         e = np.empty_like(arg)
         for i, row in enumerate(arg):
             e[i] = list(map(math.exp, row.tolist()))
-        return cls(np.asarray(origin, float), cell_size, peak * e,
+        return cls(origin, cell_size, peak * e,
                    puff.diffusion, flow, time=t, **kwargs)
 
     def mass(self) -> float:
@@ -639,12 +621,12 @@ class GridField:
         ``self.time`` to t.  Each moment, the row or column masses times
         the cell centres, is summed on Python floats left to right from
         0.0, so no BLAS kernel sets its bits."""
-        nx, ny = self.shape
+        nx, ny = self.conc.shape
         xs = self.origin[0] + (np.arange(nx) + 0.5) * self.cell_size
         ys = self.origin[1] + (np.arange(ny) + 0.5) * self.cell_size
         m = float(self.conc.sum())
         if m <= 0:
-            return self.origin.copy()
+            return np.array(self.origin)
         cx = cy = 0.0
         for w, x in zip(self.conc.sum(axis=1).tolist(), xs.tolist()):
             cx += w * x
@@ -768,7 +750,7 @@ class GridField:
         w01 = (1 - fx) fy and w11 = fx fy.  Raises DomainError for the
         first point that is not at least one cell inside the grid's outer
         ring, a NaN or infinite coordinate included."""
-        x0, y0 = self.origin.tolist()
+        x0, y0 = self.origin
         h = self.cell_size
         nx, ny = self.conc.shape
         cell = self.conc.item

@@ -28,12 +28,7 @@ and the condition number of B B^T are computed once, when the run starts
 (a degenerate rig raises ``DegenerateStencilError`` there); pinv is taken
 on Python floats, so no BLAS kernel sets its bits.  Each step
 is four left-to-right 4-term sums on floats (pinv rows 0, 1, 2 and 5)
-and a rotation of the gradient.  ``estimate`` solves any four sensor
-positions as a rig at heading 0, but centring world coordinates rounds
-at their scale, so it loses exactness away from the origin: on the
-0.75 m cross, whose exact trace is 0, |lap| reaches 3.4e-12 for readings
-below 100 at positions up to 50 m out, against 3.7e-13 at the origin.
-A run solves body-frame offsets and is unaffected.
+and a rotation of the gradient.
 """
 
 from __future__ import annotations
@@ -58,7 +53,7 @@ class DegenerateStencilError(ValueError):
 class SensorRig:
     """Body-frame sensor offsets; exactly four, mean zero, not collinear."""
 
-    offsets: np.ndarray              # (4, 2), the rig's own read-only copy
+    offsets: tuple                   # four (x, y) float pairs
 
     def __post_init__(self):
         o = np.array(self.offsets, dtype=float)
@@ -74,14 +69,7 @@ class SensorRig:
                        - o[:, 1][:, None] * o[:, 0][None, :])
         if cross.max() <= 1e-12 * scale * scale:
             raise ValueError("sensor offsets must not all be collinear")
-        o.setflags(write=False)
-        object.__setattr__(self, "offsets", o)
-        # the same offsets as four float pairs (ox, oy)
-        object.__setattr__(self, "_pairs", tuple(map(tuple, o.tolist())))
-
-    def __reduce__(self):
-        # copies and unpickled rigs are built again, so read-only too
-        return type(self), (self.offsets,)
+        object.__setattr__(self, "offsets", tuple(map(tuple, o.tolist())))
 
     @classmethod
     def cross(cls, arm: float = 0.75) -> "SensorRig":
@@ -148,7 +136,7 @@ def world_positions(rig: SensorRig, state: VesselState) -> tuple:
     c, s = math.cos(state.heading), math.sin(state.heading)
     x, y = state.x, state.y
     return tuple([(x + (ox * c + oy * -s), y + (ox * s + oy * c))
-                  for ox, oy in rig._pairs])
+                  for ox, oy in rig.offsets])
 
 
 def design_matrix(positions) -> np.ndarray:
@@ -157,13 +145,6 @@ def design_matrix(positions) -> np.ndarray:
     d = pts - pts.mean(axis=0)
     quad = 0.5 * np.stack([np.outer(di, di).ravel() for di in d])
     return np.hstack([d, quad])
-
-
-def estimate(positions, readings) -> StencilEstimate:
-    """Minimum-norm Taylor reconstruction of (c, grad, trace H) from the
-    readings (4,) of sensors at world ``positions`` (4, 2), solved as a rig
-    at heading 0.  Raises DegenerateStencilError beyond CONDITION_LIMIT."""
-    return RigEstimator.for_offsets(positions).estimate(readings, 0.0)
 
 
 def _dot(u, v) -> float:
@@ -212,8 +193,8 @@ class RigEstimator:
 
     @classmethod
     def for_offsets(cls, offsets) -> "RigEstimator":
-        """The estimator of sensors at ``offsets`` (4, 2) about their mean;
-        raises DegenerateStencilError beyond CONDITION_LIMIT.
+        """The estimator of sensors at body-frame ``offsets`` (4, 2) about
+        their mean; raises DegenerateStencilError beyond CONDITION_LIMIT.
 
         pinv(B) = B^T (B B^T)^-1 is taken on Python floats, so that no
         BLAS kernel sets its bits.  Each entry of B B^T sums its six

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import sensing, vessel
 from .field import FlowField, GaussianPuff, GridField, puff_concentration
-from .sensing import RigEstimator, SensorRig, design_matrix, estimate
+from .sensing import RigEstimator, SensorRig, design_matrix
 
 
 def _rel_steps(puff: GaussianPuff, t: float):
@@ -177,11 +177,12 @@ def check_affine_gradient(seed: int = 7):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for rig in _rigs_for_checks():
+        estimator = RigEstimator.for_offsets(rig.offsets)
         for _ in range(50):
             g = rng.uniform(-5, 5, size=2)
             c0 = rng.uniform(1, 100)
             readings = rig.offsets @ g + c0
-            est = estimate(rig.offsets, readings)
+            est = estimator.estimate(readings, 0.0)
             denom = max(1.0, float(np.abs(g).max()))
             worst = max(worst, float(np.abs(est.grad - g).max()) / denom)
     return worst <= 1e-9, f"max relative gradient error {worst:.3e} (limit 1e-9)"
@@ -190,12 +191,12 @@ def check_affine_gradient(seed: int = 7):
 def check_mean_and_zero_sum(seed: int = 8):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    rig = SensorRig.cross()
+    estimator = RigEstimator.for_offsets(SensorRig.cross().offsets)
     for _ in range(500):
         readings = rng.uniform(0, 100, size=4)
         mean = readings.mean()
         y = readings - mean
-        est = estimate(rig.offsets, readings)
+        est = estimator.estimate(readings, 0.0)
         if est.c_hat != mean:
             return False, "c_hat differs from the arithmetic mean"
         worst = max(worst, abs(float(y.sum())) / max(1.0, mean))
@@ -210,11 +211,11 @@ def check_trace_blindness(n: int = 1000, seed: int = 9):
     for theta in (0.3, 1.9):
         rigs.append(SensorRig(sensing.world_positions(
             SensorRig.cross(0.9), vessel.VesselState(0.0, 0.0, theta))))
+    estimators = [RigEstimator.for_offsets(rig.offsets) for rig in rigs]
     worst = 0.0
     for i in range(n):
-        rig = rigs[i % len(rigs)]
         readings = rng.uniform(0, 200, size=4)
-        est = estimate(rig.offsets, readings)
+        est = estimators[i % len(rigs)].estimate(readings, 0.0)
         worst = max(worst, abs(est.lap) / max(1.0, readings.max()))
     return worst <= 1e-10, f"max |trace|/scale = {worst:.3e} (limit 1e-10)"
 
@@ -222,7 +223,7 @@ def check_trace_blindness(n: int = 1000, seed: int = 9):
 def check_degenerate_stencil():
     positions = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1e-9], [0.0, -1e-9]])
     try:
-        estimate(positions, np.array([1.0, 2.0, 3.0, 4.0]))
+        RigEstimator.for_offsets(positions)
     except sensing.DegenerateStencilError:
         return True, "near-collinear stencil rejected"
     return False, "near-collinear stencil was not rejected"
@@ -230,8 +231,9 @@ def check_degenerate_stencil():
 
 def check_pseudoinverse_agreement(seed: int = 10):
     """The explicit B^T (B B^T)^-1 y against the estimator at random poses:
-    grad and lap of ``estimate`` and of the per-rig estimator, and the
-    per-rig pinv(B_body) y in body axes, off-trace Hessian included."""
+    grad and lap of the estimator of the world positions at heading 0 and
+    of the rig's at its heading, and the rig's pinv(B_body) y in body
+    axes, off-trace Hessian included."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for rig in _rigs_for_checks():
@@ -248,7 +250,8 @@ def check_pseudoinverse_agreement(seed: int = 10):
             body = B_body.T @ np.linalg.solve(B_body @ B_body.T, y)
             want = np.r_[explicit[:2], explicit[2] + explicit[5]]
             errors = [np.r_[est.grad, est.lap] - want
-                      for est in (estimate(positions, readings),
+                      for est in (RigEstimator.for_offsets(positions)
+                                  .estimate(readings, 0.0),
                                   per_rig.estimate(readings, state.heading))]
             errors.append(per_rig.pinv @ y - body)
             scale = max(1.0, float(np.abs(explicit).max()))

@@ -21,7 +21,7 @@ from plumetrack import guidance as G
 from plumetrack import simulator as SIM
 from plumetrack.field import FlowField, GaussianPuff, GridField
 from plumetrack.scenario_io import load_raw, load_scenario, scenario_from_dict
-from plumetrack.sensing import DegenerateStencilError, SensorRig, estimate
+from plumetrack.sensing import DegenerateStencilError, RigEstimator, SensorRig
 from plumetrack.validate import (check_affine_gradient, check_grid_vs_puff,
                                  check_pde_residual, check_puff_derivatives,
                                  pde_residual)
@@ -104,9 +104,10 @@ def test_a3_estimator_oracles():
         c, s = math.cos(theta), math.sin(theta)
         rig = SensorRig(SensorRig.cross(0.75).offsets @
                         np.array([[c, -s], [s, c]]).T)
-        readings = np.array([g @ d + 0.5 * d @ H @ d for d in rig.offsets]) \
+        readings = np.array([g @ d + 0.5 * d @ H @ d
+                             for d in np.array(rig.offsets)]) \
             + rng.uniform(1, 100)
-        est = estimate(rig.offsets, readings)
+        est = RigEstimator.for_offsets(rig.offsets).estimate(readings, 0.0)
         scale = max(1.0, float(np.abs(g).max()))
         worst_q = max(worst_q, float(np.abs(est.grad - g).max()) / scale)
     assert worst_q < 1e-9
@@ -116,7 +117,7 @@ def test_a3_estimator_oracles():
     pos = SensorRig.cross().offsets
     for _ in range(500):
         readings = rng.uniform(0, 1000, 4)
-        est = estimate(pos, readings)
+        est = RigEstimator.for_offsets(pos).estimate(readings, 0.0)
         assert est.c_hat == readings.mean()
         worst_sum = max(worst_sum,
                         abs(float((readings - est.c_hat).sum()))
@@ -133,14 +134,14 @@ def test_a3_estimator_oracles():
     for i in range(1000):
         rig = rigs[i % len(rigs)]
         readings = rng.uniform(0, 200, 4)
-        est = estimate(rig.offsets, readings)
+        est = RigEstimator.for_offsets(rig.offsets).estimate(readings, 0.0)
         worst_tr = max(worst_tr, abs(est.lap) / max(1.0, readings.max()))
     assert worst_tr <= 1e-10
 
     # degenerate stencil raises for collinear sensors
     coll = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1e-9], [0.0, -1e-9]])
     with pytest.raises(DegenerateStencilError):
-        estimate(coll, np.array([1.0, 2, 3, 4]))
+        RigEstimator.for_offsets(coll).estimate(np.array([1.0, 2, 3, 4]), 0.0)
 
     elapsed = time.time() - t0
     assert elapsed < 5.0

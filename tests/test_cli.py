@@ -374,6 +374,18 @@ class TestSweepCommand:
         assert (out / "sweep_summary.csv").read_bytes() == \
             (serial / "sweep_summary.csv").read_bytes()
 
+    def test_sweep_without_sched_getaffinity(self, tmp_path, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        sc = write_scenario(tmp_path, dict(SHORT_SCENARIO, duration=0.5))
+        sweep = ["sweep", str(sc), "--set", "seed=1,2"]
+        assert main(sweep + ["--out", str(tmp_path / "ref")]) == 0
+        want = (tmp_path / "ref" / "sweep_summary.csv").read_bytes()
+        monkeypatch.delattr(CLI.os, "sched_getaffinity")
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(sweep + ["--out", str(out), "--jobs", jobs]) == 0
+            assert (out / "sweep_summary.csv").read_bytes() == want
+
     def test_unknown_path_rejected(self, tmp_path):
         sc = write_scenario(tmp_path, SHORT_SCENARIO)
         proc = cli("sweep", str(sc), "--set", "gains.bogus=1,2",

@@ -838,6 +838,15 @@ class TestGrid:
     def make_grid(self, conc, v=(0.0, 0.0), k=0.5, boundary="periodic", h=1.0):
         return GridField((0.0, 0.0), h, conc, k, FlowField.uniform(v), boundary)
 
+    def test_origin_is_a_read_only_float_pair(self):
+        # a write to the origin can no longer move where the grid samples
+        g = GridField(np.array([-3, 2]), 0.5, np.ones((8, 8)), 0.1, STILL)
+        with pytest.raises(TypeError):
+            g.origin[0] = 7.0
+        assert g.origin == (-3.0, 2.0)
+        assert list(map(type, g.origin)) == [float] * 2
+        assert g.eval_many([(-1.0, 4.0)], 0.0) == [1.0]
+
     def test_uniform_field_unchanged(self):
         g = self.make_grid(np.full((8, 8), 3.0), v=(0.4, -0.2))
         g2 = g.step(g.max_stable_dt())
@@ -976,8 +985,8 @@ class TestGrid:
         h, shape = 0.37, np.array([24, 31])
         g = GridField((-3.0, 2.0), h, rng.uniform(0, 50, shape), 0.2, STILL)
         # every point whose cell and difference ring lie inside
-        lo = g.origin + 1.5 * h
-        hi = g.origin + (shape - 1.5) * h - 1e-9
+        lo = np.array(g.origin) + 1.5 * h
+        hi = np.array(g.origin) + (shape - 1.5) * h - 1e-9
         pts = rng.uniform(lo, hi, (1500, 2))
         ref = [point_sample(g, p) for p in pts]
         assert np.array_equal(g.eval_many(pts, 0.0), ref)
@@ -1117,7 +1126,8 @@ class TestPointInput:
         rng = np.random.default_rng(31)
         g = GridField((-3.0, 2.0), 0.37, rng.uniform(0, 50, (24, 31)), 0.2,
                       STILL)
-        pts = rng.uniform(g.origin + 0.6, g.origin + 7.5, (40, 2))
+        x0 = np.array(g.origin)
+        pts = rng.uniform(x0 + 0.6, x0 + 7.5, (40, 2))
         assert len(self.assert_same(g, pts, 0.0)) == 40
         self.assert_same(g, pts[0], 0.0)
         assert self.assert_same(g, np.empty((0, 2)), 0.0) == []

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import re
 from dataclasses import MISSING, fields
 
@@ -174,6 +175,15 @@ class TestSchema:
         assert sc.field0.diffusion == 0.03
         assert len(sc.field0.seed_puffs) == 1
 
+    def test_case1_scenario_compares_hashes_and_pickles_by_value(
+            self, case1_doc):
+        # the sweep's process pool pickles each scenario it runs
+        a, b = (scenario_from_dict(json.loads(json.dumps(case1_doc)))
+                for _ in range(2))
+        assert a == b and hash(a) == hash(b)
+        copied = pickle.loads(pickle.dumps(a))
+        assert copied == a and hash(copied) == hash(a)
+
     def test_grid_field_and_init_time(self):
         d = doc()
         d["field"] = {
@@ -185,7 +195,7 @@ class TestSchema:
         d["vessel"]["start_pose"] = [0.0, 0.0, 0.0]
         sc = scenario_from_dict(d)
         assert isinstance(sc.field0, GridField)
-        assert sc.field0.shape == (20, 20)
+        assert sc.field0.conc.shape == (20, 20)
 
     def test_grid_init_puff_must_predate_start(self):
         d = doc()

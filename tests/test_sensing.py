@@ -8,7 +8,7 @@ import pytest
 
 from plumetrack.sensing import (
     DegenerateStencilError, NoiseModel, RigEstimator, SensorRig, design_matrix,
-    estimate, world_positions)
+    world_positions)
 from plumetrack.vessel import VesselState
 
 
@@ -27,7 +27,7 @@ def quad_field(g, H, c0):
 def rotated(rig: SensorRig, theta: float) -> SensorRig:
     c, s = math.cos(theta), math.sin(theta)
     rot = np.array([[c, -s], [s, c]])
-    return SensorRig(rig.offsets @ rot.T)
+    return SensorRig(np.array(rig.offsets) @ rot.T)
 
 
 def brute_force_quadratic_fit(f, x_r, span=1.0, n=7):
@@ -56,7 +56,7 @@ class TestWorldPositions:
     def test_translation(self):
         rig = SensorRig.cross(0.75)
         wp = world_positions(rig, VesselState(5, 5, 0))
-        assert np.allclose(wp, rig.offsets + [5, 5])
+        assert np.allclose(wp, np.array(rig.offsets) + [5, 5])
 
 
 class TestRigValidation:
@@ -73,18 +73,28 @@ class TestRigValidation:
             SensorRig(np.array([[1, 0], [-1, 0], [0.5, 0], [-0.5, 0]]))
 
     def test_offsets_are_the_rigs_read_only_copy(self):
-        with pytest.raises(ValueError):
-            SensorRig.cross().offsets[0, 0] = 1.5
+        with pytest.raises(TypeError):
+            SensorRig.cross().offsets[0][0] = 1.5
         # writing into the caller's array leaves the rig as it was built
-        given = SensorRig.cross().offsets.copy()
+        given = np.array(SensorRig.cross().offsets)
         rig = SensorRig(given)
         given[0, 0], given[1, 0] = 1.5, -1.5
         stock, pose = SensorRig.cross(), VesselState(0.0, 0.0, 0.0)
-        assert rig.offsets.tolist() == stock.offsets.tolist()
+        assert rig == stock
         assert world_positions(rig, pose) == world_positions(stock, pose)
         for copied in (copy.deepcopy(stock), pickle.loads(pickle.dumps(stock))):
-            with pytest.raises(ValueError):
-                copied.offsets[0, 0] = 1.5
+            assert copied == stock and hash(copied) == hash(stock)
+            with pytest.raises(TypeError):
+                copied.offsets[0][0] = 1.5
+
+    def test_equal_rigs_compare_and_hash_equal(self):
+        a, b = SensorRig.cross(), SensorRig([[0.75, 0], [-0.75, 0],
+                                             [0, 0.75], [0, -0.75]])
+        assert a == b and hash(a) == hash(b)
+        assert a != SensorRig.uneven_cross()
+        assert a.offsets == ((0.75, 0.0), (-0.75, 0.0), (0.0, 0.75),
+                             (0.0, -0.75))
+        assert all(type(v) is float for pair in b.offsets for v in pair)
 
 
 RNG = np.random.default_rng
@@ -173,7 +183,7 @@ class TestEstimator:
         pos = np.asarray(world_positions(rig, VesselState(0, 0, 0)))
         readings = 2 * pos[:, 0] + 3 * pos[:, 1] + 5
         assert np.allclose(readings, [6.0, 4.0, 6.5, 3.5])
-        est = estimate(pos, readings)
+        est = RigEstimator.for_offsets(pos).estimate(readings, 0.0)
         assert est.c_hat == pytest.approx(5.0)
         assert np.allclose(est.grad, [2.0, 3.0], atol=1e-12)
         assert est.lap == pytest.approx(0.0, abs=1e-12)
@@ -185,7 +195,7 @@ class TestEstimator:
         B = design_matrix(pos)
         y = readings - readings.mean()
         gamma = B.T @ np.linalg.solve(B @ B.T, y)
-        est = estimate(pos, readings)
+        est = RigEstimator.for_offsets(pos).estimate(readings, 0.0)
         assert np.allclose(np.concatenate([est.grad, [est.lap]]),
                            [*gamma[:2], gamma[2] + gamma[5]], atol=1e-12)
         # at heading 0 the body frame is the world frame
@@ -194,7 +204,7 @@ class TestEstimator:
 
     def test_constant_field(self):
         pos = SensorRig.cross().offsets
-        est = estimate(pos, np.full(4, 7.0))
+        est = RigEstimator.for_offsets(pos).estimate(np.full(4, 7.0), 0.0)
         assert est.c_hat == 7.0
         assert np.all(np.asarray(est.grad) == 0.0)
         assert est.lap == 0.0
@@ -202,10 +212,10 @@ class TestEstimator:
     def test_quadratic_bowl_trace_blind(self):
         # c = x^2 + y^2 on the unit cross: all readings 1, so the
         # mean-referenced system sees nothing (true Laplacian is 4)
-        pos = SensorRig.cross(1.0).offsets
+        pos = np.array(SensorRig.cross(1.0).offsets)
         readings = pos[:, 0] ** 2 + pos[:, 1] ** 2
         assert np.all(readings == 1.0)
-        est = estimate(pos, readings)
+        est = RigEstimator.for_offsets(pos).estimate(readings, 0.0)
         assert np.allclose(est.grad, 0.0, atol=1e-14)
         assert est.lap == pytest.approx(0.0, abs=1e-14)
 
@@ -217,8 +227,9 @@ class TestEstimator:
         for rig in rigs:
             for _ in range(20):
                 g = rng.uniform(-5, 5, 2)
-                readings = rig.offsets @ g + rng.uniform(1, 100)
-                est = estimate(rig.offsets, readings)
+                readings = np.array(rig.offsets) @ g + rng.uniform(1, 100)
+                est = RigEstimator.for_offsets(rig.offsets).estimate(
+                    readings, 0.0)
                 scale = max(1.0, np.abs(g).max())
                 assert np.abs(est.grad - g).max() / scale < 1e-9
 
@@ -227,7 +238,7 @@ class TestEstimator:
         pos = SensorRig.cross().offsets
         for _ in range(100):
             readings = rng.uniform(0, 1000, 4)
-            est = estimate(pos, readings)
+            est = RigEstimator.for_offsets(pos).estimate(readings, 0.0)
             assert est.c_hat == readings.mean()
             y = readings - est.c_hat
             assert abs(y.sum()) <= 1e-12 * max(1.0, readings.max())
@@ -238,7 +249,7 @@ class TestEstimator:
         for i in range(200):
             rig = rigs[i % 2]
             readings = rng.uniform(0, 200, 4)
-            est = estimate(rig.offsets, readings)
+            est = RigEstimator.for_offsets(rig.offsets).estimate(readings, 0.0)
             assert abs(est.lap) <= 1e-10 * max(1.0, readings.max())
 
     def test_uneven_cross_sees_nonzero_trace(self):
@@ -246,8 +257,8 @@ class TestEstimator:
         # solution gives trace (y1+y2)/d1^2 + (y3+y4)/d2^2
         d1, d2 = 0.75, 0.45
         rig = SensorRig.uneven_cross(d1, d2)
-        readings = rig.offsets[:, 0] ** 2
-        est = estimate(rig.offsets, readings)
+        readings = np.array(rig.offsets)[:, 0] ** 2
+        est = RigEstimator.for_offsets(rig.offsets).estimate(readings, 0.0)
         y = readings - readings.mean()
         expected = (y[0] + y[1]) / d1 ** 2 + (y[2] + y[3]) / d2 ** 2
         assert est.lap == pytest.approx(expected, rel=1e-12)
@@ -262,8 +273,8 @@ class TestEstimator:
             f = quad_field(g, H, rng.uniform(10, 80))
             x_r = rng.uniform(-5, 5, 2)
             rig = rotated(SensorRig.cross(0.75), rng.uniform(0, math.pi))
-            pos = rig.offsets + x_r
-            est = estimate(pos, f(pos))
+            pos = np.array(rig.offsets) + x_r
+            est = RigEstimator.for_offsets(pos).estimate(f(pos), 0.0)
             true_grad = g + np.asarray(H) @ x_r
             oracle = brute_force_quadratic_fit(f, x_r)
             assert np.abs(oracle - true_grad).max() < 1e-8
@@ -277,17 +288,19 @@ class TestEstimator:
         f = quad_field(g, H, 30.0)
         x_r = np.array([2.0, -1.0])
         base = SensorRig.cross(0.75)
-        est0 = estimate(base.offsets + x_r, f(base.offsets + x_r))
+        pos = np.array(base.offsets) + x_r
+        est0 = RigEstimator.for_offsets(pos).estimate(f(pos), 0.0)
         for alpha in rng.uniform(0, 2 * math.pi, 5):
-            rig = rotated(base, alpha)
-            est = estimate(rig.offsets + x_r, f(rig.offsets + x_r))
+            pos = np.array(rotated(base, alpha).offsets) + x_r
+            est = RigEstimator.for_offsets(pos).estimate(f(pos), 0.0)
             assert np.abs(np.asarray(est.grad)
                           - np.asarray(est0.grad)).max() < 1e-9
 
     def test_degenerate_stencil_raises(self):
         pos = np.array([[1.0, 0], [-1.0, 0], [0.0, 1e-8], [0.0, -1e-8]])
         with pytest.raises(DegenerateStencilError):
-            estimate(pos, np.array([1.0, 2.0, 3.0, 4.0]))
+            RigEstimator.for_offsets(pos).estimate(
+                np.array([1.0, 2.0, 3.0, 4.0]), 0.0)
 
 
 class TestRigEstimator:
@@ -300,7 +313,8 @@ class TestRigEstimator:
                 state = VesselState(*rng.uniform(-50, 50, 2), theta)
                 readings = rng.uniform(0, 100, 4)
                 positions = world_positions(rig, state)
-                ref = estimate(positions, readings)
+                ref = RigEstimator.for_offsets(positions).estimate(
+                    readings, 0.0)
                 est = per_rig.estimate(readings, theta)
                 want = np.concatenate([ref.grad, [ref.lap]])
                 got = np.concatenate([est.grad, [est.lap]])

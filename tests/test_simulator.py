@@ -146,10 +146,11 @@ class TestRun:
 
         def inside(state):
             # the cell and central-difference ring rule, per sensor
-            u = ((world_positions(sc.rig, state) - grid.origin)
+            u = ((np.array(world_positions(sc.rig, state)) - grid.origin)
                  / grid.cell_size - 0.5)
             node = np.floor(u)
-            return bool(((node >= 1) & (node <= np.array(grid.shape) - 3)).all())
+            return bool(((node >= 1)
+                         & (node <= np.array(grid.conc.shape) - 3)).all())
 
         assert all(inside(VesselState(*pose)) for pose in log.pose)
         last = VesselState(*log.pose[-1])
