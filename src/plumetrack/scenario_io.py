@@ -41,13 +41,13 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 
 from .field import (HORIZON, FlowField, FrozenGaussian, GaussianPuff,
-                    GridField, PuffPlume)
+                    GridField, PuffPlume, stable_dt)
 from .guidance import GuidanceGains, SIGN_MODES, SIGN_PDE
 from .sensing import NoiseModel, SensorRig
 from .simulator import (MAX_STEPS, Scenario, TRACKED_POINTS,
@@ -239,8 +239,8 @@ def _check_grid_substeps(sc: Scenario, path: str):
     underflowed) is too many."""
     grid = sc.field0
     fastest = max(grid.flow.velocities, key=lambda v: abs(v[0]) + abs(v[1]))
-    dt = min(sc.physics_substep, replace(
-        grid, flow=FlowField.uniform(fastest)).max_stable_dt())
+    dt = min(sc.physics_substep,
+             stable_dt(fastest, grid.cell_size, grid.diffusion))
     per_step = sc.control_period / dt if dt > 0 else math.inf
     steps = expected_records(sc.duration, sc.control_period) - 1
     if steps * math.ceil(min(per_step, MAX_STEPS + 1)) > MAX_STEPS:

@@ -948,6 +948,48 @@ class TestGrid:
         assert not np.shares_memory(g1.conc, g2.conc)
         assert np.array_equal(g2.conc, g.step(dt).step(dt).conc)
 
+    def test_cells_and_work_buffers_are_cache_line_aligned(self):
+        def aligned(a):
+            return a.ctypes.data % 64 == 0
+
+        rng = np.random.default_rng(26)
+        for conc in (rng.uniform(0, 5, (12, 9)),
+                     np.asfortranarray(rng.uniform(0, 5, (7, 11))),
+                     rng.uniform(0, 5, (40, 40))[1:-1, 3:]):
+            g = self.make_grid(conc, v=(0.3, -0.2))
+            assert aligned(g.conc) and g.conc.flags.c_contiguous
+            for _ in range(5):
+                g = g.step(g.max_stable_dt())
+                assert aligned(g.conc) and all(map(aligned, g._scratch))
+        p = GaussianPuff(-2.0, (5.0, 5.0), 40.0, 1.0)
+        assert aligned(GridField.from_puff(p, STILL, 0.0, (0, 0), 0.5,
+                                           (20, 20)).conc)
+
+    def test_cells_are_a_read_only_copy(self):
+        conc = np.ones((8, 8))
+        g = self.make_grid(conc)
+        pts = [(4.2, 3.3), (5.0, 5.0)]
+        before = g.eval_many(pts, 0.0)
+        conc[:] = 7.0
+        assert g.eval_many(pts, 0.0) == before
+        stepped = g.step(0.1)
+        for cells in (g.conc, stepped.conc):
+            with pytest.raises(ValueError):
+                cells[0, 0] = 1.0
+
+    @pytest.mark.parametrize("boundary", ["outflow", "periodic"])
+    def test_stepped_field_equals_a_constructed_one(self, boundary):
+        rng = np.random.default_rng(27)
+        g = GridField((0.5, -1.0), 0.25, rng.uniform(0, 5, (12, 9)), 0.4,
+                      FlowField([(0.3, -0.2), (-0.1, 0.4)], (0.05,)),
+                      boundary, time=0.01)
+        for _ in range(3):
+            g = g.step(0.02)
+            built = GridField(g.origin, g.cell_size, g.conc, g.diffusion,
+                              g.flow, g.boundary, time=g.time)
+            assert g == built and hash(g) == hash(built)
+            assert vars(g).keys() == vars(built).keys()
+
     @pytest.mark.parametrize("boundary", ["outflow", "periodic"])
     def test_step_discrete_maximum_principle(self, boundary):
         # at the stable bound each new cell is a convex combination of its

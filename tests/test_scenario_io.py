@@ -2,7 +2,7 @@ import json
 import math
 import pickle
 import re
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -183,6 +183,20 @@ class TestSchema:
         assert a == b and hash(a) == hash(b)
         copied = pickle.loads(pickle.dumps(a))
         assert copied == a and hash(copied) == hash(a)
+
+    def test_grid_scenario_compares_hashes_and_pickles_by_value(self):
+        a, b = (scenario_from_dict(doc(field=GRID)) for _ in range(2))
+        assert a.field0.conc is not b.field0.conc
+        assert a == b and hash(a) == hash(b)
+        copied = pickle.loads(pickle.dumps(a))
+        assert copied == a and hash(copied) == hash(a)
+        # the unpickled grid owns aligned read-only cells too
+        assert copied.field0.conc.ctypes.data % 64 == 0
+        assert not copied.field0.conc.flags.writeable
+        conc = a.field0.conc.copy()
+        conc[5, 7] += 1e-9
+        changed = replace(a, field0=replace(a.field0, conc=conc))
+        assert changed != a and changed.field0 != a.field0
 
     def test_grid_field_and_init_time(self):
         d = doc()
