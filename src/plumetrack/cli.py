@@ -17,6 +17,7 @@ without them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -41,11 +42,18 @@ EXIT_NUMERIC = 4
 log = logging.getLogger("plume")
 
 
-def _atomic_write(path: Path, text: str):
+@contextlib.contextmanager
+def _atomic_write(path: Path):
+    """A text file to write ``path`` through: a temp file beside it that
+    replaces ``path`` when the block ends and is removed if it raises."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _json_value(v):
@@ -73,13 +81,15 @@ def _execute_run(scenario: simulator.Scenario,
         return EXIT_NUMERIC, {}
     log.info("run complete: %d records%s", len(runlog),
              " (truncated)" if runlog.truncated else "")
-    _atomic_write(out_dir / "log.csv", runlog.to_csv())
+    with _atomic_write(out_dir / "log.csv") as fh:
+        runlog.to_csv(fh)
     if len(runlog) >= 2:
         m = dataclasses.asdict(simulator.metrics(runlog, scenario))
         m = {k: _json_value(v) for k, v in m.items()}
     else:
         m = {"truncated": runlog.truncated, "seed": scenario.seed}
-    _atomic_write(out_dir / "metrics.json", json.dumps(m, indent=2) + "\n")
+    with _atomic_write(out_dir / "metrics.json") as fh:
+        fh.write(json.dumps(m, indent=2) + "\n")
     if runlog.truncated:
         # printed, like the exit-2 and exit-4 messages, so that it reaches
         # stderr whatever logging the host has set up
@@ -157,7 +167,8 @@ def cmd_sweep(args) -> int:
                 cells.append(str(v))
         cells.append(str(code))
         lines.append(",".join(cells))
-    _atomic_write(out_root / "sweep_summary.csv", "\n".join(lines) + "\n")
+    with _atomic_write(out_root / "sweep_summary.csv") as fh:
+        fh.write("\n".join(lines) + "\n")
 
     codes = [code for code, _ in results]
     if EXIT_NUMERIC in codes:
@@ -189,7 +200,8 @@ def cmd_plot(args) -> int:
             svg = plotting.trajectory_svg(logdata, source_path)
     except plotting.PlotDataError as exc:
         return _input_error(exc)
-    _atomic_write(Path(args.out), svg)
+    with _atomic_write(Path(args.out)) as fh:
+        fh.write(svg)
     return EXIT_OK
 
 

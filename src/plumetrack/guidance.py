@@ -44,6 +44,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 SIGN_PDE = "pde-derived"
 SIGN_OPPOSED = "advection-opposed"
 # sign of the advection term v . g in the normal feedforward, per convention
@@ -58,6 +60,9 @@ STATUS_DEGENERATE = "degenerate-gradient"
 TRACK_BAND = 0.10
 TRACK_DIST = 1.0
 TRACK_HOLD = 2.0
+
+# Records that a pass over a finished run's log reads at once
+LOG_CHUNK = 256
 
 
 class NonFiniteError(ValueError):
@@ -149,21 +154,27 @@ def status(t, c_hat, z, xhat, grad, gains: GuidanceGains) -> tuple[str, ...]:
     below ``grad_floor`` is "degenerate-gradient" and ends the in-band
     window.  Otherwise promotion to "tracking" is sticky and needs
     |c_hat - c0| < TRACK_BAND c0 and |z - x_hat| < TRACK_DIST to hold
-    for TRACK_HOLD seconds; until then a record is "seeking".
+    for TRACK_HOLD seconds; until then a record is "seeking".  The tests
+    are taken ``LOG_CHUNK`` records at a time by ``np.hypot``, which is
+    C's hypot as in :func:`step`; the window is carried record by record.
     """
     out, window, converged = [], None, False
-    for ti, c, (zx, zy), (xh, yh), (gx, gy) in zip(
-            t.tolist(), c_hat.tolist(), z.tolist(), xhat.tolist(),
-            grad.tolist()):
-        if abs(complex(gx, gy)) < gains.grad_floor:
-            window = None
-            out.append(STATUS_DEGENERATE)
-            continue
-        if (abs(c - gains.c0) < TRACK_BAND * gains.c0
-                and abs(complex(zx - xh, zy - yh)) < TRACK_DIST):
-            window = ti if window is None else window
-            converged = converged or ti - window >= TRACK_HOLD
-        else:
-            window = None
-        out.append(STATUS_TRACKING if converged else STATUS_SEEKING)
+    for a in range(0, len(t), LOG_CHUNK):
+        s = slice(a, a + LOG_CHUNK)
+        degenerate = np.hypot(grad[s, 0], grad[s, 1]) < gains.grad_floor
+        in_band = ((np.abs(c_hat[s] - gains.c0) < TRACK_BAND * gains.c0)
+                   & (np.hypot(z[s, 0] - xhat[s, 0], z[s, 1] - xhat[s, 1])
+                      < TRACK_DIST))
+        for ti, deg, ok in zip(t[s].tolist(), degenerate.tolist(),
+                               in_band.tolist()):
+            if deg:
+                window = None
+                out.append(STATUS_DEGENERATE)
+                continue
+            if ok:
+                window = ti if window is None else window
+                converged = converged or ti - window >= TRACK_HOLD
+            else:
+                window = None
+            out.append(STATUS_TRACKING if converged else STATUS_SEEKING)
     return tuple(out)

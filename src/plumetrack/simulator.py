@@ -14,7 +14,10 @@ log is one table preallocated for floor(duration / dt_c) + 1 records at
 t = 0, dt_c, ...; each control step writes one row, a truncated run keeps
 the rows written, and runs are bit-reproducible for a given seed.  The
 status column is read from the logged columns after the loop, by
-:func:`~plumetrack.guidance.status`.
+:func:`~plumetrack.guidance.status`.  That pass, :meth:`RunLog.to_csv`
+and :func:`metrics` read the table ``LOG_CHUNK`` records at a time, and
+the CSV is written chunk by chunk, so a finished run holds its table (176
+bytes a record) plus one chunk of records.
 
 A vessel that leaves a grid field's sampling domain truncates the run
 (flagged on the log); a degenerate sensor stencil aborts it at the start
@@ -24,6 +27,7 @@ diverged observer by raising :class:`~plumetrack.guidance.NonFiniteError`.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -31,7 +35,7 @@ import numpy as np
 
 from . import guidance, sensing, vessel
 from .field import DomainError
-from .guidance import GuidanceGains
+from .guidance import LOG_CHUNK, GuidanceGains
 from .sensing import NoiseModel, SensorRig
 from .vessel import VesselParams, VesselState
 
@@ -114,19 +118,28 @@ class RunLog:
     def __len__(self) -> int:
         return len(self.t)
 
-    def to_csv(self) -> str:
+    def to_csv(self, fh=None) -> str | None:
         """Fixed-column CSV, floats at 9 significant digits, missing
-        ctrue as an empty field."""
-        floats = np.column_stack((
-            self.t, self.pose, self.z, self.xhat, self.readings, self.chat,
-            self.grad, self.lap, self.u, self.nu, self.omega)).tolist()
-        row = ",".join(["%.9g"] * 20) + ",%s,%s,%s"
-        lines = [",".join(CSV_COLUMNS)]
-        for values, sat, status, ctrue in zip(
-                floats, self.sat.tolist(), self.status, self.ctrue.tolist()):
-            lines.append(row % (*values, "1" if sat else "0", status,
-                                "" if math.isnan(ctrue) else "%.9g" % ctrue))
-        return "\n".join(lines) + "\n"
+        ctrue as an empty field.  The rows are formatted and written
+        ``LOG_CHUNK`` records at a time to the text file ``fh``, so the
+        writer holds one chunk beside the table (176 bytes a record);
+        with no file the joined text is returned."""
+        out = io.StringIO() if fh is None else fh
+        row = ",".join(["%.9g"] * 20) + ",%s,%s,%s\n"
+        out.write(",".join(CSV_COLUMNS) + "\n")
+        for a in range(0, len(self), LOG_CHUNK):
+            s = slice(a, a + LOG_CHUNK)
+            floats = np.column_stack((
+                self.t[s], self.pose[s], self.z[s], self.xhat[s],
+                self.readings[s], self.chat[s], self.grad[s], self.lap[s],
+                self.u[s], self.nu[s], self.omega[s])).tolist()
+            out.write("".join(
+                row % (*values, "1" if sat else "0", status,
+                       "" if math.isnan(ctrue) else "%.9g" % ctrue)
+                for values, sat, status, ctrue in zip(
+                    floats, self.sat[s].tolist(), self.status[s],
+                    self.ctrue[s].tolist())))
+        return out.getvalue() if fh is None else None
 
 
 def expected_records(duration: float, control_period: float) -> int:
@@ -227,11 +240,13 @@ class RunMetrics:
 
 def _winding(points: np.ndarray, center: np.ndarray):
     """(total signed angle, adverse excursion) of a polyline about center.
-    The angles come from ``math.atan2``, as the field's exponentials come
-    from ``math.exp``, so that they do not depend on numpy's SIMD
-    dispatch."""
-    rel = points - center[None, :]
-    ang = np.array([math.atan2(y, x) for x, y in rel.tolist()])
+    The angles come from ``math.atan2``, ``LOG_CHUNK`` points at a time,
+    as the field's exponentials come from ``math.exp``, so that they do
+    not depend on numpy's SIMD dispatch."""
+    ang = np.empty(len(points))
+    for a in range(0, len(points), LOG_CHUNK):
+        rel = points[a:a + LOG_CHUNK] - center[None, :]
+        ang[a:a + LOG_CHUNK] = [math.atan2(y, x) for x, y in rel.tolist()]
     d = np.diff(ang)
     d = (d + math.pi) % (2.0 * math.pi) - math.pi
     if d.size == 0:
@@ -245,22 +260,40 @@ def _winding(points: np.ndarray, center: np.ndarray):
     return total, adverse
 
 
+def _level_set_error(field0, c0: float, t: np.ndarray, z: np.ndarray):
+    """Mean |distance from the centroid - level-set radius| over the
+    records, or None when the field has no closed-form c0 level set at
+    one of their times.  The records are read ``LOG_CHUNK`` at a time."""
+    err = np.empty(len(t))
+    for a in range(0, len(t), LOG_CHUNK):
+        for j, ti, (zx, zy) in zip(range(a, a + LOG_CHUNK),
+                                   t[a:a + LOG_CHUNK].tolist(),
+                                   z[a:a + LOG_CHUNK].tolist()):
+            try:
+                r = field0.level_set_radius(c0, ti)
+            except ValueError:
+                return None
+            if r is None:
+                return None
+            cx, cy = field0.centroid(ti)
+            # abs of a complex is C's hypot, as np.hypot is
+            err[j] = abs(abs(complex(zx - cx, zy - cy)) - r)
+    return float(np.mean(err))
+
+
 def metrics(log: RunLog, scenario: Scenario) -> RunMetrics:
     """Derived summary statistics for a run log."""
     if len(log) < 2:
         raise ValueError("metrics need at least 2 records")
     t = log.t
-    half = t >= t[-1] / 2.0
-    if half.sum() < 2:
-        half = np.zeros(len(t), dtype=bool)
-        half[-2:] = True
+    # t increases, so the final half is the records from ``first`` on
+    first = min(int(np.argmax(t >= t[-1] / 2.0)), len(t) - 2)
 
     c0 = scenario.gains.c0
-    rms = float(np.sqrt(np.mean((log.chat[half] - c0) ** 2)))
+    rms = float(np.sqrt(np.mean((log.chat[first:] - c0) ** 2)))
 
-    zh = log.z[half]
-    dt = np.diff(t[half])
-    speeds = np.linalg.norm(np.diff(zh, axis=0), axis=1) / dt
+    dt = np.diff(t[first:])
+    speeds = np.linalg.norm(np.diff(log.z[first:], axis=0), axis=1) / dt
     mean_speed = float(np.mean(speeds))
     std_speed = float(np.std(speeds))
 
@@ -270,25 +303,12 @@ def metrics(log: RunLog, scenario: Scenario) -> RunMetrics:
             tracking_at = float(t[i])
             break
 
-    start = int(np.argmax(half)) if tracking_at is None else \
+    start = first if tracking_at is None else \
         int(np.argmax(t >= tracking_at))
     field0 = scenario.field0
     center = field0.centroid(float(t[-1]) / 2.0)
     total, adverse = _winding(log.z[start:], center)
     sign = 0 if abs(total) < 1e-6 else (1 if total > 0 else -1)
-
-    ls_err = None
-    try:
-        radii = [field0.level_set_radius(c0, ti) for ti in t[half].tolist()]
-    except ValueError:
-        radii = None
-    if radii is not None and all(r is not None for r in radii):
-        # abs of a complex is C's hypot, as np.hypot is
-        dists = []
-        for (zx, zy), tj in zip(log.z[half].tolist(), t[half].tolist()):
-            cx, cy = field0.centroid(tj)
-            dists.append(abs(complex(zx - cx, zy - cy)))
-        ls_err = float(np.mean(np.abs(np.asarray(dists) - np.asarray(radii))))
 
     return RunMetrics(
         rms_conc_error=rms,
@@ -297,7 +317,8 @@ def metrics(log: RunLog, scenario: Scenario) -> RunMetrics:
         winding_sign=sign,
         winding_angle=total,
         winding_backtrack=adverse,
-        mean_level_set_error=ls_err,
+        mean_level_set_error=_level_set_error(field0, c0, t[first:],
+                                              log.z[first:]),
         saturation_fraction=float(np.mean(log.sat)),
         tracking_reached_at=tracking_at,
         truncated=log.truncated,

@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -421,6 +423,43 @@ class TestFloatChainMatchesMatrixForms:
         assert seen == {G.STATUS_SEEKING, G.STATUS_TRACKING,
                         G.STATUS_DEGENERATE}
 
+    @pytest.mark.parametrize("n", [G.LOG_CHUNK - 1, G.LOG_CHUNK,
+                                   G.LOG_CHUNK + 1, 2 * G.LOG_CHUNK + 1])
+    def test_status_across_a_chunk_edge(self, n):
+        # records up to b are out of band; a window opens at b + 1, is
+        # broken at b + 2 (by the band, the distance or the gradient) and
+        # reopens at b + 3, so for b near a chunk edge it straddles the
+        # edge; at 2 s a record, tracking starts the record after it opens
+        gains = GuidanceGains(c0=50.0, k=1.2, k1=5.0, k2=11.0, v_d=1.5)
+        for edge, b in itertools.product(
+                range(G.LOG_CHUNK, n + 2, G.LOG_CHUNK), range(-6, 2)):
+            b += edge
+            for broken_by in ("band", "distance", "gradient"):
+                t = 2.0 * np.arange(n)
+                c_hat = np.full(n, gains.c0)
+                c_hat[:b + 1] = gains.c0 * (1 + 2 * G.TRACK_BAND)
+                xhat = np.zeros((n, 2))
+                z = np.tile([0.5 * G.TRACK_DIST, 0.0], (n, 1))
+                grad = np.tile([1.0, 1.0], (n, 1))
+                if b + 2 < n:
+                    if broken_by == "band":
+                        c_hat[b + 2] = gains.c0 * (1 - 2 * G.TRACK_BAND)
+                    elif broken_by == "distance":
+                        z[b + 2] = (0.0, 2 * G.TRACK_DIST)
+                    else:
+                        grad[b + 2] = (0.5 * gains.grad_floor, 0.0)
+                want, window, converged = [], None, False
+                for j in range(n):
+                    status, window, converged = matrix_status(
+                        window, converged, gains, z[j], xhat[j], c_hat[j],
+                        grad[j], t[j])
+                    want.append(status)
+                got = G.status(t, c_hat, z, xhat, grad, gains)
+                assert got == tuple(want), (b, broken_by)
+                tracking = [j for j, s in enumerate(got)
+                            if s == G.STATUS_TRACKING]
+                assert tracking == list(range(b + 4, n)), (b, broken_by)
+
 
 class TestLevelSetRadius:
     def test_hundred_to_fifty(self):
@@ -479,6 +518,14 @@ def synthetic_log(z, dt=0.05, c0=50.0, status="tracking"):
         ctrue=np.full(n, c0))
 
 
+def written_csv(log: RunLog, tmp_path) -> bytes:
+    """The bytes that RunLog.to_csv writes to a text file."""
+    path = tmp_path / "written.csv"
+    with open(path, "w") as fh:
+        assert log.to_csv(fh) is None
+    return path.read_bytes()
+
+
 def reference_csv(log: RunLog) -> str:
     """RunLog.to_csv's format written out cell by cell."""
     def f(v) -> str:
@@ -508,7 +555,7 @@ class TestCsv:
                 123456789.123, -2.5e-7)
     STATUSES = (G.STATUS_SEEKING, G.STATUS_TRACKING, G.STATUS_DEGENERATE)
 
-    def test_matches_cell_by_cell_reference(self):
+    def test_matches_cell_by_cell_reference(self, tmp_path):
         rng = np.random.default_rng(11)
         n = 300
 
@@ -531,10 +578,11 @@ class TestCsv:
         assert log.sat.any() and not log.sat.all()
         text = log.to_csv()
         assert text == reference_csv(log)
+        assert written_csv(log, tmp_path) == text.encode()
         for cell in (",-0,", "1e+76", "-1e+76", "1e-300", ",\n"):
             assert cell in text
 
-    def test_run_logs_match_reference(self):
+    def test_run_logs_match_reference(self, tmp_path):
         logs = (run(short_scenario(duration=2.0, noise=NoiseModel(sigma=2.0),
                                    seed=3)),
                 run(scenario_from_dict(dict(GRID_ESCAPE, duration=2.0))),
@@ -542,11 +590,68 @@ class TestCsv:
         assert logs[2].truncated
         for log in logs:
             assert log.to_csv() == reference_csv(log)
+            assert written_csv(log, tmp_path) == log.to_csv().encode()
 
-    def test_zero_rows_is_header_only(self):
+    def test_zero_rows_is_header_only(self, tmp_path):
         log = synthetic_log(np.zeros((0, 2)))
         assert log.to_csv() == reference_csv(log) == \
             ",".join(CSV_COLUMNS) + "\n"
+        assert written_csv(log, tmp_path) == log.to_csv().encode()
+
+
+class TestLogPassMemory:
+    """A pass over a finished run's log reads it ``LOG_CHUNK`` records at a
+    time, so it holds little beyond the table, however long the run."""
+
+    BOUND = 5_000_000               # bytes over the table
+    N = 100_000
+
+    @pytest.fixture(scope="class")
+    def long_log(self):
+        # a slow noisy circle about the origin, tracking from its midpoint
+        rng = np.random.default_rng(23)
+        ang = np.linspace(0.0, 6.0 * math.pi, self.N)
+        z = 10.0 * np.column_stack((np.cos(ang), np.sin(ang)))
+        z += rng.normal(0.0, 0.1, z.shape)
+        half = self.N // 2
+        status = (G.STATUS_SEEKING,) * half + \
+            (G.STATUS_TRACKING,) * (self.N - half)
+        return dataclasses.replace(
+            synthetic_log(z), readings=rng.normal(50.0, 5.0, (self.N, 4)),
+            chat=rng.normal(50.0, 1.0, self.N),
+            grad=rng.normal(0.0, 2.0, (self.N, 2)),
+            u=rng.normal(0.0, 1.0, (self.N, 2)), status=status,
+            ctrue=np.where(rng.random(self.N) < 0.5, math.nan, 50.0))
+
+    @staticmethod
+    def peak(fn) -> int:
+        """The most bytes held at once while fn runs, counting only what
+        is allocated after it starts."""
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_csv_written_to_a_file(self, long_log, tmp_path):
+        path = tmp_path / "log.csv"
+        with open(path, "w") as fh:
+            assert self.peak(lambda: long_log.to_csv(fh)) < self.BOUND
+        assert path.read_bytes().count(b"\n") == self.N + 1
+
+    def test_status(self, long_log):
+        gains = short_scenario().gains
+        assert self.peak(lambda: G.status(
+            long_log.t, long_log.chat, long_log.z, long_log.xhat,
+            long_log.grad, gains)) < self.BOUND
+
+    def test_metrics(self, long_log):
+        sc = short_scenario()           # a Gaussian, so a level-set error
+        m = metrics(long_log, sc)
+        assert m.mean_level_set_error is not None
+        assert m.tracking_reached_at == long_log.t[self.N // 2]
+        assert self.peak(lambda: metrics(long_log, sc)) < self.BOUND
 
 
 class TestMetrics:
@@ -602,12 +707,14 @@ class TestMetrics:
                  for j in np.nonzero(half)[0]]
         return float(np.mean(np.abs(np.asarray(dists) - np.asarray(radii))))
 
-    @pytest.mark.parametrize("plume", ["frozen-gaussian", "single-seed"])
+    @pytest.mark.parametrize("plume", ["frozen-gaussian", "single-seed",
+                                       "frozen-gaussian-60s"])
     def test_level_set_error_bit_equal_to_array_form(self, plume,
                                                      advection_doc):
-        if plume == "frozen-gaussian":
+        if plume.startswith("frozen-gaussian"):
             doc = copy.deepcopy(advection_doc)
-            doc["duration"] = 20.0
+            # the 60 s run's final half is more than two LOG_CHUNKs
+            doc["duration"] = 60.0 if plume.endswith("60s") else 20.0
             sc = scenario_from_dict(doc)
         else:
             # peak 75.6 ppb at age 50 s, so the c0 = 50 curve has a
@@ -622,6 +729,26 @@ class TestMetrics:
         want = self.reference_level_set_error(log, sc)
         assert m.mean_level_set_error is not None
         assert m.mean_level_set_error.hex() == want.hex()
+
+    def test_winding_bit_equal_to_array_form(self):
+        # a noisy two-turn loop with a reversal, several LOG_CHUNKs long,
+        # against the angles of the whole polyline taken at once
+        rng = np.random.default_rng(29)
+        n = 3 * simulator.LOG_CHUNK + 5
+        ang = np.concatenate((np.linspace(0.0, 4.0 * math.pi, n - 100),
+                              np.linspace(4.0 * math.pi, 3.0 * math.pi, 100)))
+        z = np.column_stack((np.cos(ang), np.sin(ang))) * 12.0
+        z += rng.normal(0.0, 0.5, z.shape)
+        center = np.array([0.3, -0.2])
+        rel = z - center[None, :]
+        d = np.diff(np.array([math.atan2(y, x) for x, y in rel.tolist()]))
+        d = (d + math.pi) % (2.0 * math.pi) - math.pi
+        cum = np.concatenate(([0.0], np.cumsum(d)))
+        adverse = float(np.max(np.maximum.accumulate(cum) - cum))
+        assert cum[-1] > 0 and adverse > 2.0
+        total, got_adverse = simulator._winding(z, center)
+        assert (total.hex(), got_adverse.hex()) == \
+            (float(cum[-1]).hex(), adverse.hex())
 
     def test_needs_two_records(self):
         z = np.tile([0.0, 0.0], (1, 1))
