@@ -40,8 +40,9 @@ samples itself at its own ``time`` and ignores t); the gradient and
 divergence the control law needs come from the sensor stencil, not from
 the field.  ``advance(t, max_substep)`` returns the field at time t
 (the analytic fields return themselves), ``centroid(t)`` is the plume
-centre, and ``level_set_radius(c0, t)`` is the radius of a circular
-c = c0 curve or raises ``ValueError`` where there is no closed form.
+centre as an (x, y) float pair, and ``level_set_radius(c0, t)`` is the
+radius of a circular c = c0 curve or raises ``ValueError`` where there
+is no closed form.
 
 The puff plume sums only the puffs that its neighbour list (Verlet,
 1967) keeps; ``PuffPlume._build`` states the bound and why no sum changes.
@@ -464,7 +465,7 @@ class PuffPlume:
             c.append(total)
         return c
 
-    def centroid(self, t: float) -> np.ndarray:
+    def centroid(self, t: float) -> tuple[float, float]:
         """Advected position of the first strongest puff released before
         t (the mound center for seeded plumes, the source trail head
         otherwise); the train's first puff stands for the whole train."""
@@ -473,11 +474,13 @@ class PuffPlume:
         if self.emission_rate != 0 and t > self.start_time and (
                 best is None
                 or self.emission_rate * self.puff_interval > best.strength):
-            return np.add(self.source,
-                          self.flow.displacement(self.start_time, t))
-        if best is None:
-            return np.array(self.source)
-        return np.add(best.point, self.flow.displacement(best.release_time, t))
+            (x, y), t0 = self.source, self.start_time
+        elif best is not None:
+            (x, y), t0 = best.point, best.release_time
+        else:
+            return self.source
+        dx, dy = self.flow.displacement(t0, t)
+        return x + dx, y + dy
 
     def advance(self, t: float, max_substep: float = math.inf) -> "PuffPlume":
         """Closed form: the plume at any time is this same object."""
@@ -533,8 +536,8 @@ class FrozenGaussian:
         dx, dy = self.flow.displacement(t, 0.0)
         return x - dx, y - dy
 
-    def centroid(self, t: float) -> np.ndarray:
-        return np.array(self._centre(t))
+    def centroid(self, t: float) -> tuple[float, float]:
+        return self._centre(t)
 
     def advance(self, t: float, max_substep: float = math.inf) -> "FrozenGaussian":
         """Closed form: the field at any time is this same object."""
@@ -670,7 +673,7 @@ class GridField:
     def mass(self) -> float:
         return float(self.conc.sum() * self.cell_size * self.cell_size)
 
-    def centroid(self, t: float) -> np.ndarray:
+    def centroid(self, t: float) -> tuple[float, float]:
         """Mass centroid of the cells, advected by the flow from
         ``self.time`` to t.  Each moment, the row or column masses times
         the cell centres, is summed on Python floats left to right from
@@ -680,7 +683,7 @@ class GridField:
         ys = self.origin[1] + (np.arange(ny) + 0.5) * self.cell_size
         m = float(self.conc.sum())
         if m <= 0:
-            return np.array(self.origin)
+            return self.origin
         cx = cy = 0.0
         for w, x in zip(self.conc.sum(axis=1).tolist(), xs.tolist()):
             cx += w * x
@@ -688,8 +691,10 @@ class GridField:
             cy += w * y
         cx, cy = cx / m, cy / m
         if t >= self.time:
-            return np.array([cx, cy]) + self.flow.displacement(self.time, t)
-        return np.array([cx, cy]) - self.flow.displacement(t, self.time)
+            dx, dy = self.flow.displacement(self.time, t)
+            return cx + dx, cy + dy
+        dx, dy = self.flow.displacement(t, self.time)
+        return cx - dx, cy - dy
 
     def level_set_radius(self, c0: float, t: float) -> float | None:
         raise ValueError("no closed-form level set for GridField")

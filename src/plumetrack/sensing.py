@@ -3,8 +3,8 @@
 Four point sensors ride at fixed body-frame offsets whose mean is zero, so
 the stencil center coincides with the vessel position.  Readings get a
 Gaussian noise term, a detection floor, and a range clamp emulating a
-fluorometer (``NoiseModel``; the run owns the generator and draws the
-normals in blocks).
+fluorometer (``NoiseModel``; a run with sigma > 0 owns the generator and
+draws the normals in blocks).
 From one synchronized sample the estimator reconstructs the local
 concentration, gradient, and Hessian trace by a second-order Taylor
 expansion solved in the minimum-norm least-squares sense:
@@ -25,8 +25,10 @@ faithfully determined.  The tests pin both behaviors down.
 ``RigEstimator`` is the one solve.  The rig's world-frame design matrix
 is the body-frame one times an orthogonal rotation factor, so pinv(B_body)
 and the condition number of B B^T are computed once, when the run starts
-(a degenerate rig raises ``DegenerateStencilError`` there); pinv is taken
-on Python floats, so no BLAS kernel sets its bits.  Each step
+(a degenerate rig raises ``DegenerateStencilError`` there).  Both are
+taken on Python floats, pinv by Gauss-Jordan elimination and the
+condition number by Jacobi rotations, so no BLAS or LAPACK call sets
+their bits.  Each step
 is four left-to-right 4-term sums on floats (pinv rows 0, 1, 2 and 5)
 and a rotation of the gradient.
 """
@@ -43,6 +45,8 @@ from .vessel import VesselState
 
 # BB^T condition numbers beyond this mean a (nearly) collinear stencil.
 CONDITION_LIMIT = 1e10
+# Jacobi sweeps at most; a 4 x 4 takes about five
+JACOBI_SWEEPS = 50
 
 
 class DegenerateStencilError(ValueError):
@@ -88,9 +92,10 @@ class SensorRig:
 class NoiseModel:
     """Fluorometer noise: Gaussian sigma, detection floor, range clamp.
 
-    Plain configuration: the generator belongs to the run, which seeds it
-    from ``seed`` (None means the run's own seed) and hands each step's
-    standard normals to ``read``.
+    Plain configuration: when sigma > 0 the generator belongs to the run,
+    which seeds it from ``seed`` (None means the run's own seed) and hands
+    each step's standard normals to ``read``; a noise-free run hands it
+    zeros and seeds no generator.
     """
 
     sigma: float = 0.0
@@ -108,9 +113,7 @@ class NoiseModel:
         given one standard normal g_i per sensor.
 
         reading_i = clamp(c_i + sigma * g_i, 0, range_max), then zeroed
-        when below the detection floor; a NaN stays NaN.  A run draws
-        four normals per step, in sensor order, even when sigma is zero
-        (keeps the stream aligned), so runs are bit-reproducible.
+        when below the detection floor; a NaN stays NaN.
         """
         readings = []
         for ci, gi in zip(c, g):
@@ -178,6 +181,52 @@ def _gauss_jordan(rows: list) -> list:
     return [r[n:] for r in rows]
 
 
+def _condition(a: list) -> float:
+    """lambda_max / lambda_min of a finite symmetric positive
+    semi-definite matrix on Python floats, its 2-norm condition number;
+    inf when lambda_min <= 0 or the ratio is not finite.
+
+    Cyclic Jacobi: sweep after sweep, each pair p < q in row order whose
+    a_pq is not negligible beside both a_pp and a_qq is zeroed by the
+    rotation with t = tan(phi) the smaller root of t^2 + 2 theta t = 1,
+    theta = (a_qq - a_pp) / (2 a_pq), in the update form of Press et
+    al., Numerical Recipes, section 11.1, until a sweep rotates nothing;
+    the diagonal is then the spectrum.
+    """
+    n = len(a)
+    a = [list(row) for row in a]
+    for _ in range(JACOBI_SWEEPS):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                g = 100.0 * abs(apq)
+                if (abs(a[p][p]) + g == abs(a[p][p])
+                        and abs(a[q][q]) + g == abs(a[q][q])):
+                    a[p][q] = a[q][p] = 0.0
+                    continue
+                rotated = True
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = math.copysign(1.0 / (abs(theta) + math.hypot(theta, 1.0)),
+                                  theta)
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                tau = s / (1.0 + c)
+                a[p][p] -= t * apq
+                a[q][q] += t * apq
+                a[p][q] = a[q][p] = 0.0
+                for r in range(n):
+                    if r != p and r != q:
+                        g, h = a[r][p], a[r][q]
+                        a[r][p] = a[p][r] = g - s * (h + g * tau)
+                        a[r][q] = a[q][r] = h + s * (g - h * tau)
+        if not rotated:
+            break
+    eig = [a[i][i] for i in range(n)]
+    lo, hi = min(eig), max(eig)
+    return hi / lo if lo > 0 and hi / lo < math.inf else math.inf
+
+
 @dataclass(frozen=True)
 class RigEstimator:
     """The estimator of one rig at any heading, solved once.
@@ -201,14 +250,15 @@ class RigEstimator:
         products left to right (``_dot``), so B B^T is exactly
         symmetric, and Gauss-Jordan elimination of [B B^T | B]
         (``_gauss_jordan``) leaves (B B^T)^-1 B, whose transpose is
-        pinv(B).  The condition number only gates the solve."""
+        pinv(B).  The condition number only gates the solve; it is taken
+        on the same floats by Jacobi rotations (``_condition``), with no
+        LAPACK call."""
         b = design_matrix(offsets).tolist()
         bbt = [[_dot(bi, bk) for bk in b] for bi in b]
-        # a non-finite B B^T has no condition number; LAPACK, asked for
-        # one, prints its complaint on stdout
+        # a non-finite B B^T has no condition number
         finite = all(math.isfinite(v) for row in bbt for v in row)
-        condition = float(np.linalg.cond(np.array(bbt))) if finite else math.inf
-        if not np.isfinite(condition) or condition > CONDITION_LIMIT:
+        condition = _condition(bbt) if finite else math.inf
+        if condition > CONDITION_LIMIT:
             raise DegenerateStencilError(
                 f"stencil condition {condition:.3e} exceeds "
                 f"{CONDITION_LIMIT:.0e} (collinear or coincident sensors)")

@@ -6,10 +6,13 @@ and the head point (the head point gives the ``ctrue`` oracle; a grid
 field has none and is sampled at the sensors only), read the sensors
 through the noise model, reconstruct the local field with the rig's
 estimator, update the level-curve observer, compute the planar control,
-convert it to actuator commands, and integrate the vessel.  The sensor
-normals are drawn ``NOISE_BLOCK`` steps at a time; numpy's stream gives
-the same values in blocks as four at a time.  The loop
-carries only the vessel state, x_hat, the field and the generators.  The
+convert it to actuator commands, and integrate the vessel.  A run seeds
+a sensor generator only when ``noise.sigma`` > 0 and a flow generator
+only when ``flow_noise_sigma`` > 0, so a noise-free run never imports
+``numpy.random``; its sensors read zero normals.  The sensor normals
+are drawn ``NOISE_BLOCK`` steps at a time; numpy's stream gives the same
+values in blocks as four at a time.  Across steps the loop carries only
+the vessel state, x_hat, the field and the generators it seeded.  The
 log is one table preallocated for floor(duration / dt_c) + 1 records at
 t = 0, dt_c, ...; each control step writes one row, a truncated run keeps
 the rows written, and runs are bit-reproducible for a given seed.  The
@@ -150,9 +153,17 @@ def expected_records(duration: float, control_period: float) -> int:
 def run(scenario: Scenario) -> RunLog:
     """Execute one closed-loop run; deterministic for a given seed."""
     sc = scenario
-    sensor_rng = np.random.default_rng(
-        sc.seed if sc.noise.seed is None else sc.noise.seed)
-    flow_rng = np.random.default_rng([sc.seed, 2])
+    # a generator only where its sigma is > 0, so that a noise-free run
+    # never imports numpy.random.  Its sensors read a constant row of
+    # zero normals: c + 0.0 differs from c + 0.0 g only for c = -0.0,
+    # which the floor turns into 0.0 either way
+    normals = [(0.0, 0.0, 0.0, 0.0)] * NOISE_BLOCK
+    sensor_rng = flow_rng = None
+    if sc.noise.sigma > 0:
+        sensor_rng = np.random.default_rng(
+            sc.seed if sc.noise.seed is None else sc.noise.seed)
+    if sc.flow_noise_sigma > 0:
+        flow_rng = np.random.default_rng([sc.seed, 2])
     state = VesselState(sc.start_pose[0], sc.start_pose[1],
                         vessel.normalize_heading(sc.start_pose[2]))
     xhat = state.position
@@ -179,13 +190,13 @@ def run(scenario: Scenario) -> RunLog:
             rows = rows[:i]
             break
         ctrue = c[4] if truth else math.nan
-        if i % NOISE_BLOCK == 0:
+        if sensor_rng is not None and i % NOISE_BLOCK == 0:
             normals = sensor_rng.standard_normal(
                 (min(NOISE_BLOCK, n_steps + 1 - i), 4)).tolist()
         readings = sc.noise.read(c[:4], normals[i % NOISE_BLOCK])
         est = estimator.estimate(readings, state.heading)
         v_r = fieldmodel.flow.at(t)
-        if sc.flow_noise_sigma > 0:
+        if flow_rng is not None:
             gx, gy = flow_rng.standard_normal(2).tolist()
             v_r = [v_r[0] + sc.flow_noise_sigma * gx,
                    v_r[1] + sc.flow_noise_sigma * gy]
@@ -306,7 +317,7 @@ def metrics(log: RunLog, scenario: Scenario) -> RunMetrics:
     start = first if tracking_at is None else \
         int(np.argmax(t >= tracking_at))
     field0 = scenario.field0
-    center = field0.centroid(float(t[-1]) / 2.0)
+    center = np.asarray(field0.centroid(float(t[-1]) / 2.0))
     total, adverse = _winding(log.z[start:], center)
     sign = 0 if abs(total) < 1e-6 else (1 if total > 0 else -1)
 

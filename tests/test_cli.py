@@ -13,6 +13,7 @@ import pytest
 
 from plumetrack import cli as CLI, simulator
 from plumetrack.cli import main
+from plumetrack.scenario_io import set_path
 from plumetrack.simulator import RunMetrics, expected_records
 
 SHORT_SCENARIO = {
@@ -103,18 +104,44 @@ BUNDLED_SHA256 = {
     "pure_advection": ("520b4fa28a7a", "2d301970c193"),
     "uneven_rig_demo": ("2f1bd63596bf", "c880b1474386"),
 }
+# The same for case1 on the paths where a run draws normals, sensor noise
+# (A7's sigma at seed 1) and flow noise: (dotted keys set, sha256 prefixes).
+NOISY_CASE1 = {
+    "sigma": ({"seed": 1, "noise.sigma": 2.0},
+              ("ace68ae158c5", "6f1e440d2fe9")),
+    "flow_noise": ({"flow_noise_sigma": 0.05},
+                   ("522d6ee3f819", "609c74d4238e")),
+}
+pinned_numpy = pytest.mark.skipif(
+    np.__version__ != PINNED_NUMPY,
+    reason=f"the bytes are pinned for numpy {PINNED_NUMPY}, "
+           f"the version CI installs")
 
 
-@pytest.mark.skipif(np.__version__ != PINNED_NUMPY,
-                    reason=f"the bytes are pinned for numpy {PINNED_NUMPY}, "
-                           f"the version CI installs")
+def output_sha256(out: Path) -> tuple:
+    return tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()[:12]
+                 for f in ("log.csv", "metrics.json"))
+
+
+@pinned_numpy
 @pytest.mark.parametrize("name", sorted(BUNDLED_SHA256))
 def test_bundled_outputs_are_pinned(tmp_path, scenarios_dir, name):
     out = tmp_path / name
     assert main(["run", str(scenarios_dir / f"{name}.json"),
                  "--out", str(out)]) == 0
-    assert tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()[:12]
-                 for f in ("log.csv", "metrics.json")) == BUNDLED_SHA256[name]
+    assert output_sha256(out) == BUNDLED_SHA256[name]
+
+
+@pinned_numpy
+@pytest.mark.parametrize("name", sorted(NOISY_CASE1))
+def test_noisy_case1_outputs_are_pinned(tmp_path, case1_doc, name):
+    changes, pinned = NOISY_CASE1[name]
+    doc = json.loads(json.dumps(case1_doc))
+    for key, value in changes.items():
+        set_path(doc, key, value)
+    sc = write_scenario(tmp_path, doc)
+    assert main(["run", str(sc), "--out", str(tmp_path / "out")]) == 0
+    assert output_sha256(tmp_path / "out") == pinned
 
 
 class TestRunCommand:
@@ -131,10 +158,10 @@ class TestRunCommand:
 
     def test_run_imports_no_pool_plots_or_checks(self, tmp_path):
         # the sweep's pool, the plots and the self-checks are imported by
-        # the commands that use them
+        # the commands that use them, and numpy.random by a run with noise
         sc = write_scenario(tmp_path, SHORT_SCENARIO)
         later = ("concurrent.futures.process", "plumetrack.plotting",
-                 "plumetrack.validate")
+                 "plumetrack.validate", "numpy.random")
         code = ("import sys\n"
                 "from plumetrack.cli import main\n"
                 f"assert main(['run', {str(sc)!r}, '--out', "
@@ -216,11 +243,12 @@ class TestRunCommand:
         sc = write_scenario(tmp_path, doc)
         proc = cli("run", str(sc), "--out", str(tmp_path / "o"))
         assert proc.returncode == 4
+        assert proc.stderr.count("\n") == 1
         assert "stencil" in proc.stderr.lower()
 
     def test_overflowing_stencil_exits_4_without_lapack_output(self, tmp_path):
         # B B^T of 1e150 m arms overflows to inf, which has no condition
-        # number; LAPACK, asked for one, writes to the process's stdout
+        # number; the refusal is one stderr line and stdout stays empty
         doc = json.loads(json.dumps(SHORT_SCENARIO))
         doc["rig"] = {"offsets": [[1e150, 0.0], [-1e150, 0.0],
                                   [0.0, 1e150], [0.0, -1e150]]}

@@ -579,13 +579,40 @@ CENTROID_TIMES = (-3.0, -2.0, -1.0, 0.0, 0.3, 0.7, 1.0, 1.2, 2.0, 3.3, 4.0,
                   7.5, 60.0, math.nan)
 
 
+def pair_array(v):
+    """A centroid as an array, once checked to be an (x, y) float pair."""
+    assert type(v) is tuple and len(v) == 2, v
+    assert all(type(x) is float for x in v), v
+    return np.array(v)
+
+
+def array_grid_centroid(g, t):
+    """``GridField.centroid`` as it was computed on arrays: the moments
+    summed on floats, the displacement added as an ndarray."""
+    nx, ny = g.conc.shape
+    m = float(g.conc.sum())
+    if m <= 0:
+        return np.array(g.origin)
+    xs = g.origin[0] + (np.arange(nx) + 0.5) * g.cell_size
+    ys = g.origin[1] + (np.arange(ny) + 0.5) * g.cell_size
+    cx = cy = 0.0
+    for w, x in zip(g.conc.sum(axis=1).tolist(), xs.tolist()):
+        cx += w * x
+    for w, y in zip(g.conc.sum(axis=0).tolist(), ys.tolist()):
+        cy += w * y
+    cx, cy = cx / m, cy / m
+    if t >= g.time:
+        return np.array([cx, cy]) + g.flow.displacement(g.time, t)
+    return np.array([cx, cy]) - g.flow.displacement(t, g.time)
+
+
 class TestCentroid:
     @pytest.mark.parametrize("name", CENTROID_CASES)
     def test_matches_argmax_over_released_puffs(self, name):
         plume = centroid_plume(name)
         for t in CENTROID_TIMES:
             got, want = plume.centroid(t), reference_centroid(plume, t)
-            assert got.shape == (2,) and got.tobytes() == want.tobytes(), t
+            assert pair_array(got).tobytes() == want.tobytes(), t
 
     def test_builds_no_train(self, monkeypatch):
         plume = centroid_plume("train-beats-seeds")
@@ -596,7 +623,22 @@ class TestCentroid:
 
         monkeypatch.setattr(PuffPlume, "_rows", no_rows)
         got = [plume.centroid(t) for t in CENTROID_TIMES]
-        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert [pair_array(g).tobytes() for g in got] == \
+            [w.tobytes() for w in want]
+
+    def test_every_field_gives_a_float_pair_equal_to_the_array_form(self):
+        flow = FlowField([[0.4, -0.1], [0.0, 0.3]], [2.0])
+        blob = FrozenGaussian(10.0, 2.0, (1.5, -0.5), flow)
+        rng = np.random.default_rng(9)
+        grids = (GridField((1.0, -2.0), 0.5, rng.uniform(0, 5, (9, 12)), 0.5,
+                           flow, time=1.5),
+                 GridField((1.0, -2.0), 0.5, np.zeros((9, 12)), 0.5, flow))
+        for t in (-3.0, 0.0, 1.5, 2.0, 7.25):
+            assert pair_array(blob.centroid(t)).tobytes() == \
+                np.array(blob._centre(t)).tobytes()
+            for g in grids:
+                assert pair_array(g.centroid(t)).tobytes() == \
+                    array_grid_centroid(g, t).tobytes()
 
 
 # a sensor cross and a head point about a query centre

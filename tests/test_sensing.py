@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from plumetrack.sensing import (
-    DegenerateStencilError, NoiseModel, RigEstimator, SensorRig, design_matrix,
-    world_positions)
+    DegenerateStencilError, NoiseModel, RigEstimator, SensorRig, _condition,
+    design_matrix, world_positions)
 from plumetrack.vessel import VesselState
 
 
@@ -350,3 +350,47 @@ class TestRigEstimator:
                                   [0.0, -1e-8]]))
         with pytest.raises(DegenerateStencilError):
             RigEstimator.for_offsets(rig.offsets)
+
+    def test_condition_taken_without_lapack(self, monkeypatch):
+        rigs = (SensorRig.cross(), SensorRig.uneven_cross(0.9, 0.2))
+        want = [np.linalg.cond(design_matrix(r.offsets)
+                               @ design_matrix(r.offsets).T) for r in rigs]
+
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+
+        monkeypatch.setattr(np.linalg, "cond", no_lapack)
+        monkeypatch.setattr(np.linalg, "svd", no_lapack)
+        for rig, cond in zip(rigs, want):
+            assert RigEstimator.for_offsets(rig.offsets).condition == \
+                pytest.approx(cond, rel=1e-12)
+        with pytest.raises(DegenerateStencilError):
+            RigEstimator.for_offsets([[1.0, 0], [-1.0, 0], [0.0, 1e-8],
+                                      [0.0, -1e-8]])
+
+
+class TestCondition:
+    def test_diagonal_is_its_ratio(self):
+        assert _condition([[4.0, 0.0], [0.0, 0.5]]) == 8.0
+
+    def test_rotated_diagonal(self):
+        c, s = math.cos(0.3), math.sin(0.3)
+        r = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
+        a = r @ np.diag([9.0, 1.0, 3.0]) @ r.T
+        assert _condition(a.tolist()) == pytest.approx(9.0, rel=1e-14)
+
+    @pytest.mark.parametrize("a", [
+        [[1.0, 1.0], [1.0, 1.0]],                  # singular
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[1.0, 0.0], [0.0, -1e-3]],                # indefinite
+        [[1e308, 0.0], [0.0, 1e-308]]])            # the ratio overflows
+    def test_no_finite_ratio_is_inf(self, a):
+        assert _condition(a) == math.inf
+
+    def test_matches_lapack_on_random_spd(self):
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            m = rng.normal(size=(4, 6)) * rng.uniform(0.1, 10, (1, 6))
+            a = m @ m.T
+            assert _condition(a.tolist()) == pytest.approx(
+                np.linalg.cond(a), rel=1e-9)

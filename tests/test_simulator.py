@@ -847,8 +847,8 @@ def test_range_checks_refuse_nan(make, message):
 class TestCentroid:
     def test_puff_plume_centroid_advects(self, case1_doc):
         sc = scenario_from_dict(copy.deepcopy(case1_doc))
-        c0 = sc.field0.centroid(0.0)
-        c1 = sc.field0.centroid(10.0)
+        c0 = np.asarray(sc.field0.centroid(0.0))
+        c1 = np.asarray(sc.field0.centroid(10.0))
         assert np.allclose(c1 - c0, np.array([0.03, 0.015]) * 10.0)
 
     def test_frozen_gaussian_centroid(self):
