@@ -11,7 +11,11 @@ abort.  All outputs are written atomically (temp file plus rename),
 diagnostics go to stderr (PLUME_LOG=debug|info raises the verbosity),
 data never does.  The process pool, the plots and the self-checks are
 imported by the commands that use them, so that ``plume run`` starts
-without them.
+without them, and numpy is imported by the models that compute on
+arrays when they first do (a grid at load, a puff plume at its first
+neighbour-list build, noise at its first draw), so that an analytic run
+imports none of it.  Each numpy block that can overflow on an extreme
+document keeps numpy quiet itself, so no warning reaches stderr.
 """
 
 from __future__ import annotations
@@ -22,11 +26,10 @@ import dataclasses
 import itertools
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import simulator
 from .guidance import NonFiniteError
@@ -62,11 +65,6 @@ def _json_value(v):
     return float(v)
 
 
-# A diverging observer or a degenerate field value turns non-finite on its
-# way to the control, which guidance reports as one error, and a metric of
-# such a run may overflow; extreme documents overflow while they are
-# validated.  numpy stays quiet in validation and run alike.
-@np.errstate(all="ignore")
 def _execute_run(scenario: simulator.Scenario,
                  out_dir: Path) -> tuple[int, dict]:
     """Run one scenario and write log/metrics.  Returns the exit code and
@@ -100,7 +98,6 @@ def _execute_run(scenario: simulator.Scenario,
     return EXIT_OK, m
 
 
-@np.errstate(all="ignore")
 def cmd_run(args) -> int:
     doc = load_raw(args.scenario)
     if args.seed is not None:
@@ -111,8 +108,9 @@ def cmd_run(args) -> int:
     return _execute_run(scenario, out_dir)[0]
 
 
-@np.errstate(all="ignore")
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ScenarioError(f"--jobs {args.jobs}: expected at least 1")
     doc = load_raw(args.scenario)
     axes = []
     for setting in args.set or []:
@@ -186,7 +184,7 @@ def _input_error(exc: Exception) -> int:
 def cmd_plot(args) -> int:
     from . import plotting
     try:
-        if args.c0 is not None and not np.isfinite(args.c0):
+        if args.c0 is not None and not math.isfinite(args.c0):
             raise plotting.PlotDataError(f"--c0 {args.c0:g} is not finite")
         logdata = plotting.read_log(args.log)
         if args.kind == "concentration-timeseries":
@@ -194,6 +192,7 @@ def cmd_plot(args) -> int:
         else:
             source_path = None
             if args.scenario is not None:
+                import numpy as np
                 scenario = load_scenario(args.scenario)
                 source_path = np.stack([scenario.field0.centroid(float(t))
                                         for t in logdata["t"]])

@@ -54,6 +54,12 @@ left to right in ``_rows`` order (see ``PuffPlume.eval_many``).  A grid
 takes its initial cells from ``math.exp`` too, and its step and sample
 are IEEE-exact numpy passes and float sums, with no BLAS call.
 
+The models check their inputs on floats, so this module imports numpy
+only inside the functions that compute on arrays: the grid's, the puff
+plume's neighbour-list build and its release rows, an array
+``displacement`` and the single-puff point functions.  A frozen Gaussian
+never imports it, and a puff plume at its first neighbour-list build.
+
 Concentration is in ppb, lengths in m, times in s.
 """
 
@@ -63,8 +69,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from typing import NamedTuple
-
-import numpy as np
 
 # A puff whose c is bounded by this (ppb) over every query point is left
 # out of the sum.
@@ -95,12 +99,32 @@ class DomainError(FieldError):
 def _pairs(points):
     """The (x, y) pairs of an ``eval_many`` call: the caller's sequence
     as it is, or an (m, 2) ndarray's rows as float lists."""
-    return points.tolist() if isinstance(points, np.ndarray) else points
+    return points.tolist() if hasattr(points, "tolist") else points
 
 
-def _aligned(n: int) -> np.ndarray:
+def as_pair(pair, message: str) -> tuple[float, float]:
+    """Any 2-sequence as a pair of floats; ValueError(message) when it
+    holds more or fewer than two values."""
+    try:
+        x, y = pair
+    except (TypeError, ValueError):
+        raise ValueError(message) from None
+    return float(x), float(y)
+
+
+def hypot(x: float, y: float) -> float:
+    """C's hypot, as ``np.hypot`` takes it: the abs of a complex, and inf
+    where that raises OverflowError.  (``math.hypot`` rounds otherwise.)"""
+    try:
+        return abs(complex(x, y))
+    except OverflowError:
+        return math.inf
+
+
+def _aligned(n: int):
     """An uninitialised float array of n values that starts on a 64-byte
     boundary: an 8-value-longer array sliced at its aligned offset."""
+    import numpy as np
     buf = np.empty(n + 8)
     k = -buf.ctypes.data % 64 // 8
     return buf[k:k + n]
@@ -124,17 +148,17 @@ class FlowField:
     boundaries: tuple               # n_seg - 1 floats
 
     def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.velocities, dtype=float))
-        b = np.asarray(self.boundaries, dtype=float).ravel()
-        if v.shape != (b.size + 1, 2):
-            raise ValueError("need len(boundaries) + 1 velocity vectors")
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(b))):
+        count = "need len(boundaries) + 1 velocity vectors"
+        vs = tuple(as_pair(v, count) for v in self.velocities)
+        b = tuple(map(float, self.boundaries))
+        if len(vs) != len(b) + 1:
+            raise ValueError(count)
+        if not all(map(math.isfinite, (*b, *(x for v in vs for x in v)))):
             raise ValueError("flow velocities and boundaries must be finite")
-        if b.size and not np.all(np.diff(b) > 0):
+        if not all(lo < hi for lo, hi in zip(b, b[1:])):
             raise ValueError("segment boundaries must be strictly increasing")
-        vs = tuple(map(tuple, v.tolist()))
         object.__setattr__(self, "velocities", vs)
-        object.__setattr__(self, "boundaries", tuple(b.tolist()))
+        object.__setattr__(self, "boundaries", b)
         # each switch's time and velocity jump (jx, jy)
         object.__setattr__(self, "_switches", [
             (bi, nx - px, ny - py)
@@ -169,6 +193,7 @@ class FlowField:
                     dx -= jx * w
                     dy -= jy * w
             return [dx, dy]
+        import numpy as np
         t0 = np.asarray(t0, dtype=float)
         disp = np.multiply.outer(self.at(t1), t1 - t0)
         for b, jx, jy in self._switches:
@@ -200,8 +225,8 @@ class GaussianPuff:
     diffusion: float
 
     def __post_init__(self):
-        object.__setattr__(self, "point", tuple(
-            np.asarray(self.point, dtype=float).reshape(2).tolist()))
+        object.__setattr__(self, "point", as_pair(self.point,
+                                              "puff point must be (x, y)"))
         if not self.strength > 0:
             raise ValueError("puff strength Q must be > 0")
         if not self.diffusion > 0:
@@ -218,21 +243,25 @@ class GaussianPuff:
     def peak(self, t: float) -> float:
         return self.strength / (4.0 * math.pi * self.diffusion * self._age(t))
 
-    def center(self, flow: FlowField, t: float) -> np.ndarray:
+    def center(self, flow: FlowField, t: float):
+        """The advected centre at t, a (2,) array."""
+        import numpy as np
         self._age(t)
         return np.add(self.point, flow.displacement(self.release_time, t))
 
 
 def puff_concentration(puff: GaussianPuff, flow: FlowField, x, t: float) -> float:
     """Exact concentration of a single puff at (x, t)."""
+    import numpy as np
     tau = puff._age(t)
     d = np.asarray(x, dtype=float).reshape(2) - puff.center(flow, t)
     four_kt = 4.0 * puff.diffusion * tau
     return puff.strength / (math.pi * four_kt) * math.exp(-(d @ d) / four_kt)
 
 
-def puff_gradient(puff: GaussianPuff, flow: FlowField, x, t: float) -> np.ndarray:
-    """Exact spatial gradient of a single puff at (x, t)."""
+def puff_gradient(puff: GaussianPuff, flow: FlowField, x, t: float):
+    """Exact spatial gradient of a single puff at (x, t), a (2,) array."""
+    import numpy as np
     tau = t - puff.release_time
     c = puff_concentration(puff, flow, x, t)
     d = np.asarray(x, dtype=float).reshape(2) - puff.center(flow, t)
@@ -241,6 +270,7 @@ def puff_gradient(puff: GaussianPuff, flow: FlowField, x, t: float) -> np.ndarra
 
 def puff_laplacian(puff: GaussianPuff, flow: FlowField, x, t: float) -> float:
     """Exact Laplacian of a single puff at (x, t)."""
+    import numpy as np
     tau = t - puff.release_time
     c = puff_concentration(puff, flow, x, t)
     d = np.asarray(x, dtype=float).reshape(2) - puff.center(flow, t)
@@ -290,8 +320,8 @@ class PuffPlume:
     seed_puffs: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "source", tuple(
-            np.asarray(self.source, dtype=float).reshape(2).tolist()))
+        object.__setattr__(self, "source", as_pair(self.source,
+                                               "source must be (x, y)"))
         if not self.emission_rate >= 0:
             raise ValueError("emission rate must be >= 0")
         if not self.puff_interval > 0:
@@ -301,8 +331,8 @@ class PuffPlume:
         for p in self.seed_puffs:
             if p.diffusion != self.diffusion:
                 raise ValueError("seed puff diffusion must match the plume's")
-        object.__setattr__(self, "_speed", float(
-            np.hypot(*np.transpose(self.flow.velocities)).max()))
+        object.__setattr__(self, "_speed", max(
+            hypot(vx, vy) for vx, vy in self.flow.velocities))
         object.__setattr__(self, "_neighbours", None)
 
     has_analytic_truth = True
@@ -311,6 +341,7 @@ class PuffPlume:
         """(release_times, points (2, n), strengths): every seed puff in
         document order, then the train puffs released before t, train
         puff i at start_time + i * puff_interval."""
+        import numpy as np
         need = 0
         if self.emission_rate != 0 and t > self.start_time:
             # one row past the quotient, so that rounding in it cannot
@@ -388,6 +419,7 @@ class PuffPlume:
         an exp that underflows to a subnormal is slow.  A NaN t keeps
         every puff.
         """
+        import numpy as np
         t0s, pts, qs = self._rows(t + HORIZON)
         radius = rho + SKIN
         k = self.diffusion
@@ -519,8 +551,8 @@ class FrozenGaussian:
     flow: FlowField
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(
-            np.asarray(self.center, dtype=float).reshape(2).tolist()))
+        object.__setattr__(self, "center", as_pair(self.center,
+                                               "center must be (x, y)"))
         if not (self.peak > 0 and self.sigma > 0):
             raise ValueError("peak and sigma must be > 0")
         if self.sigma * self.sigma == 0.0:
@@ -591,15 +623,16 @@ class GridField:
 
     origin: tuple                    # (x, y) floats
     cell_size: float
-    conc: np.ndarray                 # (nx, ny)
+    conc: object                     # (nx, ny) float array
     diffusion: float
     flow: FlowField
     boundary: str = "outflow"
     time: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", tuple(
-            np.asarray(self.origin, dtype=float).reshape(2).tolist()))
+        import numpy as np
+        object.__setattr__(self, "origin", as_pair(self.origin,
+                                               "origin must be (x, y)"))
         c = np.asarray(self.conc, dtype=float)
         if c.ndim != 2 or min(c.shape) < 3:
             raise ValueError("grid must be 2-D with nx, ny >= 3")
@@ -623,6 +656,7 @@ class GridField:
     def __eq__(self, other):
         if type(other) is not GridField:
             return NotImplemented
+        import numpy as np
         return (self._scalars() == other._scalars()
                 and np.array_equal(self.conc, other.conc))
 
@@ -645,10 +679,9 @@ class GridField:
                   origin, cell_size: float, shape, **kwargs):
         """Initialize cell values from the analytic puff at time t.
         Further keywords (``boundary``) go to the constructor."""
+        import numpy as np
         nx, ny = shape
-        x0, y0 = origin = np.asarray(origin, float)
-        xs = x0 + (np.arange(nx) + 0.5) * cell_size
-        ys = y0 + (np.arange(ny) + 0.5) * cell_size
+        x0, y0 = origin = as_pair(origin, "origin must be (x, y)")
         ctr = puff.center(flow, t)
         tau = t - puff.release_time
         four_kt = 4.0 * puff.diffusion * tau
@@ -656,9 +689,11 @@ class GridField:
         if not math.isfinite(peak):
             raise ValueError("puff peak Q/(4 pi k tau) overflows "
                              f"(k={puff.diffusion:g}, tau={tau:g})")
-        # a square that overflows is a cell so far out that its exact
-        # value, exp(-inf) = 0, is what the overflow gives
+        # a centre or a square that overflows is a cell so far out that
+        # its exact value, exp(-inf) = 0, is what the overflow gives
         with np.errstate(over="ignore"):
+            xs = x0 + (np.arange(nx) + 0.5) * cell_size
+            ys = y0 + (np.arange(ny) + 0.5) * cell_size
             r2 = (xs[:, None] - ctr[0]) ** 2 + (ys[None, :] - ctr[1]) ** 2
             arg = -r2 / four_kt
         # math.exp, so the cells do not depend on numpy's SIMD dispatch;
@@ -671,23 +706,27 @@ class GridField:
                    **kwargs)
 
     def mass(self) -> float:
-        return float(self.conc.sum() * self.cell_size * self.cell_size)
+        return float(self.conc.sum()) * self.cell_size * self.cell_size
 
     def centroid(self, t: float) -> tuple[float, float]:
         """Mass centroid of the cells, advected by the flow from
         ``self.time`` to t.  Each moment, the row or column masses times
         the cell centres, is summed on Python floats left to right from
-        0.0, so no BLAS kernel sets its bits."""
+        0.0, so no BLAS kernel sets its bits.  Sums and centres that
+        overflow are inf, without a warning."""
+        import numpy as np
         nx, ny = self.conc.shape
-        xs = self.origin[0] + (np.arange(nx) + 0.5) * self.cell_size
-        ys = self.origin[1] + (np.arange(ny) + 0.5) * self.cell_size
-        m = float(self.conc.sum())
+        with np.errstate(over="ignore"):
+            xs = self.origin[0] + (np.arange(nx) + 0.5) * self.cell_size
+            ys = self.origin[1] + (np.arange(ny) + 0.5) * self.cell_size
+            m = float(self.conc.sum())
+            rows, cols = self.conc.sum(axis=1), self.conc.sum(axis=0)
         if m <= 0:
             return self.origin
         cx = cy = 0.0
-        for w, x in zip(self.conc.sum(axis=1).tolist(), xs.tolist()):
+        for w, x in zip(rows.tolist(), xs.tolist()):
             cx += w * x
-        for w, y in zip(self.conc.sum(axis=0).tolist(), ys.tolist()):
+        for w, y in zip(cols.tolist(), ys.tolist()):
             cy += w * y
         cx, cy = cx / m, cy / m
         if t >= self.time:
@@ -735,6 +774,7 @@ class GridField:
         new cells are read-only once written.  The returned field copies
         this one's attributes but ``conc``, ``time`` and the buffers,
         without the constructor's conversions and checks."""
+        import numpy as np
         if not dt > 0:
             raise ValueError("dt must be > 0")
         v = self.flow.at(self.time)

@@ -44,8 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 SIGN_PDE = "pde-derived"
 SIGN_OPPOSED = "advection-opposed"
 # sign of the advection term v . g in the normal feedforward, per convention
@@ -60,9 +58,6 @@ STATUS_DEGENERATE = "degenerate-gradient"
 TRACK_BAND = 0.10
 TRACK_DIST = 1.0
 TRACK_HOLD = 2.0
-
-# Records that a pass over a finished run's log reads at once
-LOG_CHUNK = 256
 
 
 class NonFiniteError(ValueError):
@@ -146,35 +141,37 @@ def step(xhat, gains: GuidanceGains, mode: str, x_r, driven, c_hat: float,
     return (xh, yh), (ux, uy)
 
 
-def status(t, c_hat, z, xhat, grad, gains: GuidanceGains) -> tuple[str, ...]:
+def status(records, gains: GuidanceGains) -> tuple[str, ...]:
     """The tracking status of each record of a run's log.
 
-    ``t`` and ``c_hat`` are (n,) arrays and ``z``, ``xhat`` and ``grad``
-    (n, 2) arrays, as a RunLog holds them.  A record whose gradient is
-    below ``grad_floor`` is "degenerate-gradient" and ends the in-band
-    window.  Otherwise promotion to "tracking" is sticky and needs
-    |c_hat - c0| < TRACK_BAND c0 and |z - x_hat| < TRACK_DIST to hold
-    for TRACK_HOLD seconds; until then a record is "seeking".  The tests
-    are taken ``LOG_CHUNK`` records at a time by ``np.hypot``, which is
-    C's hypot as in :func:`step`; the window is carried record by record.
+    ``records`` yields one float tuple (t, c_hat, zx, zy, x_hat_x,
+    x_hat_y, gx, gy) per record, in time order.  A record whose gradient
+    is below ``grad_floor`` is "degenerate-gradient" and ends the
+    in-band window.  Otherwise promotion to "tracking" is sticky and
+    needs |c_hat - c0| < TRACK_BAND c0 and |z - x_hat| < TRACK_DIST to
+    hold for TRACK_HOLD seconds; until then a record is "seeking".  The
+    norms are C's hypot, as in :func:`step`.
     """
     out, window, converged = [], None, False
-    for a in range(0, len(t), LOG_CHUNK):
-        s = slice(a, a + LOG_CHUNK)
-        degenerate = np.hypot(grad[s, 0], grad[s, 1]) < gains.grad_floor
-        in_band = ((np.abs(c_hat[s] - gains.c0) < TRACK_BAND * gains.c0)
-                   & (np.hypot(z[s, 0] - xhat[s, 0], z[s, 1] - xhat[s, 1])
-                      < TRACK_DIST))
-        for ti, deg, ok in zip(t[s].tolist(), degenerate.tolist(),
-                               in_band.tolist()):
-            if deg:
-                window = None
-                out.append(STATUS_DEGENERATE)
-                continue
-            if ok:
-                window = ti if window is None else window
-                converged = converged or ti - window >= TRACK_HOLD
-            else:
-                window = None
-            out.append(STATUS_TRACKING if converged else STATUS_SEEKING)
+    band = TRACK_BAND * gains.c0
+    for t, c_hat, zx, zy, xx, xy, gx, gy in records:
+        # abs of a complex is C's hypot, and an overflow is inf to it
+        try:
+            degenerate = abs(complex(gx, gy)) < gains.grad_floor
+        except OverflowError:
+            degenerate = False
+        if degenerate:
+            window = None
+            out.append(STATUS_DEGENERATE)
+            continue
+        try:
+            near = abs(complex(zx - xx, zy - xy)) < TRACK_DIST
+        except OverflowError:
+            near = False
+        if abs(c_hat - gains.c0) < band and near:
+            window = t if window is None else window
+            converged = converged or t - window >= TRACK_HOLD
+        else:
+            window = None
+        out.append(STATUS_TRACKING if converged else STATUS_SEEKING)
     return tuple(out)

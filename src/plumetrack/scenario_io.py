@@ -44,8 +44,6 @@ from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-import numpy as np
-
 from .field import (HORIZON, FlowField, FrozenGaussian, GaussianPuff,
                     GridField, PuffPlume, stable_dt)
 from .guidance import GuidanceGains, SIGN_MODES, SIGN_PDE
@@ -71,7 +69,7 @@ def _fail(path: str, msg: str):
 
 @contextmanager
 def _at(path: str):
-    """Report a model's ValueError (or a value numpy cannot convert) as a
+    """Report a model's ValueError (or a value it cannot convert) as a
     ScenarioError at ``path``."""
     try:
         yield
@@ -140,10 +138,11 @@ def _vec2(d: dict, key: str, path: str):
     return [float(v[0]), float(v[1])]
 
 
-def _array(d: dict, key: str, path: str) -> np.ndarray:
-    """``d[key]``, a list nested to any depth, as a float array; every
-    entry must be a finite number as ``_num`` requires (numpy would also
-    take booleans and numeric strings).  The model checks the shape."""
+def _array(d: dict, key: str, path: str) -> list:
+    """``d[key]``, a list nested to any depth, whose every entry is a
+    finite number as ``_num`` requires (the models' float conversion
+    would also take booleans and numeric strings).  The model checks the
+    shape and converts the numbers."""
     todo = [d[key]]
     while todo:
         v = todo.pop()
@@ -152,7 +151,7 @@ def _array(d: dict, key: str, path: str) -> np.ndarray:
         elif v is d[key] or not _is_num(v):     # a bare number is no array
             _fail(f"{path}.{key}",
                   f"expected an array of finite numbers, got {v!r}")
-    return np.asarray(d[key], dtype=float)
+    return d[key]
 
 
 def _flow(d: dict, key: str, path: str) -> FlowField:

@@ -39,8 +39,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
+from .field import as_pair
 from .vessel import VesselState
 
 # BB^T condition numbers beyond this mean a (nearly) collinear stencil.
@@ -60,32 +59,32 @@ class SensorRig:
     offsets: tuple                   # four (x, y) float pairs
 
     def __post_init__(self):
-        o = np.array(self.offsets, dtype=float)
-        if o.shape != (4, 2):
-            raise ValueError("rig needs exactly 4 sensor offsets")
-        if not np.all(np.isfinite(o)):
+        count = "rig needs exactly 4 sensor offsets"
+        o = tuple(as_pair(p, count) for p in self.offsets)
+        if len(o) != 4:
+            raise ValueError(count)
+        values = [v for pair in o for v in pair]
+        if not all(map(math.isfinite, values)):
             raise ValueError("sensor offsets must be finite")
-        scale = max(1.0, float(np.abs(o).max()))
-        if np.abs(o.mean(axis=0)).max() > 1e-9 * scale:
+        scale = max(1.0, *map(abs, values))
+        mx, my = _mean_point(o)
+        if max(abs(mx), abs(my)) > 1e-9 * scale:
             raise ValueError("sensor offsets must average to (0, 0)")
         # all collinear <=> every pairwise cross product vanishes
-        cross = np.abs(o[:, 0][:, None] * o[:, 1][None, :]
-                       - o[:, 1][:, None] * o[:, 0][None, :])
-        if cross.max() <= 1e-12 * scale * scale:
+        cross = max(abs(xi * yj - yi * xj) for xi, yi in o for xj, yj in o)
+        if cross <= 1e-12 * scale * scale:
             raise ValueError("sensor offsets must not all be collinear")
-        object.__setattr__(self, "offsets", tuple(map(tuple, o.tolist())))
+        object.__setattr__(self, "offsets", o)
 
     @classmethod
     def cross(cls, arm: float = 0.75) -> "SensorRig":
         """Stock layout: one sensor per axis at distance ``arm``."""
-        return cls(np.array([[arm, 0.0], [-arm, 0.0],
-                             [0.0, arm], [0.0, -arm]]))
+        return cls(((arm, 0.0), (-arm, 0.0), (0.0, arm), (0.0, -arm)))
 
     @classmethod
     def uneven_cross(cls, arm_x: float = 0.75, arm_y: float = 0.45) -> "SensorRig":
         """Demo layout with a nonzero (though biased) trace path."""
-        return cls(np.array([[arm_x, 0.0], [-arm_x, 0.0],
-                             [0.0, arm_y], [0.0, -arm_y]]))
+        return cls(((arm_x, 0.0), (-arm_x, 0.0), (0.0, arm_y), (0.0, -arm_y)))
 
 
 @dataclass(frozen=True)
@@ -142,12 +141,28 @@ def world_positions(rig: SensorRig, state: VesselState) -> tuple:
                   for ox, oy in rig.offsets])
 
 
-def design_matrix(positions) -> np.ndarray:
-    """B for the Taylor system about the position mean x_r."""
-    pts = np.asarray(positions, dtype=float)
-    d = pts - pts.mean(axis=0)
-    quad = 0.5 * np.stack([np.outer(di, di).ravel() for di in d])
-    return np.hstack([d, quad])
+def _mean_point(points) -> tuple[float, float]:
+    """The mean (x, y) of a few points, each axis summed in point order
+    from 0.0, as numpy's mean adds fewer than eight terms."""
+    sx = sy = 0.0
+    for x, y in points:
+        sx += x
+        sy += y
+    return sx / len(points), sy / len(points)
+
+
+def design_matrix(positions) -> list:
+    """B for the Taylor system about the position mean x_r, on floats:
+    one row [dx, dy, dx dx / 2, dx dy / 2, dy dx / 2, dy dy / 2] per
+    (x, y) position, d = x_S - x_r."""
+    pts = [(float(x), float(y)) for x, y in positions]
+    mx, my = _mean_point(pts)
+    rows = []
+    for x, y in pts:
+        dx, dy = x - mx, y - my
+        rows.append([dx, dy, 0.5 * (dx * dx), 0.5 * (dx * dy),
+                     0.5 * (dy * dx), 0.5 * (dy * dy)])
+    return rows
 
 
 def _dot(u, v) -> float:
@@ -253,7 +268,7 @@ class RigEstimator:
         pinv(B).  The condition number only gates the solve; it is taken
         on the same floats by Jacobi rotations (``_condition``), with no
         LAPACK call."""
-        b = design_matrix(offsets).tolist()
+        b = design_matrix(offsets)
         bbt = [[_dot(bi, bk) for bk in b] for bi in b]
         # a non-finite B B^T has no condition number
         finite = all(math.isfinite(v) for row in bbt for v in row)

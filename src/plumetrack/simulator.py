@@ -13,14 +13,19 @@ only when ``flow_noise_sigma`` > 0, so a noise-free run never imports
 are drawn ``NOISE_BLOCK`` steps at a time; numpy's stream gives the same
 values in blocks as four at a time.  Across steps the loop carries only
 the vessel state, x_hat, the field and the generators it seeded.  The
-log is one table preallocated for floor(duration / dt_c) + 1 records at
-t = 0, dt_c, ...; each control step writes one row, a truncated run keeps
-the rows written, and runs are bit-reproducible for a given seed.  The
-status column is read from the logged columns after the loop, by
+log is one ``array('d')`` table preallocated for floor(duration / dt_c)
++ 1 records at t = 0, dt_c, ..., 22 doubles (176 bytes) a record; each
+control step packs one record, a truncated run keeps the records
+written, and runs are bit-reproducible for a given seed.  The status
+column is read from the logged columns after the loop, by
 :func:`~plumetrack.guidance.status`.  That pass, :meth:`RunLog.to_csv`
-and :func:`metrics` read the table ``LOG_CHUNK`` records at a time, and
-the CSV is written chunk by chunk, so a finished run holds its table (176
-bytes a record) plus one chunk of records.
+and :func:`metrics` read the table ``LOG_CHUNK`` records at a time on
+Python floats (:func:`records`), and the CSV is written chunk by chunk,
+so a finished run holds its table plus one chunk of records.  The
+metrics' means and deviations are summed in numpy's pairwise order, so
+that they are the floats numpy's would be.  None of this imports numpy:
+a run imports it only for a model that computes on arrays, or to draw
+noise, and ``RunLog``'s column views make it when they are first read.
 
 A vessel that leaves a grid field's sampling domain truncates the run
 (flagged on the log); a degenerate sensor stencil aborts it at the start
@@ -32,13 +37,13 @@ from __future__ import annotations
 
 import io
 import math
+import struct
+from array import array
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import guidance, sensing, vessel
-from .field import DomainError
-from .guidance import LOG_CHUNK, GuidanceGains
+from .field import DomainError, hypot
+from .guidance import GuidanceGains
 from .sensing import NoiseModel, SensorRig
 from .vessel import VesselParams, VesselState
 
@@ -46,12 +51,22 @@ CSV_COLUMNS = ("t", "x", "y", "theta", "zx", "zy", "xhat", "yhat",
                "c1", "c2", "c3", "c4", "chat", "gx", "gy", "lap",
                "ux", "uy", "nu", "omega", "sat", "status", "ctrue")
 
+# The run table's columns: the CSV columns but status, in CSV order, one
+# double each, so 176 bytes a record
+TABLE_COLUMNS = CSV_COLUMNS[:21] + CSV_COLUMNS[22:]
+WIDTH = len(TABLE_COLUMNS)
+_RECORD = struct.Struct(f"{WIDTH}d")
+# the columns that guidance.status reads, in its order
+STATUS_COLUMNS = ("t", "chat", "zx", "zy", "xhat", "yhat", "gx", "gy")
+
 TRACKED_POINTS = ("head", "center")
 
 # The most control steps a run may take; its log is held in memory.
 MAX_STEPS = 1_000_000
 # Control steps whose sensor normals a run draws at once.
 NOISE_BLOCK = 1024
+# Records that a pass over a finished run's log reads at once.
+LOG_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -97,51 +112,89 @@ class Scenario:
             raise ValueError("flow noise sigma must be >= 0")
 
 
+def records(table: array, names, start: int = 0):
+    """The float tuples of columns ``names`` of each record of a run's
+    table, from record ``start`` on, read ``LOG_CHUNK`` records at a
+    time."""
+    cols = [TABLE_COLUMNS.index(name) for name in names]
+    chunk = LOG_CHUNK * WIDTH
+    for a in range(start * WIDTH, len(table), chunk):
+        yield from zip(*[table[a + j:a + chunk:WIDTH].tolist() for j in cols])
+
+
+class _Columns:
+    """A RunLog attribute: a read-only numpy view of table columns, made
+    on first access (``sat`` is compared with 0 into a bool array)."""
+
+    def __init__(self, columns):
+        self.columns = columns
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, log, owner=None):
+        if log is None:
+            return self
+        import numpy as np
+        view = np.frombuffer(log.table).reshape(-1, WIDTH)[:, self.columns]
+        if self.name == "sat":
+            view = view != 0
+        view.flags.writeable = False
+        log.__dict__[self.name] = view
+        return view
+
+
 @dataclass(frozen=True)
 class RunLog:
-    """Per-control-step time series of one run.  A run's arrays are
-    column views of one table in CSV_COLUMNS order (status is a tuple)."""
+    """Per-control-step time series of one run: one ``array('d')`` table
+    of WIDTH doubles per record in TABLE_COLUMNS order, and the status
+    of each record.  The column names below are read-only numpy views of
+    the table, made on first access; the run's own passes read the table
+    on floats with :func:`records`."""
 
-    t: np.ndarray                 # (n,)
-    pose: np.ndarray              # (n, 3): x, y, theta
-    z: np.ndarray                 # (n, 2) head point
-    xhat: np.ndarray              # (n, 2) observer estimate
-    readings: np.ndarray          # (n, 4)
-    chat: np.ndarray              # (n,)
-    grad: np.ndarray              # (n, 2)
-    lap: np.ndarray               # (n,)
-    u: np.ndarray                 # (n, 2)
-    nu: np.ndarray                # (n,)
-    omega: np.ndarray             # (n,)
-    sat: np.ndarray               # (n,) bool
+    table: array
     status: tuple                 # (n,) strings
-    ctrue: np.ndarray             # (n,), NaN when the field has no oracle
     truncated: bool = False
 
+    t = _Columns(0)                       # (n,)
+    pose = _Columns(slice(1, 4))          # (n, 3): x, y, theta
+    z = _Columns(slice(4, 6))             # (n, 2) head point
+    xhat = _Columns(slice(6, 8))          # (n, 2) observer estimate
+    readings = _Columns(slice(8, 12))     # (n, 4)
+    chat = _Columns(12)                   # (n,)
+    grad = _Columns(slice(13, 15))        # (n, 2)
+    lap = _Columns(15)                    # (n,)
+    u = _Columns(slice(16, 18))           # (n, 2)
+    nu = _Columns(18)                     # (n,)
+    omega = _Columns(19)                  # (n,)
+    sat = _Columns(20)                    # (n,) bool
+    ctrue = _Columns(21)                  # (n,), NaN when the field has no oracle
+
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.table) // WIDTH
 
     def to_csv(self, fh=None) -> str | None:
         """Fixed-column CSV, floats at 9 significant digits, missing
         ctrue as an empty field.  The rows are formatted and written
         ``LOG_CHUNK`` records at a time to the text file ``fh``, so the
-        writer holds one chunk beside the table (176 bytes a record);
-        with no file the joined text is returned."""
+        writer holds one chunk beside the table; with no file the joined
+        text is returned.  A chunk is one %-format of its cells, laid out
+        from the table's flat values by strided slices."""
         out = io.StringIO() if fh is None else fh
-        row = ",".join(["%.9g"] * 20) + ",%s,%s,%s\n"
+        row = "%.9g," * 20 + "%s,%s,%s\n"
+        per_row = len(CSV_COLUMNS)
         out.write(",".join(CSV_COLUMNS) + "\n")
         for a in range(0, len(self), LOG_CHUNK):
-            s = slice(a, a + LOG_CHUNK)
-            floats = np.column_stack((
-                self.t[s], self.pose[s], self.z[s], self.xhat[s],
-                self.readings[s], self.chat[s], self.grad[s], self.lap[s],
-                self.u[s], self.nu[s], self.omega[s])).tolist()
-            out.write("".join(
-                row % (*values, "1" if sat else "0", status,
-                       "" if math.isnan(ctrue) else "%.9g" % ctrue)
-                for values, sat, status, ctrue in zip(
-                    floats, self.sat[s].tolist(), self.status[s],
-                    self.ctrue[s].tolist())))
+            flat = self.table[a * WIDTH:(a + LOG_CHUNK) * WIDTH].tolist()
+            rows = len(flat) // WIDTH
+            cells = [None] * (rows * per_row)
+            for j in range(20):
+                cells[j::per_row] = flat[j::WIDTH]
+            cells[20::per_row] = ["1" if s else "0" for s in flat[20::WIDTH]]
+            cells[21::per_row] = self.status[a:a + LOG_CHUNK]
+            cells[22::per_row] = ["" if c != c else "%.9g" % c
+                                  for c in flat[21::WIDTH]]
+            out.write(row * rows % tuple(cells))
         return out.getvalue() if fh is None else None
 
 
@@ -160,9 +213,11 @@ def run(scenario: Scenario) -> RunLog:
     normals = [(0.0, 0.0, 0.0, 0.0)] * NOISE_BLOCK
     sensor_rng = flow_rng = None
     if sc.noise.sigma > 0:
+        import numpy as np
         sensor_rng = np.random.default_rng(
             sc.seed if sc.noise.seed is None else sc.noise.seed)
     if sc.flow_noise_sigma > 0:
+        import numpy as np
         flow_rng = np.random.default_rng([sc.seed, 2])
     state = VesselState(sc.start_pose[0], sc.start_pose[1],
                         vessel.normalize_heading(sc.start_pose[2]))
@@ -172,8 +227,8 @@ def run(scenario: Scenario) -> RunLog:
     n_steps = expected_records(sc.duration, sc.control_period) - 1
     dt = sc.control_period
 
-    # one row per record: the CSV columns but status, in CSV order
-    rows = np.empty((n_steps + 1, len(CSV_COLUMNS) - 1))
+    # WIDTH doubles per record, made without a transient list or bytes
+    table = array("d", [0.0]) * (WIDTH * (n_steps + 1))
     truncated = False
 
     for i in range(n_steps + 1):
@@ -187,7 +242,7 @@ def run(scenario: Scenario) -> RunLog:
             c = fieldmodel.eval_many(points, t)
         except DomainError:
             truncated = True
-            rows = rows[:i]
+            del table[i * WIDTH:]
             break
         ctrue = c[4] if truth else math.nan
         if sensor_rng is not None and i % NOISE_BLOCK == 0:
@@ -206,21 +261,16 @@ def run(scenario: Scenario) -> RunLog:
                                 est.lap, v_r, dt, t)
         cmd, saturated = vessel.to_actuators(u, state.heading, sc.params)
 
-        rows[i] = (t, state.x, state.y, state.heading, *z, *xhat,
-                   *readings, est.c_hat, *est.grad, est.lap, *u, cmd.nu,
-                   cmd.omega, saturated, ctrue)
+        _RECORD.pack_into(table, i * _RECORD.size, t, state.x, state.y,
+                          state.heading, *z, *xhat, *readings, est.c_hat,
+                          *est.grad, est.lap, *u, cmd.nu, cmd.omega,
+                          saturated, ctrue)
 
         if i < n_steps:
             state = vessel.step(state, cmd, dt)
 
-    cols = dict(t=rows[:, 0], pose=rows[:, 1:4], z=rows[:, 4:6],
-                xhat=rows[:, 6:8], readings=rows[:, 8:12], chat=rows[:, 12],
-                grad=rows[:, 13:15], lap=rows[:, 15], u=rows[:, 16:18],
-                nu=rows[:, 18], omega=rows[:, 19], sat=rows[:, 20] != 0,
-                ctrue=rows[:, 21])
-    status = guidance.status(cols["t"], cols["chat"], cols["z"], cols["xhat"],
-                             cols["grad"], sc.gains)
-    return RunLog(**cols, status=status, truncated=truncated)
+    status = guidance.status(records(table, STATUS_COLUMNS), sc.gains)
+    return RunLog(table, status, truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -249,88 +299,141 @@ class RunMetrics:
     seed: int
 
 
-def _winding(points: np.ndarray, center: np.ndarray):
-    """(total signed angle, adverse excursion) of a polyline about center.
-    The angles come from ``math.atan2``, ``LOG_CHUNK`` points at a time,
-    as the field's exponentials come from ``math.exp``, so that they do
-    not depend on numpy's SIMD dispatch."""
-    ang = np.empty(len(points))
-    for a in range(0, len(points), LOG_CHUNK):
-        rel = points[a:a + LOG_CHUNK] - center[None, :]
-        ang[a:a + LOG_CHUNK] = [math.atan2(y, x) for x, y in rel.tolist()]
-    d = np.diff(ang)
-    d = (d + math.pi) % (2.0 * math.pi) - math.pi
-    if d.size == 0:
-        return 0.0, 0.0
-    cum = np.concatenate(([0.0], np.cumsum(d)))
-    total = float(cum[-1])
-    if total >= 0.0:
-        adverse = float(np.max(np.maximum.accumulate(cum) - cum))
-    else:
-        adverse = float(np.max(cum - np.minimum.accumulate(cum)))
-    return total, adverse
+def pairwise_sum(x, lo: int = 0, hi: int | None = None) -> float:
+    """The sum of x[lo:hi] in numpy's pairwise order, so the same float
+    as ``np.add.reduce`` of a contiguous float64 array: fewer than 8
+    terms are added in order from 0.0; up to 128 go to 8 strided
+    accumulators, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7)), and then the remainder in order; more are split at half
+    the count rounded down to a multiple of 8."""
+    hi = len(x) if hi is None else hi
+    n = hi - lo
+    if n < 8:
+        return _in_order(0.0, x[lo:hi])
+    if n <= 128:
+        m = hi - n % 8
+        r = [_in_order(0.0, x[lo + j:m:8]) for j in range(8)]
+        return _in_order(((r[0] + r[1]) + (r[2] + r[3]))
+                         + ((r[4] + r[5]) + (r[6] + r[7])), x[m:hi])
+    half = n // 2 - n // 2 % 8
+    return pairwise_sum(x, lo, lo + half) + pairwise_sum(x, lo + half, hi)
 
 
-def _level_set_error(field0, c0: float, t: np.ndarray, z: np.ndarray):
+def _in_order(total: float, values) -> float:
+    """total plus each value, added left to right."""
+    for v in values:
+        total += v
+    return total
+
+
+def _mean(x) -> float:
+    """``np.mean`` of a float64 array: its pairwise sum over the count."""
+    return pairwise_sum(x) / len(x)
+
+
+def _std(x) -> float:
+    """``np.std``: the root of the mean of (x - mean) * (x - mean)."""
+    m = _mean(x)
+    return math.sqrt(_mean(array("d", ((v - m) * (v - m) for v in x))))
+
+
+def _winding(points, center):
+    """(total signed angle, adverse excursion) of a polyline of (x, y)
+    points about the (x, y) center, in one pass on floats.  The angles
+    come from ``math.atan2``, as the field's exponentials come from
+    ``math.exp``; each step's change is wrapped into [-pi, pi) and
+    summed in order.  The adverse excursion is the largest fall of that
+    sum below its running maximum (above its running minimum when the
+    total is negative).  A NaN sum stays NaN, and then the excursion is
+    NaN too, as numpy's maximum and max propagate it."""
+    cx, cy = center
+    cum = top = bottom = up = down = 0.0
+    prev = None
+    for x, y in points:
+        angle = math.atan2(y - cy, x - cx)
+        if prev is not None:
+            cum += (angle - prev + math.pi) % (2.0 * math.pi) - math.pi
+            if cum > top:
+                top = cum
+            elif cum < bottom:
+                bottom = cum
+            if top - cum > up:
+                up = top - cum
+            if cum - bottom > down:
+                down = cum - bottom
+        prev = angle
+    if cum != cum:
+        return cum, cum
+    return cum, (up if cum >= 0.0 else down)
+
+
+def _level_set_error(field0, c0: float, rows):
     """Mean |distance from the centroid - level-set radius| over the
-    records, or None when the field has no closed-form c0 level set at
-    one of their times.  The records are read ``LOG_CHUNK`` at a time."""
-    err = np.empty(len(t))
-    for a in range(0, len(t), LOG_CHUNK):
-        for j, ti, (zx, zy) in zip(range(a, a + LOG_CHUNK),
-                                   t[a:a + LOG_CHUNK].tolist(),
-                                   z[a:a + LOG_CHUNK].tolist()):
-            try:
-                r = field0.level_set_radius(c0, ti)
-            except ValueError:
-                return None
-            if r is None:
-                return None
-            cx, cy = field0.centroid(ti)
-            # abs of a complex is C's hypot, as np.hypot is
-            err[j] = abs(abs(complex(zx - cx, zy - cy)) - r)
-    return float(np.mean(err))
+    (t, zx, zy) ``rows``, or None when the field has no closed-form c0
+    level set at one of their times."""
+    err = array("d")
+    for t, zx, zy in rows:
+        try:
+            r = field0.level_set_radius(c0, t)
+        except ValueError:
+            return None
+        if r is None:
+            return None
+        cx, cy = field0.centroid(t)
+        err.append(abs(hypot(zx - cx, zy - cy) - r))
+    return _mean(err)
+
+
+def _first_at(table: array, t: float) -> int:
+    """The first record whose time is >= t; 0 when none is."""
+    return next((i for i, (ti,) in enumerate(records(table, ("t",)))
+                 if ti >= t), 0)
 
 
 def metrics(log: RunLog, scenario: Scenario) -> RunMetrics:
-    """Derived summary statistics for a run log."""
-    if len(log) < 2:
+    """Derived summary statistics for a run log, read from its table
+    ``LOG_CHUNK`` records at a time on floats.  Means and deviations are
+    taken in numpy's pairwise order (:func:`pairwise_sum`), so that they
+    are the floats of ``np.mean`` and ``np.std``."""
+    n = len(log)
+    if n < 2:
         raise ValueError("metrics need at least 2 records")
-    t = log.t
+    table = log.table
+    t_end = table[(n - 1) * WIDTH]
     # t increases, so the final half is the records from ``first`` on
-    first = min(int(np.argmax(t >= t[-1] / 2.0)), len(t) - 2)
+    first = min(_first_at(table, t_end / 2.0), n - 2)
 
     c0 = scenario.gains.c0
-    rms = float(np.sqrt(np.mean((log.chat[first:] - c0) ** 2)))
+    rms = math.sqrt(_mean(array("d", ((c - c0) * (c - c0) for (c,)
+                                      in records(table, ("chat",), first)))))
 
-    dt = np.diff(t[first:])
-    speeds = np.linalg.norm(np.diff(log.z[first:], axis=0), axis=1) / dt
-    mean_speed = float(np.mean(speeds))
-    std_speed = float(np.std(speeds))
+    speeds = array("d")
+    rows = records(table, ("t", "zx", "zy"), first)
+    t0, x0, y0 = next(rows)
+    for t, x, y in rows:
+        dx, dy = x - x0, y - y0
+        speeds.append(math.sqrt(dx * dx + dy * dy) / (t - t0))
+        t0, x0, y0 = t, x, y
 
-    tracking_at = None
-    for i, s in enumerate(log.status):
-        if s == guidance.STATUS_TRACKING:
-            tracking_at = float(t[i])
-            break
-
-    start = first if tracking_at is None else \
-        int(np.argmax(t >= tracking_at))
+    tracking_at = next((table[i * WIDTH] for i, s in enumerate(log.status)
+                        if s == guidance.STATUS_TRACKING), None)
+    start = first if tracking_at is None else _first_at(table, tracking_at)
     field0 = scenario.field0
-    center = np.asarray(field0.centroid(float(t[-1]) / 2.0))
-    total, adverse = _winding(log.z[start:], center)
+    total, adverse = _winding(records(table, ("zx", "zy"), start),
+                              field0.centroid(t_end / 2.0))
     sign = 0 if abs(total) < 1e-6 else (1 if total > 0 else -1)
+    saturated = sum(1 for (s,) in records(table, ("sat",)) if s != 0)
 
     return RunMetrics(
         rms_conc_error=rms,
-        mean_patrol_speed=mean_speed,
-        std_patrol_speed=std_speed,
+        mean_patrol_speed=_mean(speeds),
+        std_patrol_speed=_std(speeds),
         winding_sign=sign,
         winding_angle=total,
         winding_backtrack=adverse,
-        mean_level_set_error=_level_set_error(field0, c0, t[first:],
-                                              log.z[first:]),
-        saturation_fraction=float(np.mean(log.sat)),
+        mean_level_set_error=_level_set_error(
+            field0, c0, records(table, ("t", "zx", "zy"), first)),
+        saturation_fraction=saturated / n,
         tracking_reached_at=tracking_at,
         truncated=log.truncated,
         seed=scenario.seed,

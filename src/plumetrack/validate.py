@@ -238,12 +238,12 @@ def check_pseudoinverse_agreement(seed: int = 10):
     worst = 0.0
     for rig in _rigs_for_checks():
         per_rig = RigEstimator.for_offsets(rig.offsets)
-        B_body = design_matrix(rig.offsets)
+        B_body = np.array(design_matrix(rig.offsets))
         for _ in range(50):
             state = vessel.VesselState(*rng.uniform(-50, 50, size=2),
                                        rng.uniform(-math.pi, math.pi))
             positions = sensing.world_positions(rig, state)
-            B = design_matrix(positions)
+            B = np.array(design_matrix(positions))
             readings = rng.uniform(0, 100, size=4)
             y = readings - readings.mean()
             explicit = B.T @ np.linalg.solve(B @ B.T, y)

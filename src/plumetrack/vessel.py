@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 
 class VesselState(NamedTuple):
     """Planar pose; heading is kept normalized to (-pi, pi]."""
@@ -78,8 +76,10 @@ def head_point(state: VesselState, offset: float) -> tuple[float, float]:
             state.y + offset * math.sin(state.heading))
 
 
-def input_matrix(theta: float, offset: float) -> np.ndarray:
-    """C(theta) mapping (nu, omega) to the head-point velocity."""
+def input_matrix(theta: float, offset: float):
+    """C(theta) mapping (nu, omega) to the head-point velocity, a 2 x 2
+    array for the checks and tests; a run applies C^-1 on floats."""
+    import numpy as np
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -offset * s], [s, offset * c]])
 

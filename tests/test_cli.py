@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import dataclasses
 import hashlib
@@ -158,10 +159,12 @@ class TestRunCommand:
 
     def test_run_imports_no_pool_plots_or_checks(self, tmp_path):
         # the sweep's pool, the plots and the self-checks are imported by
-        # the commands that use them, and numpy.random by a run with noise
+        # the commands that use them, numpy.random by a run with noise,
+        # and numpy by a model that computes on arrays, which a frozen
+        # Gaussian does not
         sc = write_scenario(tmp_path, SHORT_SCENARIO)
         later = ("concurrent.futures.process", "plumetrack.plotting",
-                 "plumetrack.validate", "numpy.random")
+                 "plumetrack.validate", "numpy.random", "numpy")
         code = ("import sys\n"
                 "from plumetrack.cli import main\n"
                 f"assert main(['run', {str(sc)!r}, '--out', "
@@ -351,6 +354,64 @@ class TestRunCommand:
         assert capsys.readouterr().err == ""
 
 
+class TestNumpyImportedWhereArraysAre:
+    """numpy is imported by the models that compute on arrays, when they
+    first do: a grid when it is built, a puff plume at its first
+    neighbour-list build.  Each probe runs in a fresh interpreter and
+    prints whether numpy was imported at each point."""
+
+    @staticmethod
+    def probe(code: str) -> list:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\nseen = lambda: 'numpy' in sys.modules\n" + code],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return ast.literal_eval(proc.stdout)
+
+    def test_package_cli_and_bundled_documents(self, scenarios_dir):
+        docs = sorted(str(p) for p in scenarios_dir.glob("*.json"))
+        assert len(docs) == 4
+        seen = self.probe(
+            "import plumetrack\n"
+            "first = [seen()]\n"
+            "import plumetrack.cli\n"
+            "from plumetrack.scenario_io import load_raw, scenario_from_dict\n"
+            "first.append(seen())\n"
+            f"for doc in {docs!r}:\n"
+            "    scenario_from_dict(load_raw(doc))\n"
+            "    first.append(seen())\n"
+            "print(first)\n")
+        assert seen == [False] * 6
+
+    def test_grid_document_imports_numpy_at_load(self):
+        seen = self.probe(
+            "from plumetrack.scenario_io import scenario_from_dict\n"
+            "first = [seen()]\n"
+            f"scenario_from_dict({GRID_ESCAPE!r})\n"
+            "print([*first, seen()])\n")
+        assert seen == [False, True]
+
+    def test_case1_imports_numpy_at_its_first_build(self, scenarios_dir):
+        # a second of noise-free case1: numpy arrives inside the first
+        # neighbour-list build and not before
+        seen = self.probe(
+            "import dataclasses\n"
+            "from plumetrack import field, simulator\n"
+            "from plumetrack.scenario_io import load_scenario\n"
+            f"sc = load_scenario({str(scenarios_dir / 'case1.json')!r})\n"
+            "first, build = [seen()], field.PuffPlume._build\n"
+            "def spy(*args):\n"
+            "    first.append(seen())\n"
+            "    nl = build(*args)\n"
+            "    first.append(seen())\n"
+            "    return nl\n"
+            "field.PuffPlume._build = spy\n"
+            "simulator.run(dataclasses.replace(sc, duration=1.0))\n"
+            "print(first[:3])\n")
+        assert seen == [False, False, True]
+
+
 class TestSweepCommand:
     def test_product_and_order(self, tmp_path):
         sc = write_scenario(tmp_path, SHORT_SCENARIO)
@@ -438,6 +499,16 @@ class TestSweepCommand:
             out = tmp_path / f"jobs{jobs}"
             assert main(sweep + ["--out", str(out), "--jobs", jobs]) == 0
             assert (out / "sweep_summary.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        sc = write_scenario(tmp_path, SHORT_SCENARIO)
+        out = tmp_path / "s"
+        assert main(["sweep", str(sc), "--set", "seed=1,2", "--out",
+                     str(out), "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --jobs {jobs}: expected at least 1\n"
+        assert not out.exists()
 
     def test_unknown_path_rejected(self, tmp_path):
         sc = write_scenario(tmp_path, SHORT_SCENARIO)

@@ -27,7 +27,9 @@ def statuses(t, c_hat, grad, z=(0.1, 0.0), xhat=(0.0, 0.0)):
         np.broadcast_to(np.asarray(a, dtype=float), shape)
         for a, shape in ((c_hat, (n,)), (grad, (n, 2)), (z, (n, 2)),
                          (xhat, (n, 2))))
-    return G.status(np.asarray(t, dtype=float), c_hat, z, xhat, grad, QUIET)
+    return G.status(zip(np.asarray(t, dtype=float).tolist(), c_hat.tolist(),
+                        *z.T.tolist(), *xhat.T.tolist(), *grad.T.tolist()),
+                    QUIET)
 
 
 def static_scenario(pose, duration=30.0, peak=60.0, sigma=18.0, c0=50.0):

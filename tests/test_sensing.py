@@ -192,7 +192,7 @@ class TestEstimator:
         rig = SensorRig.cross(0.5)
         pos = world_positions(rig, VesselState(0, 0, 0))
         readings = np.array([6.0, 4.0, 6.5, 3.5])
-        B = design_matrix(pos)
+        B = np.array(design_matrix(pos))
         y = readings - readings.mean()
         gamma = B.T @ np.linalg.solve(B @ B.T, y)
         est = RigEstimator.for_offsets(pos).estimate(readings, 0.0)
@@ -321,7 +321,7 @@ class TestRigEstimator:
                 # relative to the whole world-frame solution, Hessian
                 # entries included: the reference solves positions 50 m
                 # out, whose centring rounds at that scale
-                B = design_matrix(positions)
+                B = np.array(design_matrix(positions))
                 gamma = np.linalg.pinv(B) @ (readings - ref.c_hat)
                 scale = max(1.0, float(np.abs(gamma).max()))
                 assert np.abs(got - want).max() / scale < 1e-12
@@ -353,8 +353,9 @@ class TestRigEstimator:
 
     def test_condition_taken_without_lapack(self, monkeypatch):
         rigs = (SensorRig.cross(), SensorRig.uneven_cross(0.9, 0.2))
-        want = [np.linalg.cond(design_matrix(r.offsets)
-                               @ design_matrix(r.offsets).T) for r in rigs]
+        want = [np.linalg.cond(np.array(design_matrix(r.offsets))
+                               @ np.array(design_matrix(r.offsets)).T)
+                for r in rigs]
 
         def no_lapack(*args, **kwargs):
             raise AssertionError("LAPACK called")

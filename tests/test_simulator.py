@@ -1,8 +1,10 @@
 import copy
 import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from plumetrack.guidance import GuidanceGains
 from plumetrack.scenario_io import scenario_from_dict
 from plumetrack.sensing import (NoiseModel, RigEstimator, SensorRig,
                                 world_positions)
-from plumetrack.simulator import (CSV_COLUMNS, RunLog, Scenario,
+from plumetrack.simulator import (CSV_COLUMNS, RunLog, RunMetrics, Scenario,
                                   expected_records, metrics, run)
 from plumetrack.vessel import (ActuatorCommand, VesselParams, VesselState,
                                head_point, step as vessel_step,
@@ -133,12 +135,14 @@ class TestRun:
         assert len(log) < expected_records(30.0, 0.05)
         # no unwritten row of the preallocated table leaks into the log
         n = len(log)
-        for field in dataclasses.fields(RunLog):
-            value = getattr(log, field.name)
-            if field.name != "truncated":
-                assert len(value) == n, field.name
-            if field.name not in ("truncated", "status", "ctrue"):
-                assert np.isfinite(value).all(), field.name
+        assert len(log.table) == n * simulator.WIDTH
+        assert len(log.status) == n
+        for name in ("t", "pose", "z", "xhat", "readings", "chat", "grad",
+                     "lap", "u", "nu", "omega", "sat", "ctrue"):
+            value = getattr(log, name)
+            assert len(value) == n, name
+            if name != "ctrue":
+                assert np.isfinite(value).all(), name
         assert np.array_equal(log.t, np.arange(n) * 0.05)
 
     def test_grid_truncates_where_a_sensor_first_leaves(self):
@@ -195,7 +199,7 @@ class TestRun:
             if i + 1 < len(log):
                 nxt = vessel_step(state, cmd, 0.05)
                 assert tuple(log.pose[i + 1]) == (nxt.x, nxt.y, nxt.heading)
-        assert log.status == G.status(
+        assert log.status == status_of(
             log.t, *map(np.array, zip(*replayed)), sc.gains)
         assert {G.STATUS_SEEKING, G.STATUS_TRACKING} <= set(log.status)
 
@@ -418,13 +422,15 @@ class TestFloatChainMatchesMatrixForms:
                     window, converged, gains, z[j], xhat[j], c_hat[j],
                     grad[j], t[j])
                 want.append(status)
-            assert G.status(t, c_hat, z, xhat, grad, gains) == tuple(want)
+            assert status_of(t, c_hat, z, xhat, grad, gains) == tuple(want)
             seen.update(want)
         assert seen == {G.STATUS_SEEKING, G.STATUS_TRACKING,
                         G.STATUS_DEGENERATE}
 
-    @pytest.mark.parametrize("n", [G.LOG_CHUNK - 1, G.LOG_CHUNK,
-                                   G.LOG_CHUNK + 1, 2 * G.LOG_CHUNK + 1])
+    @pytest.mark.parametrize("n", [simulator.LOG_CHUNK - 1,
+                                   simulator.LOG_CHUNK,
+                                   simulator.LOG_CHUNK + 1,
+                                   2 * simulator.LOG_CHUNK + 1])
     def test_status_across_a_chunk_edge(self, n):
         # records up to b are out of band; a window opens at b + 1, is
         # broken at b + 2 (by the band, the distance or the gradient) and
@@ -432,7 +438,8 @@ class TestFloatChainMatchesMatrixForms:
         # edge; at 2 s a record, tracking starts the record after it opens
         gains = GuidanceGains(c0=50.0, k=1.2, k1=5.0, k2=11.0, v_d=1.5)
         for edge, b in itertools.product(
-                range(G.LOG_CHUNK, n + 2, G.LOG_CHUNK), range(-6, 2)):
+                range(simulator.LOG_CHUNK, n + 2, simulator.LOG_CHUNK),
+                range(-6, 2)):
             b += edge
             for broken_by in ("band", "distance", "gradient"):
                 t = 2.0 * np.arange(n)
@@ -454,7 +461,7 @@ class TestFloatChainMatchesMatrixForms:
                         window, converged, gains, z[j], xhat[j], c_hat[j],
                         grad[j], t[j])
                     want.append(status)
-                got = G.status(t, c_hat, z, xhat, grad, gains)
+                got = status_of(t, c_hat, z, xhat, grad, gains)
                 assert got == tuple(want), (b, broken_by)
                 tracking = [j for j, s in enumerate(got)
                             if s == G.STATUS_TRACKING]
@@ -505,17 +512,34 @@ class TestLevelSetRadius:
             grid.level_set_radius(50.0, 1.0)
 
 
-def synthetic_log(z, dt=0.05, c0=50.0, status="tracking"):
+def table_of(n, **columns) -> array:
+    """A run table of n records whose columns, named as RunLog names
+    them, hold the given values (broadcast to their shape); 0.0 elsewhere."""
+    rows = np.zeros((n, simulator.WIDTH))
+    for name, values in columns.items():
+        rows[:, getattr(RunLog, name).columns] = values
+    return array("d", rows.tobytes())
+
+
+def synthetic_log(z, dt=0.05, c0=50.0, status="tracking", **columns):
+    """A log of head points z at a dt time step, at c0 everywhere, with a
+    unit x gradient; keywords replace whole columns, and ``status`` is
+    one status for every record or a sequence of them."""
     n = len(z)
-    t = np.arange(n) * dt
-    zeros = np.zeros(n)
-    return RunLog(
-        t=t, pose=np.column_stack([z[:, 0], z[:, 1], zeros]), z=z,
-        xhat=z.copy(), readings=np.full((n, 4), c0),
-        chat=np.full(n, c0), grad=np.tile([1.0, 0.0], (n, 1)), lap=zeros,
-        u=np.zeros((n, 2)), nu=zeros, omega=zeros,
-        sat=np.zeros(n, dtype=bool), status=tuple([status] * n),
-        ctrue=np.full(n, c0))
+    cols = dict(t=np.arange(n) * dt, pose=np.column_stack([z, np.zeros(n)]),
+                z=z, xhat=z, readings=c0, chat=c0, grad=(1.0, 0.0),
+                ctrue=c0)
+    cols.update(columns)
+    if isinstance(status, str):
+        status = (status,) * n
+    return RunLog(table_of(n, **cols), tuple(status))
+
+
+def status_of(t, c_hat, z, xhat, grad, gains) -> tuple:
+    """guidance.status of the records of these columns, read from a run
+    table as a run reads them."""
+    table = table_of(len(t), t=t, chat=c_hat, z=z, xhat=xhat, grad=grad)
+    return G.status(simulator.records(table, simulator.STATUS_COLUMNS), gains)
 
 
 def written_csv(log: RunLog, tmp_path) -> bytes:
@@ -567,8 +591,8 @@ class TestCsv:
 
         ctrue = draw(n)
         ctrue[rng.random(n) < 0.3] = math.nan
-        log = dataclasses.replace(
-            synthetic_log(draw(n, 2)), t=draw(n), pose=draw(n, 3),
+        log = synthetic_log(
+            draw(n, 2), t=draw(n), pose=draw(n, 3),
             xhat=draw(n, 2), readings=draw(n, 4), chat=draw(n),
             grad=draw(n, 2), lap=draw(n), u=draw(n, 2), nu=draw(n),
             omega=draw(n), sat=rng.random(n) < 0.5,
@@ -616,8 +640,8 @@ class TestLogPassMemory:
         half = self.N // 2
         status = (G.STATUS_SEEKING,) * half + \
             (G.STATUS_TRACKING,) * (self.N - half)
-        return dataclasses.replace(
-            synthetic_log(z), readings=rng.normal(50.0, 5.0, (self.N, 4)),
+        return synthetic_log(
+            z, readings=rng.normal(50.0, 5.0, (self.N, 4)),
             chat=rng.normal(50.0, 1.0, self.N),
             grad=rng.normal(0.0, 2.0, (self.N, 2)),
             u=rng.normal(0.0, 1.0, (self.N, 2)), status=status,
@@ -642,9 +666,8 @@ class TestLogPassMemory:
 
     def test_status(self, long_log):
         gains = short_scenario().gains
-        assert self.peak(lambda: G.status(
-            long_log.t, long_log.chat, long_log.z, long_log.xhat,
-            long_log.grad, gains)) < self.BOUND
+        assert self.peak(lambda: G.status(simulator.records(
+            long_log.table, simulator.STATUS_COLUMNS), gains)) < self.BOUND
 
     def test_metrics(self, long_log):
         sc = short_scenario()           # a Gaussian, so a level-set error
@@ -746,7 +769,7 @@ class TestMetrics:
         cum = np.concatenate(([0.0], np.cumsum(d)))
         adverse = float(np.max(np.maximum.accumulate(cum) - cum))
         assert cum[-1] > 0 and adverse > 2.0
-        total, got_adverse = simulator._winding(z, center)
+        total, got_adverse = simulator._winding(z.tolist(), center.tolist())
         assert (total.hex(), got_adverse.hex()) == \
             (float(cum[-1]).hex(), adverse.hex())
 
@@ -781,6 +804,135 @@ class TestMetrics:
         dist_rms = [rms(dist_err[i:i + w]) for i in range(0, 160, w)]
         assert all(np.diff(conc_rms) < 0)
         assert all(np.diff(dist_rms) < 0)
+
+
+def same_float(a, b) -> bool:
+    """a and b are the same float, any NaN matching any other."""
+    return (a != a and b != b) or float(a).hex() == float(b).hex()
+
+
+class TestPairwiseSum:
+    """The float passes' sum, mean and deviation are numpy's floats."""
+
+    @staticmethod
+    def arrays():
+        # 0 to 20,000 values at scales from subnormal to overflowing, some
+        # with an inf, a -inf, a NaN or only negative zeros in them
+        rng = np.random.default_rng(31)
+        for i in range(240):
+            n = int(rng.integers(0, 300 if i % 3 else 20_001))
+            x = rng.standard_normal(n) * 10.0 ** rng.choice(
+                [-320, -5, 0, 3, 300, 307])
+            if n and i % 5 == 1:
+                x[rng.integers(n, size=3)] = rng.choice(
+                    [math.inf, -math.inf, math.nan], 3)
+            if i % 17 == 2:
+                x[:] = -0.0
+            yield x
+
+    def test_sum_is_add_reduce(self):
+        for x in self.arrays():
+            with np.errstate(all="ignore"):
+                want = float(np.add.reduce(x))
+            assert same_float(simulator.pairwise_sum(x.tolist()), want), \
+                len(x)
+            assert same_float(simulator.pairwise_sum(array("d", x)), want)
+
+    def test_mean_and_std(self):
+        for x in self.arrays():
+            if not len(x):
+                continue
+            with np.errstate(all="ignore"):
+                want = (float(np.mean(x)), float(np.std(x)))
+            got = (simulator._mean(x.tolist()), simulator._std(x.tolist()))
+            assert all(map(same_float, got, want)), len(x)
+
+
+def reference_metrics(log: RunLog, sc) -> RunMetrics:
+    """``metrics`` as it was taken on numpy arrays, the reference for the
+    float passes' bits."""
+    t = log.t
+    first = min(int(np.argmax(t >= t[-1] / 2.0)), len(t) - 2)
+    c0 = sc.gains.c0
+    rms = float(np.sqrt(np.mean((log.chat[first:] - c0) ** 2)))
+    speeds = (np.linalg.norm(np.diff(log.z[first:], axis=0), axis=1)
+              / np.diff(t[first:]))
+    tracking_at = next((float(t[i]) for i, s in enumerate(log.status)
+                        if s == G.STATUS_TRACKING), None)
+    start = first if tracking_at is None else \
+        int(np.argmax(t >= tracking_at))
+    center = np.asarray(sc.field0.centroid(float(t[-1]) / 2.0))
+    rel = log.z[start:] - center[None, :]
+    d = np.diff(np.array([math.atan2(y, x) for x, y in rel.tolist()]))
+    d = (d + math.pi) % (2.0 * math.pi) - math.pi
+    total = adverse = 0.0
+    if d.size:
+        cum = np.concatenate(([0.0], np.cumsum(d)))
+        total = float(cum[-1])
+        adverse = float(np.max(np.maximum.accumulate(cum) - cum)
+                        if total >= 0.0 else
+                        np.max(cum - np.minimum.accumulate(cum)))
+    err = []
+    for ti, (zx, zy) in zip(t[first:].tolist(), log.z[first:].tolist()):
+        try:
+            r = sc.field0.level_set_radius(c0, ti)
+        except ValueError:
+            r = None
+        if r is None:
+            err = None
+            break
+        cx, cy = sc.field0.centroid(ti)
+        err.append(abs(float(np.hypot(zx - cx, zy - cy)) - r))
+    return RunMetrics(
+        rms_conc_error=rms, mean_patrol_speed=float(np.mean(speeds)),
+        std_patrol_speed=float(np.std(speeds)),
+        winding_sign=0 if abs(total) < 1e-6 else (1 if total > 0 else -1),
+        winding_angle=total, winding_backtrack=adverse,
+        mean_level_set_error=None if err is None else float(np.mean(err)),
+        saturation_fraction=float(np.mean(log.sat)),
+        tracking_reached_at=tracking_at, truncated=log.truncated,
+        seed=sc.seed)
+
+
+class TestMetricsMatchArrayForm:
+    @staticmethod
+    def assert_same(log, sc):
+        with np.errstate(all="ignore"):
+            want = dataclasses.asdict(reference_metrics(log, sc))
+        got = dataclasses.asdict(metrics(log, sc))
+        assert got.keys() == want.keys()
+        for key, value in got.items():
+            if isinstance(value, float):
+                assert same_float(value, want[key]), key
+            else:
+                assert value == want[key], key
+
+    @pytest.mark.parametrize("name", ["case1", "case2", "pure_advection",
+                                      "uneven_rig_demo"])
+    def test_bundled_logs(self, scenarios_dir, name):
+        sc = scenario_from_dict(
+            json.loads((scenarios_dir / f"{name}.json").read_text()))
+        self.assert_same(run(sc), sc)
+
+    def test_truncated_grid_log(self):
+        sc = scenario_from_dict(GRID_ESCAPE)
+        log = run(sc)
+        assert log.truncated
+        self.assert_same(log, sc)
+
+    def test_non_finite_logs(self):
+        # an inf concentration, a NaN point and a speed that overflows
+        rng = np.random.default_rng(37)
+        n = 3 * simulator.LOG_CHUNK + 11
+        z = rng.normal(0.0, 5.0, (n, 2))
+        sc = short_scenario()
+        for chat, zx in ((math.inf, 0.0), (50.0, math.nan), (50.0, 1e308)):
+            zs = z.copy()
+            zs[n - 40, 0] = zx
+            log = synthetic_log(zs, chat=np.where(np.arange(n) == n - 5,
+                                                  chat, 50.0),
+                                status=G.STATUS_SEEKING)
+            self.assert_same(log, sc)
 
 
 NAN = math.nan
