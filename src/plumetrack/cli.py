@@ -59,12 +59,6 @@ def _atomic_write(path: Path):
         tmp.unlink(missing_ok=True)
 
 
-def _json_value(v):
-    if v is None or isinstance(v, (bool, int, str)):
-        return v
-    return float(v)
-
-
 def _execute_run(scenario: simulator.Scenario,
                  out_dir: Path) -> tuple[int, dict]:
     """Run one scenario and write log/metrics.  Returns the exit code and
@@ -83,7 +77,6 @@ def _execute_run(scenario: simulator.Scenario,
         runlog.to_csv(fh)
     if len(runlog) >= 2:
         m = dataclasses.asdict(simulator.metrics(runlog, scenario))
-        m = {k: _json_value(v) for k, v in m.items()}
     else:
         m = {"truncated": runlog.truncated, "seed": scenario.seed}
     with _atomic_write(out_dir / "metrics.json") as fh:
@@ -91,7 +84,7 @@ def _execute_run(scenario: simulator.Scenario,
     if runlog.truncated:
         # printed, like the exit-2 and exit-4 messages, so that it reaches
         # stderr whatever logging the host has set up
-        t_end = runlog.t[-1] if len(runlog) else 0.0
+        t_end = runlog.table[-simulator.WIDTH] if len(runlog) else 0.0
         print(f"run left the field domain at t={t_end:.3f}; log truncated",
               file=sys.stderr)
         return EXIT_TRUNCATED, m

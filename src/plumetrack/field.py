@@ -52,7 +52,9 @@ The analytic fields' evaluation, the flow's ``at`` and a scalar
 depend on numpy's SIMD dispatch; a plume point's kept terms are summed
 left to right in ``_rows`` order (see ``PuffPlume.eval_many``).  A grid
 takes its initial cells from ``math.exp`` too, and its step and sample
-are IEEE-exact numpy passes and float sums, with no BLAS call.
+are IEEE-exact numpy passes and float sums, with no BLAS call.  The
+float rules the step's layers share have one copy each, here: C's
+``hypot``, the in-order ``dot`` and numpy's few-point ``mean_point``.
 
 The models check their inputs on floats, so this module imports numpy
 only inside the functions that compute on arrays: the grid's, the puff
@@ -119,6 +121,24 @@ def hypot(x: float, y: float) -> float:
         return abs(complex(x, y))
     except OverflowError:
         return math.inf
+
+
+def dot(u, v) -> float:
+    """u . v on Python floats, summed left to right from 0.0."""
+    total = 0.0
+    for a, b in zip(u, v):
+        total += a * b
+    return total
+
+
+def mean_point(points) -> tuple[float, float]:
+    """The mean (x, y) of a few points, each axis summed in point order
+    from 0.0, as numpy's mean adds fewer than eight terms."""
+    sx = sy = 0.0
+    for x, y in points:
+        sx += x
+        sy += y
+    return sx / len(points), sy / len(points)
 
 
 def _aligned(n: int):
@@ -455,22 +475,17 @@ class PuffPlume:
         bound over every released puff.
 
         A call is a few puffs at a few points, so it runs on Python
-        floats: ``math.exp`` for each term, and C's ``hypot``, through
-        ``abs(complex)``, for d.  Each point's kept terms are summed left
-        to right in ``_rows`` order, starting from 0.0.  For fewer than 8
-        terms that is how numpy's ``sum`` adds them too; for more, numpy
-        would add them pairwise.
+        floats: ``math.exp`` for each term, and C's hypot (``hypot``)
+        for d.  Each point's kept terms are summed left to right in
+        ``_rows`` order, starting from 0.0.  For fewer than 8 terms that
+        is how numpy's ``sum`` adds them too; for more, numpy would add
+        them pairwise.
         """
         pts = _pairs(points)
         if not pts:
             return []
-        # the disc: the points' mean, added in point order as numpy's
-        # mean does, and the largest distance from it
-        (qx, qy), m = pts[0], len(pts)
-        for x, y in pts[1:]:
-            qx += x
-            qy += y
-        qx, qy = qx / m, qy / m
+        # the disc: the points' mean and the largest distance from it
+        qx, qy = mean_point(pts)
         rho = max(math.hypot(x - qx, y - qy) for x, y in pts)
         terms = []                              # (peak, cx, cy, 4kt)
         for t0, x0, y0, q in self._near(t, qx, qy, rho):
@@ -480,11 +495,7 @@ class PuffPlume:
             peak = q / (4.0 * math.pi * kt)
             dx, dy = self.flow.displacement(t0, t)
             cx, cy = x0 + dx, y0 + dy
-            try:
-                d = abs(complex(cx - qx, cy - qy))
-            except OverflowError:       # C's hypot gives inf
-                d = math.inf
-            near = max(d - rho, 0.0)
+            near = max(hypot(cx - qx, cy - qy) - rho, 0.0)
             # not <, so that a NaN bound keeps the puff
             if not peak * math.exp(-near * near / (4.0 * kt)) < CULL_BOUND:
                 terms.append((peak, cx, cy, 4.0 * kt))
@@ -711,8 +722,8 @@ class GridField:
     def centroid(self, t: float) -> tuple[float, float]:
         """Mass centroid of the cells, advected by the flow from
         ``self.time`` to t.  Each moment, the row or column masses times
-        the cell centres, is summed on Python floats left to right from
-        0.0, so no BLAS kernel sets its bits.  Sums and centres that
+        the cell centres, is a ``dot`` on Python floats, so no BLAS
+        kernel sets its bits.  Sums and centres that
         overflow are inf, without a warning."""
         import numpy as np
         nx, ny = self.conc.shape
@@ -723,12 +734,8 @@ class GridField:
             rows, cols = self.conc.sum(axis=1), self.conc.sum(axis=0)
         if m <= 0:
             return self.origin
-        cx = cy = 0.0
-        for w, x in zip(rows.tolist(), xs.tolist()):
-            cx += w * x
-        for w, y in zip(cols.tolist(), ys.tolist()):
-            cy += w * y
-        cx, cy = cx / m, cy / m
+        cx = dot(rows.tolist(), xs.tolist()) / m
+        cy = dot(cols.tolist(), ys.tolist()) / m
         if t >= self.time:
             dx, dy = self.flow.displacement(self.time, t)
             return cx + dx, cy + dy

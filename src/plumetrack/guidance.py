@@ -25,7 +25,9 @@ pure-advection scenario.
 
 With the stock cross rig the Laplacian estimate is zero up to roundoff
 (see sensing), so the k lap term is inert there in either convention.
-The step runs on floats, in the operand order of the matrix forms above.
+The step runs on floats, in the operand order of the matrix forms above,
+and takes |g| by C's hypot (``field.hypot``): a finite gradient whose
+norm overflows has an infinite |g|, and the step ends in NonFiniteError.
 
 Degenerate fallback: when |g| is below ``grad_floor`` the gradient gives
 no usable direction, so the step holds x_hat and keeps only the pull
@@ -43,6 +45,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from .field import hypot
 
 SIGN_PDE = "pde-derived"
 SIGN_OPPOSED = "advection-opposed"
@@ -116,8 +120,7 @@ def step(xhat, gains: GuidanceGains, mode: str, x_r, driven, c_hat: float,
         name = ("x_r", "x_r", "grad", "grad", "v_r", "v_r", "c_hat",
                 "lap")[[math.isfinite(a) for a in inputs].index(False)]
         raise NonFiniteError(f"non-finite observer input {name} at t={t:g} s")
-    # abs of a complex is C's hypot, as np.hypot; math.hypot rounds otherwise
-    norm = abs(complex(gx, gy))
+    norm = hypot(gx, gy)
     xh, yh = xhat
     dx, dy = driven
     if norm < gains.grad_floor:
@@ -150,25 +153,18 @@ def status(records, gains: GuidanceGains) -> tuple[str, ...]:
     in-band window.  Otherwise promotion to "tracking" is sticky and
     needs |c_hat - c0| < TRACK_BAND c0 and |z - x_hat| < TRACK_DIST to
     hold for TRACK_HOLD seconds; until then a record is "seeking".  The
-    norms are C's hypot, as in :func:`step`.
+    norms are ``field.hypot``, as in :func:`step`, so a norm that
+    overflows is inf: not degenerate, and not near.
     """
     out, window, converged = [], None, False
     band = TRACK_BAND * gains.c0
     for t, c_hat, zx, zy, xx, xy, gx, gy in records:
-        # abs of a complex is C's hypot, and an overflow is inf to it
-        try:
-            degenerate = abs(complex(gx, gy)) < gains.grad_floor
-        except OverflowError:
-            degenerate = False
-        if degenerate:
+        if hypot(gx, gy) < gains.grad_floor:
             window = None
             out.append(STATUS_DEGENERATE)
             continue
-        try:
-            near = abs(complex(zx - xx, zy - xy)) < TRACK_DIST
-        except OverflowError:
-            near = False
-        if abs(c_hat - gains.c0) < band and near:
+        if (abs(c_hat - gains.c0) < band
+                and hypot(zx - xx, zy - xy) < TRACK_DIST):
             window = t if window is None else window
             converged = converged or t - window >= TRACK_HOLD
         else:

@@ -26,11 +26,11 @@ faithfully determined.  The tests pin both behaviors down.
 is the body-frame one times an orthogonal rotation factor, so pinv(B_body)
 and the condition number of B B^T are computed once, when the run starts
 (a degenerate rig raises ``DegenerateStencilError`` there).  Both are
-taken on Python floats, pinv by Gauss-Jordan elimination and the
+taken on Python floats, from B about the offsets' ``field.mean_point``
+and B B^T by ``field.dot``: pinv by Gauss-Jordan elimination and the
 condition number by Jacobi rotations, so no BLAS or LAPACK call sets
-their bits.  Each step
-is four left-to-right 4-term sums on floats (pinv rows 0, 1, 2 and 5)
-and a rotation of the gradient.
+their bits.  Each step is four left-to-right 4-term sums on floats (pinv
+rows 0, 1, 2 and 5) and a rotation of the gradient.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .field import as_pair
+from .field import as_pair, dot, mean_point
 from .vessel import VesselState
 
 # BB^T condition numbers beyond this mean a (nearly) collinear stencil.
@@ -67,7 +67,7 @@ class SensorRig:
         if not all(map(math.isfinite, values)):
             raise ValueError("sensor offsets must be finite")
         scale = max(1.0, *map(abs, values))
-        mx, my = _mean_point(o)
+        mx, my = mean_point(o)
         if max(abs(mx), abs(my)) > 1e-9 * scale:
             raise ValueError("sensor offsets must average to (0, 0)")
         # all collinear <=> every pairwise cross product vanishes
@@ -141,36 +141,18 @@ def world_positions(rig: SensorRig, state: VesselState) -> tuple:
                   for ox, oy in rig.offsets])
 
 
-def _mean_point(points) -> tuple[float, float]:
-    """The mean (x, y) of a few points, each axis summed in point order
-    from 0.0, as numpy's mean adds fewer than eight terms."""
-    sx = sy = 0.0
-    for x, y in points:
-        sx += x
-        sy += y
-    return sx / len(points), sy / len(points)
-
-
 def design_matrix(positions) -> list:
     """B for the Taylor system about the position mean x_r, on floats:
     one row [dx, dy, dx dx / 2, dx dy / 2, dy dx / 2, dy dy / 2] per
     (x, y) position, d = x_S - x_r."""
     pts = [(float(x), float(y)) for x, y in positions]
-    mx, my = _mean_point(pts)
+    mx, my = mean_point(pts)
     rows = []
     for x, y in pts:
         dx, dy = x - mx, y - my
         rows.append([dx, dy, 0.5 * (dx * dx), 0.5 * (dx * dy),
                      0.5 * (dy * dx), 0.5 * (dy * dy)])
     return rows
-
-
-def _dot(u, v) -> float:
-    """u . v on Python floats, summed left to right from 0.0."""
-    total = 0.0
-    for a, b in zip(u, v):
-        total += a * b
-    return total
 
 
 def _gauss_jordan(rows: list) -> list:
@@ -262,14 +244,14 @@ class RigEstimator:
 
         pinv(B) = B^T (B B^T)^-1 is taken on Python floats, so that no
         BLAS kernel sets its bits.  Each entry of B B^T sums its six
-        products left to right (``_dot``), so B B^T is exactly
+        products left to right (``field.dot``), so B B^T is exactly
         symmetric, and Gauss-Jordan elimination of [B B^T | B]
         (``_gauss_jordan``) leaves (B B^T)^-1 B, whose transpose is
         pinv(B).  The condition number only gates the solve; it is taken
         on the same floats by Jacobi rotations (``_condition``), with no
         LAPACK call."""
         b = design_matrix(offsets)
-        bbt = [[_dot(bi, bk) for bk in b] for bi in b]
+        bbt = [[dot(bi, bk) for bk in b] for bi in b]
         # a non-finite B B^T has no condition number
         finite = all(math.isfinite(v) for row in bbt for v in row)
         condition = _condition(bbt) if finite else math.inf

@@ -39,6 +39,7 @@ import io
 import math
 import struct
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import guidance, sensing, vessel
@@ -384,12 +385,6 @@ def _level_set_error(field0, c0: float, rows):
     return _mean(err)
 
 
-def _first_at(table: array, t: float) -> int:
-    """The first record whose time is >= t; 0 when none is."""
-    return next((i for i, (ti,) in enumerate(records(table, ("t",)))
-                 if ti >= t), 0)
-
-
 def metrics(log: RunLog, scenario: Scenario) -> RunMetrics:
     """Derived summary statistics for a run log, read from its table
     ``LOG_CHUNK`` records at a time on floats.  Means and deviations are
@@ -400,8 +395,10 @@ def metrics(log: RunLog, scenario: Scenario) -> RunMetrics:
         raise ValueError("metrics need at least 2 records")
     table = log.table
     t_end = table[(n - 1) * WIDTH]
-    # t increases, so the final half is the records from ``first`` on
-    first = min(_first_at(table, t_end / 2.0), n - 2)
+    # t increases (record i is at i dt), so the final half is the
+    # records from the first at or after t_end / 2
+    first = min(bisect_left(range(n), t_end / 2.0,
+                            key=lambda i: table[i * WIDTH]), n - 2)
 
     c0 = scenario.gains.c0
     rms = math.sqrt(_mean(array("d", ((c - c0) * (c - c0) for (c,)
@@ -415,9 +412,12 @@ def metrics(log: RunLog, scenario: Scenario) -> RunMetrics:
         speeds.append(math.sqrt(dx * dx + dy * dy) / (t - t0))
         t0, x0, y0 = t, x, y
 
-    tracking_at = next((table[i * WIDTH] for i, s in enumerate(log.status)
-                        if s == guidance.STATUS_TRACKING), None)
-    start = first if tracking_at is None else _first_at(table, tracking_at)
+    try:
+        start = log.status.index(guidance.STATUS_TRACKING)
+    except ValueError:
+        start, tracking_at = first, None
+    else:
+        tracking_at = table[start * WIDTH]
     field0 = scenario.field0
     total, adverse = _winding(records(table, ("zx", "zy"), start),
                               field0.centroid(t_end / 2.0))

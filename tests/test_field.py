@@ -1223,3 +1223,72 @@ class TestPointInput:
                                as_pairs([pts[0], pt])):
                     with pytest.raises(DomainError):
                         g.eval_many(points, 0.0)
+
+
+# values at every scale, with the IEEE special cases: signed zeros,
+# subnormals, the largest finite values, infinities and NaN
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.225e-308, -1e-310, 1.0, -1.0,
+           1.3e308, -1.3e308, 1.7976931348623157e308, math.inf, -math.inf,
+           math.nan)
+
+
+def mixed_values(rng, n):
+    """n floats: a fifth from SPECIAL, the rest random signs and
+    exponents from 1e-320 to 1e308."""
+    x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-320, 308, n)
+    pick = rng.random(n) < 0.2
+    x[pick] = rng.choice(SPECIAL, pick.sum())
+    return x.tolist()
+
+
+def bits(v):
+    """A float's IEEE bits, or "nan" for any NaN (numpy and Python may
+    give NaNs of different sign)."""
+    return "nan" if v != v else struct.pack("<d", v)
+
+
+class TestFloatRules:
+    """``field.hypot``, ``field.dot`` and ``field.mean_point``, the float
+    rules the step's layers share, bit for bit against references."""
+
+    def test_hypot_is_numpys(self):
+        rng = np.random.default_rng(41)
+        xs, ys = mixed_values(rng, 4000), mixed_values(rng, 4000)
+        pairs = [*zip(xs, ys), *[(a, b) for a in SPECIAL for b in SPECIAL]]
+        with np.errstate(over="ignore"):
+            want = [bits(float(np.hypot(x, y))) for x, y in pairs]
+        got = [field.hypot(x, y) for x, y in pairs]
+        assert all(type(v) is float for v in got)
+        assert [bits(v) for v in got] == want
+        # a finite pair whose norm overflows is inf, not an error
+        assert field.hypot(1.3e308, 1.3e308) == math.inf
+
+    def test_dot_adds_left_to_right(self):
+        rng = np.random.default_rng(42)
+        for n in (0, 1, 2, 3, 6, 7, 8, 9, 17):
+            for _ in range(200):
+                u, v = mixed_values(rng, n), mixed_values(rng, n)
+                want = np.float64(0.0)
+                for a, b in zip(u, v):
+                    with np.errstate(all="ignore"):
+                        want = want + np.float64(a) * np.float64(b)
+                got = field.dot(u, v)
+                assert type(got) is float
+                assert bits(got) == bits(float(want))
+        # signed zeros: the sum starts from +0.0
+        assert bits(field.dot([-0.0], [1.0])) == bits(0.0)
+
+    def test_mean_point_is_numpys(self):
+        rng = np.random.default_rng(43)
+        for m in range(1, 8):
+            for _ in range(300):
+                pts = list(zip(mixed_values(rng, m), mixed_values(rng, m)))
+                with np.errstate(all="ignore"):
+                    want = np.mean(np.array(pts), axis=0).tolist()
+                got = field.mean_point(pts)
+                assert all(type(v) is float for v in got)
+                assert [bits(v) for v in got] == [bits(v) for v in want]
+            # all negative zeros: numpy's sum starts from +0.0 too
+            zeros = [(-0.0, -0.0)] * m
+            assert [bits(v) for v in field.mean_point(zeros)] == \
+                [bits(v) for v in np.mean(np.array(zeros), axis=0).tolist()]

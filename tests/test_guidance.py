@@ -204,6 +204,13 @@ class TestObserver:
             step((1e308, 0.0), GAINS, SIGN_PDE, (0, 0), (0, 0), 50.0, (1, 0),
                  0.0, (0, 0), 0.1, 0.0)
 
+    def test_overflowing_gradient_norm_raises_nonfinite(self):
+        # a finite gradient whose norm overflows has |g| = inf, as C's
+        # hypot gives, so its control is not finite
+        with pytest.raises(NonFiniteError, match="control"):
+            step((0, 0), GAINS, SIGN_PDE, (0, 0), (0, 0), 50.0,
+                 (1.3e308, 1.3e308), 0.0, (0, 0), 0.05, 0.0)
+
     def test_nonfinite_degenerate_control_raises(self):
         # the degenerate branch's pull -k2 (driven - x_hat) overflows too
         gains = GuidanceGains(c0=50.0, k=1.2, k1=5.0, k2=1e308, v_d=1.5)
@@ -297,6 +304,17 @@ class TestStatus:
                        [(1, 0), (1, 0), (0, 0), (1, 0)])
         assert got[1:] == (G.STATUS_TRACKING, G.STATUS_DEGENERATE,
                            G.STATUS_TRACKING)
+
+
+    def test_overflowing_norms_are_inf(self):
+        # |g| and |z - x_hat| that overflow are inf: not degenerate, so
+        # such a gradient tracks as a unit one does, and not near
+        big = (1.3e308, 1.3e308)
+        assert statuses([0.0, 2.0, 4.0], 50.0, big) == \
+            statuses([0.0, 2.0, 4.0], 50.0, (1, 0)) == \
+            (G.STATUS_SEEKING, G.STATUS_TRACKING, G.STATUS_TRACKING)
+        assert statuses([0.0, 2.0, 4.0], 50.0, (1, 0), z=big) == \
+            (G.STATUS_SEEKING,) * 3
 
 
 class TestClosedLoop:
