@@ -24,14 +24,15 @@ def readings_for(rig):
 for name, rig in (("cross d=0.75", SensorRig.cross(0.75)),
                   ("uneven cross 0.75/0.45", SensorRig.uneven_cross())):
     estimator = RigEstimator.for_offsets(rig.offsets)
-    est = estimator.estimate(readings_for(rig), 0.0)
+    # at heading 0 (cos, sin = 1, 0) the body axes are the world axes
+    c_hat, gx, gy, lap = estimator.estimate(readings_for(rig), 1.0, 0.0)
     print(f"{name}:")
-    print(f"  gradient estimate {est.grad}  (true {g_true})")
-    print(f"  divergence estimate {est.lap:+.3f}  (true {np.trace(H_true):g})")
+    print(f"  gradient estimate {(float(gx), float(gy))}  (true {g_true})")
+    print(f"  divergence estimate {lap:+.3f}  (true {np.trace(H_true):g})")
 
 print("\nnoise does not leak into the cross rig's divergence either:")
 rng = np.random.default_rng(0)
 estimator = RigEstimator.for_offsets(SensorRig.cross(0.75).offsets)
-worst = max(abs(estimator.estimate(rng.uniform(0, 100, 4), 0.0).lap)
+worst = max(abs(estimator.estimate(rng.uniform(0, 100, 4), 1.0, 0.0)[3])
             for _ in range(200))
 print(f"  max |divergence| over 200 random reading vectors: {worst:.2e}")

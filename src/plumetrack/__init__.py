@@ -10,15 +10,14 @@ observer-based tracking controller, driven by scenario files through the
 from .field import (FlowField, FrozenGaussian, GaussianPuff, GridField,
                     PuffPlume)
 from .guidance import GuidanceGains
-from .sensing import NoiseModel, SensorRig, StencilEstimate
+from .sensing import NoiseModel, SensorRig
 from .simulator import RunLog, RunMetrics, Scenario, metrics, run
-from .vessel import ActuatorCommand, VesselParams, VesselState
+from .vessel import VesselParams
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActuatorCommand", "FlowField", "FrozenGaussian", "GaussianPuff",
-    "GridField", "GuidanceGains", "NoiseModel", "PuffPlume",
-    "RunLog", "RunMetrics", "Scenario", "SensorRig", "StencilEstimate",
-    "VesselParams", "VesselState", "metrics", "run", "__version__",
+    "FlowField", "FrozenGaussian", "GaussianPuff", "GridField",
+    "GuidanceGains", "NoiseModel", "PuffPlume", "RunLog", "RunMetrics",
+    "Scenario", "SensorRig", "VesselParams", "metrics", "run", "__version__",
 ]

@@ -26,8 +26,10 @@ pure-advection scenario.
 With the stock cross rig the Laplacian estimate is zero up to roundoff
 (see sensing), so the k lap term is inert there in either convention.
 The step runs on floats, in the operand order of the matrix forms above,
-and takes |g| by C's hypot (``field.hypot``): a finite gradient whose
-norm overflows has an infinite |g|, and the step ends in NonFiniteError.
+takes its points and vectors as float pairs and returns x_hat and u as
+float pairs.  It takes |g| by C's hypot (``field.hypot``): a finite
+gradient whose norm overflows has an infinite |g|, and the step ends in
+NonFiniteError.
 
 Degenerate fallback: when |g| is below ``grad_floor`` the gradient gives
 no usable direction, so the step holds x_hat and keeps only the pull
@@ -43,8 +45,8 @@ clockwise (negative winding).  The tests assert this geometric fact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import isfinite
 
 from .field import hypot
 
@@ -115,10 +117,12 @@ def step(xhat, gains: GuidanceGains, mode: str, x_r, driven, c_hat: float,
     xr, yr = x_r
     gx, gy = grad
     vx, vy = v_r
-    inputs = (xr, yr, gx, gy, vx, vy, c_hat, lap)
-    if not all(map(math.isfinite, inputs)):
-        name = ("x_r", "x_r", "grad", "grad", "v_r", "v_r", "c_hat",
-                "lap")[[math.isfinite(a) for a in inputs].index(False)]
+    if not (isfinite(xr) and isfinite(yr) and isfinite(gx) and isfinite(gy)
+            and isfinite(vx) and isfinite(vy) and isfinite(c_hat)
+            and isfinite(lap)):
+        name = next(name for name, a in (
+            ("x_r", xr), ("x_r", yr), ("grad", gx), ("grad", gy), ("v_r", vx),
+            ("v_r", vy), ("c_hat", c_hat), ("lap", lap)) if not isfinite(a))
         raise NonFiniteError(f"non-finite observer input {name} at t={t:g} s")
     norm = hypot(gx, gy)
     xh, yh = xhat
@@ -138,7 +142,7 @@ def step(xhat, gains: GuidanceGains, mode: str, x_r, driven, c_hat: float,
         w = gains.k1 * (gx * (xh - xr) + gy * (yh - yr) + c_err)
         ux = fx - w * gx - gains.k2 * (dx - xh)
         uy = fy - w * gy - gains.k2 * (dy - yh)
-    if not (math.isfinite(ux) and math.isfinite(uy)):
+    if not (isfinite(ux) and isfinite(uy)):
         raise NonFiniteError(
             f"non-finite planar control {[float(ux), float(uy)]} at t={t:g} s")
     return (xh, yh), (ux, uy)

@@ -30,17 +30,18 @@ taken on Python floats, from B about the offsets' ``field.mean_point``
 and B B^T by ``field.dot``: pinv by Gauss-Jordan elimination and the
 condition number by Jacobi rotations, so no BLAS or LAPACK call sets
 their bits.  Each step is four left-to-right 4-term sums on floats (pinv
-rows 0, 1, 2 and 5) and a rotation of the gradient.
+rows 0, 1, 2 and 5) and a rotation of the gradient, and returns the
+float tuple (c_hat, gx, gy, lap).  The rotation, like the one in
+``world_positions``, is given as the heading's (cos theta, sin theta)
+pair, which a run takes once per control step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .field import as_pair, dot, mean_point
-from .vessel import VesselState
 
 # BB^T condition numbers beyond this mean a (nearly) collinear stencil.
 CONDITION_LIMIT = 1e10
@@ -125,18 +126,11 @@ class NoiseModel:
         return readings
 
 
-class StencilEstimate(NamedTuple):
-    """Reconstructed local field quantities at the stencil center."""
-
-    c_hat: float                     # ppb, mean of the four readings
-    grad: tuple[float, float]        # ppb/m
-    lap: float                       # ppb/m^2, Hessian trace estimate
-
-
-def world_positions(rig: SensorRig, state: VesselState) -> tuple:
-    """Sensor positions x_Si = x_r + R(theta) offset_i, four (x, y)."""
-    c, s = math.cos(state.heading), math.sin(state.heading)
-    x, y = state.x, state.y
+def world_positions(rig: SensorRig, x: float, y: float, c: float,
+                    s: float) -> tuple:
+    """Sensor positions x_Si = x_r + R(theta) offset_i, four (x, y), of
+    the vessel at x_r = (x, y) whose heading has (cos theta, sin theta)
+    = (c, s)."""
     return tuple([(x + (ox * c + oy * -s), y + (ox * s + oy * c))
                   for ox, oy in rig.offsets])
 
@@ -262,14 +256,20 @@ class RigEstimator:
         solved = _gauss_jordan([m + r for m, r in zip(bbt, b)])
         return cls(tuple(zip(*solved)), condition)
 
-    def estimate(self, readings, heading: float) -> StencilEstimate:
-        """The stencil estimate of the rig at ``heading``, in world axes."""
+    def estimate(self, readings, c: float,
+                 s: float) -> tuple[float, float, float, float]:
+        """The stencil estimate (c_hat, gx, gy, lap) of the rig at the
+        heading whose (cos theta, sin theta) is (c, s), in world axes:
+        the mean reading (ppb), the gradient (ppb/m) and the Hessian
+        trace estimate (ppb/m^2)."""
         r0, r1, r2, r3 = readings
         c_hat = (r0 + r1 + r2 + r3) / 4
         y0, y1, y2, y3 = r0 - c_hat, r1 - c_hat, r2 - c_hat, r3 - c_hat
-        p = self.pinv                   # rows 0, 1, 2, 5: gx, gy, hxx, hyy
-        gx, gy, hxx, hyy = [a * y0 + b * y1 + c * y2 + d * y3
-                            for a, b, c, d in (p[0], p[1], p[2], p[5])]
-        c, s = math.cos(heading), math.sin(heading)
-        return StencilEstimate(c_hat, (c * gx + -s * gy, s * gx + c * gy),
-                               hxx + hyy)
+        # pinv rows 0, 1, 2 and 5: gx, gy, hxx and hyy in body axes
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (h0, h1, h2, h3), _, _, \
+            (k0, k1, k2, k3) = self.pinv
+        gx = a0 * y0 + a1 * y1 + a2 * y2 + a3 * y3
+        gy = b0 * y0 + b1 * y1 + b2 * y2 + b3 * y3
+        lap = ((h0 * y0 + h1 * y1 + h2 * y2 + h3 * y3)
+               + (k0 * y0 + k1 * y1 + k2 * y2 + k3 * y3))
+        return c_hat, c * gx + -s * gy, s * gx + c * gy, lap

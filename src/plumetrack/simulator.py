@@ -12,7 +12,10 @@ only when ``flow_noise_sigma`` > 0, so a noise-free run never imports
 ``numpy.random``; its sensors read zero normals.  The sensor normals
 are drawn ``NOISE_BLOCK`` steps at a time; numpy's stream gives the same
 values in blocks as four at a time.  Across steps the loop carries only
-the vessel state, x_hat, the field and the generators it seeded.  The
+the pose (x, y, theta) as floats, x_hat, the field and the generators it
+seeded.  Each step takes the heading's cos and sin once and hands the
+pair to every layer that rotates by it; the layers pass plain floats
+and float tuples, and the loop calls them through their modules.  The
 log is one ``array('d')`` table preallocated for floor(duration / dt_c)
 + 1 records at t = 0, dt_c, ..., 22 doubles (176 bytes) a record; each
 control step packs one record, a truncated run keeps the records
@@ -25,7 +28,7 @@ so a finished run holds its table plus one chunk of records.  The
 metrics' means and deviations are summed in numpy's pairwise order, so
 that they are the floats numpy's would be.  None of this imports numpy:
 a run imports it only for a model that computes on arrays, or to draw
-noise, and ``RunLog``'s column views make it when they are first read.
+noise.
 
 A vessel that leaves a grid field's sampling domain truncates the run
 (flagged on the log); a degenerate sensor stencil aborts it at the start
@@ -46,7 +49,7 @@ from . import guidance, sensing, vessel
 from .field import DomainError, hypot
 from .guidance import GuidanceGains
 from .sensing import NoiseModel, SensorRig
-from .vessel import VesselParams, VesselState
+from .vessel import VesselParams
 
 CSV_COLUMNS = ("t", "x", "y", "theta", "zx", "zy", "xhat", "yhat",
                "c1", "c2", "c3", "c4", "chat", "gx", "gy", "lap",
@@ -101,7 +104,9 @@ class Scenario:
         if steps < math.inf:            # counted as the run counts them
             steps = expected_records(self.duration, self.control_period) - 1
         if steps > MAX_STEPS:
-            raise ValueError(f"duration / control period is {steps:,} "
+            # digit by digit below 1e15, in three figures from there
+            count = f"{steps:,}" if steps < 1e15 else f"{steps:.3g}"
+            raise ValueError(f"duration / control period is {count} "
                              f"steps; at most {MAX_STEPS:,}")
         if not 0 < self.physics_substep <= self.control_period + 1e-12:
             raise ValueError("physics substep must be in (0, control period]")
@@ -123,53 +128,16 @@ def records(table: array, names, start: int = 0):
         yield from zip(*[table[a + j:a + chunk:WIDTH].tolist() for j in cols])
 
 
-class _Columns:
-    """A RunLog attribute: a read-only numpy view of table columns, made
-    on first access (``sat`` is compared with 0 into a bool array)."""
-
-    def __init__(self, columns):
-        self.columns = columns
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, log, owner=None):
-        if log is None:
-            return self
-        import numpy as np
-        view = np.frombuffer(log.table).reshape(-1, WIDTH)[:, self.columns]
-        if self.name == "sat":
-            view = view != 0
-        view.flags.writeable = False
-        log.__dict__[self.name] = view
-        return view
-
-
 @dataclass(frozen=True)
 class RunLog:
     """Per-control-step time series of one run: one ``array('d')`` table
-    of WIDTH doubles per record in TABLE_COLUMNS order, and the status
-    of each record.  The column names below are read-only numpy views of
-    the table, made on first access; the run's own passes read the table
-    on floats with :func:`records`."""
+    of WIDTH doubles per record in TABLE_COLUMNS order (``sat`` is 0 or
+    1, ``ctrue`` NaN when the field has no oracle), and the status of
+    each record.  Passes read the table on floats with :func:`records`."""
 
     table: array
     status: tuple                 # (n,) strings
     truncated: bool = False
-
-    t = _Columns(0)                       # (n,)
-    pose = _Columns(slice(1, 4))          # (n, 3): x, y, theta
-    z = _Columns(slice(4, 6))             # (n, 2) head point
-    xhat = _Columns(slice(6, 8))          # (n, 2) observer estimate
-    readings = _Columns(slice(8, 12))     # (n, 4)
-    chat = _Columns(12)                   # (n,)
-    grad = _Columns(slice(13, 15))        # (n, 2)
-    lap = _Columns(15)                    # (n,)
-    u = _Columns(slice(16, 18))           # (n, 2)
-    nu = _Columns(18)                     # (n,)
-    omega = _Columns(19)                  # (n,)
-    sat = _Columns(20)                    # (n,) bool
-    ctrue = _Columns(21)                  # (n,), NaN when the field has no oracle
 
     def __len__(self) -> int:
         return len(self.table) // WIDTH
@@ -217,60 +185,64 @@ def run(scenario: Scenario) -> RunLog:
         import numpy as np
         sensor_rng = np.random.default_rng(
             sc.seed if sc.noise.seed is None else sc.noise.seed)
-    if sc.flow_noise_sigma > 0:
+    flow_sigma = sc.flow_noise_sigma
+    if flow_sigma > 0:
         import numpy as np
         flow_rng = np.random.default_rng([sc.seed, 2])
-    state = VesselState(sc.start_pose[0], sc.start_pose[1],
-                        vessel.normalize_heading(sc.start_pose[2]))
-    xhat = state.position
+    x, y = sc.start_pose[0], sc.start_pose[1]
+    heading = vessel.normalize_heading(sc.start_pose[2])
+    xhat = (x, y)
     fieldmodel = sc.field0
-    estimator = sensing.RigEstimator.for_offsets(sc.rig.offsets)
+    truth = fieldmodel.has_analytic_truth
+    estimate = sensing.RigEstimator.for_offsets(sc.rig.offsets).estimate
+    read = sc.noise.read
+    rig, params, gains, mode = sc.rig, sc.params, sc.gains, sc.sign_convention
+    offset, substep = params.offset, sc.physics_substep
+    drive_head = sc.tracked_point == "head"
     n_steps = expected_records(sc.duration, sc.control_period) - 1
     dt = sc.control_period
 
     # WIDTH doubles per record, made without a transient list or bytes
     table = array("d", [0.0]) * (WIDTH * (n_steps + 1))
+    pack_into, size = _RECORD.pack_into, _RECORD.size
     truncated = False
 
     for i in range(n_steps + 1):
         t = i * dt
-        fieldmodel = fieldmodel.advance(t, sc.physics_substep)
-        positions = sensing.world_positions(sc.rig, state)
-        z = vessel.head_point(state, sc.params.offset)
-        truth = fieldmodel.has_analytic_truth
-        points = (*positions, z) if truth else positions
+        fieldmodel = fieldmodel.advance(t, substep)
+        # the heading's rotation, shared by every layer that turns by it
+        c, s = math.cos(heading), math.sin(heading)
+        positions = sensing.world_positions(rig, x, y, c, s)
+        z = vessel.head_point(x, y, c, s, offset)
         try:
-            c = fieldmodel.eval_many(points, t)
+            conc = fieldmodel.eval_many((*positions, z) if truth
+                                        else positions, t)
         except DomainError:
             truncated = True
             del table[i * WIDTH:]
             break
-        ctrue = c[4] if truth else math.nan
+        ctrue = conc[4] if truth else math.nan
         if sensor_rng is not None and i % NOISE_BLOCK == 0:
             normals = sensor_rng.standard_normal(
                 (min(NOISE_BLOCK, n_steps + 1 - i), 4)).tolist()
-        readings = sc.noise.read(c[:4], normals[i % NOISE_BLOCK])
-        est = estimator.estimate(readings, state.heading)
+        readings = read(conc[:4], normals[i % NOISE_BLOCK])
+        c_hat, gx, gy, lap = estimate(readings, c, s)
         v_r = fieldmodel.flow.at(t)
         if flow_rng is not None:
-            gx, gy = flow_rng.standard_normal(2).tolist()
-            v_r = [v_r[0] + sc.flow_noise_sigma * gx,
-                   v_r[1] + sc.flow_noise_sigma * gy]
-        driven = z if sc.tracked_point == "head" else state.position
-        xhat, u = guidance.step(xhat, sc.gains, sc.sign_convention,
-                                state.position, driven, est.c_hat, est.grad,
-                                est.lap, v_r, dt, t)
-        cmd, saturated = vessel.to_actuators(u, state.heading, sc.params)
+            nx, ny = flow_rng.standard_normal(2).tolist()
+            v_r = [v_r[0] + flow_sigma * nx, v_r[1] + flow_sigma * ny]
+        xhat, u = guidance.step(xhat, gains, mode, (x, y),
+                                z if drive_head else (x, y), c_hat, (gx, gy),
+                                lap, v_r, dt, t)
+        nu, omega, saturated = vessel.to_actuators(u, c, s, params)
 
-        _RECORD.pack_into(table, i * _RECORD.size, t, state.x, state.y,
-                          state.heading, *z, *xhat, *readings, est.c_hat,
-                          *est.grad, est.lap, *u, cmd.nu, cmd.omega,
-                          saturated, ctrue)
+        pack_into(table, i * size, t, x, y, heading, *z, *xhat, *readings,
+                  c_hat, gx, gy, lap, *u, nu, omega, saturated, ctrue)
 
         if i < n_steps:
-            state = vessel.step(state, cmd, dt)
+            x, y, heading = vessel.step(x, y, heading, nu, omega, dt)
 
-    status = guidance.status(records(table, STATUS_COLUMNS), sc.gains)
+    status = guidance.status(records(table, STATUS_COLUMNS), gains)
     return RunLog(table, status, truncated)
 
 

@@ -1,8 +1,13 @@
 """Unicycle kinematics of the surface vessel and the head-point transform.
 
-The vessel pose is (x, y, theta) with inputs (nu, omega):
+The vessel pose is the float triple (x, y, theta), theta in (-pi, pi],
+with inputs (nu, omega):
 
     x' = nu cos(theta),  y' = nu sin(theta),  theta' = omega
+
+:func:`head_point` and :func:`to_actuators` rotate by the heading's
+(cos theta, sin theta) pair, which a run takes once per control step
+and shares with the sensing layer.
 
 The head point z = (x, y) + l0 (cos theta, sin theta) sits a fixed offset
 l0 > 0 ahead of the hull.  Its velocity is z' = C(theta) (nu, omega)^T with
@@ -27,19 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-
-class VesselState(NamedTuple):
-    """Planar pose; heading is kept normalized to (-pi, pi]."""
-
-    x: float
-    y: float
-    heading: float
-
-    @property
-    def position(self) -> tuple[float, float]:
-        return self.x, self.y
 
 
 @dataclass(frozen=True)
@@ -57,23 +49,19 @@ class VesselParams:
             raise ValueError("actuator limits must be > 0")
 
 
-class ActuatorCommand(NamedTuple):
-    nu: float                    # m/s
-    omega: float                 # rad/s
-
-
 def normalize_heading(theta: float) -> float:
     """Wrap an angle into (-pi, pi]."""
     t = math.remainder(theta, 2.0 * math.pi)
     return math.pi if t == -math.pi else t
 
 
-def head_point(state: VesselState, offset: float) -> tuple[float, float]:
-    """Offset point z = x_r + l0 (cos theta, sin theta)."""
+def head_point(x: float, y: float, c: float, s: float,
+               offset: float) -> tuple[float, float]:
+    """Offset point z = x_r + l0 (c, s) of the vessel at (x, y), with
+    (c, s) = (cos theta, sin theta) of its heading."""
     if not offset > 0:
         raise ValueError("head-point offset l0 must be > 0")
-    return (state.x + offset * math.cos(state.heading),
-            state.y + offset * math.sin(state.heading))
+    return x + offset * c, y + offset * s
 
 
 def input_matrix(theta: float, offset: float):
@@ -84,27 +72,28 @@ def input_matrix(theta: float, offset: float):
     return np.array([[c, -offset * s], [s, offset * c]])
 
 
-def to_actuators(u, theta: float, params: VesselParams):
-    """Map a planar head-point velocity command to (nu, omega).
-
-    Returns (ActuatorCommand, saturated): the exact inverse transform is
-    applied first, then each channel is clipped to its limit.
+def to_actuators(u, c: float, s: float,
+                 params: VesselParams) -> tuple[float, float, bool]:
+    """Map a planar head-point velocity command to (nu, omega, saturated)
+    at the heading whose (cos theta, sin theta) is (c, s): the exact
+    inverse transform is applied first, then each channel is clipped to
+    its limit.
     """
     ux, uy = u
     if not (math.isfinite(ux) and math.isfinite(uy)):
         raise ValueError(f"non-finite planar control {[ux, uy]}")
-    c, s = math.cos(theta), math.sin(theta)
     l0 = params.offset
     nu_raw = c * ux + s * uy
     omega_raw = -s / l0 * ux + c / l0 * uy
     nu = min(max(nu_raw, -params.nu_max), params.nu_max)
     omega = min(max(omega_raw, -params.omega_max), params.omega_max)
-    saturated = nu != nu_raw or omega != omega_raw
-    return ActuatorCommand(nu, omega), saturated
+    return nu, omega, nu != nu_raw or omega != omega_raw
 
 
-def step(state: VesselState, cmd: ActuatorCommand, dt: float) -> VesselState:
-    """Move the unicycle over dt with (nu, omega) held constant.
+def step(x: float, y: float, theta: float, nu: float, omega: float,
+         dt: float) -> tuple[float, float, float]:
+    """The pose (x, y, theta) after moving the unicycle over dt with (nu,
+    omega) held constant.
 
     The path is exactly a circular arc (a segment when omega = 0): its
     chord nu dt sinc(omega dt / 2) points along the mid-arc heading
@@ -114,9 +103,8 @@ def step(state: VesselState, cmd: ActuatorCommand, dt: float) -> VesselState:
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
-    half = 0.5 * cmd.omega * dt
-    chord = cmd.nu * dt * (math.sin(half) / half if half != 0.0 else 1.0)
-    mid = state.heading + half
-    return VesselState(state.x + chord * math.cos(mid),
-                       state.y + chord * math.sin(mid),
-                       normalize_heading(state.heading + cmd.omega * dt))
+    half = 0.5 * omega * dt
+    chord = nu * dt * (math.sin(half) / half if half != 0.0 else 1.0)
+    mid = theta + half
+    return (x + chord * math.cos(mid), y + chord * math.sin(mid),
+            normalize_heading(theta + omega * dt))

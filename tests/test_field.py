@@ -14,6 +14,8 @@ from plumetrack.field import (
     puff_gradient, puff_laplacian)
 from plumetrack.scenario_io import scenario_from_dict
 
+from conftest import column, rotation
+
 STILL = FlowField.uniform((0.0, 0.0))
 
 
@@ -448,15 +450,19 @@ class TestPlume:
         sc = scenario_from_dict(case1_doc)
         plume = sc.field0
         log = simulator.run(sc)
+        times, pose, readings, ctrue = (
+            column(log, name) for name in ("t", "pose", "readings", "ctrue"))
         for i in range(len(log)):
-            t = float(log.t[i])
-            state = vessel.VesselState(*log.pose[i])
-            pts = np.vstack((sensing.world_positions(sc.rig, state),
-                             vessel.head_point(state, sc.params.offset)))
+            t = float(times[i])
+            x, y, theta = pose[i]
+            cos_sin = rotation(theta)
+            pts = np.vstack((sensing.world_positions(sc.rig, x, y, *cos_sin),
+                             vessel.head_point(x, y, *cos_sin,
+                                               sc.params.offset)))
             assert_matches_flat_cull(plume, pts, t)
             c = plume.eval_many(pts, t)
-            assert np.array_equal(log.readings[i], c[:4])
-            assert log.ctrue[i] == c[4]
+            assert np.array_equal(readings[i], c[:4])
+            assert ctrue[i] == c[4]
             if i % 40 == 0:
                 c_ref = self.unculled(plume, pts, t)
                 assert np.allclose(c, c_ref, rtol=1e-14, atol=0)

@@ -13,6 +13,8 @@ from plumetrack.scenario_io import scenario_from_dict
 from plumetrack.sensing import NoiseModel, SensorRig
 from plumetrack.vessel import VesselParams
 
+from conftest import column
+
 GAINS = GuidanceGains(c0=50.0, k=1.2, k1=5.0, k2=11.0, v_d=1.5)
 # no patrol: with x_r on the linearised level curve through x_hat and a
 # still fluid the observer rate is zero
@@ -170,11 +172,12 @@ class TestObserver:
         for pose in ((10.87, 0.5, -math.pi / 2), (3.0, -2.0, 1.0)):
             sc = static_scenario(pose, duration=0.05)
             log = SIM.run(sc)
-            z = log.z[0]
-            est = (log.chat[0], log.grad[0], log.lap[0])
+            z = column(log, "z")[0]
+            est = (column(log, "chat")[0], column(log, "grad")[0],
+                   column(log, "lap")[0])
             xhat, _ = step(pose[:2], sc.gains, SIGN_PDE, pose[:2], z, *est,
                            (0.0, 0.0), 0.05, 0.0)
-            assert np.array_equal(log.xhat[0], xhat)
+            assert np.array_equal(column(log, "xhat")[0], xhat)
             assert log.status[0] == G.STATUS_SEEKING
 
     def test_nonfinite_rejected(self):
@@ -324,8 +327,8 @@ class TestClosedLoop:
         sc = static_scenario((10.87, 0.5, -math.pi / 2), duration=20.0)
         log = SIM.run(sc)
         center = np.zeros(2)
-        p = log.z - center
-        steps = np.diff(log.z, axis=0)
+        p = column(log, "z") - center
+        steps = np.diff(column(log, "z"), axis=0)
         crosses = p[:-1, 0] * steps[:, 1] - p[:-1, 1] * steps[:, 0]
         assert crosses.sum() < 0.0
         m = SIM.metrics(log, sc)
@@ -342,7 +345,7 @@ class TestClosedLoop:
             sc = static_scenario((r * math.cos(phi), r * math.sin(phi),
                                   heading))
             log = SIM.run(sc)
-            resid = np.abs(log.ctrue - 50.0)
+            resid = np.abs(column(log, "ctrue") - 50.0)
             w, i5 = 40, 100                     # 2 s window, start at 5 s
             env = np.array([resid[j:j + w].max()
                             for j in range(i5, len(resid) - w)])
@@ -361,5 +364,6 @@ class TestClosedLoop:
         scaled["gains"]["k1"] /= s * s
         log_a = SIM.run(scenario_from_dict(base))
         log_b = SIM.run(scenario_from_dict(scaled))
-        assert np.abs(log_a.z - log_b.z).max() < 1e-8
-        assert np.abs(log_a.xhat - log_b.xhat).max() < 1e-8
+        for name in ("z", "xhat"):
+            assert np.abs(column(log_a, name)
+                          - column(log_b, name)).max() < 1e-8

@@ -9,7 +9,11 @@ import pytest
 from plumetrack.sensing import (
     DegenerateStencilError, NoiseModel, RigEstimator, SensorRig, _condition,
     design_matrix, world_positions)
-from plumetrack.vessel import VesselState
+
+from conftest import rotation
+
+# the rotation of heading 0, under which body axes are world axes
+HEADING_0 = rotation(0.0)
 
 
 def quad_field(g, H, c0):
@@ -44,18 +48,18 @@ def brute_force_quadratic_fit(f, x_r, span=1.0, n=7):
 
 class TestWorldPositions:
     def test_identity_pose(self):
-        wp = world_positions(SensorRig.cross(0.75), VesselState(0, 0, 0))
+        wp = world_positions(SensorRig.cross(0.75), 0, 0, *HEADING_0)
         assert np.allclose(wp, [[0.75, 0], [-0.75, 0], [0, 0.75], [0, -0.75]])
 
     def test_quarter_turn(self):
-        wp = world_positions(SensorRig.cross(0.75),
-                             VesselState(0, 0, math.pi / 2))
+        wp = world_positions(SensorRig.cross(0.75), 0, 0,
+                             *rotation(math.pi / 2))
         assert np.allclose(wp, [[0, 0.75], [0, -0.75], [-0.75, 0], [0.75, 0]],
                            atol=1e-15)
 
     def test_translation(self):
         rig = SensorRig.cross(0.75)
-        wp = world_positions(rig, VesselState(5, 5, 0))
+        wp = world_positions(rig, 5, 5, *HEADING_0)
         assert np.allclose(wp, np.array(rig.offsets) + [5, 5])
 
 
@@ -79,9 +83,9 @@ class TestRigValidation:
         given = np.array(SensorRig.cross().offsets)
         rig = SensorRig(given)
         given[0, 0], given[1, 0] = 1.5, -1.5
-        stock, pose = SensorRig.cross(), VesselState(0.0, 0.0, 0.0)
+        stock, pose = SensorRig.cross(), (0.0, 0.0, *HEADING_0)
         assert rig == stock
-        assert world_positions(rig, pose) == world_positions(stock, pose)
+        assert world_positions(rig, *pose) == world_positions(stock, *pose)
         for copied in (copy.deepcopy(stock), pickle.loads(pickle.dumps(stock))):
             assert copied == stock and hash(copied) == hash(stock)
             with pytest.raises(TypeError):
@@ -180,23 +184,24 @@ class TestEstimator:
     def test_linear_field_example(self):
         # c = 2x + 3y + 5 on the d = 0.5 cross at the origin
         rig = SensorRig.cross(0.5)
-        pos = np.asarray(world_positions(rig, VesselState(0, 0, 0)))
+        pos = np.asarray(world_positions(rig, 0, 0, *HEADING_0))
         readings = 2 * pos[:, 0] + 3 * pos[:, 1] + 5
         assert np.allclose(readings, [6.0, 4.0, 6.5, 3.5])
-        est = RigEstimator.for_offsets(pos).estimate(readings, 0.0)
-        assert est.c_hat == pytest.approx(5.0)
-        assert np.allclose(est.grad, [2.0, 3.0], atol=1e-12)
-        assert est.lap == pytest.approx(0.0, abs=1e-12)
+        c_hat, gx, gy, lap = RigEstimator.for_offsets(pos).estimate(
+            readings, *HEADING_0)
+        assert c_hat == pytest.approx(5.0)
+        assert np.allclose((gx, gy), [2.0, 3.0], atol=1e-12)
+        assert lap == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_field_example_vs_explicit_pseudoinverse(self):
         rig = SensorRig.cross(0.5)
-        pos = world_positions(rig, VesselState(0, 0, 0))
+        pos = world_positions(rig, 0, 0, *HEADING_0)
         readings = np.array([6.0, 4.0, 6.5, 3.5])
         B = np.array(design_matrix(pos))
         y = readings - readings.mean()
         gamma = B.T @ np.linalg.solve(B @ B.T, y)
-        est = RigEstimator.for_offsets(pos).estimate(readings, 0.0)
-        assert np.allclose(np.concatenate([est.grad, [est.lap]]),
+        est = RigEstimator.for_offsets(pos).estimate(readings, *HEADING_0)
+        assert np.allclose(est[1:],
                            [*gamma[:2], gamma[2] + gamma[5]], atol=1e-12)
         # at heading 0 the body frame is the world frame
         assert np.allclose(RigEstimator.for_offsets(rig.offsets).pinv @ y,
@@ -204,10 +209,11 @@ class TestEstimator:
 
     def test_constant_field(self):
         pos = SensorRig.cross().offsets
-        est = RigEstimator.for_offsets(pos).estimate(np.full(4, 7.0), 0.0)
-        assert est.c_hat == 7.0
-        assert np.all(np.asarray(est.grad) == 0.0)
-        assert est.lap == 0.0
+        c_hat, gx, gy, lap = RigEstimator.for_offsets(pos).estimate(
+            np.full(4, 7.0), *HEADING_0)
+        assert c_hat == 7.0
+        assert np.all(np.asarray((gx, gy)) == 0.0)
+        assert lap == 0.0
 
     def test_quadratic_bowl_trace_blind(self):
         # c = x^2 + y^2 on the unit cross: all readings 1, so the
@@ -215,9 +221,10 @@ class TestEstimator:
         pos = np.array(SensorRig.cross(1.0).offsets)
         readings = pos[:, 0] ** 2 + pos[:, 1] ** 2
         assert np.all(readings == 1.0)
-        est = RigEstimator.for_offsets(pos).estimate(readings, 0.0)
-        assert np.allclose(est.grad, 0.0, atol=1e-14)
-        assert est.lap == pytest.approx(0.0, abs=1e-14)
+        _, gx, gy, lap = RigEstimator.for_offsets(pos).estimate(
+            readings, *HEADING_0)
+        assert np.allclose((gx, gy), 0.0, atol=1e-14)
+        assert lap == pytest.approx(0.0, abs=1e-14)
 
     def test_affine_exactness_on_shipped_rigs(self):
         rng = np.random.default_rng(10)
@@ -228,19 +235,20 @@ class TestEstimator:
             for _ in range(20):
                 g = rng.uniform(-5, 5, 2)
                 readings = np.array(rig.offsets) @ g + rng.uniform(1, 100)
-                est = RigEstimator.for_offsets(rig.offsets).estimate(
-                    readings, 0.0)
+                _, gx, gy, _ = RigEstimator.for_offsets(rig.offsets).estimate(
+                    readings, *HEADING_0)
                 scale = max(1.0, np.abs(g).max())
-                assert np.abs(est.grad - g).max() / scale < 1e-9
+                assert np.abs((gx, gy) - g).max() / scale < 1e-9
 
     def test_mean_identity_and_zero_sum(self):
         rng = np.random.default_rng(11)
         pos = SensorRig.cross().offsets
         for _ in range(100):
             readings = rng.uniform(0, 1000, 4)
-            est = RigEstimator.for_offsets(pos).estimate(readings, 0.0)
-            assert est.c_hat == readings.mean()
-            y = readings - est.c_hat
+            c_hat = RigEstimator.for_offsets(pos).estimate(
+                readings, *HEADING_0)[0]
+            assert c_hat == readings.mean()
+            y = readings - c_hat
             assert abs(y.sum()) <= 1e-12 * max(1.0, readings.max())
 
     def test_trace_blindness_on_symmetric_rigs(self):
@@ -249,8 +257,9 @@ class TestEstimator:
         for i in range(200):
             rig = rigs[i % 2]
             readings = rng.uniform(0, 200, 4)
-            est = RigEstimator.for_offsets(rig.offsets).estimate(readings, 0.0)
-            assert abs(est.lap) <= 1e-10 * max(1.0, readings.max())
+            lap = RigEstimator.for_offsets(rig.offsets).estimate(
+                readings, *HEADING_0)[3]
+            assert abs(lap) <= 1e-10 * max(1.0, readings.max())
 
     def test_uneven_cross_sees_nonzero_trace(self):
         # c = x^2: readings (d1^2, d1^2, 0, 0); closed-form minimum-norm
@@ -258,11 +267,12 @@ class TestEstimator:
         d1, d2 = 0.75, 0.45
         rig = SensorRig.uneven_cross(d1, d2)
         readings = np.array(rig.offsets)[:, 0] ** 2
-        est = RigEstimator.for_offsets(rig.offsets).estimate(readings, 0.0)
+        lap = RigEstimator.for_offsets(rig.offsets).estimate(
+            readings, *HEADING_0)[3]
         y = readings - readings.mean()
         expected = (y[0] + y[1]) / d1 ** 2 + (y[2] + y[3]) / d2 ** 2
-        assert est.lap == pytest.approx(expected, rel=1e-12)
-        assert abs(est.lap) > 0.1
+        assert lap == pytest.approx(expected, rel=1e-12)
+        assert abs(lap) > 0.1
 
     def test_quadratic_gradient_vs_brute_force_fit(self):
         rng = np.random.default_rng(13)
@@ -274,12 +284,13 @@ class TestEstimator:
             x_r = rng.uniform(-5, 5, 2)
             rig = rotated(SensorRig.cross(0.75), rng.uniform(0, math.pi))
             pos = np.array(rig.offsets) + x_r
-            est = RigEstimator.for_offsets(pos).estimate(f(pos), 0.0)
+            _, gx, gy, _ = RigEstimator.for_offsets(pos).estimate(
+                f(pos), *HEADING_0)
             true_grad = g + np.asarray(H) @ x_r
             oracle = brute_force_quadratic_fit(f, x_r)
             assert np.abs(oracle - true_grad).max() < 1e-8
             scale = max(1.0, np.abs(true_grad).max())
-            assert np.abs(est.grad - true_grad).max() / scale < 1e-9
+            assert np.abs((gx, gy) - true_grad).max() / scale < 1e-9
 
     def test_rotation_equivariance_on_quadratics(self):
         rng = np.random.default_rng(14)
@@ -289,18 +300,18 @@ class TestEstimator:
         x_r = np.array([2.0, -1.0])
         base = SensorRig.cross(0.75)
         pos = np.array(base.offsets) + x_r
-        est0 = RigEstimator.for_offsets(pos).estimate(f(pos), 0.0)
+        est0 = RigEstimator.for_offsets(pos).estimate(f(pos), *HEADING_0)
         for alpha in rng.uniform(0, 2 * math.pi, 5):
             pos = np.array(rotated(base, alpha).offsets) + x_r
-            est = RigEstimator.for_offsets(pos).estimate(f(pos), 0.0)
-            assert np.abs(np.asarray(est.grad)
-                          - np.asarray(est0.grad)).max() < 1e-9
+            est = RigEstimator.for_offsets(pos).estimate(f(pos), *HEADING_0)
+            assert np.abs(np.asarray(est[1:3])
+                          - np.asarray(est0[1:3])).max() < 1e-9
 
     def test_degenerate_stencil_raises(self):
         pos = np.array([[1.0, 0], [-1.0, 0], [0.0, 1e-8], [0.0, -1e-8]])
         with pytest.raises(DegenerateStencilError):
             RigEstimator.for_offsets(pos).estimate(
-                np.array([1.0, 2.0, 3.0, 4.0]), 0.0)
+                np.array([1.0, 2.0, 3.0, 4.0]), *HEADING_0)
 
 
 class TestRigEstimator:
@@ -310,22 +321,22 @@ class TestRigEstimator:
         for rig in _rigs_for_checks():
             per_rig = RigEstimator.for_offsets(rig.offsets)
             for theta in rng.uniform(-math.pi, math.pi, 2000):
-                state = VesselState(*rng.uniform(-50, 50, 2), theta)
+                x, y = rng.uniform(-50, 50, 2)
                 readings = rng.uniform(0, 100, 4)
-                positions = world_positions(rig, state)
+                positions = world_positions(rig, x, y, *rotation(theta))
                 ref = RigEstimator.for_offsets(positions).estimate(
-                    readings, 0.0)
-                est = per_rig.estimate(readings, theta)
-                want = np.concatenate([ref.grad, [ref.lap]])
-                got = np.concatenate([est.grad, [est.lap]])
+                    readings, *HEADING_0)
+                est = per_rig.estimate(readings, *rotation(theta))
+                want = np.array(ref[1:])
+                got = np.array(est[1:])
                 # relative to the whole world-frame solution, Hessian
                 # entries included: the reference solves positions 50 m
                 # out, whose centring rounds at that scale
                 B = np.array(design_matrix(positions))
-                gamma = np.linalg.pinv(B) @ (readings - ref.c_hat)
+                gamma = np.linalg.pinv(B) @ (readings - ref[0])
                 scale = max(1.0, float(np.abs(gamma).max()))
                 assert np.abs(got - want).max() / scale < 1e-12
-                assert est.c_hat == ref.c_hat
+                assert est[0] == ref[0]
                 assert per_rig.condition == pytest.approx(
                     np.linalg.cond(B @ B.T), rel=1e-9)
 
@@ -334,8 +345,8 @@ class TestRigEstimator:
         right = RigEstimator.estimate
         # R(-theta) = R^T rotates the body-frame gradient the wrong way
         monkeypatch.setattr(RigEstimator, "estimate",
-                            lambda self, readings, heading:
-                            right(self, readings, -heading))
+                            lambda self, readings, c, s:
+                            right(self, readings, c, -s))
         ok, detail = check_pseudoinverse_agreement()
         assert not ok, detail
 

@@ -10,17 +10,19 @@ import numpy as np
 import pytest
 
 from plumetrack import guidance as G, simulator
-from plumetrack.field import (FlowField, FrozenGaussian, GaussianPuff,
-                              GridField, PuffPlume, puff_concentration)
+from plumetrack.field import (DomainError, FlowField, FrozenGaussian,
+                              GaussianPuff, GridField, PuffPlume,
+                              puff_concentration)
 from plumetrack.guidance import GuidanceGains
 from plumetrack.scenario_io import scenario_from_dict
 from plumetrack.sensing import (NoiseModel, RigEstimator, SensorRig,
                                 world_positions)
 from plumetrack.simulator import (CSV_COLUMNS, RunLog, RunMetrics, Scenario,
                                   expected_records, metrics, run)
-from plumetrack.vessel import (ActuatorCommand, VesselParams, VesselState,
-                               head_point, step as vessel_step,
-                               to_actuators)
+from plumetrack.vessel import (VesselParams, head_point, normalize_heading,
+                               step as vessel_step, to_actuators)
+
+from conftest import column, column_index, rotation
 
 STILL = FlowField.uniform((0.0, 0.0))
 
@@ -57,7 +59,7 @@ class TestRun:
         assert expected_records(60.0, 0.05) == 1201
         log = run(short_scenario(duration=6.0))
         assert len(log) == 121
-        assert np.allclose(np.diff(log.t), 0.05)
+        assert np.allclose(np.diff(column(log, "t")), 0.05)
 
     def test_field_boundary_carries_only_floats(self, advection_doc):
         # the run hands its field a tuple of float pairs and takes back a
@@ -113,12 +115,12 @@ class TestRun:
 
     def test_ctrue_logged_for_analytic_fields(self):
         log = run(short_scenario(duration=2.0))
-        assert not np.any(np.isnan(log.ctrue))
+        assert not np.any(np.isnan(column(log, "ctrue")))
 
     def test_tracked_point_switch_changes_run(self):
         a = run(short_scenario(duration=5.0, tracked_point="head"))
         b = run(short_scenario(duration=5.0, tracked_point="center"))
-        assert np.abs(a.z - b.z).max() > 1e-6
+        assert np.abs(column(a, "z") - column(b, "z")).max() > 1e-6
 
     def test_substep_consistency_analytic(self, case1_doc):
         doc = copy.deepcopy(case1_doc)
@@ -126,7 +128,8 @@ class TestRun:
         ref = run(scenario_from_dict(doc))
         doc["physics_substep"] = 0.025
         halved = run(scenario_from_dict(doc))
-        assert np.abs(ref.z[-1] - halved.z[-1]).max() < 1e-3
+        assert np.abs(column(ref, "z")[-1]
+                      - column(halved, "z")[-1]).max() < 1e-3
 
     def test_grid_scenario_runs_and_can_truncate(self):
         log = run(scenario_from_dict(GRID_ESCAPE))
@@ -139,30 +142,29 @@ class TestRun:
         assert len(log.status) == n
         for name in ("t", "pose", "z", "xhat", "readings", "chat", "grad",
                      "lap", "u", "nu", "omega", "sat", "ctrue"):
-            value = getattr(log, name)
+            value = column(log, name)
             assert len(value) == n, name
             if name != "ctrue":
                 assert np.isfinite(value).all(), name
-        assert np.array_equal(log.t, np.arange(n) * 0.05)
+        assert np.array_equal(column(log, "t"), np.arange(n) * 0.05)
 
     def test_grid_truncates_where_a_sensor_first_leaves(self):
         sc = scenario_from_dict(GRID_ESCAPE)
         log = run(sc)
         grid = sc.field0
 
-        def inside(state):
+        def inside(x, y, theta):
             # the cell and central-difference ring rule, per sensor
-            u = ((np.array(world_positions(sc.rig, state)) - grid.origin)
-                 / grid.cell_size - 0.5)
+            u = ((np.array(world_positions(sc.rig, x, y, *rotation(theta)))
+                  - grid.origin) / grid.cell_size - 0.5)
             node = np.floor(u)
             return bool(((node >= 1)
                          & (node <= np.array(grid.conc.shape) - 3)).all())
 
-        assert all(inside(VesselState(*pose)) for pose in log.pose)
-        last = VesselState(*log.pose[-1])
-        nxt = vessel_step(last, ActuatorCommand(log.nu[-1], log.omega[-1]),
-                          sc.control_period)
-        assert not inside(nxt)
+        assert all(inside(*pose) for pose in column(log, "pose"))
+        nxt = vessel_step(*column(log, "pose")[-1], column(log, "nu")[-1],
+                          column(log, "omega")[-1], sc.control_period)
+        assert not inside(*nxt)
 
     def test_log_columns_replay_the_loop(self):
         # each logged column is recomputed from the others by the layer
@@ -172,35 +174,41 @@ class TestRun:
         log = run(sc)
         noise, rng = sc.noise, np.random.default_rng(sc.seed)
         estimator = RigEstimator.for_offsets(sc.rig.offsets)
-        assert np.array_equal(log.t, np.arange(len(log)) * 0.05)
-        xhat = tuple(log.pose[0, :2])
+        t_col, pose, z_col, xhat_col, readings, chat, grad, lap, u_col, nu, \
+            omega, sat, ctrue = (column(log, name) for name in (
+                "t", "pose", "z", "xhat", "readings", "chat", "grad", "lap",
+                "u", "nu", "omega", "sat", "ctrue"))
+        assert np.array_equal(t_col, np.arange(len(log)) * 0.05)
+        xhat = tuple(pose[0, :2])
         replayed = []               # the status's inputs, in its order
-        for i, t in enumerate(log.t):
-            state = VesselState(*log.pose[i])
-            z = head_point(state, sc.params.offset)
-            assert np.array_equal(log.z[i], z)
+        for i, t in enumerate(t_col):
+            x, y, theta = pose[i]
+            cos_sin = rotation(theta)
+            z = head_point(x, y, *cos_sin, sc.params.offset)
+            assert np.array_equal(z_col[i], z)
             c = sc.field0.eval_many(
-                np.vstack((world_positions(sc.rig, state), z)), t)
-            assert np.array_equal(log.readings[i], noise.read(
+                np.vstack((world_positions(sc.rig, x, y, *cos_sin), z)), t)
+            assert np.array_equal(readings[i], noise.read(
                 c[:4], rng.standard_normal(4).tolist()))
-            assert log.ctrue[i] == c[4]
-            est = estimator.estimate(log.readings[i], state.heading)
-            assert (log.chat[i], log.lap[i]) == (est.c_hat, est.lap)
-            assert np.array_equal(log.grad[i], est.grad)
-            xhat, u = G.step(xhat, sc.gains, sc.sign_convention,
-                             state.position, z, est.c_hat, est.grad, est.lap,
-                             sc.field0.flow.at(t), 0.05, t)
-            assert np.array_equal(log.xhat[i], xhat)
-            assert np.array_equal(log.u[i], u)
-            replayed.append((est.c_hat, z, xhat, est.grad))
-            cmd, saturated = to_actuators(u, state.heading, sc.params)
-            assert (log.nu[i], log.omega[i], log.sat[i]) == \
-                (cmd.nu, cmd.omega, saturated)
+            assert ctrue[i] == c[4]
+            c_hat, gx, gy, est_lap = estimator.estimate(readings[i], *cos_sin)
+            assert (chat[i], lap[i]) == (c_hat, est_lap)
+            assert np.array_equal(grad[i], (gx, gy))
+            xhat, u = G.step(xhat, sc.gains, sc.sign_convention, (x, y), z,
+                             c_hat, (gx, gy), est_lap, sc.field0.flow.at(t),
+                             0.05, t)
+            assert np.array_equal(xhat_col[i], xhat)
+            assert np.array_equal(u_col[i], u)
+            replayed.append((c_hat, z, xhat, (gx, gy)))
+            cmd_nu, cmd_omega, saturated = to_actuators(u, *cos_sin,
+                                                        sc.params)
+            assert (nu[i], omega[i], sat[i]) == \
+                (cmd_nu, cmd_omega, saturated)
             if i + 1 < len(log):
-                nxt = vessel_step(state, cmd, 0.05)
-                assert tuple(log.pose[i + 1]) == (nxt.x, nxt.y, nxt.heading)
+                nxt = vessel_step(x, y, theta, cmd_nu, cmd_omega, 0.05)
+                assert tuple(pose[i + 1]) == nxt
         assert log.status == status_of(
-            log.t, *map(np.array, zip(*replayed)), sc.gains)
+            t_col, *map(np.array, zip(*replayed)), sc.gains)
         assert {G.STATUS_SEEKING, G.STATUS_TRACKING} <= set(log.status)
 
     @staticmethod
@@ -210,9 +218,11 @@ class TestRun:
         rng = np.random.default_rng(
             sc.seed if sc.noise.seed is None else sc.noise.seed)
         f, readings = sc.field0, []
-        for t, pose in zip(log.t.tolist(), log.pose.tolist()):
+        for t, (x, y, theta) in zip(column(log, "t").tolist(),
+                                    column(log, "pose").tolist()):
             f = f.advance(t, sc.physics_substep)
-            c = f.eval_many(world_positions(sc.rig, VesselState(*pose)), t)
+            c = f.eval_many(world_positions(sc.rig, x, y, *rotation(theta)),
+                            t)
             readings.append(sc.noise.read(c, rng.standard_normal(4).tolist()))
         return readings
 
@@ -225,7 +235,8 @@ class TestRun:
         sc = scenario_from_dict(a7)
         log = run(sc)
         assert len(log) == 1201 > simulator.NOISE_BLOCK
-        assert log.readings.tolist() == self.per_step_readings(sc, log)
+        assert (column(log, "readings").tolist()
+                == self.per_step_readings(sc, log))
         grid = copy.deepcopy(GRID_ESCAPE)
         grid["noise"] = {"sigma": 0.5}
         sc = scenario_from_dict(grid)
@@ -233,7 +244,8 @@ class TestRun:
             monkeypatch.setattr(simulator, "NOISE_BLOCK", block)
             log = run(sc)
             assert log.truncated and len(log) % 7
-            assert log.readings.tolist() == self.per_step_readings(sc, log)
+            assert (column(log, "readings").tolist()
+                    == self.per_step_readings(sc, log))
 
     @pytest.mark.parametrize("seed", [1, 5])
     def test_status_and_step_agree_on_degeneracy(self, case1_doc, seed):
@@ -246,9 +258,11 @@ class TestRun:
         sc = scenario_from_dict(doc)
         assert sc.tracked_point == "head"
         log = run(sc)
-        before = np.vstack((log.pose[:1, :2], log.xhat[:-1]))
-        held = (log.xhat == before).all(axis=1)
-        pull_only = (log.u == -sc.gains.k2 * (log.z - log.xhat)).all(axis=1)
+        pose, z, xhat, u = (column(log, name)
+                            for name in ("pose", "z", "xhat", "u"))
+        before = np.vstack((pose[:1, :2], xhat[:-1]))
+        held = (xhat == before).all(axis=1)
+        pull_only = (u == -sc.gains.k2 * (z - xhat)).all(axis=1)
         degenerate = np.array(log.status) == G.STATUS_DEGENERATE
         assert degenerate.any()
         assert np.array_equal(degenerate, held & pull_only)
@@ -327,6 +341,78 @@ def matrix_actuators(u, theta, params):
     return nu, omega, bool(nu != raw[0] or omega != raw[1]), raw
 
 
+class TestRunIsItsLayers:
+    """Each record of a run recomputed from the one before it by the
+    public layer functions, compared with == on floats: the loop adds no
+    formula of its own and calls every layer as a caller would."""
+
+    @staticmethod
+    def document(name, scenarios_dir):
+        if name == "grid":
+            return copy.deepcopy(GRID_ESCAPE)
+        if name == "a7-seed-3":
+            # A7's document at one seed; it has no flow noise, which the
+            # replay could not redraw since v_r is not logged
+            doc = json.loads((scenarios_dir / "case1.json").read_text())
+            doc["seed"], doc["noise"]["sigma"] = 3, 2.0
+            return doc
+        return json.loads((scenarios_dir / f"{name}.json").read_text())
+
+    @pytest.mark.parametrize("name", ["case1", "pure_advection",
+                                      "uneven_rig_demo", "grid", "a7-seed-3"])
+    def test_each_record_is_the_layers_applied_to_the_last(self, name,
+                                                           scenarios_dir):
+        sc = scenario_from_dict(self.document(name, scenarios_dir))
+        assert sc.flow_noise_sigma == 0.0
+        log = run(sc)
+        dt, offset, noisy = sc.control_period, sc.params.offset, \
+            sc.noise.sigma > 0
+        estimator = RigEstimator.for_offsets(sc.rig.offsets)
+        f = sc.field0
+        x, y = sc.start_pose[:2]
+        theta = normalize_heading(sc.start_pose[2])
+        xhat = (x, y)
+        for i, record in enumerate(simulator.records(
+                log.table, simulator.TABLE_COLUMNS)):
+            r = dict(zip(simulator.TABLE_COLUMNS, record))
+            t = i * dt
+            assert (r["t"], r["x"], r["y"], r["theta"]) == (t, x, y, theta)
+            cos_sin = rotation(theta)
+            positions = world_positions(sc.rig, x, y, *cos_sin)
+            z = head_point(x, y, *cos_sin, offset)
+            assert (r["zx"], r["zy"]) == z
+            f = f.advance(t, sc.physics_substep)
+            c = f.eval_many((*positions, z) if f.has_analytic_truth
+                            else positions, t)
+            readings = (r["c1"], r["c2"], r["c3"], r["c4"])
+            if not noisy:
+                assert list(readings) == sc.noise.read(c[:4], (0.0,) * 4)
+            if f.has_analytic_truth:
+                assert r["ctrue"] == c[4]
+            else:
+                assert math.isnan(r["ctrue"])
+            c_hat, gx, gy, lap = estimator.estimate(readings, *cos_sin)
+            assert (r["chat"], r["gx"], r["gy"], r["lap"]) == \
+                (c_hat, gx, gy, lap)
+            driven = z if sc.tracked_point == "head" else (x, y)
+            xhat, u = G.step(xhat, sc.gains, sc.sign_convention, (x, y),
+                             driven, c_hat, (gx, gy), lap, f.flow.at(t), dt,
+                             t)
+            assert ((r["xhat"], r["yhat"]), (r["ux"], r["uy"])) == (xhat, u)
+            nu, omega, saturated = to_actuators(u, *cos_sin, sc.params)
+            assert (r["nu"], r["omega"], r["sat"]) == (nu, omega, saturated)
+            x, y, theta = vessel_step(x, y, theta, nu, omega, dt)
+        assert i + 1 == len(log)
+        # a truncated run stops where the next record's field call fails
+        n = expected_records(sc.duration, dt)
+        assert log.truncated == (len(log) < n)
+        if log.truncated:
+            f = f.advance(len(log) * dt, sc.physics_substep)
+            with pytest.raises(DomainError):
+                f.eval_many(world_positions(sc.rig, x, y, *rotation(theta)),
+                            len(log) * dt)
+
+
 class TestFloatChainMatchesMatrixForms:
     def test_one_step_at_random_states(self):
         def assert_close(got, want, scale):
@@ -344,8 +430,8 @@ class TestFloatChainMatchesMatrixForms:
             rig, estimator = rigs[i % 3], estimators[i % 3]
             x, y = rng.uniform(-50, 50, 2)
             theta = rng.uniform(-math.pi, math.pi)
-            state = VesselState(x, y, theta)
-            positions = world_positions(rig, state)
+            cos_sin = rotation(theta)
+            positions = world_positions(rig, x, y, *cos_sin)
             ref = matrix_positions(rig.offsets, x, y, theta)
             assert_close(positions, ref, max(1.0, abs(x), abs(y)))
 
@@ -357,9 +443,9 @@ class TestFloatChainMatchesMatrixForms:
             readings = np.abs(rng.uniform(0, 100) + d @ grad_true
                               + 0.5 * np.einsum("ij,jk,ik->i", d, H + H.T, d)
                               + rng.normal(0.0, 0.5, 4))
-            est = estimator.estimate(readings, theta)
+            est = estimator.estimate(readings, *cos_sin)
             c_hat, grad, lap = matrix_estimate(estimator.pinv, readings, theta)
-            assert_close((est.c_hat, *est.grad, est.lap), (c_hat, *grad, lap),
+            assert_close(est, (c_hat, *grad, lap),
                          max(1.0, float(readings.max())))
 
             params = VesselParams(offset=rng.uniform(0.1, 2.0),
@@ -370,8 +456,8 @@ class TestFloatChainMatchesMatrixForms:
                                   k2=rng.uniform(0.1, 20),
                                   v_d=rng.uniform(0, 2))
             mode = G.SIGN_MODES[i % 2]
-            z = head_point(state, params.offset)
-            driven = z if i % 3 else state.position
+            z = head_point(x, y, *cos_sin, params.offset)
+            driven = z if i % 3 else (x, y)
             t = rng.uniform(0, 100)
             xhat0 = tuple(np.add(z, rng.uniform(-2, 2, 2)))
             v = rng.uniform(-1, 1, 2)
@@ -382,7 +468,7 @@ class TestFloatChainMatchesMatrixForms:
             assert_close((*xhat, *u), (*want[0], *want[1]), want[2])
             degenerate.add(bool(np.hypot(*grad) < gains.grad_floor))
 
-            cmd, saturated = to_actuators(want[1], theta, params)
+            *cmd, saturated = to_actuators(want[1], *cos_sin, params)
             nu, omega, sat, raw = matrix_actuators(want[1], theta, params)
             assert_close(cmd, (nu, omega), max(1.0, float(np.abs(raw).max())))
             assert saturated == sat
@@ -513,11 +599,11 @@ class TestLevelSetRadius:
 
 
 def table_of(n, **columns) -> array:
-    """A run table of n records whose columns, named as RunLog names
+    """A run table of n records whose columns, named as ``column`` names
     them, hold the given values (broadcast to their shape); 0.0 elsewhere."""
     rows = np.zeros((n, simulator.WIDTH))
     for name, values in columns.items():
-        rows[:, getattr(RunLog, name).columns] = values
+        rows[:, column_index(name)] = values
     return array("d", rows.tobytes())
 
 
@@ -556,20 +642,24 @@ def reference_csv(log: RunLog) -> str:
         return "%.9g" % v
 
     lines = [",".join(CSV_COLUMNS)]
-    for i in range(len(log.t)):
-        row = [f(log.t[i]),
-               f(log.pose[i, 0]), f(log.pose[i, 1]), f(log.pose[i, 2]),
-               f(log.z[i, 0]), f(log.z[i, 1]),
-               f(log.xhat[i, 0]), f(log.xhat[i, 1]),
-               f(log.readings[i, 0]), f(log.readings[i, 1]),
-               f(log.readings[i, 2]), f(log.readings[i, 3]),
-               f(log.chat[i]),
-               f(log.grad[i, 0]), f(log.grad[i, 1]), f(log.lap[i]),
-               f(log.u[i, 0]), f(log.u[i, 1]),
-               f(log.nu[i]), f(log.omega[i]),
-               "1" if log.sat[i] else "0",
+    t, pose, z, xhat, readings, chat, grad, lap, u, nu, omega, sat, ctrue = (
+        column(log, name) for name in ("t", "pose", "z", "xhat", "readings",
+                                       "chat", "grad", "lap", "u", "nu",
+                                       "omega", "sat", "ctrue"))
+    for i in range(len(t)):
+        row = [f(t[i]),
+               f(pose[i, 0]), f(pose[i, 1]), f(pose[i, 2]),
+               f(z[i, 0]), f(z[i, 1]),
+               f(xhat[i, 0]), f(xhat[i, 1]),
+               f(readings[i, 0]), f(readings[i, 1]),
+               f(readings[i, 2]), f(readings[i, 3]),
+               f(chat[i]),
+               f(grad[i, 0]), f(grad[i, 1]), f(lap[i]),
+               f(u[i, 0]), f(u[i, 1]),
+               f(nu[i]), f(omega[i]),
+               "1" if sat[i] else "0",
                log.status[i],
-               "" if math.isnan(log.ctrue[i]) else f(log.ctrue[i])]
+               "" if math.isnan(ctrue[i]) else f(ctrue[i])]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -599,7 +689,7 @@ class TestCsv:
             status=tuple(self.STATUSES[j] for j in rng.integers(3, size=n)),
             ctrue=ctrue)
         assert set(log.status) == set(self.STATUSES)
-        assert log.sat.any() and not log.sat.all()
+        assert column(log, "sat").any() and not column(log, "sat").all()
         text = log.to_csv()
         assert text == reference_csv(log)
         assert written_csv(log, tmp_path) == text.encode()
@@ -673,7 +763,7 @@ class TestLogPassMemory:
         sc = short_scenario()           # a Gaussian, so a level-set error
         m = metrics(long_log, sc)
         assert m.mean_level_set_error is not None
-        assert m.tracking_reached_at == long_log.t[self.N // 2]
+        assert m.tracking_reached_at == column(long_log, "t")[self.N // 2]
         assert self.peak(lambda: metrics(long_log, sc)) < self.BOUND
 
 
@@ -722,11 +812,11 @@ class TestMetrics:
     def reference_level_set_error(log, sc):
         """``mean_level_set_error`` as numpy arrays, with one ``np.hypot``
         of array differences per row."""
-        t, field0 = log.t, sc.field0
+        t, z, field0 = column(log, "t"), column(log, "z"), sc.field0
         half = t >= t[-1] / 2.0
         radii = [field0.level_set_radius(sc.gains.c0, float(ti))
                  for ti in t[half]]
-        dists = [float(np.hypot(*(log.z[j] - field0.centroid(float(t[j])))))
+        dists = [float(np.hypot(*(z[j] - field0.centroid(float(t[j])))))
                  for j in np.nonzero(half)[0]]
         return float(np.mean(np.abs(np.asarray(dists) - np.asarray(radii))))
 
@@ -793,11 +883,11 @@ class TestMetrics:
         sc = scenario_from_dict(doc)
         log = run(sc)
         c0 = sc.gains.c0
-        conc_err = np.abs(log.ctrue - c0)
+        conc_err = np.abs(column(log, "ctrue") - c0)
         dist_err = np.array([
-            abs(np.hypot(*(log.z[i] - sc.field0.centroid(t)))
+            abs(np.hypot(*(column(log, "z")[i] - sc.field0.centroid(t)))
                 - sc.field0.level_set_radius(c0, t))
-            for i, t in enumerate(log.t)])
+            for i, t in enumerate(column(log, "t"))])
         w = 40                                   # 2 s windows
         rms = lambda a: float(np.sqrt(np.mean(a ** 2)))
         conc_rms = [rms(conc_err[i:i + w]) for i in range(0, 160, w)]
@@ -851,18 +941,18 @@ class TestPairwiseSum:
 def reference_metrics(log: RunLog, sc) -> RunMetrics:
     """``metrics`` as it was taken on numpy arrays, the reference for the
     float passes' bits."""
-    t = log.t
+    t, z = column(log, "t"), column(log, "z")
     first = min(int(np.argmax(t >= t[-1] / 2.0)), len(t) - 2)
     c0 = sc.gains.c0
-    rms = float(np.sqrt(np.mean((log.chat[first:] - c0) ** 2)))
-    speeds = (np.linalg.norm(np.diff(log.z[first:], axis=0), axis=1)
+    rms = float(np.sqrt(np.mean((column(log, "chat")[first:] - c0) ** 2)))
+    speeds = (np.linalg.norm(np.diff(z[first:], axis=0), axis=1)
               / np.diff(t[first:]))
     tracking_at = next((float(t[i]) for i, s in enumerate(log.status)
                         if s == G.STATUS_TRACKING), None)
     start = first if tracking_at is None else \
         int(np.argmax(t >= tracking_at))
     center = np.asarray(sc.field0.centroid(float(t[-1]) / 2.0))
-    rel = log.z[start:] - center[None, :]
+    rel = z[start:] - center[None, :]
     d = np.diff(np.array([math.atan2(y, x) for x, y in rel.tolist()]))
     d = (d + math.pi) % (2.0 * math.pi) - math.pi
     total = adverse = 0.0
@@ -873,7 +963,7 @@ def reference_metrics(log: RunLog, sc) -> RunMetrics:
                         if total >= 0.0 else
                         np.max(cum - np.minimum.accumulate(cum)))
     err = []
-    for ti, (zx, zy) in zip(t[first:].tolist(), log.z[first:].tolist()):
+    for ti, (zx, zy) in zip(t[first:].tolist(), z[first:].tolist()):
         try:
             r = sc.field0.level_set_radius(c0, ti)
         except ValueError:
@@ -889,7 +979,7 @@ def reference_metrics(log: RunLog, sc) -> RunMetrics:
         winding_sign=0 if abs(total) < 1e-6 else (1 if total > 0 else -1),
         winding_angle=total, winding_backtrack=adverse,
         mean_level_set_error=None if err is None else float(np.mean(err)),
-        saturation_fraction=float(np.mean(log.sat)),
+        saturation_fraction=float(np.mean(column(log, "sat"))),
         tracking_reached_at=tracking_at, truncated=log.truncated,
         seed=sc.seed)
 
@@ -983,9 +1073,8 @@ GAINS = dict(c0=50.0, k=1.2, k1=5.0, k2=11.0, v_d=1.5)
      "flow noise sigma must be >= 0"),
     (lambda: GridField((0, 0), 0.5, np.zeros((4, 4)), 0.1, STILL).step(NAN),
      "dt must be > 0"),
-    (lambda: vessel_step(VesselState(0.0, 0.0, 0.0),
-                         ActuatorCommand(1.0, 0.0), NAN), "dt must be > 0"),
-    (lambda: head_point(VesselState(0.0, 0.0, 0.0), NAN),
+    (lambda: vessel_step(0.0, 0.0, 0.0, 1.0, 0.0, NAN), "dt must be > 0"),
+    (lambda: head_point(0.0, 0.0, 1.0, 0.0, NAN),
      "head-point offset l0 must be > 0"),
     (lambda: G.step((0.0, 0.0), GuidanceGains(**GAINS), G.SIGN_PDE,
                     (0.0, 0.0), (0.0, 0.0), 50.0, (1.0, 0.0), 0.0,
