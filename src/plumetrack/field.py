@@ -9,11 +9,11 @@ scalar turbulent diffusion coefficient k.  Three field models are provided:
 
 * ``GaussianPuff`` / ``PuffPlume`` - the closed-form impulsive-release
   solution and its superposition for a discretized continuous source.  A
-  puff's centre moves with the flow's displacement integral, so the puffs
-  stay exact under piecewise-constant flow.  The plume's concentration is
-  exact, and the point functions ``puff_gradient`` and ``puff_laplacian``
-  give a puff's exact derivatives, which makes the puffs the reference
-  oracle for everything else.
+  puff's centre moves with the flow's integral, so the puffs stay exact
+  under piecewise-constant flow.  The plume's concentration is exact,
+  and the point functions ``puff_gradient`` and ``puff_laplacian`` give
+  a puff's exact derivatives, which makes the puffs the reference oracle
+  for everything else.
 * ``FrozenGaussian`` - a rigid Gaussian shape translating with the flow;
   the exact zero-diffusion (k = 0) solution.
 * ``GridField`` - an explicit finite-difference solver (first-order upwind
@@ -42,15 +42,16 @@ the field.  ``advance(t, max_substep)`` returns the field at time t
 (the analytic fields return themselves), ``centroid(t)`` is the plume
 centre as an (x, y) float pair, and ``level_set_radius(c0, t)`` is the
 radius of a circular c = c0 curve or raises ``ValueError`` where there
-is no closed form.
+is no closed form.  Advection is ``FlowField.carry``, forward or back
+in time; the plume's build moves all releases at once by ``displacement``.
 
 The puff plume sums only the puffs that its neighbour list (Verlet,
 1967) keeps; ``PuffPlume._build`` states the bound and why no sum changes.
 
-The analytic fields' evaluation, the flow's ``at`` and a scalar
-``displacement`` run on Python floats, with ``math.exp``, so they do not
-depend on numpy's SIMD dispatch; a plume point's kept terms are summed
-left to right in ``_rows`` order (see ``PuffPlume.eval_many``).  A grid
+The analytic fields' evaluation, the flow's ``at`` and ``carry`` run on
+Python floats, with ``math.exp``, so they do not depend on numpy's SIMD
+dispatch; a plume point's kept terms are summed left to right in
+``_rows`` order (see ``PuffPlume.eval_many``).  A grid
 takes its initial cells from ``math.exp`` too, and its step and sample
 are IEEE-exact numpy passes and float sums, with no BLAS call.  The
 float rules the step's layers share have one copy each, here: C's
@@ -58,8 +59,8 @@ float rules the step's layers share have one copy each, here: C's
 
 The models check their inputs on floats, so this module imports numpy
 only inside the functions that compute on arrays: the grid's, the puff
-plume's neighbour-list build and its release rows, an array
-``displacement`` and the single-puff point functions.  A frozen Gaussian
+plume's neighbour-list build with its release rows and the build's
+displacement, and the single-puff point functions.  A frozen Gaussian
 never imports it, and a puff plume at its first neighbour-list build.
 
 Concentration is in ppb, lengths in m, times in s.
@@ -194,25 +195,31 @@ class FlowField:
         segment."""
         return list(self.velocities[bisect_right(self.boundaries, t)])
 
-    def displacement(self, t0, t1: float):
-        """Integral of v over [t0, t1] for t0 <= t1.
+    def carry(self, x: float, y: float, t0: float, t: float) -> tuple:
+        """(x, y) at time t0 moved with the flow to time t: plus the
+        integral of v over [t0, t] where t >= t0, else (a NaN t too)
+        minus that over [t, t0].  Over [lo, hi] it is v(hi) (hi - lo)
+        minus each switch b <= hi's velocity jump times b - lo where
+        lo < b, else 0.0: under a uniform flow exactly v (hi - lo)."""
+        forward = t >= t0
+        lo, hi = (t0, t) if forward else (t, t0)
+        vx, vy = self.velocities[bisect_right(self.boundaries, hi)]
+        dx, dy = vx * (hi - lo), vy * (hi - lo)
+        for b, jx, jy in self._switches:
+            if b <= hi:
+                w = b - lo if lo < b else 0.0
+                dx -= jx * w
+                dy -= jy * w
+        if forward:
+            return x + dx, y + dy
+        return x - dx, y - dy
 
-        v(t1) (t1 - t0) minus, for each switch b <= t1, the velocity jump
-        at b times (b - t0) where t0 < b and times 0.0 elsewhere; under a
-        uniform flow exactly v * (t1 - t0).  A float or int t0 gives a
-        list [dx, dy]; an array t0 gives shape ``(2,) + np.shape(t0)``, x
-        and y first.  Both take the same operations in the same order, so they
-        agree bit for bit.
-        """
-        if isinstance(t0, (float, int)):
-            (vx, vy), span = self.at(t1), t1 - t0
-            dx, dy = vx * span, vy * span
-            for b, jx, jy in self._switches:
-                if b <= t1:
-                    w = b - t0 if t0 < b else 0.0
-                    dx -= jx * w
-                    dy -= jy * w
-            return [dx, dy]
+    def displacement(self, t0, t1: float):
+        """``carry``'s integral over [t0, t1] for each t0 of an array,
+        shape ``(2,) + np.shape(t0)``, x and y first, by the same
+        operations in the same order: bit for bit ``carry``'s increment
+        where t0 <= t1.  ``PuffPlume._build`` also passes release times
+        later than t1, which no switch reaches: v(t1) (t1 - t0)."""
         import numpy as np
         t0 = np.asarray(t0, dtype=float)
         disp = np.multiply.outer(self.at(t1), t1 - t0)
@@ -263,11 +270,10 @@ class GaussianPuff:
     def peak(self, t: float) -> float:
         return self.strength / (4.0 * math.pi * self.diffusion * self._age(t))
 
-    def center(self, flow: FlowField, t: float):
-        """The advected centre at t, a (2,) array."""
-        import numpy as np
+    def center(self, flow: FlowField, t: float) -> tuple[float, float]:
+        """The advected centre at t, an (x, y) float pair."""
         self._age(t)
-        return np.add(self.point, flow.displacement(self.release_time, t))
+        return flow.carry(*self.point, self.release_time, t)
 
 
 def puff_concentration(puff: GaussianPuff, flow: FlowField, x, t: float) -> float:
@@ -493,8 +499,7 @@ class PuffPlume:
             # q / 0 and 0 * inf would; Python raises on a division by 0
             kt = self.diffusion * (t - t0) or math.nan
             peak = q / (4.0 * math.pi * kt)
-            dx, dy = self.flow.displacement(t0, t)
-            cx, cy = x0 + dx, y0 + dy
+            cx, cy = self.flow.carry(x0, y0, t0, t)
             near = max(hypot(cx - qx, cy - qy) - rho, 0.0)
             # not <, so that a NaN bound keeps the puff
             if not peak * math.exp(-near * near / (4.0 * kt)) < CULL_BOUND:
@@ -517,13 +522,10 @@ class PuffPlume:
         if self.emission_rate != 0 and t > self.start_time and (
                 best is None
                 or self.emission_rate * self.puff_interval > best.strength):
-            (x, y), t0 = self.source, self.start_time
-        elif best is not None:
-            (x, y), t0 = best.point, best.release_time
-        else:
+            return self.flow.carry(*self.source, self.start_time, t)
+        if best is None:
             return self.source
-        dx, dy = self.flow.displacement(t0, t)
-        return x + dx, y + dy
+        return self.flow.carry(*best.point, best.release_time, t)
 
     def advance(self, t: float, max_substep: float = math.inf) -> "PuffPlume":
         """Closed form: the plume at any time is this same object."""
@@ -571,16 +573,8 @@ class FrozenGaussian:
 
     has_analytic_truth = True
 
-    def _centre(self, t: float) -> tuple[float, float]:
-        x, y = self.center
-        if t >= 0:
-            dx, dy = self.flow.displacement(0.0, t)
-            return x + dx, y + dy
-        dx, dy = self.flow.displacement(t, 0.0)
-        return x - dx, y - dy
-
     def centroid(self, t: float) -> tuple[float, float]:
-        return self._centre(t)
+        return self.flow.carry(*self.center, 0.0, t)
 
     def advance(self, t: float, max_substep: float = math.inf) -> "FrozenGaussian":
         """Closed form: the field at any time is this same object."""
@@ -597,7 +591,7 @@ class FrozenGaussian:
         """Concentration at several points, a list of m floats, on
         Python floats: d0*d0 + d1*d1 for |x - ctr(t)|^2 and
         ``math.exp``."""
-        cx, cy = self._centre(t)
+        cx, cy = self.centroid(t)
         s2 = self.sigma * self.sigma
         c = []
         for x, y in _pairs(points):
@@ -736,11 +730,7 @@ class GridField:
             return self.origin
         cx = dot(rows.tolist(), xs.tolist()) / m
         cy = dot(cols.tolist(), ys.tolist()) / m
-        if t >= self.time:
-            dx, dy = self.flow.displacement(self.time, t)
-            return cx + dx, cy + dy
-        dx, dy = self.flow.displacement(t, self.time)
-        return cx - dx, cy - dy
+        return self.flow.carry(cx, cy, self.time, t)
 
     def level_set_radius(self, c0: float, t: float) -> float | None:
         raise ValueError("no closed-form level set for GridField")

@@ -1,10 +1,10 @@
 """Scenario files: versioned JSON documents describing one run.
 
-The schema is strict: unknown fields are errors (guards against silent
-typos in gain names), required fields are reported by dotted path, and
-JSON syntax errors carry line and column.  Sweeps mutate the raw document
-through dotted paths before validation, so a bad sweep path surfaces as a
-normal schema error.
+The schema is strict: unknown fields and keys given twice in one object
+are errors (guards against silent typos in gain names), required fields
+are reported by dotted path, and JSON syntax errors carry line and
+column.  Sweeps mutate the raw document through dotted paths before
+validation, so a bad sweep path surfaces as a normal schema error.
 
 Top-level layout (see ``scenarios/`` for complete examples)::
 
@@ -300,7 +300,8 @@ def scenario_from_dict(doc: dict, origin: str = "<scenario>") -> Scenario:
 
 
 def load_raw(path) -> dict:
-    """Read a scenario JSON document; syntax errors carry line:col."""
+    """Read a scenario JSON document; syntax errors carry line:col, and a
+    key given twice in one object is refused, not left to the last."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
@@ -308,8 +309,17 @@ def load_raw(path) -> dict:
         raise ScenarioError(f"{p}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
         raise ScenarioError(f"{p}: not UTF-8 text") from None
+
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ScenarioError(f"{p}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{p}:{exc.lineno}:{exc.colno}: {exc.msg}") from None

@@ -204,6 +204,21 @@ class TestRunCommand:
         assert proc.returncode == 2
         assert "k3" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_duplicate_key_rejected(self, tmp_path, command):
+        # the last k1 would win silently, 5000 for the intended 5
+        text = json.dumps(SHORT_SCENARIO).replace(
+            '"k1": 5.0', '"k1": 5.0, "k1": 5000.0')
+        assert text.count('"k1"') == 2
+        p = tmp_path / "dup.json"
+        p.write_text(text)
+        args = ("--set", "seed=1,2") if command == "sweep" else ()
+        out = tmp_path / "o"
+        proc = cli(command, str(p), *args, "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {p}: duplicate key 'k1'\n"
+        assert not out.exists()
+
     def test_json_syntax_error_line_anchored(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text('{\n  "schema": 1,\n  "oops"\n}\n')
@@ -410,6 +425,14 @@ class TestNumpyImportedWhereArraysAre:
             "simulator.run(dataclasses.replace(sc, duration=1.0))\n"
             "print(first[:3])\n")
         assert seen == [False, False, True]
+
+    def test_puff_centre_imports_no_numpy(self):
+        seen = self.probe(
+            "from plumetrack.field import FlowField, GaussianPuff\n"
+            "puff = GaussianPuff(-2.0, (1.0, 3.0), 10.0, 0.5)\n"
+            "centre = puff.center(FlowField.uniform((0.2, -0.1)), 4.0)\n"
+            "print([seen(), centre])\n")
+        assert seen == [False, (2.2, 2.4)]
 
 
 class TestSweepCommand:

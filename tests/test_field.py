@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import math
 import re
 import struct
@@ -592,6 +593,15 @@ def pair_array(v):
     return np.array(v)
 
 
+def array_carry(flow, point, t0, t):
+    """``point`` at t0 moved to t as the fields moved their centres on
+    arrays: the displacement over [t0, t] added where t >= t0, that over
+    [t, t0] subtracted otherwise."""
+    if t >= t0:
+        return np.array(point) + vectorised_displacement(flow, t0, t)
+    return np.array(point) - vectorised_displacement(flow, t, t0)
+
+
 def array_grid_centroid(g, t):
     """``GridField.centroid`` as it was computed on arrays: the moments
     summed on floats, the displacement added as an ndarray."""
@@ -606,10 +616,7 @@ def array_grid_centroid(g, t):
         cx += w * x
     for w, y in zip(g.conc.sum(axis=0).tolist(), ys.tolist()):
         cy += w * y
-    cx, cy = cx / m, cy / m
-    if t >= g.time:
-        return np.array([cx, cy]) + g.flow.displacement(g.time, t)
-    return np.array([cx, cy]) - g.flow.displacement(t, g.time)
+    return array_carry(g.flow, (cx / m, cy / m), g.time, t)
 
 
 class TestCentroid:
@@ -641,7 +648,7 @@ class TestCentroid:
                  GridField((1.0, -2.0), 0.5, np.zeros((9, 12)), 0.5, flow))
         for t in (-3.0, 0.0, 1.5, 2.0, 7.25):
             assert pair_array(blob.centroid(t)).tobytes() == \
-                np.array(blob._centre(t)).tobytes()
+                array_carry(flow, blob.center, 0.0, t).tobytes()
             for g in grids:
                 assert pair_array(g.centroid(t)).tobytes() == \
                     array_grid_centroid(g, t).tobytes()
@@ -842,6 +849,53 @@ class TestFlow:
                 t0s = np.array(times)
                 assert flow.displacement(t0s, t1).tobytes() == \
                     vectorised_displacement(flow, t0s, t1).tobytes()
+
+    @staticmethod
+    def carry_cases():
+        """Flows with zero to four switches and every pair (t0, t) of
+        times before, on, between and after them, -0.0, 0.0 and NaN,
+        each with a random point and the point (-0.0, 0.0)."""
+        rng = np.random.default_rng(23)
+        for n in (0, 1, 2, 4):
+            b = np.sort(rng.uniform(-6.0, 9.0, n)).tolist()
+            flow = FlowField(rng.normal(0.0, 1.0, (n + 1, 2)), b)
+            times = (rng.uniform(-8.0, 12.0, 4).tolist() + b
+                     + [(lo + hi) / 2 for lo, hi in zip(b, b[1:])]
+                     + [-0.0, 0.0, math.nan])
+            for t0, t in itertools.product(times, repeat=2):
+                yield flow, rng.uniform(-50.0, 50.0, 2).tolist(), t0, t
+                yield flow, (-0.0, 0.0), t0, t
+
+    def test_carry_is_the_two_branch_form(self):
+        # forward, back, t == t0 and NaN, with switches before, between,
+        # at and after the endpoints
+        seen = set()
+        for flow, (x, y), t0, t in self.carry_cases():
+            got = flow.carry(x, y, t0, t)
+            assert type(got) is tuple and len(got) == 2
+            assert all(type(v) is float for v in got)
+            want = array_carry(flow, (x, y), t0, t)
+            assert np.array(got).tobytes() == want.tobytes(), (t0, t)
+            if math.isnan(t):
+                assert all(map(math.isnan, got))
+            seen.add("nan" if math.isnan(t) or math.isnan(t0) else
+                     "same" if t == t0 else "back" if t < t0 else "forward")
+        assert seen == {"nan", "same", "back", "forward"}
+
+    def test_array_displacement_is_carrys_increment(self):
+        checked = 0
+        for flow, (x, y), t0, t in self.carry_cases():
+            if not t0 <= t:
+                continue
+            t0s = np.array([t0, t0 - 1.5, t0 + 0.25])
+            dx, dy = flow.displacement(t0s, t).tolist()
+            for i, ti in enumerate(t0s.tolist()):
+                if ti <= t:
+                    got = np.array(flow.carry(x, y, ti, t))
+                    want = np.array([x + dx[i], y + dy[i]])
+                    assert got.tobytes() == want.tobytes(), (ti, t)
+                    checked += 1
+        assert checked > 500
 
     def test_at_hands_out_a_copy(self):
         f = FlowField.uniform((0.1, 0.0))

@@ -275,6 +275,61 @@ class TestRun:
             run(short_scenario(duration=1.0, rig=rig))
 
 
+# perfbench's grid field: a puff spread over 0.5 m cells in a domain that
+# holds the tracked curve for the whole 60 s
+GRID_FIELD = {
+    "type": "grid",
+    "origin": [-40.0, -40.0],
+    "cell_size": 0.5,
+    "shape": [160, 160],
+    "diffusion": 0.05,
+    "flow": {"type": "uniform", "velocity": [0.01, 0.005]},
+    "init_puff": {"release_time": -3000.0, "point": [-30.0, -15.0],
+                  "strength": 113000.0},
+}
+
+
+def shifted(doc: dict, dx: float, dy: float) -> dict:
+    """``doc`` with every world position moved by (dx, dy): the source,
+    seed points, centre, grid origin, init-puff point and start pose."""
+    doc = copy.deepcopy(doc)
+    f = doc["field"]
+    points = [f] + f.get("seed_puffs", []) + [f.get("init_puff", {})]
+    for obj, key in itertools.product(points, ("source", "center",
+                                               "origin", "point")):
+        if key in obj:
+            obj[key] = [obj[key][0] + dx, obj[key][1] + dy]
+    pose = doc["vessel"]["start_pose"]
+    doc["vessel"]["start_pose"] = [pose[0] + dx, pose[1] + dy, pose[2]]
+    return doc
+
+
+class TestWorldFrame:
+    """The law reads positions only as differences, so a run does not
+    depend on where the world is: moving every position in a document by
+    one offset leaves the commands, the estimates and the true
+    concentration within rounding of the offset coordinates, and the
+    status the same."""
+
+    @pytest.mark.parametrize("make", ["case1", "advection", "grid"])
+    def test_run_is_the_same_shifted(self, make, case1_doc, advection_doc):
+        doc = {"case1": case1_doc, "advection": advection_doc,
+               "grid": dict(case1_doc, name="grid", field=GRID_FIELD)}[make]
+        moved = shifted(doc, 1000.0, -500.0)
+        assert moved != doc
+        sa, sb = scenario_from_dict(doc), scenario_from_dict(moved)
+        a, b = run(sa), run(sb)
+        assert len(a) == len(b) > 1000
+        for name in ("nu", "omega", "chat", "grad", "ctrue"):
+            u, v = column(a, name), column(b, name)
+            close = np.abs(u - v) <= 1e-6 * np.maximum(np.abs(u), 1.0)
+            assert np.all(close | np.isnan(u) & np.isnan(v)), name
+        assert a.status == b.status
+        assert "tracking" in a.status
+        assert metrics(a, sa).tracking_reached_at == \
+            metrics(b, sb).tracking_reached_at
+
+
 # The matrix forms of one control step, as the step chain computed them on
 # numpy 2-vectors before it ran on floats: a reference for the float chain.
 
