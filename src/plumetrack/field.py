@@ -42,8 +42,13 @@ the field.  ``advance(t, max_substep)`` returns the field at time t
 (the analytic fields return themselves), ``centroid(t)`` is the plume
 centre as an (x, y) float pair, and ``level_set_radius(c0, t)`` is the
 radius of a circular c = c0 curve or raises ``ValueError`` where there
-is no closed form.  Advection is ``FlowField.carry``, forward or back
-in time; the plume's build moves all releases at once by ``displacement``.
+is no closed form.  ``check_run(steps, dt, max_substep)`` raises
+``ValueError`` for a run, advanced to t = i dt for i = 0..steps, that
+is over the model's limits (the puff plume's emission train, the grid's
+explicit substeps); ``Scenario`` calls it, so the limits bind
+library-built scenarios too.  Advection is ``FlowField.carry``, forward
+or back in time; the plume's build moves all releases at once by
+``displacement``.
 
 The puff plume sums only the puffs that its neighbour list (Verlet,
 1967) keeps; ``PuffPlume._build`` states the bound and why no sum changes.
@@ -71,6 +76,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
+from functools import reduce
+from itertools import islice
 from typing import NamedTuple
 
 # A puff whose c is bounded by this (ppb) over every query point is left
@@ -81,6 +88,9 @@ CULL_BOUND = 1e-30
 # top speed, 2 m/s, times the horizon.
 SKIN = 8.0
 HORIZON = 4.0
+# The most emission-train puffs a run's builds may compute (one at t takes
+# every release by t + HORIZON), and explicit substeps a grid run may take.
+MAX_TRAIN_PUFFS = MAX_GRID_SUBSTEPS = 1_000_000
 
 
 class FieldError(ValueError):
@@ -531,6 +541,14 @@ class PuffPlume:
         """Closed form: the plume at any time is this same object."""
         return self
 
+    def check_run(self, steps: int, dt: float, max_substep: float):
+        """Refuse a run whose last build computes over MAX_TRAIN_PUFFS train puffs."""
+        end = steps * dt + HORIZON
+        n = (end - self.start_time) / self.puff_interval
+        if self.emission_rate > 0 and n > MAX_TRAIN_PUFFS:
+            raise ValueError(f"the emission train would release {n:.3g} puffs "
+                             f"by t = {end:g} s; at most {MAX_TRAIN_PUFFS:,}")
+
     def level_set_radius(self, c0: float, t: float) -> float | None:
         """Radius of the circular c = c0 level curve of a single seeded
         release; None when the peak is below c0 (empty level set)."""
@@ -579,6 +597,9 @@ class FrozenGaussian:
     def advance(self, t: float, max_substep: float = math.inf) -> "FrozenGaussian":
         """Closed form: the field at any time is this same object."""
         return self
+
+    def check_run(self, steps: int, dt: float, max_substep: float):
+        """Nothing to refuse: the closed form takes any run."""
 
     def level_set_radius(self, c0: float, t: float) -> float | None:
         """Radius of the circular c = c0 level curve; None when the peak is
@@ -819,18 +840,32 @@ class GridField:
                           _scratch=(d, ad))
         return g
 
+    def _substeps(self, targets, max_substep: float):
+        """The substeps from ``self.time`` to each target in turn: the rest
+        of the span in equal parts within ``max_substep`` and the stable dt."""
+        time = self.time
+        for target in targets:
+            while time < target - 1e-12:
+                span = target - time
+                cap = min(stable_dt(self.flow.at(time), self.cell_size,
+                                    self.diffusion), max_substep)
+                if cap <= 0.0:
+                    raise StepSizeError(f"no grid substep fits the bound {cap:g} s")
+                dt = span / max(1, math.ceil(span / cap - 1e-12))
+                yield dt
+                time += dt                  # as ``step`` sets the new time
+
     def advance(self, t_target: float, max_substep: float = math.inf) -> "GridField":
-        """Step until ``t_target`` using substeps within both the stability
-        bound and ``max_substep``."""
-        g = self
-        while g.time < t_target - 1e-12:
-            span = t_target - g.time
-            dt_cap = min(g.max_stable_dt(), max_substep)
-            if dt_cap <= 0.0:
-                raise StepSizeError(f"no step fits the bound {dt_cap:g}")
-            n = max(1, int(math.ceil(span / dt_cap - 1e-12)))
-            g = g.step(span / n)
-        return g
+        """Step until ``t_target`` by ``_substeps``."""
+        return reduce(GridField.step, self._substeps((t_target,), max_substep),
+                      self)
+
+    def check_run(self, steps: int, dt: float, max_substep: float):
+        """Refuse a run that takes more than MAX_GRID_SUBSTEPS substeps."""
+        run = self._substeps((i * dt for i in range(steps + 1)), max_substep)
+        if sum(1 for _ in islice(run, MAX_GRID_SUBSTEPS + 1)) > MAX_GRID_SUBSTEPS:
+            raise ValueError(f"{steps:,} control steps need more than "
+                             f"{MAX_GRID_SUBSTEPS:,} explicit grid substeps")
 
     def eval_many(self, points, t: float) -> list:
         """Concentration at each point at ``self.time``, a list of m

@@ -1,10 +1,15 @@
 """Scenario files: versioned JSON documents describing one run.
 
-The schema is strict: unknown fields and keys given twice in one object
-are errors (guards against silent typos in gain names), required fields
-are reported by dotted path, and JSON syntax errors carry line and
-column.  Sweeps mutate the raw document through dotted paths before
-validation, so a bad sweep path surfaces as a normal schema error.
+The schema is strict: unknown fields, keys given twice in one object
+and integer literals longer than Python converts are errors (guards
+against silent typos in gain names), required fields are reported by
+dotted path, and JSON syntax errors carry line and column.  Sweeps
+mutate the raw document through dotted paths before validation, so a
+bad sweep path surfaces as a normal schema error.  This module only
+reads documents: a run's limits (its control steps, a puff plume's
+emission train, a grid's explicit substeps) are checked by ``Scenario``
+and its field model, for library-built scenarios too, and a refusal is
+reported at the document's path like any other model error.
 
 Top-level layout (see ``scenarios/`` for complete examples)::
 
@@ -40,23 +45,18 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-from .field import (HORIZON, FlowField, FrozenGaussian, GaussianPuff,
-                    GridField, PuffPlume, stable_dt)
+from .field import FlowField, FrozenGaussian, GaussianPuff, GridField, PuffPlume
 from .guidance import GuidanceGains, SIGN_MODES, SIGN_PDE
 from .sensing import NoiseModel, SensorRig
-from .simulator import (MAX_STEPS, Scenario, TRACKED_POINTS,
-                        expected_records)
+from .simulator import Scenario, TRACKED_POINTS
 from .vessel import VesselParams
 
 SCHEMA_VERSION = 1
-
-# The most emission-train puffs a run may compute: a neighbour-list build
-# at t <= duration computes and scans every one released by t + HORIZON.
-MAX_TRAIN_PUFFS = 1_000_000
 
 
 class ScenarioError(ValueError):
@@ -193,16 +193,10 @@ _READERS = {"source": _vec2, "center": _vec2, "point": _vec2,
             "flow": _flow, "seed_puffs": _seed_puffs, "seed": _int}
 
 
-def _field(d: dict, path: str, duration: float):
+def _field(d: dict, path: str):
     kind = _str(d, "type", path) if isinstance(d, dict) else None
     if kind == "puffs":
-        plume = _model(PuffPlume, d, path, extra=["type"])
-        n_train = (duration + HORIZON - plume.start_time) / plume.puff_interval
-        if plume.emission_rate > 0 and n_train > MAX_TRAIN_PUFFS:
-            _fail(path, f"the emission train would release {n_train:.3g} "
-                        f"puffs by t = {duration + HORIZON:g} s; "
-                        f"at most {MAX_TRAIN_PUFFS:,}")
-        return plume
+        return _model(PuffPlume, d, path, extra=["type"])
     if kind == "frozen-gaussian":
         return _model(FrozenGaussian, d, path, extra=["type"])
     if kind == "grid":
@@ -229,22 +223,6 @@ def _field(d: dict, path: str, duration: float):
                               choices=("outflow", "periodic")))
     _fail(f"{path}.type",
           "expected 'puffs', 'frozen-gaussian', or 'grid'")
-
-
-def _check_grid_substeps(sc: Scenario, path: str):
-    """Refuse a grid run that needs more than MAX_STEPS explicit substeps:
-    ceil(dt_c / min(physics_substep, stable dt)) per control step, at the
-    stable dt of the fastest flow segment.  A stable dt of 0 (the bound
-    underflowed) is too many."""
-    grid = sc.field0
-    fastest = max(grid.flow.velocities, key=lambda v: abs(v[0]) + abs(v[1]))
-    dt = min(sc.physics_substep,
-             stable_dt(fastest, grid.cell_size, grid.diffusion))
-    per_step = sc.control_period / dt if dt > 0 else math.inf
-    steps = expected_records(sc.duration, sc.control_period) - 1
-    if steps * math.ceil(min(per_step, MAX_STEPS + 1)) > MAX_STEPS:
-        _fail(path, f"{steps:,} control steps need more than {MAX_STEPS:,} "
-                    f"explicit grid substeps of {dt:.3g} s")
 
 
 def scenario_from_dict(doc: dict, origin: str = "<scenario>") -> Scenario:
@@ -274,12 +252,11 @@ def scenario_from_dict(doc: dict, origin: str = "<scenario>") -> Scenario:
               "expected [x, y, theta] of finite numbers")
     gains = _model(GuidanceGains, doc["gains"], f"{origin}.gains")
 
-    duration = _num(doc, "duration", origin)
     with _at(origin):
-        scenario = Scenario(
+        return Scenario(
             name=_str(doc, "name", origin, "scenario"),
             seed=_int(doc, "seed", origin, 0),
-            duration=duration,
+            duration=_num(doc, "duration", origin),
             control_period=control_period,
             physics_substep=substep,
             sign_convention=_str(doc, "sign_convention", origin, SIGN_PDE,
@@ -287,21 +264,20 @@ def scenario_from_dict(doc: dict, origin: str = "<scenario>") -> Scenario:
             tracked_point=_str(doc, "tracked_point", origin, "head",
                                choices=TRACKED_POINTS),
             flow_noise_sigma=_num(doc, "flow_noise_sigma", origin, 0.0),
-            field0=_field(doc["field"], f"{origin}.field", duration),
+            field0=_field(doc["field"], f"{origin}.field"),
             rig=rig,
             noise=noise,
             params=params,
             start_pose=(float(pose[0]), float(pose[1]), float(pose[2])),
             gains=gains,
         )
-    if isinstance(scenario.field0, GridField):
-        _check_grid_substeps(scenario, f"{origin}.field")
-    return scenario
 
 
 def load_raw(path) -> dict:
-    """Read a scenario JSON document; syntax errors carry line:col, and a
-    key given twice in one object is refused, not left to the last."""
+    """Read a scenario JSON document; syntax errors carry line:col, a
+    key given twice in one object is refused, not left to the last, and
+    so is an integer literal longer than Python converts
+    (``sys.get_int_max_str_digits``, 4,300 digits by default)."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
@@ -318,8 +294,17 @@ def load_raw(path) -> dict:
             obj[key] = value
         return obj
 
+    def integer(literal):
+        try:
+            return int(literal)
+        except ValueError:
+            raise ScenarioError(
+                f"{p}: integer literal of {len(literal.lstrip('-')):,} "
+                f"digits; at most {sys.get_int_max_str_digits():,}") from None
+
     try:
-        doc = json.loads(text, object_pairs_hook=unique_keys)
+        doc = json.loads(text, object_pairs_hook=unique_keys,
+                         parse_int=integer)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{p}:{exc.lineno}:{exc.colno}: {exc.msg}") from None

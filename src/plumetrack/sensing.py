@@ -130,9 +130,12 @@ def world_positions(rig: SensorRig, x: float, y: float, c: float,
                     s: float) -> tuple:
     """Sensor positions x_Si = x_r + R(theta) offset_i, four (x, y), of
     the vessel at x_r = (x, y) whose heading has (cos theta, sin theta)
-    = (c, s)."""
-    return tuple([(x + (ox * c + oy * -s), y + (ox * s + oy * c))
-                  for ox, oy in rig.offsets])
+    = (c, s).  The rig's four offsets are unrolled."""
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = rig.offsets
+    return ((x + (ax * c + ay * -s), y + (ax * s + ay * c)),
+            (x + (bx * c + by * -s), y + (bx * s + by * c)),
+            (x + (cx * c + cy * -s), y + (cx * s + cy * c)),
+            (x + (dx * c + dy * -s), y + (dx * s + dy * c)))
 
 
 def design_matrix(positions) -> list:

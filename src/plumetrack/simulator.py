@@ -78,7 +78,12 @@ class Scenario:
     """Complete run configuration.  ``field0`` is the initial field model
     (PuffPlume, FrozenGaussian, or GridField); analytic fields are
     stateless and may be shared between runs.  The other models are
-    frozen configuration; a run makes its own random generators."""
+    frozen configuration; a run makes its own random generators.
+
+    Every limit on a run is checked here, whether the scenario comes from
+    a document or from library code (``dataclasses.replace`` included):
+    at most MAX_STEPS control steps, and whatever ``field0.check_run``
+    refuses for those steps and the physics substep."""
 
     name: str
     seed: int
@@ -110,6 +115,7 @@ class Scenario:
                              f"steps; at most {MAX_STEPS:,}")
         if not 0 < self.physics_substep <= self.control_period + 1e-12:
             raise ValueError("physics substep must be in (0, control period]")
+        self.field0.check_run(steps, self.control_period, self.physics_substep)
         if self.sign_convention not in guidance.SIGN_MODES:
             raise ValueError(f"unknown sign convention {self.sign_convention!r}")
         if self.tracked_point not in TRACKED_POINTS:

@@ -85,8 +85,12 @@ def to_actuators(u, c: float, s: float,
     l0 = params.offset
     nu_raw = c * ux + s * uy
     omega_raw = -s / l0 * ux + c / l0 * uy
-    nu = min(max(nu_raw, -params.nu_max), params.nu_max)
-    omega = min(max(omega_raw, -params.omega_max), params.omega_max)
+    # min(max(v, -lim), lim), without the builtin calls; a NaN stays
+    nu_max, omega_max = params.nu_max, params.omega_max
+    nu = (-nu_max if nu_raw < -nu_max
+          else nu_max if nu_raw > nu_max else nu_raw)
+    omega = (-omega_max if omega_raw < -omega_max
+             else omega_max if omega_raw > omega_max else omega_raw)
     return nu, omega, nu != nu_raw or omega != omega_raw
 
 

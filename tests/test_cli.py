@@ -219,6 +219,22 @@ class TestRunCommand:
         assert proc.stderr == f"error: {p}: duplicate key 'k1'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_long_integer_literal_rejected(self, tmp_path, command):
+        # json.loads would raise int's digit-limit ValueError, a traceback
+        text = json.dumps(SHORT_SCENARIO).replace('"seed": 7',
+                                                  '"seed": 1' + "0" * 5000)
+        assert len(text) > 5000
+        p = tmp_path / "long.json"
+        p.write_text(text)
+        args = ("--set", "seed=1,2") if command == "sweep" else ()
+        out = tmp_path / "o"
+        proc = cli(command, str(p), *args, "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == (f"error: {p}: integer literal of 5,001 "
+                               f"digits; at most 4,300\n")
+        assert not out.exists()
+
     def test_json_syntax_error_line_anchored(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text('{\n  "schema": 1,\n  "oops"\n}\n')

@@ -1124,6 +1124,48 @@ class TestGrid:
         idle = GridField((0, 0), 1e-200, np.ones((4, 4)), 0.0, STILL)
         assert np.array_equal(idle.step(1.0).conc, idle.conc)
 
+    @pytest.mark.parametrize("flow", [
+        FlowField.uniform((0.5, 0.0)),
+        FlowField(((0.5, 0.0), (-3.0, 1.0), (0.2, -0.4)), (0.93, 1.5))])
+    @pytest.mark.parametrize("k, substep", [
+        (0.05, 0.01),        # below the stable dt: the substep sets the parts
+        (2.0, 0.05)])        # above it: the stable dt does
+    def test_counted_substeps_are_the_steps_advance_takes(
+            self, monkeypatch, flow, k, substep):
+        puff = GaussianPuff(-5.0, (0.0, 0.0), 100.0, k)
+        grid = GridField.from_puff(puff, flow, 0.0, (-4.0, -4.0), 0.5,
+                                   (16, 16))
+        assert (substep < grid.max_stable_dt()) == (k == 0.05)
+        steps, dt = 40, 0.05
+        taken = []
+        step = GridField.step
+        monkeypatch.setattr(GridField, "step",
+                            lambda g, h: taken.append(h) or step(g, h))
+        g = grid
+        for i in range(steps + 1):              # as a run advances its field
+            g = g.advance(i * dt, substep)
+        monkeypatch.undo()
+        assert len(taken) > steps
+        counted = list(grid._substeps((i * dt for i in range(steps + 1)),
+                                      substep))
+        assert float_bits(counted) == float_bits(taken)
+        # and they are the substeps of the loop that advance once ran
+        looped, g = [], grid
+        for i in range(steps + 1):
+            while g.time < i * dt - 1e-12:
+                span = i * dt - g.time
+                n = max(1, int(math.ceil(
+                    span / min(g.max_stable_dt(), substep) - 1e-12)))
+                looped.append(span / n)
+                g = g.step(span / n)
+        assert float_bits(looped) == float_bits(taken)
+        # the budget is the count: one substep fewer is refused
+        monkeypatch.setattr(field, "MAX_GRID_SUBSTEPS", len(taken))
+        grid.check_run(steps, dt, substep)
+        monkeypatch.setattr(field, "MAX_GRID_SUBSTEPS", len(taken) - 1)
+        with pytest.raises(ValueError, match="explicit grid substeps"):
+            grid.check_run(steps, dt, substep)
+
     def test_eval_many_bit_equal_to_point_formula(self):
         rng = np.random.default_rng(23)
         h, shape = 0.37, np.array([24, 31])

@@ -291,6 +291,17 @@ class TestSchema:
             scenario_from_dict(d)
         assert scenario_from_dict(json.loads(json.dumps(case1_doc)))
 
+    def test_replaced_fields_are_bounded_as_loaded_ones(self, case1_doc):
+        # the limits live in Scenario and its field, not in the loader, so
+        # a scenario made by replace is refused as its document would be:
+        # a grid at k = 5,000 needs about 5.3 million substeps in 60 s
+        grid = scenario_from_dict(doc(field=GRID, duration=60.0))
+        with pytest.raises(ValueError, match="explicit grid substeps"):
+            replace(grid, field0=replace(grid.field0, diffusion=5000.0))
+        case1 = scenario_from_dict(json.loads(json.dumps(case1_doc)))
+        with pytest.raises(ValueError, match="emission train"):
+            replace(case1, field0=replace(case1.field0, puff_interval=1e-6))
+
     def test_bundled_scenarios_load(self, scenarios_dir):
         for name in ("case1.json", "case2.json", "pure_advection.json",
                      "uneven_rig_demo.json"):

@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import math
 import pickle
+import struct
+import sys
 
 import numpy as np
 import pytest
@@ -61,6 +63,35 @@ class TestWorldPositions:
         rig = SensorRig.cross(0.75)
         wp = world_positions(rig, 5, 5, *HEADING_0)
         assert np.allclose(wp, np.array(rig.offsets) + [5, 5])
+
+    def test_unrolled_is_the_loop_bit_for_bit(self):
+        # the per-offset loop that world_positions once ran
+        def looped(rig, x, y, c, s):
+            return tuple([(x + (ox * c + oy * -s), y + (ox * s + oy * c))
+                          for ox, oy in rig.offsets])
+
+        def bits(points):
+            return struct.pack("8d", *(v for p in points for v in p))
+
+        big = sys.float_info.max
+        rng = np.random.default_rng(34)
+        rigs = [SensorRig.cross(), SensorRig.uneven_cross(),
+                SensorRig(((1.0, -0.0), (-1.0, 0.0), (-0.0, 2.0),
+                           (0.0, -2.0))),
+                SensorRig.cross(1e150)]
+        for _ in range(20):
+            a = rng.normal(0, 2, (4, 2))
+            rigs.append(SensorRig(a - a.mean(axis=0)))
+        specials = [0.0, -0.0, 1.0, -1.0, big, -big]
+        rotations = [(1.0, 0.0), (0.0, 1.0), (-1.0, -0.0), (-0.0, -1.0),
+                     *map(rotation, rng.uniform(-4, 4, 6))]
+        poses = [(x, y) for x in specials for y in specials]
+        poses += rng.normal(0, 100, (200, 2)).tolist()
+        for rig in rigs:
+            for x, y in poses:
+                for c, s in rotations:
+                    assert (bits(world_positions(rig, x, y, c, s))
+                            == bits(looped(rig, x, y, c, s))), (x, y, c, s)
 
 
 class TestRigValidation:

@@ -73,6 +73,9 @@ class TestRun:
             def advance(self, t, max_substep=math.inf):
                 return self
 
+            def check_run(self, steps, dt, max_substep):
+                self.inner.check_run(steps, dt, max_substep)
+
             def eval_many(self, points, t):
                 assert type(points) is tuple
                 for p in points:

@@ -1,4 +1,6 @@
 import math
+import struct
+import sys
 
 import numpy as np
 import pytest
@@ -86,6 +88,39 @@ class TestTransform:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             to_actuators((math.nan, 0), *rotation(0.0), VesselParams())
+
+    def test_clip_is_the_builtin_clip_bit_for_bit(self):
+        # the clip as min(max(v, -lim), lim), which to_actuators once called
+        def builtin_clip(u, c, s, params):
+            ux, uy = u
+            l0 = params.offset
+            nu_raw = c * ux + s * uy
+            omega_raw = -s / l0 * ux + c / l0 * uy
+            nu = min(max(nu_raw, -params.nu_max), params.nu_max)
+            omega = min(max(omega_raw, -params.omega_max), params.omega_max)
+            return nu, omega, nu != nu_raw or omega != omega_raw
+
+        def bits(result):
+            return struct.pack("2d?", *result)
+
+        big = sys.float_info.max
+        rng = np.random.default_rng(33)
+        # l0 = 1e-300 makes omega_raw inf, or NaN where 0 * inf meets it
+        for params in (VesselParams(), VesselParams(0.25, 0.7, 3.0),
+                       VesselParams(1e-300, big, big)):
+            specials = [0.0, -0.0, big, -big, params.nu_max, -params.nu_max,
+                        params.omega_max * params.offset,
+                        -params.omega_max * params.offset, 1.0, -1.0]
+            rotations = [(1.0, 0.0), (0.0, 1.0), (-1.0, -0.0), (-0.0, -1.0),
+                         *map(rotation, rng.uniform(-4, 4, 6))]
+            # every special command under every rotation, then random ones
+            cases = [((a, b), r) for a in specials for b in specials
+                     for r in rotations]
+            cases += [(u, rotations[i % len(rotations)]) for i, u in
+                      enumerate(rng.normal(0, 3, (2000, 2)).tolist())]
+            for u, (c, s) in cases:
+                assert (bits(to_actuators(u, c, s, params))
+                        == bits(builtin_clip(u, c, s, params))), (u, c, s)
 
 
 class TestStep:
