@@ -31,7 +31,8 @@ print(f"patrol speed {m.mean_patrol_speed:.3f} m/s "
 print(f"winding: {m.winding_angle / (2 * math.pi):+.2f} turns "
       f"(negative = clockwise)")
 
-(out / "log.csv").write_text(log.to_csv())
+with open(out / "log.csv", "w") as fh:
+    log.to_csv(fh)
 parsed = read_log(out / "log.csv")
 src = np.stack([scenario.field0.centroid(float(t)) for t in parsed["t"]])
 (out / "trajectory.svg").write_text(trajectory_svg(parsed, src))

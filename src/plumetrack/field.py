@@ -74,6 +74,7 @@ Concentration is in ppb, lengths in m, times in s.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from functools import reduce
@@ -89,8 +90,9 @@ CULL_BOUND = 1e-30
 SKIN = 8.0
 HORIZON = 4.0
 # The most emission-train puffs a run's builds may compute (one at t takes
-# every release by t + HORIZON), and explicit substeps a grid run may take.
-MAX_TRAIN_PUFFS = MAX_GRID_SUBSTEPS = 1_000_000
+# every release by t + HORIZON), explicit substeps a grid run may take, and
+# cells a grid built from a puff may hold.
+MAX_TRAIN_PUFFS = MAX_GRID_SUBSTEPS = MAX_GRID_CELLS = 1_000_000
 
 
 class FieldError(ValueError):
@@ -117,12 +119,12 @@ def _pairs(points):
 
 def as_pair(pair, message: str) -> tuple[float, float]:
     """Any 2-sequence as a pair of floats; ValueError(message) when it
-    holds more or fewer than two values."""
+    holds more or fewer than two values or one that ``float`` refuses."""
     try:
         x, y = pair
+        return float(x), float(y)
     except (TypeError, ValueError):
         raise ValueError(message) from None
-    return float(x), float(y)
 
 
 def hypot(x: float, y: float) -> float:
@@ -179,11 +181,11 @@ class FlowField:
     boundaries: tuple               # n_seg - 1 floats
 
     def __post_init__(self):
-        count = "need len(boundaries) + 1 velocity vectors"
-        vs = tuple(as_pair(v, count) for v in self.velocities)
+        vs = tuple(as_pair(v, "each flow velocity must be (vx, vy)")
+                   for v in self.velocities)
         b = tuple(map(float, self.boundaries))
         if len(vs) != len(b) + 1:
-            raise ValueError(count)
+            raise ValueError("need len(boundaries) + 1 velocity vectors")
         if not all(map(math.isfinite, (*b, *(x for v in vs for x in v)))):
             raise ValueError("flow velocities and boundaries must be finite")
         if not all(lo < hi for lo, hi in zip(b, b[1:])):
@@ -274,7 +276,8 @@ class GaussianPuff:
         t included)."""
         tau = t - self.release_time
         if not tau > 0:
-            raise PuffTimeError(f"puff evaluated at age {tau:g}, not > 0")
+            raise PuffTimeError(f"puff evaluated at age {tau:g} "
+                                "(t - release_time), not > 0")
         return tau
 
     def peak(self, t: float) -> float:
@@ -703,10 +706,16 @@ class GridField:
     @classmethod
     def from_puff(cls, puff: GaussianPuff, flow: FlowField, t: float,
                   origin, cell_size: float, shape, **kwargs):
-        """Initialize cell values from the analytic puff at time t.
-        Further keywords (``boundary``) go to the constructor."""
+        """Initialize cell values from the analytic puff at time t on a
+        ``shape`` of two integers and at most MAX_GRID_CELLS cells, both
+        checked first.  Further keywords (``boundary``) go to the constructor."""
         import numpy as np
-        nx, ny = shape
+        try:
+            nx, ny = map(operator.index, shape)
+        except (TypeError, ValueError):
+            raise ValueError("shape must be two integers [nx, ny]") from None
+        if min(nx, ny) > 0 and nx * ny > MAX_GRID_CELLS:
+            raise ValueError(f"shape gives more than {MAX_GRID_CELLS:,} cells")
         x0, y0 = origin = as_pair(origin, "origin must be (x, y)")
         ctr = puff.center(flow, t)
         tau = t - puff.release_time
@@ -842,7 +851,9 @@ class GridField:
 
     def _substeps(self, targets, max_substep: float):
         """The substeps from ``self.time`` to each target in turn: the rest
-        of the span in equal parts within ``max_substep`` and the stable dt."""
+        of the span in equal parts within ``max_substep`` and the stable dt.
+        StepSizeError where none fits, or where one is below half an ulp
+        of the time and would leave it unchanged."""
         time = self.time
         for target in targets:
             while time < target - 1e-12:
@@ -852,6 +863,9 @@ class GridField:
                 if cap <= 0.0:
                     raise StepSizeError(f"no grid substep fits the bound {cap:g} s")
                 dt = span / max(1, math.ceil(span / cap - 1e-12))
+                if time + dt == time:
+                    raise StepSizeError(f"a grid substep of {dt:g} s leaves "
+                                        f"t = {time:g} s unchanged")
                 yield dt
                 time += dt                  # as ``step`` sets the new time
 

@@ -5,11 +5,12 @@ and integer literals longer than Python converts are errors (guards
 against silent typos in gain names), required fields are reported by
 dotted path, and JSON syntax errors carry line and column.  Sweeps
 mutate the raw document through dotted paths before validation, so a
-bad sweep path surfaces as a normal schema error.  This module only
-reads documents: a run's limits (its control steps, a puff plume's
-emission train, a grid's explicit substeps) are checked by ``Scenario``
-and its field model, for library-built scenarios too, and a refusal is
-reported at the document's path like any other model error.
+bad sweep path surfaces as a normal schema error.  This module checks
+only keys and JSON types (finite numbers, integers, strings, arrays of
+finite numbers).  Every rule on a value (its range, length or choice)
+and every limit on a run is judged once, by ``Scenario`` or the model
+it holds, for library-built scenarios too; a refusal is reported at the
+path of the section that builds the model.
 
 Top-level layout (see ``scenarios/`` for complete examples)::
 
@@ -35,10 +36,9 @@ Top-level layout (see ``scenarios/`` for complete examples)::
 Each section that builds one model (``noise``, ``vessel``, ``gains``,
 ``rig``, a ``puffs`` or ``frozen-gaussian`` field, a seed puff, a piecewise
 flow) takes that model's fields as its keys and defaults: a field without
-a default is required.  Only keys that are not model fields are read
-explicitly: the top level, ``vessel.start_pose``, each ``type``, a uniform
-flow's ``velocity``, and the grid field, whose ``shape`` and ``init_puff``
-make its cells.
+a default is required.  Keys that are no model field are read by name:
+the top level, ``vessel.start_pose``, each ``type``, a uniform flow's
+``velocity``, and a grid, whose ``shape`` and ``init_puff`` make its cells.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .field import FlowField, FrozenGaussian, GaussianPuff, GridField, PuffPlume
-from .guidance import GuidanceGains, SIGN_MODES, SIGN_PDE
+from .guidance import GuidanceGains, SIGN_PDE
 from .sensing import NoiseModel, SensorRig
-from .simulator import Scenario, TRACKED_POINTS
+from .simulator import Scenario
 from .vessel import VesselParams
 
 SCHEMA_VERSION = 1
@@ -114,28 +114,18 @@ def _int(d: dict, key: str, path: str, default=None):
     if key not in d:
         return default
     v = d[key]
-    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-        _fail(f"{path}.{key}", f"expected a non-negative integer, got {v!r}")
-    return int(v)
+    if isinstance(v, bool) or not isinstance(v, int):
+        _fail(f"{path}.{key}", f"expected an integer, got {v!r}")
+    return v
 
 
-def _str(d: dict, key: str, path: str, default=None, choices=None) -> str:
+def _str(d: dict, key: str, path: str, default=None) -> str:
     if key not in d:
         return default
     v = d[key]
     if not isinstance(v, str):
         _fail(f"{path}.{key}", f"expected a string, got {v!r}")
-    if choices and v not in choices:
-        _fail(f"{path}.{key}", f"expected one of {list(choices)}, got {v!r}")
     return v
-
-
-def _vec2(d: dict, key: str, path: str):
-    v = d.get(key)
-    if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or not all(map(_is_num, v))):
-        _fail(f"{path}.{key}", "expected a 2-vector of finite numbers")
-    return [float(v[0]), float(v[1])]
 
 
 def _array(d: dict, key: str, path: str) -> list:
@@ -157,11 +147,14 @@ def _array(d: dict, key: str, path: str) -> list:
 def _flow(d: dict, key: str, path: str) -> FlowField:
     flow, path = d[key], f"{path}.{key}"
     _check_keys(flow, path, ["type"], ["velocity", "boundaries", "velocities"])
-    kind = _str(flow, "type", path, choices=("uniform", "piecewise"))
+    kind = _str(flow, "type", path)
     if kind == "uniform":
         _check_keys(flow, path, ["type", "velocity"], [])
-        return FlowField.uniform(_vec2(flow, "velocity", path))
-    return _model(FlowField, flow, path, extra=["type"])
+        with _at(path):
+            return FlowField.uniform(_array(flow, "velocity", path))
+    if kind == "piecewise":
+        return _model(FlowField, flow, path, extra=["type"])
+    _fail(f"{path}.type", f"expected 'uniform' or 'piecewise', got {kind!r}")
 
 
 def _seed_puffs(d: dict, key: str, path: str) -> tuple:
@@ -188,7 +181,7 @@ def _model(cls, d: dict, path: str, extra=(), **given):
 
 
 # The reader of each model field that is not a plain number.
-_READERS = {"source": _vec2, "center": _vec2, "point": _vec2,
+_READERS = {"source": _array, "center": _array, "point": _array,
             "offsets": _array, "velocities": _array, "boundaries": _array,
             "flow": _flow, "seed_puffs": _seed_puffs, "seed": _int}
 
@@ -203,24 +196,14 @@ def _field(d: dict, path: str):
         _check_keys(d, path,
                     ["type", "origin", "cell_size", "shape", "diffusion",
                      "flow", "init_puff"], ["boundary"])
-        shape = d.get("shape")
-        if (not isinstance(shape, list) or len(shape) != 2
-                or any(isinstance(s, bool) or not isinstance(s, int)
-                       for s in shape)):
-            _fail(f"{path}.shape", "expected [nx, ny] integers")
-        k = _num(d, "diffusion", path)
         flow = _flow(d, "flow", path)
         puff = _model(GaussianPuff, d["init_puff"], f"{path}.init_puff",
-                      diffusion=k)
-        if puff.release_time >= 0:
-            _fail(f"{path}.init_puff.release_time",
-                  "must be < 0 so the grid is defined at t = 0")
+                      diffusion=_num(d, "diffusion", path))
         with _at(path):
             return GridField.from_puff(
-                puff, flow, t=0.0, origin=_vec2(d, "origin", path),
-                cell_size=_num(d, "cell_size", path), shape=shape,
-                boundary=_str(d, "boundary", path, GridField.boundary,
-                              choices=("outflow", "periodic")))
+                puff, flow, t=0.0, origin=_array(d, "origin", path),
+                cell_size=_num(d, "cell_size", path), shape=d["shape"],
+                boundary=_str(d, "boundary", path, GridField.boundary))
     _fail(f"{path}.type",
           "expected 'puffs', 'frozen-gaussian', or 'grid'")
 
@@ -237,39 +220,26 @@ def scenario_from_dict(doc: dict, origin: str = "<scenario>") -> Scenario:
               f"unsupported schema {doc['schema']!r}; expected {SCHEMA_VERSION}")
 
     control_period = _num(doc, "control_period", origin, 0.05)
-    substep = _num(doc, "physics_substep", origin, control_period)
-
-    rig = (_model(SensorRig, doc["rig"], f"{origin}.rig") if "rig" in doc
-           else SensorRig.cross())
-    noise = _model(NoiseModel, doc.get("noise", {}), f"{origin}.noise")
-
-    vp = doc["vessel"]
-    params = _model(VesselParams, vp, f"{origin}.vessel", extra=["start_pose"])
-    pose = vp["start_pose"]
-    if (not isinstance(pose, list) or len(pose) != 3
-            or not all(map(_is_num, pose))):
-        _fail(f"{origin}.vessel.start_pose",
-              "expected [x, y, theta] of finite numbers")
-    gains = _model(GuidanceGains, doc["gains"], f"{origin}.gains")
-
+    vessel, at_vessel = doc["vessel"], f"{origin}.vessel"
     with _at(origin):
         return Scenario(
             name=_str(doc, "name", origin, "scenario"),
             seed=_int(doc, "seed", origin, 0),
             duration=_num(doc, "duration", origin),
             control_period=control_period,
-            physics_substep=substep,
-            sign_convention=_str(doc, "sign_convention", origin, SIGN_PDE,
-                                 choices=SIGN_MODES),
-            tracked_point=_str(doc, "tracked_point", origin, "head",
-                               choices=TRACKED_POINTS),
+            physics_substep=_num(doc, "physics_substep", origin,
+                                 control_period),
+            sign_convention=_str(doc, "sign_convention", origin, SIGN_PDE),
+            tracked_point=_str(doc, "tracked_point", origin, "head"),
             flow_noise_sigma=_num(doc, "flow_noise_sigma", origin, 0.0),
             field0=_field(doc["field"], f"{origin}.field"),
-            rig=rig,
-            noise=noise,
-            params=params,
-            start_pose=(float(pose[0]), float(pose[1]), float(pose[2])),
-            gains=gains,
+            rig=(_model(SensorRig, doc["rig"], f"{origin}.rig")
+                 if "rig" in doc else SensorRig.cross()),
+            noise=_model(NoiseModel, doc.get("noise", {}), f"{origin}.noise"),
+            params=_model(VesselParams, vessel, at_vessel,
+                          extra=["start_pose"]),
+            start_pose=_array(vessel, "start_pose", at_vessel),
+            gains=_model(GuidanceGains, doc["gains"], f"{origin}.gains"),
         )
 
 

@@ -53,6 +53,14 @@ class DegenerateStencilError(ValueError):
     """Stencil rows are (numerically) linearly dependent."""
 
 
+def as_seed(seed) -> int:
+    """A generator seed as an int; ValueError unless it is a non-negative
+    integer (a bool or an integral float is none)."""
+    if isinstance(seed, bool) or not hasattr(seed, "__index__") or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class SensorRig:
     """Body-frame sensor offsets; exactly four, mean zero, not collinear."""
@@ -95,7 +103,8 @@ class NoiseModel:
     Plain configuration: when sigma > 0 the generator belongs to the run,
     which seeds it from ``seed`` (None means the run's own seed) and hands
     each step's standard normals to ``read``; a noise-free run hands it
-    zeros and seeds no generator.
+    zeros and seeds no generator.  A ``seed`` other than None is stored
+    as an int and must be a non-negative integer (``as_seed``).
     """
 
     sigma: float = 0.0
@@ -107,6 +116,8 @@ class NoiseModel:
         if not (self.sigma >= 0 and self.floor >= 0
                 and self.range_max > self.floor):
             raise ValueError("need sigma >= 0 and 0 <= floor < range_max")
+        if self.seed is not None:
+            object.__setattr__(self, "seed", as_seed(self.seed))
 
     def read(self, c, g) -> list[float]:
         """Readings of the true concentrations ``c``, one float per sensor,

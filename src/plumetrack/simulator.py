@@ -38,7 +38,6 @@ diverged observer by raising :class:`~plumetrack.guidance.NonFiniteError`.
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 from array import array
@@ -48,7 +47,7 @@ from dataclasses import dataclass
 from . import guidance, sensing, vessel
 from .field import DomainError, hypot
 from .guidance import GuidanceGains
-from .sensing import NoiseModel, SensorRig
+from .sensing import NoiseModel, SensorRig, as_seed
 from .vessel import VesselParams
 
 CSV_COLUMNS = ("t", "x", "y", "theta", "zx", "zy", "xhat", "yhat",
@@ -83,7 +82,9 @@ class Scenario:
     Every limit on a run is checked here, whether the scenario comes from
     a document or from library code (``dataclasses.replace`` included):
     at most MAX_STEPS control steps, and whatever ``field0.check_run``
-    refuses for those steps and the physics substep."""
+    refuses for those steps and the physics substep.  So is what no model
+    here judges: ``seed``, a non-negative integer (``sensing.as_seed``)
+    kept as an int, and ``start_pose``, three finite numbers kept as floats."""
 
     name: str
     seed: int
@@ -101,6 +102,15 @@ class Scenario:
     gains: GuidanceGains
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", as_seed(self.seed))
+        try:
+            pose = tuple(self.start_pose)
+            finite = len(pose) == 3 and all(map(math.isfinite, pose))
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise ValueError("start_pose must be [x, y, theta] of finite numbers")
+        object.__setattr__(self, "start_pose", tuple(map(float, pose)))
         if not self.duration > 0:
             raise ValueError("duration must be > 0")
         if not self.control_period > 0:
@@ -117,9 +127,9 @@ class Scenario:
             raise ValueError("physics substep must be in (0, control period]")
         self.field0.check_run(steps, self.control_period, self.physics_substep)
         if self.sign_convention not in guidance.SIGN_MODES:
-            raise ValueError(f"unknown sign convention {self.sign_convention!r}")
+            raise ValueError(f"unknown sign_convention {self.sign_convention!r}")
         if self.tracked_point not in TRACKED_POINTS:
-            raise ValueError(f"tracked point must be one of {TRACKED_POINTS}")
+            raise ValueError(f"tracked_point must be one of {TRACKED_POINTS}")
         if not self.flow_noise_sigma >= 0:
             raise ValueError("flow noise sigma must be >= 0")
 
@@ -148,17 +158,16 @@ class RunLog:
     def __len__(self) -> int:
         return len(self.table) // WIDTH
 
-    def to_csv(self, fh=None) -> str | None:
+    def to_csv(self, fh) -> None:
         """Fixed-column CSV, floats at 9 significant digits, missing
         ctrue as an empty field.  The rows are formatted and written
         ``LOG_CHUNK`` records at a time to the text file ``fh``, so the
-        writer holds one chunk beside the table; with no file the joined
-        text is returned.  A chunk is one %-format of its cells, laid out
-        from the table's flat values by strided slices."""
-        out = io.StringIO() if fh is None else fh
+        writer holds one chunk beside the table.  A chunk is one %-format
+        of its cells, laid out from the table's flat values by strided
+        slices."""
         row = "%.9g," * 20 + "%s,%s,%s\n"
         per_row = len(CSV_COLUMNS)
-        out.write(",".join(CSV_COLUMNS) + "\n")
+        fh.write(",".join(CSV_COLUMNS) + "\n")
         for a in range(0, len(self), LOG_CHUNK):
             flat = self.table[a * WIDTH:(a + LOG_CHUNK) * WIDTH].tolist()
             rows = len(flat) // WIDTH
@@ -169,8 +178,7 @@ class RunLog:
             cells[21::per_row] = self.status[a:a + LOG_CHUNK]
             cells[22::per_row] = ["" if c != c else "%.9g" % c
                                   for c in flat[21::WIDTH]]
-            out.write(row * rows % tuple(cells))
-        return out.getvalue() if fh is None else None
+            fh.write(row * rows % tuple(cells))
 
 
 def expected_records(duration: float, control_period: float) -> int:

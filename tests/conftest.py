@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -41,6 +42,13 @@ def column(log, name: str):
         view = view != 0
     view.flags.writeable = False
     return view
+
+
+def csv_text(log) -> str:
+    """The CSV text that ``log.to_csv`` writes to a file."""
+    fh = io.StringIO()
+    log.to_csv(fh)
+    return fh.getvalue()
 
 
 def rotation(theta: float) -> tuple[float, float]:

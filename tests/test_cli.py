@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import resource
 import subprocess
 import sys
 import warnings
@@ -807,6 +808,46 @@ class TestExitCodeContract:
         node[path[-1]] = value
         assert self.run_doc(tmp_path, capsys, doc) == code
 
+    # each rule on a value is judged by one model, and a document that
+    # breaks one is refused on one line that names the key
+    @pytest.mark.parametrize("name, path, value, key", [
+        ("case1", ("sign_convention",), "upside-down", "sign_convention"),
+        ("case1", ("tracked_point",), "tail", "tracked_point"),
+        ("grid_escape", ("field", "boundary"), "reflecting", "boundary"),
+        ("grid_escape", ("field", "init_puff", "release_time"), 0.0,
+         "release_time"),
+        ("case1", ("field", "source"), [-150.0], "source"),
+        ("pure_advection", ("field", "center"), [0.0, 0.0, 0.0], "center"),
+        ("case1", ("field", "seed_puffs", 0, "point"), [[-150.0], -75.0],
+         "point"),
+        ("grid_escape", ("field", "origin"), [-8.0], "origin"),
+        ("case1", ("field", "flow", "velocity"), [0.03, 0.015, 0.0],
+         "velocity"),
+        ("case1", ("vessel", "start_pose"), [12.0, 0.0], "start_pose"),
+        ("case1", ("vessel", "start_pose"), "north", "start_pose"),
+        ("case1", ("seed",), -1, "seed"),
+        ("case1", ("noise", "seed"), -1, "seed"),
+        ("grid_escape", ("field", "shape"), [32.5, 32], "shape"),
+        ("grid_escape", ("field", "shape"), [32], "shape"),
+    ])
+    def test_model_rules_refuse_documents(self, tmp_path, scenarios_dir,
+                                          capsys, name, path, value, key):
+        if name == "grid_escape":
+            doc = json.loads(json.dumps(GRID_ESCAPE))
+        else:
+            doc = json.loads((scenarios_dir / f"{name}.json").read_text())
+        node = doc
+        for k in path[:-1]:
+            node = node[k]
+        node[path[-1]] = value
+        sc = write_scenario(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", str(sc), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1, err
+        assert key in err.split(str(sc), 1)[1], err
+
     def test_far_grid_loads_as_zero_cells(self):
         # every cell's squared distance to the puff overflows, and
         # exp(-inf) = 0 is the cells' exact value
@@ -817,6 +858,25 @@ class TestExitCodeContract:
             warnings.simplefilter("error")
             grid = scenario_from_dict(doc).field0
         assert grid.conc.shape == (32, 32) and not grid.conc.any()
+
+    def test_huge_grid_shape_exits_2_before_allocating(self, tmp_path):
+        # 1e10 cells would take 75 GiB.  The child may map at most 3 GB,
+        # so that an allocation of the cells fails at once rather than
+        # taking the machine's memory
+        doc = dict(GRID_ESCAPE, field=dict(GRID_ESCAPE["field"],
+                                           shape=[100000, 100000]))
+        sc = write_scenario(tmp_path, doc)
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "plumetrack.cli", "run", str(sc), "--out",
+             str(tmp_path / "o")], capture_output=True, text=True,
+            timeout=60, preexec_fn=cap)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (f"error: {sc}.field: shape gives more than "
+                               "1,000,000 cells\n")
 
     def test_degenerate_control_overflow_exits_4(self, tmp_path,
                                                  scenarios_dir, capsys):

@@ -4,6 +4,9 @@ import itertools
 import math
 import re
 import struct
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from plumetrack.field import (
     puff_gradient, puff_laplacian)
 from plumetrack.scenario_io import scenario_from_dict
 
-from conftest import column, rotation
+from conftest import column, csv_text, rotation
 
 STILL = FlowField.uniform((0.0, 0.0))
 
@@ -803,11 +806,11 @@ class TestNeighbourList:
         other = copy.deepcopy(case1_doc)
         other.update(duration=20.0, seed=2)
         other["vessel"]["start_pose"] = [-20.0, 15.0, 0.0]
-        fresh = [simulator.run(scenario_from_dict(d)).to_csv()
+        fresh = [csv_text(simulator.run(scenario_from_dict(d)))
                  for d in (case1_doc, other)]
         a, b = (scenario_from_dict(d) for d in (case1_doc, other))
         b = dataclasses.replace(b, field0=a.field0)
-        assert [simulator.run(sc).to_csv() for sc in (a, b, a)] == \
+        assert [csv_text(simulator.run(sc)) for sc in (a, b, a)] == \
             [fresh[0], fresh[1], fresh[0]]
 
 
@@ -1165,6 +1168,28 @@ class TestGrid:
         monkeypatch.setattr(field, "MAX_GRID_SUBSTEPS", len(taken) - 1)
         with pytest.raises(ValueError, match="explicit grid substeps"):
             grid.check_run(steps, dt, substep)
+
+    def test_substep_that_leaves_the_time_unchanged_is_refused(self):
+        # the time's ulp at 1e15 is 0.125, so t + 0.05 rounds back to t
+        # and the substeps never reach the target.  A child process runs
+        # it, so that a loop that never ends fails by the timeout
+        child = textwrap.dedent("""
+            import numpy as np
+            from plumetrack.field import FlowField, GridField, StepSizeError
+            g = GridField((0.0, 0.0), 0.5, np.zeros((8, 8)), 0.05,
+                          FlowField.uniform((0.0, 0.0)), time=1e15)
+            for go in (lambda: g.advance(1e15 + 1.0, 0.05),
+                       lambda: list(g._substeps((1e15 + 1.0,), 0.05))):
+                try:
+                    go()
+                except StepSizeError as exc:
+                    print(exc)
+            """)
+        proc = subprocess.run([sys.executable, "-c", child],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "a grid substep of 0.05 s leaves t = 1e+15 s unchanged"] * 2
 
     def test_eval_many_bit_equal_to_point_formula(self):
         rng = np.random.default_rng(23)

@@ -27,7 +27,8 @@ def logfile(tmp_path_factory):
         params=VesselParams(), start_pose=(10.8695, 0.5, -math.pi / 2),
         gains=GuidanceGains(c0=50.0, k=1.2, k1=5.0, k2=11.0, v_d=1.5))
     path = tmp_path_factory.mktemp("logs") / "log.csv"
-    path.write_text(SIM.run(sc).to_csv())
+    with open(path, "w") as fh:
+        SIM.run(sc).to_csv(fh)
     return path
 
 

@@ -302,6 +302,46 @@ class TestSchema:
         with pytest.raises(ValueError, match="emission train"):
             replace(case1, field0=replace(case1.field0, puff_interval=1e-6))
 
+    @pytest.mark.parametrize("change, key", [
+        (dict(start_pose=(12.0, 0.0)), "start_pose"),
+        (dict(start_pose="abc"), "start_pose"),
+        (dict(start_pose=(12.0, 0.0, math.nan)), "start_pose"),
+        (dict(seed=-1, noise=NoiseModel(sigma=2.0)), "seed"),
+        (dict(seed=1.5, flow_noise_sigma=0.05), "seed"),
+        (dict(seed=True), "seed"),
+    ])
+    def test_replaced_values_are_judged_as_loaded_ones(self, case1_doc,
+                                                       change, key):
+        # the rules on values live in the models, not in the loader, so a
+        # scenario made by replace is refused at construction rather than
+        # crashing mid-run
+        case1 = scenario_from_dict(json.loads(json.dumps(case1_doc)))
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            replace(case1, **change)
+
+    def test_scenario_stores_seed_and_pose_converted(self, case1_doc):
+        case1 = scenario_from_dict(json.loads(json.dumps(case1_doc)))
+        sc = replace(case1, seed=np.int64(3), start_pose=np.array([1, 2, 3]))
+        assert type(sc.seed) is int and sc.seed == 3
+        assert sc.start_pose == (1.0, 2.0, 3.0)
+        assert all(type(v) is float for v in sc.start_pose)
+
+    @pytest.mark.parametrize("seed", [-1, 2.0, True, "7"])
+    def test_noise_seed_is_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="^seed must be"):
+            NoiseModel(sigma=2.0, seed=seed)
+        assert NoiseModel(sigma=2.0, seed=np.int64(7)).seed == 7
+
+    @pytest.mark.parametrize("shape", [(20.7, 20), (20, 20, 1), [20], "ab"])
+    def test_grid_shape_is_two_integers(self, shape):
+        puff = GaussianPuff(-10.0, (0.0, 0.0), 100.0, 0.1)
+        flow = FlowField.uniform((0.0, 0.0))
+        with pytest.raises(ValueError, match="^shape must be two integers"):
+            GridField.from_puff(puff, flow, 0.0, (-5.0, -5.0), 0.5, shape)
+        grid = GridField.from_puff(puff, flow, 0.0, (-5.0, -5.0), 0.5,
+                                   (np.int64(21), 20))
+        assert grid.conc.shape == (21, 20)
+
     def test_bundled_scenarios_load(self, scenarios_dir):
         for name in ("case1.json", "case2.json", "pure_advection.json",
                      "uneven_rig_demo.json"):

@@ -22,7 +22,7 @@ from plumetrack.simulator import (CSV_COLUMNS, RunLog, RunMetrics, Scenario,
 from plumetrack.vessel import (VesselParams, head_point, normalize_heading,
                                step as vessel_step, to_actuators)
 
-from conftest import column, column_index, rotation
+from conftest import column, column_index, csv_text, rotation
 
 STILL = FlowField.uniform((0.0, 0.0))
 
@@ -102,19 +102,19 @@ class TestRun:
 
     def test_determinism_bit_identical(self):
         sc = short_scenario(noise=NoiseModel(sigma=2.0), seed=5)
-        a = run(sc).to_csv()
-        b = run(sc).to_csv()
+        a = csv_text(run(sc))
+        b = csv_text(run(sc))
         assert a == b
 
     def test_different_seeds_differ(self):
         noisy = NoiseModel(sigma=2.0)
-        a = run(short_scenario(noise=noisy, seed=5)).to_csv()
-        b = run(short_scenario(noise=noisy, seed=6)).to_csv()
+        a = csv_text(run(short_scenario(noise=noisy, seed=5)))
+        b = csv_text(run(short_scenario(noise=noisy, seed=6)))
         assert a != b
 
     def test_flow_noise_is_seeded(self):
         sc = short_scenario(flow_noise_sigma=0.05, seed=9)
-        assert run(sc).to_csv() == run(sc).to_csv()
+        assert csv_text(run(sc)) == csv_text(run(sc))
 
     def test_ctrue_logged_for_analytic_fields(self):
         log = run(short_scenario(duration=2.0))
@@ -748,7 +748,7 @@ class TestCsv:
             ctrue=ctrue)
         assert set(log.status) == set(self.STATUSES)
         assert column(log, "sat").any() and not column(log, "sat").all()
-        text = log.to_csv()
+        text = csv_text(log)
         assert text == reference_csv(log)
         assert written_csv(log, tmp_path) == text.encode()
         for cell in (",-0,", "1e+76", "-1e+76", "1e-300", ",\n"):
@@ -761,14 +761,14 @@ class TestCsv:
                 run(scenario_from_dict(GRID_ESCAPE)))
         assert logs[2].truncated
         for log in logs:
-            assert log.to_csv() == reference_csv(log)
-            assert written_csv(log, tmp_path) == log.to_csv().encode()
+            assert csv_text(log) == reference_csv(log)
+            assert written_csv(log, tmp_path) == csv_text(log).encode()
 
     def test_zero_rows_is_header_only(self, tmp_path):
         log = synthetic_log(np.zeros((0, 2)))
-        assert log.to_csv() == reference_csv(log) == \
+        assert csv_text(log) == reference_csv(log) == \
             ",".join(CSV_COLUMNS) + "\n"
-        assert written_csv(log, tmp_path) == log.to_csv().encode()
+        assert written_csv(log, tmp_path) == csv_text(log).encode()
 
 
 class TestLogPassMemory:
