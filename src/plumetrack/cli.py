@@ -12,9 +12,9 @@ diagnostics go to stderr (PLUME_LOG=debug|info raises the verbosity),
 data never does.  The process pool, the plots and the self-checks are
 imported by the commands that use them, so that ``plume run`` starts
 without them, and numpy is imported by the models that compute on
-arrays when they first do (a grid at load, a puff plume at its first
-neighbour-list build, noise at its first draw), so that an analytic run
-imports none of it.  Each numpy block that can overflow on an extreme
+arrays when they first do (a grid at load, noise at its first draw), so
+that a noise-free run of a puff plume or a frozen Gaussian imports none
+of it.  Each numpy block that can overflow on an extreme
 document keeps numpy quiet itself, so no warning reaches stderr.
 """
 

@@ -44,29 +44,27 @@ centre as an (x, y) float pair, and ``level_set_radius(c0, t)`` is the
 radius of a circular c = c0 curve or raises ``ValueError`` where there
 is no closed form.  ``check_run(steps, dt, max_substep)`` raises
 ``ValueError`` for a run, advanced to t = i dt for i = 0..steps, that
-is over the model's limits (the puff plume's emission train, the grid's
-explicit substeps); ``Scenario`` calls it, so the limits bind
-library-built scenarios too.  Advection is ``FlowField.carry``, forward
-or back in time; the plume's build moves all releases at once by
-``displacement``.
+is over the model's limits (the train puffs one neighbour list of the
+puff plume may hold, the grid's explicit substeps); ``Scenario`` calls
+it, so the limits bind library-built scenarios too.  Advection is
+``FlowField.carry``, forward or back in time.
 
 The puff plume sums only the puffs that its neighbour list (Verlet,
 1967) keeps; ``PuffPlume._build`` states the bound and why no sum changes.
 
 The analytic fields' evaluation, the flow's ``at`` and ``carry`` run on
 Python floats, with ``math.exp``, so they do not depend on numpy's SIMD
-dispatch; a plume point's kept terms are summed left to right in
-``_rows`` order (see ``PuffPlume.eval_many``).  A grid
-takes its initial cells from ``math.exp`` too, and its step and sample
-are IEEE-exact numpy passes and float sums, with no BLAS call.  The
-float rules the step's layers share have one copy each, here: C's
-``hypot``, the in-order ``dot`` and numpy's few-point ``mean_point``.
+dispatch; a plume point's kept terms are summed left to right in list
+order (see ``PuffPlume.eval_many``).  A grid takes its initial cells
+from ``math.exp`` too, and its step and sample are IEEE-exact numpy
+passes and float sums, with no BLAS call.  The float rules the step's
+layers share have one copy each, here: C's ``hypot``, the in-order
+``dot`` and numpy's few-point ``mean_point``.
 
 The models check their inputs on floats, so this module imports numpy
-only inside the functions that compute on arrays: the grid's, the puff
-plume's neighbour-list build with its release rows and the build's
-displacement, and the single-puff point functions.  A frozen Gaussian
-never imports it, and a puff plume at its first neighbour-list build.
+only inside the functions that compute on arrays: the grid's and the
+single-puff point functions.  A frozen Gaussian and a puff plume, its
+neighbour list included, never import it.
 
 Concentration is in ppb, lengths in m, times in s.
 """
@@ -75,7 +73,7 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from functools import reduce
 from itertools import islice
@@ -89,9 +87,9 @@ CULL_BOUND = 1e-30
 # top speed, 2 m/s, times the horizon.
 SKIN = 8.0
 HORIZON = 4.0
-# The most emission-train puffs a run's builds may compute (one at t takes
-# every release by t + HORIZON), explicit substeps a grid run may take, and
-# cells a grid built from a puff may hold.
+# The most emission-train puffs one neighbour list may hold (a build at t
+# tests the releases before t + HORIZON), explicit substeps a grid run may
+# take, and cells a grid built from a puff may hold.
 MAX_TRAIN_PUFFS = MAX_GRID_SUBSTEPS = MAX_GRID_CELLS = 1_000_000
 
 
@@ -119,7 +117,10 @@ def _pairs(points):
 
 def as_pair(pair, message: str) -> tuple[float, float]:
     """Any 2-sequence as a pair of floats; ValueError(message) when it
-    holds more or fewer than two values or one that ``float`` refuses."""
+    holds more or fewer than two values or one that ``float`` refuses,
+    or is a str or bytes ("12" is not the pair (1.0, 2.0))."""
+    if isinstance(pair, (str, bytes)):
+        raise ValueError(message)
     try:
         x, y = pair
         return float(x), float(y)
@@ -226,21 +227,6 @@ class FlowField:
             return x + dx, y + dy
         return x - dx, y - dy
 
-    def displacement(self, t0, t1: float):
-        """``carry``'s integral over [t0, t1] for each t0 of an array,
-        shape ``(2,) + np.shape(t0)``, x and y first, by the same
-        operations in the same order: bit for bit ``carry``'s increment
-        where t0 <= t1.  ``PuffPlume._build`` also passes release times
-        later than t1, which no switch reaches: v(t1) (t1 - t0)."""
-        import numpy as np
-        t0 = np.asarray(t0, dtype=float)
-        disp = np.multiply.outer(self.at(t1), t1 - t0)
-        for b, jx, jy in self._switches:
-            if b <= t1:
-                disp -= np.multiply.outer((jx, jy),
-                                          np.where(t0 < b, b - t0, 0.0))
-        return disp
-
 
 # ---------------------------------------------------------------------------
 # analytic puffs
@@ -270,6 +256,9 @@ class GaussianPuff:
             raise ValueError("puff strength Q must be > 0")
         if not self.diffusion > 0:
             raise ValueError("diffusion k must be > 0")
+        if not all(map(math.isfinite, (self.release_time, *self.point,
+                                       self.strength, self.diffusion))):
+            raise ValueError("puff numbers must be finite")
 
     def _age(self, t: float) -> float:
         """tau = t - release_time; PuffTimeError unless tau > 0 (a NaN
@@ -321,11 +310,21 @@ def puff_laplacian(puff: GaussianPuff, flow: FlowField, x, t: float) -> float:
 # puff-superposition plume
 # ---------------------------------------------------------------------------
 
+def _gap(px: float, py: float, a: tuple, b: tuple) -> float:
+    """The distance from (px, py) to the segment from a to b."""
+    (ax, ay), (bx, by) = a, b
+    ux, uy, wx, wy = bx - ax, by - ay, px - ax, py - ay
+    uu = ux * ux + uy * uy
+    s = min(max((wx * ux + wy * uy) / uu, 0.0), 1.0) if uu > 0 else 0.0
+    return math.hypot(wx - s * ux, wy - s * uy)
+
+
 class _NeighbourList(NamedTuple):
     """Candidates for a plume's cull at times in [t, t + HORIZON] and
     query discs inside the disc of centre (qx, qy) and this radius: one
-    float row (t0, x, y, Q) per puff, its release time, point and
-    strength, in ``_rows`` order."""
+    row [t0, x, y, Q] per puff, its release time, point and strength, in
+    list order: the seed puffs in document order, then the train by
+    release."""
 
     t: float
     qx: float
@@ -367,6 +366,10 @@ class PuffPlume:
             raise ValueError("puff interval must be > 0")
         if not self.diffusion > 0:
             raise ValueError("diffusion k must be > 0")
+        if not all(map(math.isfinite, (*self.source, self.start_time,
+                                       self.puff_interval, self.emission_rate,
+                                       self.diffusion))):
+            raise ValueError("plume numbers must be finite")
         for p in self.seed_puffs:
             if p.diffusion != self.diffusion:
                 raise ValueError("seed puff diffusion must match the plume's")
@@ -376,32 +379,11 @@ class PuffPlume:
 
     has_analytic_truth = True
 
-    def _rows(self, t: float):
-        """(release_times, points (2, n), strengths): every seed puff in
-        document order, then the train puffs released before t, train
-        puff i at start_time + i * puff_interval."""
-        import numpy as np
-        need = 0
-        if self.emission_rate != 0 and t > self.start_time:
-            # one row past the quotient, so that rounding in it cannot
-            # leave out a release before t
-            need = int(math.ceil((t - self.start_time) / self.puff_interval)) + 1
-        n_seed = len(self.seed_puffs)
-        rows = np.empty((4, n_seed + need))
-        for i, p in enumerate(self.seed_puffs):
-            rows[:, i] = p.release_time, *p.point, p.strength
-        train = rows[:, n_seed:]
-        train[0] = self.start_time + self.puff_interval * np.arange(need)
-        train[1], train[2] = self.source
-        train[3] = self.emission_rate * self.puff_interval
-        k = n_seed + int(np.searchsorted(train[0], t, side="left"))
-        return rows[0, :k], rows[1:3, :k], rows[3, :k]
-
     def _near(self, t: float, qx: float, qy: float, rho: float):
         """The puffs released before t, less those that cannot reach
         CULL_BOUND on the disc of centre (qx, qy) and radius rho: every
-        puff the cull of ``eval_many`` keeps, as float rows
-        (t0, x, y, Q) in ``_rows`` order.
+        puff the cull of ``eval_many`` keeps, as rows [t0, x, y, Q] in
+        list order.
 
         They come from the neighbour list, which is rebuilt unless it
         covers the disc at t (see ``_build``).
@@ -420,63 +402,74 @@ class PuffPlume:
     def _build(self, t: float, qx: float, qy: float,
                rho: float) -> _NeighbourList:
         """The neighbour list for queries within the disc of radius
-        R = rho + SKIN about (qx, qy) over [t, t + HORIZON].
+        R = rho + SKIN about (qx, qy) over [t, t + HORIZON]: the puffs
+        released before t + HORIZON that ``_reach`` keeps, each seed puff
+        alone and the train, puff i at start_time + puff_interval * i,
+        whole and then in halves while a run passes.  A run of at most 8
+        puffs that passes is kept whole, so the rows stay in list order.
+        A NaN t keeps every seed puff and no train puff."""
+        nl = _NeighbourList(t, qx, qy, rho + SKIN, [])
+        for p in self.seed_puffs:
+            if self._reach(nl, p.point, p.release_time, p.release_time,
+                           p.strength):
+                nl.rows.append([p.release_time, *p.point, p.strength])
+        start, step, source = self.start_time, self.puff_interval, self.source
+        q, end = self.emission_rate * step, t + HORIZON
+        runs = []
+        if q > 0 and end > start:
+            # the releases before the end, counted from one past the
+            # quotient, so that rounding in it cannot leave one out
+            runs.append((0, bisect_left(
+                range(math.ceil((end - start) / step) + 1), end,
+                key=lambda i: start + step * i)))
+        while runs:
+            i, j = runs.pop()
+            if not self._reach(nl, source, start + step * i,
+                               start + step * (j - 1), q):
+                continue
+            if j - i <= 8:
+                nl.rows.extend([start + step * m, *source, q]
+                               for m in range(i, j))
+            else:                       # the first half is tested first
+                mid = (i + j) // 2
+                runs += (mid, j), (i, mid)
+        return nl
 
-        It holds every puff released before t + HORIZON whose c can reach
-        CULL_BOUND on that disc within the horizon.  With d- the distance
-        from a puff's centre at t to the disc, a puff released before t
-        has c at most
+    def _reach(self, disc: _NeighbourList, point: tuple, first: float,
+               last: float, q: float) -> bool:
+        """Whether puffs of strength q released at ``point`` at times in
+        [first, last] can reach CULL_BOUND on a disc the list serves.
 
-            peak(t) exp(-d-^2/(4 k (t + HORIZON - t0)))
-
-        since the peak only falls and kt only grows.  A puff released
-        from t on is summed while the list lasts only at ages tau in
-        (0, HORIZON], and with a = d-^2/(4k) its c is then at most
-
-            f(tau) = Q exp(-a/tau) / (4 pi k tau)
-
-        f rises up to tau = a and falls after it, so c <= f(min(a,
-        HORIZON)).  With L = log(2 Q / (4 pi k HORIZON CULL_BOUND)), the
-        puff is left out where d-^2 > 4 k HORIZON max(1, L): then
-        a > HORIZON and f(HORIZON) = Q/(4 pi k HORIZON) exp(-a/HORIZON)
-        is below CULL_BOUND / 2, as L >= 1 gives a/HORIZON > L and L < 1
-        gives 2 Q/(4 pi k HORIZON) < e CULL_BOUND.  Its centre at t is
-        its point less v(t) (t0 - t), the flow at t run back from t0.
-
-        Every centre at t' is then within V (t' - t) of where it stood at
-        t, for V the fastest segment's speed: the flow is uniform, so the
-        released puffs all move by one displacement, and a puff released
-        at t0 > t stands V (t0 - t) at most from its point at t and
-        V (t' - t0) at most from it at t'.  A disc (q', rho') at t' with
-        |q' - q| + V (t' - t) + rho' <= R is at least as far from every
-        centre as the R-disc was at t, and ``_near`` reuses the list while
-        that holds.
-
-        The bound is compared with half of CULL_BOUND, so that rounding
-        in the distances cannot leave out a puff that the per-puff bound
-        keeps, and in logarithms, d-^2 > 4 kt log(2 peak / CULL_BOUND):
-        an exp that underflows to a subnormal is slow.  A NaN t keeps
-        every puff.
-        """
-        import numpy as np
-        t0s, pts, qs = self._rows(t + HORIZON)
-        radius = rho + SKIN
-        k = self.diffusion
-        with np.errstate(all="ignore"):     # q / 0 at a HORIZON of 0
-            age = t - t0s
-            released = age > 0
-            # a released puff: its peak at t and its kt at t + HORIZON; a
-            # fresh one: its peak and kt at age HORIZON, and a log >= 1
-            peak = qs / (4.0 * math.pi * k * np.where(released, age, HORIZON))
-            log_ratio = np.log(peak * (2.0 / CULL_BOUND))
-            reach2 = np.where(released, 4.0 * k * (age + HORIZON) * log_ratio,
-                              4.0 * k * HORIZON * np.maximum(log_ratio, 1.0))
-            cx, cy = pts + self.flow.displacement(t0s, t)
-            dx, dy = cx - qx, cy - qy
-            near = np.maximum(np.sqrt(dx * dx + dy * dy) - radius, 0.0)
-            keep = ~(near * near > reach2)
-        rows = np.vstack((t0s, pts, qs))[:, keep].T.tolist()
-        return _NeighbourList(t, qx, qy, radius, rows)
+        Their centres at t lie on a path, the point carried to t from each
+        release time or the point itself from t on: a polyline with a
+        vertex at each flow switch.  A centre at t' stands within
+        V (t' - t) of the path, for V the fastest segment's speed, so a
+        disc (q', rho') at t' with |q' - q| + V (t' - t) + rho' <= R, which
+        ``_near`` reuses the list for, is at least the R-disc's distance
+        d- from it.  With a = d-^2 / (4k), a puff at age tau then has c at
+        most f(tau) = q exp(-a/tau) / (4 pi k tau), which rises up to
+        tau = a and falls after it, at ages in [max(t - last, 0),
+        t + HORIZON - first].  The run is left out where f at a clamped to
+        those ages is below half of CULL_BOUND, so that rounding in the
+        distances cannot leave out a puff the per-puff bound keeps, in
+        logarithms: an exp that underflows to a subnormal is slow.  A NaN
+        keeps it, and so does tau = 0 at a = 0, where f has no bound."""
+        t, k = disc.t, self.diffusion
+        oldest = t + HORIZON - first
+        if oldest <= 0:
+            return False                # released after the list ends
+        end = min(last, t)
+        bs = self.flow.boundaries
+        path = [self.flow.carry(*point, s, t) for s in (
+            min(first, t), *bs[bisect_right(bs, first):bisect_left(bs, end)],
+            end)]
+        gap = min(_gap(disc.qx, disc.qy, a, b) for a, b in zip(path, path[1:]))
+        near = max(gap - disc.radius, 0.0)
+        a = near * near / (4.0 * k)
+        # max and min hand on a NaN first argument
+        tau = min(max(max(t - last, 0.0), a), oldest)
+        return not (tau > 0 and math.log(q) - math.log(4.0 * math.pi * k)
+                    - math.log(tau) - a / tau < math.log(CULL_BOUND / 2))
 
     def eval_many(self, points, t: float) -> list:
         """Concentration at several points, a list of m floats.
@@ -495,10 +488,10 @@ class PuffPlume:
 
         A call is a few puffs at a few points, so it runs on Python
         floats: ``math.exp`` for each term, and C's hypot (``hypot``)
-        for d.  Each point's kept terms are summed left to right in
-        ``_rows`` order, starting from 0.0.  For fewer than 8 terms that
-        is how numpy's ``sum`` adds them too; for more, numpy would add
-        them pairwise.
+        for d.  Each point's kept terms are summed left to right in list
+        order, starting from 0.0.  For fewer than 8 terms that is how
+        numpy's ``sum`` adds them too; for more, numpy would add them
+        pairwise.
         """
         pts = _pairs(points)
         if not pts:
@@ -545,7 +538,7 @@ class PuffPlume:
         return self
 
     def check_run(self, steps: int, dt: float, max_substep: float):
-        """Refuse a run whose last build computes over MAX_TRAIN_PUFFS train puffs."""
+        """Refuse a run whose last list may hold over MAX_TRAIN_PUFFS train puffs."""
         end = steps * dt + HORIZON
         n = (end - self.start_time) / self.puff_interval
         if self.emission_rate > 0 and n > MAX_TRAIN_PUFFS:

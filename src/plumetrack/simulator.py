@@ -27,7 +27,8 @@ Python floats (:func:`records`), and the CSV is written chunk by chunk,
 so a finished run holds its table plus one chunk of records.  The
 metrics' means and deviations are summed in numpy's pairwise order, so
 that they are the floats numpy's would be.  None of this imports numpy:
-a run imports it only for a model that computes on arrays, or to draw
+a run imports it only for a grid field, the one model that computes on
+arrays (a puff plume's neighbour list is built on floats), or to draw
 noise.
 
 A vessel that leaves a grid field's sampling domain truncates the run

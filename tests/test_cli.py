@@ -388,9 +388,9 @@ class TestRunCommand:
 
 class TestNumpyImportedWhereArraysAre:
     """numpy is imported by the models that compute on arrays, when they
-    first do: a grid when it is built, a puff plume at its first
-    neighbour-list build.  Each probe runs in a fresh interpreter and
-    prints whether numpy was imported at each point."""
+    first do: a grid when it is built; a puff plume never does.  Each
+    probe runs in a fresh interpreter and prints whether numpy was
+    imported at each point."""
 
     @staticmethod
     def probe(code: str) -> list:
@@ -424,24 +424,15 @@ class TestNumpyImportedWhereArraysAre:
             "print([*first, seen()])\n")
         assert seen == [False, True]
 
-    def test_case1_imports_numpy_at_its_first_build(self, scenarios_dir):
-        # a second of noise-free case1: numpy arrives inside the first
-        # neighbour-list build and not before
+    def test_case1_run_imports_no_numpy(self, scenarios_dir, tmp_path):
+        # a noise-free case1 run, its neighbour-list builds and its
+        # outputs included, computes on floats only
         seen = self.probe(
-            "import dataclasses\n"
-            "from plumetrack import field, simulator\n"
-            "from plumetrack.scenario_io import load_scenario\n"
-            f"sc = load_scenario({str(scenarios_dir / 'case1.json')!r})\n"
-            "first, build = [seen()], field.PuffPlume._build\n"
-            "def spy(*args):\n"
-            "    first.append(seen())\n"
-            "    nl = build(*args)\n"
-            "    first.append(seen())\n"
-            "    return nl\n"
-            "field.PuffPlume._build = spy\n"
-            "simulator.run(dataclasses.replace(sc, duration=1.0))\n"
-            "print(first[:3])\n")
-        assert seen == [False, False, True]
+            "from plumetrack import cli\n"
+            f"code = cli.main(['run', {str(scenarios_dir / 'case1.json')!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}])\n"
+            "print([code, seen()])\n")
+        assert seen == [0, False]
 
     def test_puff_centre_imports_no_numpy(self):
         seen = self.probe(

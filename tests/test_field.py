@@ -110,7 +110,7 @@ def flat_cull(plume, pts, t, puffs):
     t0s, origins, qs = puffs
     kt = plume.diffusion * (t - t0s)
     peak = qs / (4.0 * math.pi * kt)
-    cx, cy = origins + plume.flow.displacement(t0s, t)
+    cx, cy = origins + vectorised_displacement(plume.flow, t0s, t)
     q = pts.mean(axis=0)
     rho = max(math.hypot(*p) for p in (pts - q).tolist())
     near = np.maximum(np.hypot(cx - q[0], cy - q[1]) - rho, 0.0)
@@ -170,28 +170,31 @@ def reference_released(plume, t):
 
 
 def build_bound(plume, t, q, radius, puffs):
-    """The puffs, as columns (t0, x, y, Q), whose c can reach half of
-    CULL_BOUND on the disc of centre q and this radius within HORIZON of
-    t.  A puff released before t is bounded by its peak at t and its kt
-    at t + HORIZON.  A puff released from t on is bounded over its ages
-    tau in (0, HORIZON] by the largest Q exp(-a/tau) / (4 pi k tau),
-    a = near^2 / 4k, which is at tau = min(a, HORIZON); the list keeps
-    more than this only for puffs too weak to reach the bound anywhere,
-    2 Q / (4 pi k HORIZON) < e CULL_BOUND."""
+    """The puffs, as columns (t0, x, y, Q), that ``PuffPlume._reach``
+    keeps as runs of one: those whose c can reach half of CULL_BOUND on
+    the disc of centre q and this radius within HORIZON of t.  A puff
+    released at t0 stands at its centre at t, or at its point where t0
+    >= t, and over its ages in [max(t - t0, 0), t + HORIZON - t0] is
+    bounded by the largest Q exp(-a/tau) / (4 pi k tau), a = near^2 /
+    4k, which is at tau = a clamped to those ages."""
     t0s, origins, qs = puffs
     k = plume.diffusion
-    with np.errstate(all="ignore"):     # each form where it is not used
-        age = t - t0s
-        cx, cy = origins + plume.flow.displacement(t0s, t)
+    with np.errstate(all="ignore"):     # q / 0 at an age of 0
+        cx, cy = origins + vectorised_displacement(plume.flow,
+                                                   np.minimum(t0s, t), t)
         near = np.maximum(np.hypot(cx - q[0], cy - q[1]) - radius, 0.0)
-        released = qs / (4.0 * math.pi * k * age) * np.exp(
-            -near * near / (4.0 * k * (age + field.HORIZON)))
-        tau = np.minimum(near * near / (4.0 * k), field.HORIZON)
-        fresh = qs / (4.0 * math.pi * k * tau) * np.exp(
-            -near * near / (4.0 * k * tau))
-        bound = np.where(age > 0, released, fresh)
+        a = near * near / (4.0 * k)
+        tau = np.minimum(np.maximum(np.maximum(t - t0s, 0.0), a),
+                         t + field.HORIZON - t0s)
+        bound = qs / (4.0 * math.pi * k * tau) * np.exp(-a / tau)
     keep = ~(bound < CULL_BOUND / 2)
     return np.vstack((t0s, origins, qs))[:, keep]
+
+
+def assert_in_order(rows, superset):
+    """Every row of ``rows`` is in ``superset``, in the same order."""
+    rest = iter(superset)
+    assert all(row in rest for row in rows)
 
 
 def assert_matches_flat_cull(plume, pts, t):
@@ -347,36 +350,43 @@ class TestPlume:
     def test_emission_train_count_and_strength(self):
         plume = PuffPlume(source=(0, 0), flow=STILL, diffusion=1.0,
                           emission_rate=2.0, puff_interval=0.5)
-        rows = plume._rows(1.6)
-        t0s, pts, qs = rows
+        rows = plume._near(1.6, 0.0, 0.0, 1.0)
+        t0s, pts, qs = columns(rows)
         # releases at 0.0, 0.5, 1.0, 1.5 are all strictly before t = 1.6
         assert t0s.tolist() == [0.0, 0.5, 1.0, 1.5]
         assert np.all(qs == 1.0)  # Q = rate * interval
         assert np.all(pts == 0.0)
-        assert all(map(np.array_equal, rows, reference_rows(plume, 1.6)))
+        assert all(map(np.array_equal, columns(rows),
+                       reference_released(plume, 1.6)))
 
     def test_release_at_t_excluded(self):
         plume = PuffPlume(source=(0, 0), flow=STILL, diffusion=1.0,
                           emission_rate=2.0, puff_interval=0.5)
-        assert plume._rows(1.5)[0].tolist() == \
+        assert [row[0] for row in plume._near(1.5, 0.0, 0.0, 1.0)] == \
             reference_rows(plume, 1.5)[0].tolist() == [0.0, 0.5, 1.0]
 
     def test_released_rows_match_reference_train(self):
         plume = three_seed_plume
-        shared = plume()
         q, rho = (30.0, 10.0), 1.0
         # before start_time, on a release, between releases, NaN, and
         # late enough that old puffs reach the query while young are culled
         for t in (-1.0, 1.5, 3.2, 3.3, 12.0, 40.0, math.nan):
-            for got, ref in zip(shared._rows(t), reference_rows(shared, t)):
+            # every released puff can reach a vast disc
+            for got, ref in zip(columns(plume()._near(t, 0.0, 0.0, 1e9)),
+                                reference_released(plume(), t)):
                 assert np.array_equal(got, ref)
-            if math.isnan(t):
-                assert shared._rows(t)[0].tolist() == [-5.0, 3.2, 50.0]
-                continue
+            # the list holds what each puff's own bound keeps, and is
+            # drawn from the puffs released by its horizon, both in order
+            shared = plume()
             nl = shared._build(t, *q, rho)
-            candidates = build_bound(shared, t, q, rho + field.SKIN,
-                                     reference_rows(shared, t + field.HORIZON))
-            assert np.array_equal(np.vstack(columns(nl.rows)), candidates)
+            rows = reference_rows(shared, t + field.HORIZON)
+            candidates = build_bound(shared, t, q, rho + field.SKIN, rows)
+            assert_in_order(candidates.T.tolist(), nl.rows)
+            assert_in_order(nl.rows, np.vstack(rows).T.tolist())
+            if math.isnan(t):
+                assert [row[0] for row in nl.rows] == [-5.0, 3.2, 50.0]
+        candidates = build_bound(shared, 40.0, q, rho + field.SKIN,
+                                 reference_rows(shared, 40.0 + field.HORIZON))
         kept = candidates[0].tolist()
         # the seed released after t and the train's newest puffs are far
         # from the query, old ones drifted to it
@@ -394,7 +404,7 @@ class TestPlume:
         # 0.3 * 3 rounds below 0.9 while (0.9 - 0) / 0.3 rounds to 3
         fine = PuffPlume(source=(0, 0), flow=STILL, diffusion=0.05,
                          emission_rate=2.0, puff_interval=0.3)
-        assert fine._rows(0.9)[0].tolist() == \
+        assert [row[0] for row in fine._near(0.9, 0.0, 0.0, 1.0)] == \
             reference_rows(fine, 0.9)[0].tolist() == [0.0, 0.3, 0.6, 0.3 * 3]
 
     def test_many_terms_are_summed_left_to_right(self):
@@ -406,7 +416,7 @@ class TestPlume:
         assert kept.shape[1] == 30
         assert np.array_equal(plume.eval_many(x, 40.0), c)
         kt = plume.diffusion * (40.0 - kept[0])
-        cx, cy = kept[1:3] + plume.flow.displacement(kept[0], 40.0)
+        cx, cy = kept[1:3] + vectorised_displacement(plume.flow, kept[0], 40.0)
         terms = np.vstack((kept[3] / (4.0 * math.pi * kt), cx, cy, 4.0 * kt))
         values = [puff_terms(p, terms.T.tolist()) for p in x.tolist()]
         assert c.tolist() == [left_to_right(v) for v in values]
@@ -539,6 +549,31 @@ class TestPlume:
         assert blob.advance(7.0, 0.05) is blob
         assert plume.advance(7.0, 0.05) is plume
 
+    def test_a_string_is_not_a_pair(self):
+        # "12" once read as the pair (1.0, 2.0)
+        for text in ("12", b"12"):
+            with pytest.raises(ValueError, match="puff point"):
+                GaussianPuff(0.0, text, 1.0, 1.0)
+            with pytest.raises(ValueError, match="flow velocity"):
+                FlowField.uniform(text)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_numbers_are_refused(self, bad):
+        # an infinite interval once put a NaN release in the train, and
+        # a NaN start time silently dropped the train
+        puff = dict(release_time=0.0, point=(1.0, 2.0), strength=3.0,
+                    diffusion=0.05)
+        plume = dict(source=(0.0, 0.0), flow=STILL, diffusion=0.05,
+                     emission_rate=2.0, puff_interval=0.5, start_time=0.0)
+        for model, kwargs in ((GaussianPuff, puff), (PuffPlume, plume)):
+            for name in kwargs:
+                if name == "flow":
+                    continue
+                for value in ((bad, 0.0), (0.0, bad)) if name in (
+                        "point", "source") else (bad,):
+                    with pytest.raises(ValueError):
+                        model(**{**kwargs, name: value})
+
 
 def reference_centroid(plume, t):
     """The advected point of the first strongest puff of
@@ -547,7 +582,7 @@ def reference_centroid(plume, t):
     if t0s.size == 0:
         return np.array(plume.source)
     i = int(np.argmax(qs))
-    return origins[:, i] + plume.flow.displacement(t0s[i], t)
+    return origins[:, i] + vectorised_displacement(plume.flow, t0s[i], t)
 
 
 TURNING = FlowField([[0.5, 0.1], [-0.3, 0.4]], [4.0])
@@ -634,10 +669,10 @@ class TestCentroid:
         plume = centroid_plume("train-beats-seeds")
         want = [reference_centroid(plume, t) for t in CENTROID_TIMES]
 
-        def no_rows(self, t):
-            raise AssertionError("centroid computed the train")
+        def no_build(self, *args):
+            raise AssertionError("centroid built a neighbour list")
 
-        monkeypatch.setattr(PuffPlume, "_rows", no_rows)
+        monkeypatch.setattr(PuffPlume, "_build", no_build)
         got = [plume.centroid(t) for t in CENTROID_TIMES]
         assert [pair_array(g).tobytes() for g in got] == \
             [w.tobytes() for w in want]
@@ -720,8 +755,24 @@ def approaching_calls():
                    for i in range(400)]
 
 
+def switching_calls():
+    """A still query at the bend of a train older than a flow switch, so
+    that the path of the train's centres has a vertex there, over calls
+    whose lists' horizons span a second switch.  A seed puff crosses the
+    query with a peak of about 1.5 CULL_BOUND, so it is summed only near
+    the query, and the lists keep it only under a bound of CULL_BOUND /
+    2, not 2 CULL_BOUND."""
+    flow = FlowField([[1.0, 0.0], [0.0, 1.0], [-0.5, 0.5]], [0.0, 102.0])
+    faint = GaussianPuff(50.0, (2.1, 47.5), 1.5 * CULL_BOUND * 4.0 * math.pi
+                         * 0.05 * 50.0, 0.05)
+    plume = PuffPlume(source=(0.0, 0.0), flow=flow, diffusion=0.05,
+                      emission_rate=2.0, start_time=-200.0,
+                      seed_puffs=(faint,))
+    return plume, [(RIG + (2.0, 97.0), 98.0 + 0.05 * i) for i in range(161)]
+
+
 QUERIES = (piecewise_calls, seeded_calls, sweeping_calls, creeping_calls,
-           approaching_calls)
+           approaching_calls, switching_calls)
 
 
 class TestNeighbourList:
@@ -821,7 +872,9 @@ def searchsorted_at(flow, t):
 
 
 def vectorised_displacement(flow, t0, t1):
-    """``FlowField.displacement`` as first written, on arrays."""
+    """The flow's integral over [t0, t1] for each t0 of an array, shape
+    ``(2,) + np.shape(t0)``: a release time later than t1 gets v(t1)
+    (t1 - t0), as no switch reaches it."""
     t0 = np.asarray(t0, dtype=float)
     disp = np.multiply.outer(searchsorted_at(flow, t1), t1 - t0)
     for i, b in enumerate(flow.boundaries):
@@ -834,7 +887,7 @@ def vectorised_displacement(flow, t0, t1):
 class TestFlow:
     def test_float_paths_match_array_forms(self):
         # random piecewise flows, queried on and between their switches,
-        # with t0 on a switch, t0 == t1, signed zeros and NaN
+        # with signed zeros and NaN
         rng = np.random.default_rng(17)
         for _ in range(60):
             n = int(rng.integers(0, 5))
@@ -845,13 +898,6 @@ class TestFlow:
             for t1 in times:
                 want = searchsorted_at(flow, t1)
                 assert np.array(flow.at(t1)).tobytes() == want.tobytes()
-                for t0 in times:
-                    got = np.array(flow.displacement(t0, t1))
-                    want = vectorised_displacement(flow, t0, t1)
-                    assert got.tobytes() == want.tobytes(), (t0, t1)
-                t0s = np.array(times)
-                assert flow.displacement(t0s, t1).tobytes() == \
-                    vectorised_displacement(flow, t0s, t1).tobytes()
 
     @staticmethod
     def carry_cases():
@@ -886,12 +932,13 @@ class TestFlow:
         assert seen == {"nan", "same", "back", "forward"}
 
     def test_array_displacement_is_carrys_increment(self):
+        # the array form the cull references move whole trains by
         checked = 0
         for flow, (x, y), t0, t in self.carry_cases():
             if not t0 <= t:
                 continue
             t0s = np.array([t0, t0 - 1.5, t0 + 0.25])
-            dx, dy = flow.displacement(t0s, t).tolist()
+            dx, dy = vectorised_displacement(flow, t0s, t).tolist()
             for i, ti in enumerate(t0s.tolist()):
                 if ti <= t:
                     got = np.array(flow.carry(x, y, ti, t))
