@@ -23,9 +23,12 @@ scalar turbulent diffusion coefficient k.  Three field models are provided:
   new cell is a convex combination of its neighbourhood and stays >= 0.
   It takes one neighbour difference per axis, shared by the axis's two
   directions, in flat passes over two work buffers that each step hands
-  to the field it returns; a sample sums each point's 2 x 2 cell block
-  on Python floats in a stated order.  The field owns its cells, a
-  read-only copy of the caller's array, and they and the work buffers
+  to the field it returns.  One boundary rule serves both axes and both
+  modes: an edge cell reads its ghost difference, 0 for outflow and the
+  wrapped one for periodic, from the buffer slot its flat pass reads.  A
+  sample sums each point's 2 x 2 cell block on Python floats in a stated
+  order.  The field owns its cells, a read-only copy of the caller's
+  array with -0.0 stored as 0.0, and they and the work buffers
   start on 64-byte (cache-line) boundaries: malloc starts such arrays
   at 16 mod 64 bytes, or wherever heap reuse puts them, and on a
   160 x 160 grid the step's passes took 92-98 us on such buffers and
@@ -158,9 +161,10 @@ def mean_point(points) -> tuple[float, float]:
 def _aligned(n: int):
     """An uninitialised float array of n values that starts on a 64-byte
     boundary: an 8-value-longer array sliced at its aligned offset."""
+    import ctypes
     import numpy as np
     buf = np.empty(n + 8)
-    k = -buf.ctypes.data % 64 // 8
+    k = -ctypes.addressof(ctypes.c_char.from_buffer(buf)) % 64 // 8
     return buf[k:k + n]
 
 
@@ -665,7 +669,7 @@ class GridField:
         if self.boundary not in ("outflow", "periodic"):
             raise ValueError(f"unknown boundary mode {self.boundary!r}")
         own = _aligned(c.size).reshape(c.shape)     # C order: step's flat views
-        own[...] = c
+        np.add(c, 0.0, out=own)                     # -0.0 cells stored as 0.0
         own.flags.writeable = False
         object.__setattr__(self, "conc", own)
         object.__setattr__(self, "_scratch", None)   # step's work buffers
@@ -683,9 +687,7 @@ class GridField:
                 and np.array_equal(self.conc, other.conc))
 
     def __hash__(self):
-        # + 0.0 turns -0.0 cells, which array_equal calls equal, into 0.0
-        return hash((self._scalars(), self.conc.shape,
-                     (self.conc + 0.0).tobytes()))
+        return hash((self._scalars(), self.conc.shape, self.conc.tobytes()))
 
     def __reduce__(self):
         # through the constructor, so a copy or a sweep worker's unpickled
@@ -773,27 +775,31 @@ class GridField:
         a_s and a_n likewise with vy.  Every a_i >= 0 and their sum is
         dt ((|vx| + |vy|)/h + 4 k/h^2) <= 0.9 within ``max_stable_dt``, so a
         new cell is a convex combination of its 5-cell neighbourhood and
-        never leaves that neighbourhood's range: no negative values.  An
-        outflow ghost's difference is 0; a periodic one is the wrapped row or
-        column.  Raises StepSizeError beyond the stability bound; the caller
-        is expected to subdivide.
+        never leaves that neighbourhood's range: no negative values.  Raises
+        StepSizeError beyond the stability bound; the caller is expected to
+        subdivide.
 
-        Each axis takes one difference, D = c[i + 1] - c[i], for both of
-        its directions: cell i's east term is + a_e D[i] and cell i + 1's
-        west term - a_w D[i].  IEEE negation is exact, so the terms, their
-        W, E, S, N order and every new cell's bits are those of four
-        separate differences, for any c without a -0.0 cell (a step
-        makes none).  The differences are flat passes; the y pair's
-        first and last columns, whose flat neighbours are wrong, are set
-        after.  The work buffers are made by the first step and handed to
-        the field each step returns, so a run allocates only the returned
-        ``conc`` per step; nothing a step leaves in them is read again,
-        but two fields of one chain must not be stepped at once from two
-        threads.  The new cells and both buffers start on 64-byte
-        boundaries (see the module docstring), which changes no bits; the
-        new cells are read-only once written.  The returned field copies
-        this one's attributes but ``conc``, ``time`` and the buffers,
-        without the constructor's conversions and checks."""
+        Each axis, x then y, takes one difference, D[i] = c[i] - c[i - 1],
+        for both of its directions: cell i's west term is - a_w D[i] and its
+        east term + a_e D[i + 1].  IEEE negation is exact, so the terms,
+        their W, E, S, N order and every new cell's bits are those of four
+        separate differences.  The one boundary rule: an edge cell reads
+        its ghost difference, 0 for outflow and the axis's first minus last
+        row or column for periodic, from the buffer slot its flat pass
+        reads, written before each of the axis's two passes (for y a slot
+        is one row's low ghost and the row before's high one).  The buffer
+        holds n + ny + 7 values, so that each axis's difference pass
+        writes from a 64-byte boundary: into an unaligned slice it took
+        about twice as long (14 against 6 us on a 160 x 160 grid).  The
+        work buffers are made by the first step and handed to the field
+        each step returns, so a run allocates only the returned ``conc``
+        per step; nothing a step leaves in them is read again, but two
+        fields of one chain must not be stepped at once from two threads.
+        The new cells and both buffers start on 64-byte boundaries (see
+        the module docstring), which changes no bits; the new cells are
+        read-only once written.  The returned field copies this one's
+        attributes but ``conc``, ``time`` and the buffers, without the
+        constructor's conversions and checks."""
         import numpy as np
         if not dt > 0:
             raise ValueError("dt must be > 0")
@@ -809,33 +815,22 @@ class GridField:
         a_n = dt * (kh + max(-v[1], 0.0) / h)
         c = self.conc
         n, ny = c.size, c.shape[1]
-        d, ad = self._scratch or (_aligned(n), _aligned(n))
+        d, ad = self._scratch or (_aligned(n + ny + 7), _aligned(n))
         new = _aligned(n).reshape(c.shape)
         flat_c, flat_new = c.ravel(), new.ravel()
-        periodic = self.boundary == "periodic"
-        # x pair: rows 1.. take the west term, rows ..-2 the east one, and
-        # the ghost rows their ghost difference times a; the west products
-        # go straight into the new cells they are taken from
-        m = n - ny
-        np.subtract(flat_c[ny:], flat_c[:m], out=d[:m])
-        np.multiply(d[:m], a_w, out=flat_new[ny:])
-        np.subtract(flat_c[ny:], flat_new[ny:], out=flat_new[ny:])
-        new[0] = c[0] + a_w * (c[-1] - c[0] if periodic else 0.0)
-        np.multiply(d[:m], a_e, out=ad[:m])
-        np.add(flat_new[:m], ad[:m], out=flat_new[:m])
-        new[-1] += a_e * (c[0] - c[-1] if periodic else 0.0)
-        # y pair: the flat passes also cross from a row's end to the next
-        # row's start, so the column each ghost borders is saved and set
-        m = n - 1
-        np.subtract(flat_c[1:], flat_c[:m], out=d[:m])
-        first = new[:, 0].copy()
-        np.multiply(d[:m], a_s, out=ad[:m])
-        np.subtract(flat_new[1:], ad[:m], out=flat_new[1:])
-        new[:, 0] = first + a_s * (c[:, -1] - c[:, 0] if periodic else 0.0)
-        last = new[:, -1].copy()
-        np.multiply(d[:m], a_n, out=ad[:m])
-        np.add(flat_new[:m], ad[:m], out=flat_new[:m])
-        new[:, -1] = last + a_n * (c[:, 0] - c[:, -1] if periodic else 0.0)
+        base = flat_c
+        for s, a_lo, a_hi, lo, hi in ((ny, a_w, a_e, 0, -1),
+                                      (1, a_s, a_n, np.s_[:, 0], np.s_[:, -1])):
+            ghost = c[lo] - c[hi] if self.boundary == "periodic" else 0.0
+            e = d[-s % 8:]              # so that e[s:] starts on 64 bytes
+            np.subtract(flat_c[s:], flat_c[:n - s], out=e[s:n])
+            e[:n].reshape(c.shape)[lo] = ghost
+            np.multiply(e[:n], a_lo, out=ad)
+            np.subtract(base, ad, out=flat_new)
+            e[s:n + s].reshape(c.shape)[hi] = ghost
+            np.multiply(e[s:n + s], a_hi, out=ad)
+            np.add(flat_new, ad, out=flat_new)
+            base = flat_new
         new.flags.writeable = False
         g = object.__new__(GridField)
         g.__dict__.update(self.__dict__, conc=new, time=self.time + dt,
@@ -848,11 +843,12 @@ class GridField:
         StepSizeError where none fits, or where one is below half an ulp
         of the time and would leave it unchanged."""
         time = self.time
+        caps = [min(stable_dt(v, self.cell_size, self.diffusion),
+                    max_substep) for v in self.flow.velocities]
         for target in targets:
             while time < target - 1e-12:
                 span = target - time
-                cap = min(stable_dt(self.flow.at(time), self.cell_size,
-                                    self.diffusion), max_substep)
+                cap = caps[bisect_right(self.flow.boundaries, time)]
                 if cap <= 0.0:
                     raise StepSizeError(f"no grid substep fits the bound {cap:g} s")
                 dt = span / max(1, math.ceil(span / cap - 1e-12))

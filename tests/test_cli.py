@@ -114,6 +114,23 @@ NOISY_CASE1 = {
     "flow_noise": ({"flow_noise_sigma": 0.05},
                    ("522d6ee3f819", "609c74d4238e")),
 }
+# The same for case1 over perfbench's grid field (perfbench/workloads.py
+# GRID_FIELD), in each boundary mode: (field keys set, sha256 prefixes).
+# The 160 x 160 grid logs the same bytes in both modes, because no wrap
+# reaches the sampled cells within 60 s, so the periodic grid is 100 x 100,
+# whose log differs from its outflow twin's.
+GRID_FIELD = {
+    "type": "grid", "origin": [-40.0, -40.0], "cell_size": 0.5,
+    "shape": [160, 160], "diffusion": 0.05,
+    "flow": {"type": "uniform", "velocity": [0.01, 0.005]},
+    "init_puff": {"release_time": -3000.0, "point": [-30.0, -15.0],
+                  "strength": 113000.0},
+}
+GRID_SHA256 = {
+    "outflow": ({"boundary": "outflow"}, ("ffc2d390a08c", "5f508353477c")),
+    "periodic": ({"boundary": "periodic", "origin": [-25.0, -25.0],
+                  "shape": [100, 100]}, ("664ae01772d0", "048edc795dca")),
+}
 pinned_numpy = pytest.mark.skipif(
     np.__version__ != PINNED_NUMPY,
     reason=f"the bytes are pinned for numpy {PINNED_NUMPY}, "
@@ -141,6 +158,16 @@ def test_noisy_case1_outputs_are_pinned(tmp_path, case1_doc, name):
     doc = json.loads(json.dumps(case1_doc))
     for key, value in changes.items():
         set_path(doc, key, value)
+    sc = write_scenario(tmp_path, doc)
+    assert main(["run", str(sc), "--out", str(tmp_path / "out")]) == 0
+    assert output_sha256(tmp_path / "out") == pinned
+
+
+@pinned_numpy
+@pytest.mark.parametrize("boundary", sorted(GRID_SHA256))
+def test_grid_outputs_are_pinned(tmp_path, case1_doc, boundary):
+    changes, pinned = GRID_SHA256[boundary]
+    doc = dict(case1_doc, name="grid", field=dict(GRID_FIELD, **changes))
     sc = write_scenario(tmp_path, doc)
     assert main(["run", str(sc), "--out", str(tmp_path / "out")]) == 0
     assert output_sha256(tmp_path / "out") == pinned

@@ -1086,6 +1086,29 @@ class TestGrid:
                         assert np.array_equal(np.signbit(g.conc),
                                               np.signbit(ref)), (v, k, shape)
 
+    @pytest.mark.parametrize("boundary", ["outflow", "periodic"])
+    def test_negative_zero_edges_step_as_four_passes(self, boundary):
+        # the cells store -0.0 as 0.0: the west and south passes take the
+        # ghost term away where the four passes add it, and -0.0 - 0.0 is
+        # -0.0, which zero terms from negative neighbours would keep
+        rng = np.random.default_rng(28)
+        edge = np.ones((9, 7), dtype=bool)
+        edge[1:-1, 1:-1] = False
+        for v in GRID_FLOWS:
+            for k in (0.0, 0.4):
+                conc = rng.uniform(-10, 10, edge.shape)
+                conc[edge & (rng.uniform(size=edge.shape) < 0.5)] = -0.0
+                g = GridField((0.5, -1.0), 0.25, conc, k,
+                              FlowField.uniform(v), boundary)
+                assert not np.signbit(g.conc[g.conc == 0]).any()
+                for _ in range(3):
+                    dt = min(g.max_stable_dt(), 0.7) * rng.uniform(0.2, 1.0)
+                    ref = four_pass_step(g, dt)
+                    g = g.step(dt)
+                    assert np.array_equal(np.signbit(g.conc),
+                                          np.signbit(ref)), (v, k)
+                    assert np.array_equal(g.conc, ref), (v, k)
+
     def test_step_leaves_earlier_fields_alone(self):
         # the steps of a chain share work buffers, never a returned conc
         rng = np.random.default_rng(25)
