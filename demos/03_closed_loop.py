@@ -11,8 +11,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from plumetrack import simulator
 from plumetrack.plotting import timeseries_svg, trajectory_svg, read_log
 from plumetrack.scenario_io import load_scenario
@@ -34,7 +32,7 @@ print(f"winding: {m.winding_angle / (2 * math.pi):+.2f} turns "
 with open(out / "log.csv", "w") as fh:
     log.to_csv(fh)
 parsed = read_log(out / "log.csv")
-src = np.stack([scenario.field0.centroid(float(t)) for t in parsed["t"]])
+src = [scenario.field0.centroid(t) for t in parsed["t"]]
 (out / "trajectory.svg").write_text(trajectory_svg(parsed, src))
 (out / "timeseries.svg").write_text(timeseries_svg(parsed, scenario.gains.c0))
 print(f"wrote {out}/log.csv, trajectory.svg, timeseries.svg")

@@ -185,10 +185,8 @@ def cmd_plot(args) -> int:
         else:
             source_path = None
             if args.scenario is not None:
-                import numpy as np
-                scenario = load_scenario(args.scenario)
-                source_path = np.stack([scenario.field0.centroid(float(t))
-                                        for t in logdata["t"]])
+                field0 = load_scenario(args.scenario).field0
+                source_path = [field0.centroid(t) for t in logdata["t"]]
             svg = plotting.trajectory_svg(logdata, source_path)
     except plotting.PlotDataError as exc:
         return _input_error(exc)

@@ -3,9 +3,10 @@
 Two figure kinds mirror the recorded time series: an x-y trajectory of the
 head point (with the observer-estimate path, start/end markers, and
 optionally the true advected source path) and a concentration time series
-(four sensors, their mean, and a horizontal reference at c0).  Output is
-plain hand-built SVG with fixed formatting, so identical logs produce
-byte-identical files.
+(four sensors, their mean, and a horizontal reference at c0).  The log's
+columns are lists of floats, and the figures take any sequences of floats
+(the source path, of (x, y) pairs), so plotting imports no numpy.  Output
+is hand-built SVG with fixed formatting: identical logs, identical files.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import csv
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .simulator import CSV_COLUMNS
 
@@ -34,9 +33,9 @@ class PlotDataError(ValueError):
     """Plot input is missing, malformed, empty or not plottable."""
 
 
-def read_log(path) -> dict[str, np.ndarray]:
-    """Parse a run-log CSV into column arrays of finite numbers (ctrue NaN
-    where empty, the one gap a run writes)."""
+def read_log(path) -> dict[str, list]:
+    """Parse a run-log CSV into columns, each a list of finite floats
+    (ctrue NaN where empty, the one gap a run writes; status strings)."""
     p = Path(path)
     try:
         with open(p, newline="", encoding="utf-8") as fh:
@@ -75,11 +74,20 @@ def read_log(path) -> dict[str, np.ndarray]:
                     raise PlotDataError(f"{p}:{lineno}: {cell!r} in column "
                                         f"'{name}' is not a finite number")
                 cols[name].append(value)
-    return {name: np.asarray(cols[name]) for name in CSV_COLUMNS}
+    return cols
 
 
 def _fmt(v: float) -> str:
     return "%.2f" % v
+
+
+def _bounds(*columns) -> tuple[float, float]:
+    """Least and greatest value as floats, both NaN if one is (builtin
+    ``min`` and ``max`` may skip it), so that ``_scale`` refuses a NaN."""
+    values = [v for column in columns for v in column]
+    if any(v != v for v in values):
+        return math.nan, math.nan
+    return float(min(values)), float(max(values))
 
 
 def _scale(lo: float, hi: float, pix_lo: float, pix_hi: float):
@@ -163,15 +171,14 @@ def _legend(entries, x0: int) -> list[str]:
     return parts
 
 
-def timeseries_svg(log: dict[str, np.ndarray], c0: float | None) -> str:
+def timeseries_svg(log: dict, c0: float | None) -> str:
     """Concentration time series: c1..c4, their mean, reference at c0."""
     t = log["t"]
     series = [log["c1"], log["c2"], log["c3"], log["c4"], log["chat"]]
-    y_all = np.concatenate(series + ([np.array([c0])] if c0 is not None else []))
-    y_lo, y_hi = float(y_all.min()), float(y_all.max())
+    y_lo, y_hi = _bounds(*series, [] if c0 is None else [c0])
     pad = 0.05 * (y_hi - y_lo or 1.0)
     y_lo, y_hi = y_lo - pad, y_hi + pad
-    x_lo, x_hi = float(t.min()), float(t.max())
+    x_lo, x_hi = _bounds(t)
     x_hi = x_hi if x_hi > x_lo else x_lo + 1.0
     sx = _scale(x_lo, x_hi, MARGIN_L, WIDTH - MARGIN_R)
     sy = _scale(y_lo, y_hi, HEIGHT - MARGIN_B, MARGIN_T)
@@ -194,20 +201,13 @@ def timeseries_svg(log: dict[str, np.ndarray], c0: float | None) -> str:
     return _document(body)
 
 
-def trajectory_svg(log: dict[str, np.ndarray],
-                   source_path: np.ndarray | None = None) -> str:
+def trajectory_svg(log: dict, source_path=None) -> str:
     """Head-point trajectory with the observer-estimate path and markers."""
     zx, zy = log["zx"], log["zy"]
     hx, hy = log["xhat"], log["yhat"]
-    xs = [zx, hx]
-    ys = [zy, hy]
-    if source_path is not None and len(source_path):
-        xs.append(source_path[:, 0])
-        ys.append(source_path[:, 1])
-    x_all = np.concatenate(xs)
-    y_all = np.concatenate(ys)
-    x_lo, x_hi = float(x_all.min()), float(x_all.max())
-    y_lo, y_hi = float(y_all.min()), float(y_all.max())
+    src = list(zip(*source_path)) if source_path is not None else []
+    x_lo, x_hi = _bounds(zx, hx, *src[:1])
+    y_lo, y_hi = _bounds(zy, hy, *src[1:])
     pad = 0.05 * max(x_hi - x_lo or 1.0, y_hi - y_lo or 1.0)
     x_lo, x_hi = x_lo - pad, x_hi + pad
     y_lo, y_hi = y_lo - pad, y_hi + pad
@@ -223,9 +223,9 @@ def trajectory_svg(log: dict[str, np.ndarray],
 
     body = _frame(x_lo, x_hi, y_lo, y_hi, sx, sy, "x (m)", "y (m)")
     legend = []
-    if source_path is not None and len(source_path):
-        body.append(_polyline([sx(v) for v in source_path[:, 0]],
-                              [sy(v) for v in source_path[:, 1]],
+    if src:
+        body.append(_polyline([sx(v) for v in src[0]],
+                              [sy(v) for v in src[1]],
                               SOURCE_COLOR, 1.2, dash="2 3"))
         legend.append(("source path", SOURCE_COLOR))
     body.append(_polyline([sx(v) for v in hx], [sy(v) for v in hy],

@@ -173,6 +173,36 @@ def test_grid_outputs_are_pinned(tmp_path, case1_doc, boundary):
     assert output_sha256(tmp_path / "out") == pinned
 
 
+# sha256 prefix of the SVG of each plot kind, drawn by `plume plot` from
+# the log of `plume run scenarios/case1.json` with ``plot_args``
+PLOT_SHA256 = {"concentration-timeseries": "d2b0046f6da4",
+               "trajectory-xy": "b5e43bd52cc9"}
+
+
+def plot_args(kind: str, scenarios_dir: Path) -> list[str]:
+    """The arguments of the pinned plot of ``kind`` past --log and --out."""
+    return ["--kind", kind, *(
+        ["--scenario", str(scenarios_dir / "case1.json")]
+        if kind == "trajectory-xy" else ["--c0", "50"])]
+
+
+@pytest.fixture(scope="module")
+def case1_log(tmp_path_factory, scenarios_dir) -> Path:
+    out = tmp_path_factory.mktemp("case1")
+    assert main(["run", str(scenarios_dir / "case1.json"),
+                 "--out", str(out)]) == 0
+    return out / "log.csv"
+
+
+@pytest.mark.parametrize("kind", sorted(PLOT_SHA256))
+def test_case1_plots_are_pinned(tmp_path, scenarios_dir, case1_log, kind):
+    svg = tmp_path / "plot.svg"
+    assert main(["plot", *plot_args(kind, scenarios_dir),
+                 "--log", str(case1_log), "--out", str(svg)]) == 0
+    assert hashlib.sha256(svg.read_bytes()).hexdigest()[:12] == \
+        PLOT_SHA256[kind]
+
+
 class TestRunCommand:
     def test_run_writes_outputs(self, tmp_path):
         sc = write_scenario(tmp_path, SHORT_SCENARIO)
@@ -460,6 +490,19 @@ class TestNumpyImportedWhereArraysAre:
             f"'--out', {str(tmp_path / 'out')!r}])\n"
             "print([code, seen()])\n")
         assert seen == [0, False]
+
+    def test_plot_imports_no_numpy(self, scenarios_dir, case1_log,
+                                   tmp_path):
+        # both kinds, the trajectory with case1's source path: the log's
+        # columns and the source path are lists of floats
+        calls = [[*plot_args(kind, scenarios_dir), "--log", str(case1_log),
+                  "--out", str(tmp_path / f"{kind}.svg")]
+                 for kind in sorted(PLOT_SHA256)]
+        seen = self.probe(
+            "from plumetrack import cli\n"
+            f"codes = [cli.main(['plot', *args]) for args in {calls!r}]\n"
+            "print([*codes, seen()])\n")
+        assert seen == [0, 0, False]
 
     def test_puff_centre_imports_no_numpy(self):
         seen = self.probe(

@@ -136,6 +136,18 @@ def test_trajectory_markers_and_paths(logfile):
     assert svg2.count("<polyline") == 3
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_source_point_refused(logfile, value):
+    # one point of the source path, in x or in y; builtin min and max
+    # would pass over a NaN in mid-path
+    log = read_log(logfile)
+    for axis in (0, 1):
+        src = np.column_stack([np.linspace(0, 1, 61), np.zeros(61)])
+        src[30, axis] = value
+        with pytest.raises(PlotDataError, match="plotted range"):
+            trajectory_svg(log, src)
+
+
 def test_render_deterministic(logfile):
     log = read_log(logfile)
     assert timeseries_svg(log, 50.0) == timeseries_svg(log, 50.0)
